@@ -6,20 +6,49 @@ its bias [fan_out]. A conv layer is a dense map applied to im2col patches, so
 its weight matrix is [kernel * in_channels, out_channels] with the patch
 flattened row-major over (kernel offset, channel). Dense nets flatten the
 input window row-major over (timestep, channel), matching the standardizer.
+
+A conv layer builds its patches as a sliding-window view of its input, copied
+once into a [batch * positions, kernel * in_channels] matrix. Its forward pass
+and its weight gradient are then one 2-D GEMM each, and the input gradient is
+one GEMM plus one strided add per kernel offset. The gradient is written
+straight into views of one flat buffer laid out like `parameters`.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+import math
+import numbers
+from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .data import StandardizationParams, WindowedSample, apply_standardizer, fit_standardizer
 from .errors import ConfigurationError, TrainingError
 from .seeding import derive_seed
+
+
+class _Layer(NamedTuple):
+    """One weight layer; W starts at `offset` in the flat vector.
+
+    A dense layer maps [N, fan_in] to [N, fan_out]. A conv layer maps
+    [N, in_len, in_ch] to [N * out_len, fan_out] through patches of
+    fan_in = kernel * in_ch values taken every `stride` steps.
+    """
+
+    kind: str
+    fan_in: int
+    fan_out: int
+    offset: int
+    kernel: int = 1
+    stride: int = 1
+    in_len: int = 1
+    out_len: int = 1
+    in_ch: int = 1
 
 
 @dataclass(frozen=True)
@@ -60,11 +89,34 @@ class NetSpec:
             for out, kern, stride in self.conv:
                 if out < 1 or kern < 1 or stride < 1:
                     raise ConfigurationError(f"bad conv layer {(out, kern, stride)}")
-            _plan(self)  # raises if a conv stage collapses below length 1
+        self._layers  # raises if a conv stage collapses below length 1
+
+    @cached_property
+    def _layers(self) -> tuple[_Layer, ...]:
+        """The weight layers in forward order, resolved once per spec."""
+        w, c = self.input_shape
+        layers: list[_Layer] = []
+        offset = 0
+        if self.kind == "conv":
+            length, ch = w, c
+            for out, kern, stride in self.conv:
+                new_len = conv_output_length(length, kern, stride)
+                layers.append(_Layer("conv", kern * ch, out, offset, kern, stride, length, new_len, ch))
+                offset += (kern * ch + 1) * out
+                length, ch = new_len, out
+            flat = length * ch
+        else:
+            flat = w * c
+        dims = [flat, self.hidden[0], self.hidden[1], self.n_classes]
+        for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+            layers.append(_Layer("dense", fan_in, fan_out, offset))
+            offset += (fan_in + 1) * fan_out
+        return tuple(layers)
 
     @property
     def param_count(self) -> int:
-        return sum(fi * fo + fo for fi, fo in _weight_shapes(self))
+        last = self._layers[-1]
+        return last.offset + (last.fan_in + 1) * last.fan_out
 
     def to_dict(self) -> dict:
         return {
@@ -97,37 +149,6 @@ def conv_output_length(length: int, kernel: int, stride: int) -> int:
     return (length - kernel) // stride + 1
 
 
-def _plan(spec: NetSpec) -> list[tuple]:
-    """Ordered layer descriptors: ("conv", kernel, stride, in_ch, out_ch) or
-    ("dense", fan_in, fan_out)."""
-    w, c = spec.input_shape
-    layers: list[tuple] = []
-    if spec.kind == "conv":
-        length, ch = w, c
-        for out, kern, stride in spec.conv:
-            new_len = conv_output_length(length, kern, stride)
-            layers.append(("conv", kern, stride, ch, out))
-            length, ch = new_len, out
-        flat = length * ch
-    else:
-        flat = w * c
-    dims = [flat, spec.hidden[0], spec.hidden[1], spec.n_classes]
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        layers.append(("dense", fan_in, fan_out))
-    return layers
-
-
-def _weight_shapes(spec: NetSpec) -> list[tuple[int, int]]:
-    shapes = []
-    for entry in _plan(spec):
-        if entry[0] == "conv":
-            _, kern, _, in_ch, out_ch = entry
-            shapes.append((kern * in_ch, out_ch))
-        else:
-            shapes.append((entry[1], entry[2]))
-    return shapes
-
-
 def unpack_parameters(spec: NetSpec, theta: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """Flat vector -> [(W, b), ...] views in layer order."""
     if theta.size != spec.param_count:
@@ -135,13 +156,10 @@ def unpack_parameters(spec: NetSpec, theta: np.ndarray) -> list[tuple[np.ndarray
             f"parameter vector length {theta.size}, expected {spec.param_count}"
         )
     layers = []
-    pos = 0
-    for fan_in, fan_out in _weight_shapes(spec):
-        w = theta[pos : pos + fan_in * fan_out].reshape(fan_in, fan_out)
-        pos += fan_in * fan_out
-        b = theta[pos : pos + fan_out]
-        pos += fan_out
-        layers.append((w, b))
+    for layer in spec._layers:
+        w_end = layer.offset + layer.fan_in * layer.fan_out
+        w = theta[layer.offset : w_end].reshape(layer.fan_in, layer.fan_out)
+        layers.append((w, theta[w_end : w_end + layer.fan_out]))
     return layers
 
 
@@ -168,9 +186,10 @@ def init_model(spec: NetSpec) -> NetModel:
     """Seeded uniform init scaled by fan-in (relu-friendly); biases zero."""
     rng = np.random.default_rng(spec.seed)
     layers = []
-    for fan_in, fan_out in _weight_shapes(spec):
-        limit = np.sqrt(6.0 / fan_in)
-        layers.append((rng.uniform(-limit, limit, size=(fan_in, fan_out)), np.zeros(fan_out)))
+    for layer in spec._layers:
+        limit = np.sqrt(6.0 / layer.fan_in)
+        w = rng.uniform(-limit, limit, size=(layer.fan_in, layer.fan_out))
+        layers.append((w, np.zeros(layer.fan_out)))
     return NetModel(spec=spec, parameters=pack_parameters(layers))
 
 
@@ -190,34 +209,48 @@ def _as_batch(spec: NetSpec, batch) -> np.ndarray:
     return x
 
 
-def _patch_index(length: int, kernel: int, stride: int) -> np.ndarray:
-    out_len = (length - kernel) // stride + 1
-    return np.arange(out_len)[:, None] * stride + np.arange(kernel)[None, :]
+def _patches(a: np.ndarray, n: int, layer: _Layer) -> np.ndarray:
+    """im2col: [N * out_len, kernel * in_ch], row-major over (offset, channel)."""
+    windows = sliding_window_view(a.reshape(n, layer.in_len, layer.in_ch), layer.kernel, axis=1)
+    # windows is [N, in_len - kernel + 1, in_ch, kernel]; reshape makes the one copy
+    return windows[:, :: layer.stride].transpose(0, 1, 3, 2).reshape(n * layer.out_len, layer.fan_in)
+
+
+def _input_gradient(dz: np.ndarray, w: np.ndarray, n: int, layer: _Layer) -> np.ndarray:
+    """Gradient at a conv layer's input [N, in_len, in_ch] from dz [N * out_len, fan_out].
+
+    The gradient of the patch rows at kernel offset k is dz @ W_k.T, and it
+    lands on input positions k, k + stride, ...: one GEMM and one strided add
+    per offset.
+    """
+    da = np.zeros((n, layer.in_len, layer.in_ch))
+    w_by_offset = w.reshape(layer.kernel, layer.in_ch, layer.fan_out)
+    span = layer.stride * (layer.out_len - 1) + 1
+    for k in range(layer.kernel):
+        dpatch = dz @ w_by_offset[k].T
+        da[:, k : k + span : layer.stride] += dpatch.reshape(n, layer.out_len, layer.in_ch)
+    return da
 
 
 def _forward_cached(model: NetModel, x: np.ndarray):
-    """Returns (logits, caches) with everything backprop needs."""
-    weights = unpack_parameters(model.spec, model.parameters)
-    plan = _plan(model.spec)
+    """Returns (logits, caches); caches[i] is layer i's (input rows, output).
+
+    Hidden outputs are relu'd in place, so output > 0 is also the mask that
+    backprop needs; the last layer emits raw logits.
+    """
+    spec = model.spec
+    last = len(spec._layers) - 1
+    n = x.shape[0]
     caches = []
     a = x
-    for entry, (w, b) in zip(plan, weights):
-        if entry[0] == "conv":
-            _, kern, stride, _, _ = entry
-            idx = _patch_index(a.shape[1], kern, stride)
-            n, out_len = a.shape[0], idx.shape[0]
-            patches = a[:, idx, :].reshape(n, out_len, -1)
-            z = patches @ w + b
-            caches.append(("conv", patches, idx, z, a.shape))
-            a = np.maximum(z, 0.0)
-        else:
-            if a.ndim == 3:
-                a = a.reshape(a.shape[0], -1)
-            z = a @ w + b
-            caches.append(("dense", a, z))
-            a = np.maximum(z, 0.0)
-    logits = caches[-1][2]  # last layer emits raw logits, relu above is unused
-    return logits, caches
+    for i, (layer, (w, b)) in enumerate(zip(spec._layers, unpack_parameters(spec, model.parameters))):
+        rows = _patches(a, n, layer) if layer.kind == "conv" else a.reshape(n, layer.fan_in)
+        a = rows @ w
+        a += b
+        if i < last:
+            np.maximum(a, 0.0, out=a)
+        caches.append((rows, a))
+    return a, caches
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -251,51 +284,39 @@ def loss_and_gradient(model: NetModel, batch, labels, penalty=None):
     and is skipped outright so a zero-weight run matches the no-penalty code
     path bit for bit.
     """
-    x = _as_batch(model.spec, batch)
-    y = _check_labels(model.spec, labels, x.shape[0])
+    spec = model.spec
+    x = _as_batch(spec, batch)
+    y = _check_labels(spec, labels, x.shape[0])
     logits, caches = _forward_cached(model, x)
     n = x.shape[0]
+    rows = np.arange(n)
 
     shifted = logits - logits.max(axis=1, keepdims=True)
-    log_norm = np.log(np.exp(shifted).sum(axis=1))
-    loss = float(np.mean(log_norm - shifted[np.arange(n), y]))
+    e = np.exp(shifted)
+    norm = e.sum(axis=1, keepdims=True)
+    loss = float(np.mean(np.log(norm[:, 0]) - shifted[rows, y]))
 
-    dz = _softmax(logits)
-    dz[np.arange(n), y] -= 1.0
+    dz = e / norm
+    dz[rows, y] -= 1.0
     dz /= n
 
-    weights = unpack_parameters(model.spec, model.parameters)
-    grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(weights)  # type: ignore
-    for i in range(len(weights) - 1, -1, -1):
-        w, _ = weights[i]
-        cache = caches[i]
-        if cache[0] == "dense":
-            _, a_in, z = cache
-            gw = a_in.T @ dz
-            gb = dz.sum(axis=0)
-            if i > 0:
-                da = dz @ w.T
+    grad = np.empty(spec.param_count)
+    layers = spec._layers
+    weights = unpack_parameters(spec, model.parameters)
+    grads = unpack_parameters(spec, grad)
+    for i in range(len(layers) - 1, -1, -1):
+        (w, _), (gw, gb) = weights[i], grads[i]
+        np.matmul(caches[i][0].T, dz, out=gw)
+        np.sum(dz, axis=0, out=gb)
+        if i == 0:
+            break
+        if layers[i].kind == "conv":
+            da = _input_gradient(dz, w, n, layers[i])
         else:
-            _, patches, idx, z, in_shape = cache
-            gw = np.einsum("nlk,nlo->ko", patches, dz)
-            gb = dz.sum(axis=(0, 1))
-            if i > 0:
-                dpatch = dz @ w.T
-                da = np.zeros(in_shape)
-                np.add.at(
-                    da,
-                    (slice(None), idx),
-                    dpatch.reshape(in_shape[0], idx.shape[0], idx.shape[1], in_shape[2]),
-                )
-        grads[i] = (gw, gb)
-        if i > 0:
-            prev = caches[i - 1]
-            z_prev = prev[3] if prev[0] == "conv" else prev[2]
-            if da.ndim != z_prev.ndim:
-                da = da.reshape(z_prev.shape)
-            dz = da * (z_prev > 0)
-
-    grad = pack_parameters(grads)
+            da = dz @ w.T
+        a_prev = caches[i - 1][1]
+        dz = da.reshape(a_prev.shape)
+        dz *= a_prev > 0
 
     if penalty is not None and penalty.lam != 0.0:
         theta = model.parameters
@@ -303,7 +324,7 @@ def loss_and_gradient(model: NetModel, batch, labels, penalty=None):
             raise ConfigurationError("penalty vectors do not match parameter count")
         delta = theta - penalty.theta_star
         loss += 0.5 * penalty.lam * float(np.sum(penalty.fisher * delta * delta))
-        grad = grad + penalty.lam * penalty.fisher * delta
+        grad += penalty.lam * penalty.fisher * delta
     return loss, grad
 
 
@@ -317,6 +338,14 @@ class TrainConfig:
     shuffle_seed: int = 0
 
     def __post_init__(self):
+        for name in ("epochs", "batch_size"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+        for name in ("learning_rate", "momentum"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+                raise ConfigurationError(f"{name} must be a finite number, got {value!r}")
         if self.epochs < 1:
             raise ConfigurationError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
@@ -349,33 +378,29 @@ def train(
     x = _as_batch(model.spec, samples)
     y = _check_labels(model.spec, [s.class_id for s in samples], x.shape[0])
     rng = np.random.default_rng(config.shuffle_seed)
-    theta = model.parameters.copy()
+    current = NetModel(spec=model.spec, parameters=model.parameters.copy())
+    theta = current.parameters  # updated in place, so `current` always holds it
     velocity = np.zeros_like(theta)
     beta = config.momentum if config.optimizer == "sgd_momentum" else 0.0
 
-    current = NetModel(spec=model.spec, parameters=theta)
     losses: list[float] = []
     n = x.shape[0]
     for epoch in range(config.epochs):
         order = rng.permutation(n)
         batch_losses = []
-        for start in range(0, n, config.batch_size):
+        for batch, start in enumerate(range(0, n, config.batch_size)):
             sel = order[start : start + config.batch_size]
             loss, grad = loss_and_gradient(current, x[sel], y[sel], penalty)
             if not np.isfinite(loss):
-                raise TrainingError(
-                    f"non-finite loss at epoch {epoch}, batch {start // config.batch_size}"
-                )
+                raise TrainingError(f"non-finite loss at epoch {epoch}, batch {batch}")
             if beta > 0.0:
-                velocity = beta * velocity + grad
+                velocity *= beta
+                velocity += grad
             else:
                 velocity = grad
-            theta = theta - config.learning_rate * velocity
+            theta -= config.learning_rate * velocity
             if not np.all(np.isfinite(theta)):
-                raise TrainingError(
-                    f"non-finite parameters at epoch {epoch}, batch {start // config.batch_size}"
-                )
-            current = NetModel(spec=model.spec, parameters=theta)
+                raise TrainingError(f"non-finite parameters at epoch {epoch}, batch {batch}")
             batch_losses.append(loss)
         losses.append(float(np.mean(batch_losses)))
     return TrainResult(model=current, epoch_losses=losses)

@@ -150,7 +150,7 @@ class ExperimentConfig:
         gen_doc = doc.get("generator", {})
         try:
             train_cfg = TrainConfig(**train_doc)
-        except TypeError as exc:
+        except (TypeError, ConfigurationError) as exc:
             raise ConfigurationError(f"field 'train': {exc}") from None
         try:
             gen_cfg = GeneratorConfig(**gen_doc)

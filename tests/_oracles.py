@@ -104,6 +104,35 @@ def relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float(np.max(relative_errors(analytic, numeric)))
 
 
+def sgd_reference(model, samples, config, penalty=None) -> tuple[np.ndarray, list[float]]:
+    """Minibatch SGD as a plain loop: the parameters and per-epoch mean losses.
+
+    Each epoch draws the seeded permutation, each minibatch calls the public
+    loss_and_gradient on a freshly built model, and the update is out of
+    place: v = beta*v + g; theta = theta - lr*v, with beta = 0 for plain sgd.
+    """
+    from pseudoreplay import NetModel, loss_and_gradient
+
+    x = np.stack([s.features for s in samples])
+    y = np.array([s.class_id for s in samples])
+    rng = np.random.default_rng(config.shuffle_seed)
+    beta = config.momentum if config.optimizer == "sgd_momentum" else 0.0
+    theta = model.parameters.copy()
+    v = np.zeros_like(theta)
+    losses = []
+    for _ in range(config.epochs):
+        order = rng.permutation(len(samples))
+        batch_losses = []
+        for start in range(0, len(samples), config.batch_size):
+            sel = order[start : start + config.batch_size]
+            loss, g = loss_and_gradient(NetModel(spec=model.spec, parameters=theta), x[sel], y[sel], penalty)
+            v = beta * v + g
+            theta = theta - config.learning_rate * v
+            batch_losses.append(loss)
+        losses.append(float(np.mean(batch_losses)))
+    return theta, losses
+
+
 def counting_confusion(y_true, y_pred, n_classes: int) -> np.ndarray:
     counts = np.zeros((n_classes, n_classes), dtype=np.int64)
     for t, p in zip(y_true, y_pred, strict=True):

@@ -31,7 +31,7 @@ from pseudoreplay.classifier import (
 )
 from pseudoreplay.errors import ConfigurationError, TrainingError
 
-from _oracles import fd_gradient, relative_error
+from _oracles import fd_gradient, relative_error, sgd_reference
 
 
 def dense_spec(**kwargs) -> NetSpec:
@@ -237,7 +237,16 @@ def test_dense_gradient_matches_finite_differences():
 
 
 def test_conv_gradient_matches_finite_differences():
-    assert _fd_case(conv_spec(seed=8)) < 1e-4
+    # every (kernel, stride) regime the input-gradient scatter handles: patches
+    # that overlap, that tile the input exactly, and that leave gaps whose
+    # positions get no gradient
+    specs = {"default": conv_spec(seed=8)}
+    for name, (kernel, stride) in {"overlap": (5, 1), "tiling": (2, 2), "gaps": (2, 3)}.items():
+        conv = ((3, kernel, stride), (4, kernel, stride))
+        specs[f"{name} {(kernel, stride)}"] = conv_spec(seed=8, input_shape=(20, 2), conv=conv)
+    for name, spec in specs.items():
+        err = _fd_case(spec)
+        assert err < 1e-4, f"{name}: max relative error {err:.2e}"
 
 
 def test_gradient_with_penalty_matches_finite_differences():
@@ -365,6 +374,50 @@ def test_train_config_validation():
         TrainConfig(optimizer="adam")
     with pytest.raises(ConfigurationError):
         TrainConfig(momentum=1.0)
+    for bad in (
+        dict(epochs=2.7),
+        dict(epochs=True),
+        dict(epochs="3"),
+        dict(batch_size=4.5),
+        dict(batch_size=False),
+        dict(learning_rate=float("nan")),
+        dict(learning_rate=float("inf")),
+        dict(learning_rate="0.01"),
+        dict(learning_rate=True),
+        dict(momentum=float("nan")),
+        dict(momentum=None),
+    ):
+        with pytest.raises(ConfigurationError):
+            TrainConfig(**bad)
+    TrainConfig(epochs=np.int64(2), batch_size=3, learning_rate=1, momentum=np.float64(0.5))
+
+
+@pytest.mark.parametrize("case", ["plain", "ewc", "sgd"])
+def test_train_matches_the_reference_loop_bit_for_bit(case):
+    samples = cluster_samples(11, seed=6)  # 22 samples: the last batch is short
+    spec = NetSpec(kind="dense", input_shape=(2, 1), n_classes=2, hidden=(6, 4), seed=2)
+    config = TrainConfig(
+        epochs=4,
+        batch_size=5,
+        learning_rate=0.05,
+        shuffle_seed=3,
+        optimizer="sgd" if case == "sgd" else "sgd_momentum",
+    )
+    penalty = None
+    if case == "ewc":
+        rng = np.random.default_rng(5)
+        penalty = EWCPenalty(
+            lam=0.7,
+            theta_star=rng.normal(size=spec.param_count),
+            fisher=rng.uniform(0.0, 1.0, size=spec.param_count),
+        )
+    model = init_model(spec)
+    before = model.parameters.copy()
+    result = train(model, samples, config, penalty=penalty)
+    theta, losses = sgd_reference(model, samples, config, penalty)
+    np.testing.assert_array_equal(result.model.parameters, theta)
+    assert result.epoch_losses == losses
+    np.testing.assert_array_equal(model.parameters, before)  # input untouched
 
 
 # ------------------------------------------------------------- fisher diagonal

@@ -168,6 +168,25 @@ def test_run_rejects_unknown_config_fields(tmp_path, capsys):
     assert "unknown config fields" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "train_doc",
+    [
+        {"epochs": 2.7},
+        {"epochs": True},
+        {"batch_size": 4.5},
+        {"learning_rate": float("nan")},
+        {"momentum": float("nan")},
+    ],
+)
+def test_run_rejects_bad_train_values_before_training(tmp_path, capsys, train_doc):
+    cfg = write_json(tmp_path / "exp.json", run_config_doc(train=train_doc))
+    out = tmp_path / "r"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    field = next(iter(train_doc))
+    assert field in capsys.readouterr().err
+    assert not out.exists()  # rejected while parsing, before any training
+
+
 def test_run_rejects_invalid_json(tmp_path, capsys):
     path = tmp_path / "exp.json"
     path.write_text("{not json", encoding="utf-8")
