@@ -42,7 +42,7 @@ from .data import (
     StandardizationParams,
     SyntheticStreamConfig,
     TimeSeriesTrial,
-    WindowedSample,
+    Windows,
     apply_standardizer,
     default_synthetic_config,
     fit_standardizer,

@@ -27,7 +27,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .data import StandardizationParams, WindowedSample, apply_standardizer, fit_standardizer
+from .data import StandardizationParams, Windows, apply_standardizer, fit_standardizer
 from .errors import ConfigurationError, TrainingError
 from .seeding import derive_seed
 
@@ -193,19 +193,16 @@ def init_model(spec: NetSpec) -> NetModel:
     return NetModel(spec=spec, parameters=pack_parameters(layers))
 
 
-def _as_batch(spec: NetSpec, batch) -> np.ndarray:
-    if isinstance(batch, np.ndarray):
-        x = np.asarray(batch, dtype=float)
-        if x.ndim == 2:
-            x = x[None, :, :]
-    else:
-        if len(batch) == 0:
-            raise ConfigurationError("empty batch")
-        x = np.stack([np.asarray(s.features, dtype=float) for s in batch])
+def _as_batch(spec: NetSpec, batch: np.ndarray) -> np.ndarray:
+    x = np.asarray(batch, dtype=float)
+    if x.ndim == 2:
+        x = x[None, :, :]
     if x.shape[1:] != spec.input_shape:
         raise ConfigurationError(
             f"batch window shape {x.shape[1:]} != spec input {spec.input_shape}"
         )
+    if x.shape[0] == 0:
+        raise ConfigurationError("empty batch")
     return x
 
 
@@ -259,8 +256,8 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def forward(model: NetModel, batch) -> np.ndarray:
-    """Class probabilities, shape [B, n_classes]; rows sum to 1."""
+def forward(model: NetModel, batch: np.ndarray) -> np.ndarray:
+    """Class probabilities of a [B, W, C] batch, shape [B, n_classes]; rows sum to 1."""
     x = _as_batch(model.spec, batch)
     logits, _ = _forward_cached(model, x)
     return _softmax(logits)
@@ -275,7 +272,7 @@ def _check_labels(spec: NetSpec, labels, n_rows: int) -> np.ndarray:
     return y
 
 
-def loss_and_gradient(model: NetModel, batch, labels, penalty=None):
+def loss_and_gradient(model: NetModel, batch: np.ndarray, labels, penalty=None):
     """Mean softmax cross-entropy (plus optional quadratic anchor) and its
     gradient as a flat vector aligned with model.parameters.
 
@@ -366,17 +363,17 @@ class TrainResult:
 
 def train(
     model: NetModel,
-    samples: Sequence[WindowedSample],
+    samples: Windows,
     config: TrainConfig,
     penalty=None,
 ) -> TrainResult:
     """Minibatch SGD over seeded shuffles; deterministic given inputs.
 
-    Labels come from sample.class_id. Records the mean minibatch loss per
-    epoch and raises TrainingError the moment a loss stops being finite.
+    Labels come from samples.y. Records the mean minibatch loss per epoch and
+    raises TrainingError the moment a loss stops being finite.
     """
-    x = _as_batch(model.spec, samples)
-    y = _check_labels(model.spec, [s.class_id for s in samples], x.shape[0])
+    x = _as_batch(model.spec, samples.x)
+    y = _check_labels(model.spec, samples.y, x.shape[0])
     rng = np.random.default_rng(config.shuffle_seed)
     current = NetModel(spec=model.spec, parameters=model.parameters.copy())
     theta = current.parameters  # updated in place, so `current` always holds it
@@ -406,7 +403,7 @@ def train(
     return TrainResult(model=current, epoch_losses=losses)
 
 
-def fisher_diagonal(model: NetModel, samples: Sequence[WindowedSample]) -> np.ndarray:
+def fisher_diagonal(model: NetModel, samples: Windows) -> np.ndarray:
     """Mean over samples of squared per-sample log-likelihood gradients.
 
     The per-sample gradient of log p(true class | x) is minus the single-row
@@ -415,8 +412,9 @@ def fisher_diagonal(model: NetModel, samples: Sequence[WindowedSample]) -> np.nd
     if len(samples) == 0:
         raise ConfigurationError("fisher_diagonal needs at least one sample")
     acc = np.zeros_like(model.parameters)
-    for s in samples:
-        _, grad = loss_and_gradient(model, [s], [s.class_id])
+    x, y = samples.x, samples.y
+    for i in range(len(samples)):
+        _, grad = loss_and_gradient(model, x[i : i + 1], y[i : i + 1])
         acc += grad * grad
     return acc / len(samples)
 
@@ -513,7 +511,7 @@ class Ensemble:
 
 def fit_ensemble(
     spec: NetSpec,
-    samples: Sequence[WindowedSample],
+    samples: Windows,
     config: TrainConfig,
     seed: int,
     n_members: int = 5,
@@ -522,8 +520,8 @@ def fit_ensemble(
     only in derived init and shuffle seeds."""
     if n_members < 1:
         raise ConfigurationError(f"n_members must be >= 1, got {n_members}")
-    standardizer = fit_standardizer(list(samples))
-    standardized = [apply_standardizer(standardizer, s) for s in samples]
+    standardizer = fit_standardizer(samples)
+    standardized = apply_standardizer(standardizer, samples)
     members = []
     for m in range(n_members):
         member_spec = replace(spec, seed=derive_seed(seed, "init", m))
@@ -533,14 +531,13 @@ def fit_ensemble(
     return Ensemble(members=members, standardizer=standardizer)
 
 
-def member_probabilities(ensemble: Ensemble, batch: Sequence[WindowedSample]) -> np.ndarray:
+def member_probabilities(ensemble: Ensemble, batch: Windows) -> np.ndarray:
     """Per-member softmax outputs on a standardized batch, [members, B, classes]."""
-    standardized = [apply_standardizer(ensemble.standardizer, s) for s in batch]
-    x = np.stack([s.features for s in standardized])
+    x = apply_standardizer(ensemble.standardizer, batch).x
     return np.stack([forward(m, x) for m in ensemble.members])
 
 
-def predict(ensemble: Ensemble, batch: Sequence[WindowedSample]) -> np.ndarray:
+def predict(ensemble: Ensemble, batch: Windows) -> np.ndarray:
     """Standardize, average member probabilities, argmax (ties to lower class)."""
     probs = member_probabilities(ensemble, batch).mean(axis=0)
     return np.argmax(probs, axis=1)

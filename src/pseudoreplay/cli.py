@@ -154,7 +154,7 @@ class ExperimentConfig:
             raise ConfigurationError(f"field 'train': {exc}") from None
         try:
             gen_cfg = GeneratorConfig(**gen_doc)
-        except TypeError as exc:
+        except (TypeError, ConfigurationError) as exc:
             raise ConfigurationError(f"field 'generator': {exc}") from None
         variants = []
         for entry in doc.get("variants", []):
@@ -207,7 +207,10 @@ def _load_data(cfg: ExperimentConfig) -> tuple[list[TimeSeriesTrial], str]:
             h.update(f"{t.class_id},{t.trial_id};".encode())
             h.update(np.ascontiguousarray(t.channels).tobytes())
         return trials, h.hexdigest()
-    raw = Path(cfg.csv_path).read_bytes()
+    try:
+        raw = Path(cfg.csv_path).read_bytes()
+    except FileNotFoundError:
+        raise ConfigurationError(f"data file not found: {cfg.csv_path}") from None
     return load_trials(cfg.csv_path), hashlib.sha256(raw).hexdigest()
 
 
@@ -261,11 +264,11 @@ def cmd_run(
         if repetitions < 1:
             raise ConfigurationError(f"--repetitions must be >= 1, got {repetitions}")
         cfg.repetitions = repetitions
-    out = Path(out_dir if out_dir is not None else cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
     trials, digest = _load_data(cfg)
     seq = _build_sequence(cfg, trials)
+    del trials  # the windows hold their own copy, so the raw trials can go
+    out = Path(out_dir if out_dir is not None else cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     base_net = _net_template(cfg.net, cfg.window, seq.channels)
 
     # each variant swaps the final task's classifier; "" is the primary run
@@ -329,7 +332,7 @@ def cmd_validate(config_path: str) -> int:
     cfg = _load_config(config_path)
     try:
         trials, _ = _load_data(cfg)
-    except (ConfigurationError, DataFormatError, FileNotFoundError) as exc:
+    except (ConfigurationError, DataFormatError) as exc:
         print(f"violation: {exc}")
         return 2
 

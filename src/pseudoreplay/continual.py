@@ -20,6 +20,7 @@ streams.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -40,7 +41,7 @@ from .classifier import (
 from .data import (
     SYNTHETIC_TRIAL_ID,
     TimeSeriesTrial,
-    WindowedSample,
+    Windows,
     apply_standardizer,
     fit_standardizer,
     window_trial,
@@ -57,13 +58,13 @@ STRATEGIES = ("rcl", "ewc", "finetune", "baseline")
 class TaskSequence:
     """Windowed train/test splits per class position.
 
-    train[p] and test[p] hold samples relabeled to position p; class_ids[p]
+    train[p] and test[p] hold windows relabeled to position p; class_ids[p]
     is the original class id. Train and test never share a trial id.
     """
 
     class_ids: list[int]
-    train: list[list[WindowedSample]]
-    test: list[list[WindowedSample]]
+    train: list[Windows]
+    test: list[Windows]
     window: int
     channels: int
 
@@ -73,9 +74,9 @@ class TaskSequence:
         if not (len(self.train) == len(self.test) == len(self.class_ids)):
             raise ConfigurationError("class_ids, train and test must align")
         for p in range(len(self.class_ids)):
-            if not self.train[p]:
+            if len(self.train[p]) == 0:
                 raise DataFormatError(f"class {self.class_ids[p]}: no training windows")
-            if not self.test[p]:
+            if len(self.test[p]) == 0:
                 raise DataFormatError(f"class {self.class_ids[p]}: no test windows")
 
     @property
@@ -100,21 +101,18 @@ class TaskSequence:
         if len(set(order)) != len(order):
             raise ConfigurationError("class_order contains duplicates")
 
-        train_ids = set(train_trials)
-        train: list[list[WindowedSample]] = []
-        test: list[list[WindowedSample]] = []
+        train_ids = np.asarray(train_trials, dtype=np.int64)
+        train: list[Windows] = []
+        test: list[Windows] = []
         for pos, cid in enumerate(order):
-            tr: list[WindowedSample] = []
-            te: list[WindowedSample] = []
-            for trial in sorted(
-                (t for t in trials if t.class_id == cid), key=lambda t: t.trial_id
-            ):
-                windows = window_trial(trial, window, stride)
-                for s in windows:
-                    s.class_id = pos
-                (tr if trial.trial_id in train_ids else te).extend(windows)
-            train.append(tr)
-            test.append(te)
+            windows = Windows.concat([
+                window_trial(trial, window, stride)
+                for trial in sorted((t for t in trials if t.class_id == cid), key=lambda t: t.trial_id)
+            ])
+            windows.y[:] = pos
+            is_train = np.isin(windows.source[:, 0], train_ids)
+            train.append(windows.select(is_train))
+            test.append(windows.select(~is_train))
         channels = trials[0].n_channels if trials else 0
         return cls(class_ids=order, train=train, test=test, window=window, channels=channels)
 
@@ -126,10 +124,18 @@ class GeneratorConfig:
     pseudo_per_class: int | None = None  # None: match the new class's size
 
     def __post_init__(self):
-        if self.pseudo_per_class is not None and self.pseudo_per_class < 1:
-            raise ConfigurationError(
-                f"pseudo_per_class must be >= 1, got {self.pseudo_per_class}"
-            )
+        for name, least, optional in (
+            ("k", 1, False),
+            ("memory_budget", 2, True),
+            ("pseudo_per_class", 1, True),
+        ):
+            value = getattr(self, name)
+            if optional and value is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+            if value < least:
+                raise ConfigurationError(f"{name} must be >= {least}, got {value}")
 
 
 @dataclass(eq=False)
@@ -140,7 +146,7 @@ class TaskResult:
     report: MetricReport
     member_f_std: float
     replay_counts: dict[int, int]  # original class id -> pseudo samples used
-    train_provenance: list[tuple[int, int, int]]  # (position, trial_id, start)
+    train_provenance: np.ndarray  # int64 [N, 3]: (position, trial_id, start) per row
 
 
 @dataclass(eq=False)
@@ -172,16 +178,13 @@ def _task_spec(template: NetSpec, seq: TaskSequence, n_classes: int) -> NetSpec:
     )
 
 
-def _provenance(mix: list[WindowedSample]) -> list[tuple[int, int, int]]:
-    return [(s.class_id, s.source[0], s.source[1]) for s in mix]
+def _provenance(mix: Windows) -> np.ndarray:
+    return np.column_stack([mix.y, mix.source])
 
 
 def _evaluate(ensemble: Ensemble, seq: TaskSequence, upto: int) -> tuple[ConfusionMatrix, MetricReport, float]:
-    batch: list[WindowedSample] = []
-    y_true: list[int] = []
-    for p in range(upto + 1):
-        batch.extend(seq.test[p])
-        y_true.extend([p] * len(seq.test[p]))
+    batch = Windows.concat(seq.test[: upto + 1])
+    y_true = batch.y
     y_pred = predict(ensemble, batch)
     cm = confusion(y_true, y_pred, upto + 1)
     report = metrics(cm)
@@ -229,7 +232,7 @@ def run_rcl(
         for pos in range(i + 1):
             if pos not in generators:
                 generators[pos] = _fit_class_generator(seq, pos, gen_config, seed, i)
-        mix: list[WindowedSample] = []
+        parts: list[Windows] = []
         replay: dict[int, int] = {}
         pseudo_count = gen_config.pseudo_per_class or len(seq.train[i])
         for pos in range(i):
@@ -238,9 +241,9 @@ def run_rcl(
                 GenerationRequest(pseudo_count),
                 seed=derive_seed(seed, "replay", i, pos),
             )
-            mix.extend(pseudo)
+            parts.append(pseudo)
             replay[seq.class_ids[pos]] = pseudo_count
-        mix.extend(seq.train[i])
+        mix = Windows.concat(parts + [seq.train[i]])
 
         ens = fit_ensemble(
             _task_spec(nets[i - 1], seq, i + 1),
@@ -286,9 +289,7 @@ def run_baseline(
     ensembles: list[Ensemble] = []
     tasks: list[TaskResult] = []
     for i in range(1, seq.n_tasks + 1):
-        mix: list[WindowedSample] = []
-        for pos in range(i + 1):
-            mix.extend(seq.train[pos])
+        mix = Windows.concat(seq.train[: i + 1])
         ens = fit_ensemble(
             _task_spec(nets[i - 1], seq, i + 1),
             mix,
@@ -347,7 +348,7 @@ def _run_sequential(
     ensembles: list[Ensemble] = []
     tasks: list[TaskResult] = []
 
-    mix = seq.train[0] + seq.train[1]
+    mix = Windows.concat(seq.train[:2])
     ens = fit_ensemble(
         _task_spec(nets[0], seq, 2),
         mix,
@@ -364,8 +365,8 @@ def _run_sequential(
     anchors: list[np.ndarray] | None = None
     fishers: list[np.ndarray] | None = None
 
-    def snapshot(current: Ensemble, training_mix: list[WindowedSample]):
-        standardized = [apply_standardizer(current.standardizer, s) for s in training_mix]
+    def snapshot(current: Ensemble, training_mix: Windows):
+        standardized = apply_standardizer(current.standardizer, training_mix)
         thetas = [m.parameters.copy() for m in current.members]
         fish = [fisher_diagonal(m, standardized) for m in current.members]
         return thetas, fish
@@ -375,9 +376,9 @@ def _run_sequential(
 
     for i in range(2, seq.n_tasks + 1):
         # the carried model sees only raw normal data plus the newest class
-        mix = seq.train[0] + seq.train[i]
+        mix = Windows.concat([seq.train[0], seq.train[i]])
         standardizer = fit_standardizer(mix)
-        standardized = [apply_standardizer(standardizer, s) for s in mix]
+        standardized = apply_standardizer(standardizer, mix)
         new_members = []
         for m_idx, member in enumerate(ens.members):
             extended = extend_output(member, 1, derive_seed(seed, "head", i, m_idx))
@@ -551,12 +552,13 @@ def audit_replay_purity(run: ContinualRun) -> PurityAudit:
     """Check no raw window of a previous class entered any task's training mix."""
     violations = []
     for task in run.tasks:
-        for pos, trial_id, start in task.train_provenance:
-            if pos < task.task_index and trial_id != SYNTHETIC_TRIAL_ID:
-                violations.append(
-                    f"task {task.task_index}: raw window of class {run.class_ids[pos]} "
-                    f"(trial {trial_id}, start {start})"
-                )
+        prov = task.train_provenance
+        raw_old = (prov[:, 0] < task.task_index) & (prov[:, 1] != SYNTHETIC_TRIAL_ID)
+        for pos, trial_id, start in prov[raw_old].tolist():
+            violations.append(
+                f"task {task.task_index}: raw window of class {run.class_ids[pos]} "
+                f"(trial {trial_id}, start {start})"
+            )
     return PurityAudit(clean=not violations, violations=violations)
 
 

@@ -1,7 +1,10 @@
 """Trial ingestion, windowing, feature standardization, and synthetic streams.
 
 A trial is one continuous multichannel recording of a single class. Trials are
-cut into fixed-length windows; each window flattens row-major over
+cut into fixed-length windows. A set of windows is one `Windows` struct of
+arrays: features x [N, W, C], classes y [N] and provenance source [N, 2] as
+(trial_id, start). Windowing, standardizing, generating and predicting each
+act on a whole `Windows` at once. A window flattens row-major over
 (timestep, channel), i.e. feature index = t * C + c, and every consumer of
 flat vectors in this package uses that same ordering.
 """
@@ -9,14 +12,16 @@ flat vectors in this package uses that same ordering.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigurationError, DataFormatError
 
-# trial_id used to tag generator output in WindowedSample.source
+# trial_id used to tag generator output in Windows.source
 SYNTHETIC_TRIAL_ID = -1
 
 
@@ -61,40 +66,71 @@ class TimeSeriesTrial:
 
 
 @dataclass(eq=False)
-class WindowedSample:
-    """One classifier input: features has shape [W, C].
+class Windows:
+    """N classifier inputs of one shape, as a struct of arrays.
 
-    source = (trial_id, start index). Generator output carries
-    trial_id == SYNTHETIC_TRIAL_ID with start = draw index, which is what the
-    replay-purity audit keys on.
+    x is float64 [N, W, C] and C-contiguous, y is int64 [N] (the class of each
+    row) and source is int64 [N, 2] holding (trial_id, start index).
+    Generator output carries trial_id == SYNTHETIC_TRIAL_ID with start = draw
+    index, which is what the replay-purity audit keys on.
     """
 
-    features: np.ndarray
-    class_id: int
-    source: tuple[int, int]
+    x: np.ndarray
+    y: np.ndarray
+    source: np.ndarray
 
     def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=float)
-        if self.features.ndim != 2:
-            raise DataFormatError("window features must be 2-D [W, C]")
-        if not np.all(np.isfinite(self.features)):
-            raise DataFormatError(f"window from {self.source}: non-finite values")
-        self.source = (int(self.source[0]), int(self.source[1]))
+        self.x = np.ascontiguousarray(self.x, dtype=float)
+        self.y = np.asarray(self.y, dtype=np.int64)
+        self.source = np.asarray(self.source, dtype=np.int64)
+        if self.x.ndim != 3:
+            raise DataFormatError("window features must be 3-D [N, W, C]")
+        n = self.x.shape[0]
+        if self.y.shape != (n,) or self.source.shape != (n, 2):
+            raise DataFormatError(
+                f"{n} windows need y of shape ({n},) and source of shape ({n}, 2), "
+                f"got {self.y.shape} and {self.source.shape}"
+            )
+        if not np.all(np.isfinite(self.x)):
+            bad = int(np.argwhere(~np.isfinite(self.x))[0, 0])
+            raise DataFormatError(
+                f"window from {tuple(self.source[bad].tolist())}: non-finite values"
+            )
+
+    def __len__(self) -> int:
+        return self.x.shape[0]
 
     @property
-    def flat(self) -> np.ndarray:
-        return self.features.reshape(-1)
+    def window_shape(self) -> tuple[int, int]:
+        return self.x.shape[1:]
 
-    @property
-    def is_synthetic(self) -> bool:
-        return self.source[0] == SYNTHETIC_TRIAL_ID
+    def select(self, index) -> "Windows":
+        """The rows picked by an integer index array or a boolean mask."""
+        return Windows(self.x[index], self.y[index], self.source[index])
+
+    @staticmethod
+    def concat(parts: "list[Windows]") -> "Windows":
+        """Rows of every part, in order; all parts must share one window shape."""
+        if not parts:
+            raise ConfigurationError("no windows to concatenate")
+        shape = parts[0].window_shape
+        for part in parts:
+            if part.window_shape != shape:
+                raise DataFormatError(
+                    f"inconsistent window shapes: {part.window_shape} vs {shape}"
+                )
+        return Windows(
+            np.concatenate([p.x for p in parts]),
+            np.concatenate([p.y for p in parts]),
+            np.concatenate([p.source for p in parts]),
+        )
 
 
-def window_trial(trial: TimeSeriesTrial, window: int, stride: int | None = None) -> list[WindowedSample]:
+def window_trial(trial: TimeSeriesTrial, window: int, stride: int | None = None) -> Windows:
     """Cut a trial into windows of length `window` every `stride` steps.
 
     Default stride equals window (non-overlapping partition). Yields
-    floor((T - window) / stride) + 1 samples; trailing remainder is dropped.
+    floor((T - window) / stride) + 1 windows; trailing remainder is dropped.
     """
     if stride is None:
         stride = window
@@ -106,14 +142,14 @@ def window_trial(trial: TimeSeriesTrial, window: int, stride: int | None = None)
             f"trial {trial.trial_id} of class {trial.class_id}: length {t} < window {window}"
         )
     n = (t - window) // stride + 1
-    return [
-        WindowedSample(
-            features=trial.channels[i * stride : i * stride + window],
-            class_id=trial.class_id,
-            source=(trial.trial_id, i * stride),
-        )
-        for i in range(n)
-    ]
+    # [T - window + 1, C, window] view; Windows makes the one [n, window, C] copy
+    views = sliding_window_view(trial.channels, window, axis=0)[::stride]
+    starts = np.arange(n, dtype=np.int64) * stride
+    return Windows(
+        x=views.transpose(0, 2, 1),
+        y=np.full(n, trial.class_id, dtype=np.int64),
+        source=np.column_stack([np.full(n, trial.trial_id, dtype=np.int64), starts]),
+    )
 
 
 @dataclass(eq=False)
@@ -134,51 +170,40 @@ class StandardizationParams:
             raise ConfigurationError("std entries must be strictly positive")
 
 
-def fit_standardizer(samples: list[WindowedSample]) -> StandardizationParams:
-    """Per-feature mean and population std over flattened samples.
+def fit_standardizer(windows: Windows) -> StandardizationParams:
+    """Per-feature mean and population std over flattened windows.
 
     Features with std below 1e-12 get std 1.0 so constant channels pass
     through centered instead of dividing by ~0.
     """
-    if not samples:
-        raise ConfigurationError("cannot fit standardizer on empty sample list")
-    shape = samples[0].features.shape
-    for s in samples:
-        if s.features.shape != shape:
-            raise DataFormatError(
-                f"inconsistent window shapes: {s.features.shape} vs {shape}"
-            )
-    x = np.stack([s.flat for s in samples])
+    if not len(windows):
+        raise ConfigurationError("cannot fit standardizer on no windows")
+    x = windows.x.reshape(len(windows), -1)
     mean = x.mean(axis=0)
     sd = x.std(axis=0)
     sd = np.where(sd < 1e-12, 1.0, sd)
     return StandardizationParams(mean=mean, std=sd)
 
 
-def apply_standardizer(params: StandardizationParams, sample: WindowedSample) -> WindowedSample:
-    """Return a standardized copy; class and provenance are preserved."""
-    w, c = sample.features.shape
+def _flat_features(params: StandardizationParams, windows: Windows) -> np.ndarray:
+    n, w, c = windows.x.shape
     if w * c != params.mean.shape[0]:
         raise ConfigurationError(
             f"standardizer expects {params.mean.shape[0]} features, window has {w * c}"
         )
-    flat = (sample.flat - params.mean) / params.std
-    return WindowedSample(
-        features=flat.reshape(w, c), class_id=sample.class_id, source=sample.source
-    )
+    return windows.x.reshape(n, w * c)
 
 
-def invert_standardizer(params: StandardizationParams, sample: WindowedSample) -> WindowedSample:
+def apply_standardizer(params: StandardizationParams, windows: Windows) -> Windows:
+    """Standardized copy, (x - mean) / std per feature; y and source are kept."""
+    flat = (_flat_features(params, windows) - params.mean) / params.std
+    return Windows(flat.reshape(windows.x.shape), windows.y, windows.source)
+
+
+def invert_standardizer(params: StandardizationParams, windows: Windows) -> Windows:
     """Undo apply_standardizer: x * std + mean."""
-    w, c = sample.features.shape
-    if w * c != params.mean.shape[0]:
-        raise ConfigurationError(
-            f"standardizer expects {params.mean.shape[0]} features, window has {w * c}"
-        )
-    flat = sample.flat * params.std + params.mean
-    return WindowedSample(
-        features=flat.reshape(w, c), class_id=sample.class_id, source=sample.source
-    )
+    flat = _flat_features(params, windows) * params.std + params.mean
+    return Windows(flat.reshape(windows.x.shape), windows.y, windows.source)
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +260,7 @@ def load_trials(path: str | Path) -> list[TimeSeriesTrial]:
                 values = [float(v) for v in row[3:]]
             except ValueError as exc:
                 raise DataFormatError(f"{path} row {rownum}: {exc}") from None
-            if not all(np.isfinite(v) for v in values):
+            if not all(math.isfinite(v) for v in values):
                 raise DataFormatError(f"{path} row {rownum}: non-finite value")
             key = (class_id, trial_id)
             if key != prev_key:

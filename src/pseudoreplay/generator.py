@@ -5,6 +5,13 @@ samples are drawn on the segments between a stored vector and one of its k
 nearest same-class neighbours (Euclidean, self excluded, distance ties broken
 by lower index): s = x_j + u * (x_l - x_j) with u uniform on [0, 1]. Every
 output therefore stays inside the per-feature envelope of the memory.
+
+The neighbour table is ranked in two passes: one GEMM gives every pairwise
+distance in Gram form, and the few columns per row that can still be among
+the k nearest, within a forward-error margin, are re-ranked by the direct
+difference distance. The table equals a direct ranking of all pairs. Fitting
+takes a `Windows` of one class and `generate` returns a `Windows` whose rows
+are tagged as synthetic.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import SYNTHETIC_TRIAL_ID, WindowedSample
+from .data import SYNTHETIC_TRIAL_ID, Windows
 from .errors import ConfigurationError, DataFormatError
 from .seeding import derive_seed
 
@@ -64,24 +71,54 @@ class GenerationRequest:
 
 
 def _neighbor_table(memory: np.ndarray, k: int) -> np.ndarray:
-    """k_eff = min(k, M - 1) nearest indices per row, ties to lower index."""
-    m = memory.shape[0]
+    """k_eff = min(k, M - 1) nearest indices per row, ties to lower index.
+
+    All squared distances come from one GEMM as |a|^2 + |b|^2 - 2 a.b. Each
+    row keeps as candidates every column within `margin` of its k_eff-th
+    smallest Gram-form distance, and only those are ranked by the direct
+    difference distance sum((a - b)^2). The margin is twice the summed
+    forward-error bounds of the two forms, so no column the direct ranking
+    would pick can fall outside the candidates; where the Gram form cancels
+    (rows far from the origin and close together) every column qualifies and
+    the table is the direct ranking of the whole row.
+    """
+    m, d = memory.shape
     k_eff = min(k, m - 1)
-    d2 = np.empty((m, m))
-    # direct squared differences; chunked to bound the [chunk, M, D] temporary
-    step = max(1, int(4e6 // max(1, m * memory.shape[1])))
-    for lo in range(0, m, step):
-        hi = min(m, lo + step)
-        diff = memory[lo:hi, None, :] - memory[None, :, :]
-        d2[lo:hi] = np.einsum("ijk,ijk->ij", diff, diff)
+    sq = np.einsum("ij,ij->i", memory, memory)
+    d2 = memory @ memory.T
+    d2 *= -2.0
+    d2 += sq[:, None]
+    d2 += sq[None, :]
     np.fill_diagonal(d2, np.inf)
-    order = np.argsort(d2, axis=1, kind="stable")
-    return order[:, :k_eff]
+    kth = np.partition(d2, k_eff - 1, axis=1)[:, k_eff - 1]
+    margin = 2.0 * (2 * d + 4) * np.finfo(float).eps * (sq + sq.max())
+    # "not above" keeps every column of a row whose bound is NaN or inf
+    candidate = ~(d2 > (kth + margin)[:, None])
+    np.fill_diagonal(candidate, False)
+    rows, cols = np.nonzero(candidate)
+
+    exact = np.empty(rows.size)
+    step = max(1, int(4e6 // max(1, d)))  # bounds the [step, D] difference temporary
+    for lo in range(0, rows.size, step):
+        diff = memory.take(rows[lo : lo + step], axis=0)
+        diff -= memory.take(cols[lo : lo + step], axis=0)
+        exact[lo : lo + step] = np.einsum("ij,ij->i", diff, diff)
+
+    # each row's candidates, in column order, then inf padding; a stable sort
+    # breaks distance ties toward the lower column and never reaches the padding
+    counts = np.bincount(rows, minlength=m)
+    slot = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    distance = np.full((m, counts.max()), np.inf)
+    distance[rows, slot] = exact
+    column = np.zeros((m, counts.max()), dtype=cols.dtype)
+    column[rows, slot] = cols
+    order = np.argsort(distance, axis=1, kind="stable")[:, :k_eff]
+    return np.take_along_axis(column, order, axis=1)
 
 
 def fit_generator(
     class_id: int,
-    samples: list[WindowedSample],
+    samples: Windows,
     k: int = 5,
     memory_budget: int | None = None,
     seed: int = 0,
@@ -91,33 +128,31 @@ def fit_generator(
     memory_budget None keeps everything; a budget below the sample count keeps
     a seeded uniform subset in original index order.
     """
-    if len(samples) < 2:
+    n = len(samples)
+    if n < 2:
         raise DataFormatError(
-            f"class {class_id}: need at least 2 samples to fit a generator, got {len(samples)}"
+            f"class {class_id}: need at least 2 samples to fit a generator, got {n}"
         )
-    for s in samples:
-        if s.class_id != class_id:
-            raise DataFormatError(
-                f"sample of class {s.class_id} passed to generator for class {class_id}"
-            )
-    shape = samples[0].features.shape
-    for s in samples:
-        if s.features.shape != shape:
-            raise DataFormatError("samples disagree on window shape")
+    wrong = samples.y[samples.y != class_id]
+    if wrong.size:
+        raise DataFormatError(
+            f"sample of class {wrong[0]} passed to generator for class {class_id}"
+        )
     if memory_budget is not None and memory_budget < 2:
         raise ConfigurationError(f"memory_budget must be >= 2, got {memory_budget}")
 
-    vectors = np.stack([s.flat for s in samples])
-    if memory_budget is not None and memory_budget < len(samples):
+    vectors = samples.x.reshape(n, -1)
+    if memory_budget is not None and memory_budget < n:
         rng = np.random.default_rng(derive_seed(seed, "subsample", class_id))
-        keep = np.sort(rng.choice(len(samples), size=memory_budget, replace=False))
+        keep = np.sort(rng.choice(n, size=memory_budget, replace=False))
         vectors = vectors[keep]
+    w, c = samples.window_shape
     return ClassGenerator(
         class_id=class_id,
         memory=vectors,
         k=k,
         rng_seed=seed,
-        feature_shape=(int(shape[0]), int(shape[1])),
+        feature_shape=(int(w), int(c)),
     )
 
 
@@ -132,14 +167,15 @@ def nearest_neighbors(gen: ClassGenerator, index: int) -> list[int]:
 
 def generate(
     gen: ClassGenerator, request: GenerationRequest, seed: int | None = None
-) -> list[WindowedSample]:
+) -> Windows:
     """Draw exactly request.count samples, deterministic in (memory, k, seed).
 
     The count is split across stored samples: floor(S / M) each, with the
     first S mod M samples (index order) taking one extra. A sample with quota
     q <= k_eff draws one candidate per neighbour segment (fresh u each) and
     keeps a uniform subset of q; with q > k_eff every draw picks a segment
-    uniformly with replacement and a fresh u.
+    uniformly with replacement and a fresh u. Rows come out in stored-sample
+    order, and row i carries source (SYNTHETIC_TRIAL_ID, i).
     """
     rng = np.random.default_rng(gen.rng_seed if seed is None else seed)
     mem = gen.memory
@@ -148,8 +184,8 @@ def generate(
     s_total = request.count
     base, extra = divmod(s_total, m)
 
-    out: list[WindowedSample] = []
-    draw_index = 0
+    out = np.empty((s_total, mem.shape[1]))
+    filled = 0
     for j in range(m):
         quota = base + (1 if j < extra else 0)
         if quota == 0:
@@ -159,21 +195,18 @@ def generate(
             u = rng.uniform(size=k_eff)
             candidates = mem[j] + u[:, None] * (mem[nbr] - mem[j])
             pick = np.sort(rng.choice(k_eff, size=quota, replace=False))
-            rows = candidates[pick]
+            out[filled : filled + quota] = candidates[pick]
         else:
             segments = rng.integers(0, k_eff, size=quota)
             u = rng.uniform(size=quota)
-            rows = mem[j] + u[:, None] * (mem[nbr[segments]] - mem[j])
-        for row in rows:
-            out.append(
-                WindowedSample(
-                    features=row.reshape(gen.feature_shape),
-                    class_id=gen.class_id,
-                    source=(SYNTHETIC_TRIAL_ID, draw_index),
-                )
-            )
-            draw_index += 1
-    return out
+            out[filled : filled + quota] = mem[j] + u[:, None] * (mem[nbr[segments]] - mem[j])
+        filled += quota
+    draws = np.arange(s_total, dtype=np.int64)
+    return Windows(
+        x=out.reshape((s_total,) + gen.feature_shape),
+        y=np.full(s_total, gen.class_id, dtype=np.int64),
+        source=np.column_stack([np.full(s_total, SYNTHETIC_TRIAL_ID, dtype=np.int64), draws]),
+    )
 
 
 def save_generator(path: str | Path, gen: ClassGenerator) -> None:

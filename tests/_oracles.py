@@ -28,6 +28,26 @@ def knn_bruteforce(memory: np.ndarray, index: int, k: int) -> list[int]:
     return [j for _, j in scored[:k]]
 
 
+def direct_neighbor_table(memory: np.ndarray, k: int) -> np.ndarray:
+    """k_eff = min(k, M - 1) nearest indices per row, ties to lower index.
+
+    The reference ranking: every squared distance as a direct sum of squared
+    differences, then a stable sort of each row.
+    """
+    m = memory.shape[0]
+    k_eff = min(k, m - 1)
+    d2 = np.empty((m, m))
+    # direct squared differences; chunked to bound the [chunk, M, D] temporary
+    step = max(1, int(4e6 // max(1, m * memory.shape[1])))
+    for lo in range(0, m, step):
+        hi = min(m, lo + step)
+        diff = memory[lo:hi, None, :] - memory[None, :, :]
+        d2[lo:hi] = np.einsum("ijk,ijk->ij", diff, diff)
+    np.fill_diagonal(d2, np.inf)
+    order = np.argsort(d2, axis=1, kind="stable")
+    return order[:, :k_eff]
+
+
 def segment_fit(sample: np.ndarray, origin: np.ndarray, end: np.ndarray) -> tuple[float, float]:
     """Least-squares interpolation parameter and residual for
     sample = origin + u * (end - origin)."""
@@ -113,8 +133,7 @@ def sgd_reference(model, samples, config, penalty=None) -> tuple[np.ndarray, lis
     """
     from pseudoreplay import NetModel, loss_and_gradient
 
-    x = np.stack([s.features for s in samples])
-    y = np.array([s.class_id for s in samples])
+    x, y = samples.x, samples.y
     rng = np.random.default_rng(config.shuffle_seed)
     beta = config.momentum if config.optimizer == "sgd_momentum" else 0.0
     theta = model.parameters.copy()

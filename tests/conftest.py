@@ -6,21 +6,21 @@ from pseudoreplay import (
     NetSpec,
     SyntheticStreamConfig,
     TrainConfig,
-    WindowedSample,
+    Windows,
     synthesize_stream,
 )
 from pseudoreplay.continual import TaskSequence
 
 
-def make_samples(rows: np.ndarray, class_id: int = 0) -> list[WindowedSample]:
+def make_samples(rows: np.ndarray, class_id: int = 0) -> Windows:
     """Wrap a 2-D array (one sample per row) as single-channel windows."""
     rows = np.asarray(rows, dtype=float)
-    return [
-        WindowedSample(
-            features=row.reshape(-1, 1), class_id=class_id, source=(1, i)
-        )
-        for i, row in enumerate(rows)
-    ]
+    n = rows.shape[0]
+    return Windows(
+        x=rows.reshape(n, -1, 1),
+        y=np.full(n, class_id),
+        source=np.column_stack([np.ones(n, dtype=int), np.arange(n)]),
+    )
 
 
 @pytest.fixture(scope="session")

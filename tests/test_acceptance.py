@@ -146,7 +146,7 @@ def test_gate_1_generator_interpolation_sweep(capsys):
         if len(out) != count:
             problems.append(f"fit {i}: drew {len(out)} of {count}")
             continue
-        bad = _off_segment_count(gen, np.stack([s.flat for s in out]), tol=1e-9)
+        bad = _off_segment_count(gen, out.x.reshape(count, -1), tol=1e-9)
         if bad:
             problems.append(f"fit {i}: {bad}/{count} samples off segment")
     elapsed = time.perf_counter() - started

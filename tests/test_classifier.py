@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,7 @@ from pseudoreplay import (
     NetModel,
     NetSpec,
     TrainConfig,
-    WindowedSample,
+    Windows,
     extend_output,
     fisher_diagonal,
     fit_ensemble,
@@ -29,6 +31,7 @@ from pseudoreplay.classifier import (
     pad_parameters,
     unpack_parameters,
 )
+from pseudoreplay import classifier
 from pseudoreplay.errors import ConfigurationError, TrainingError
 
 from _oracles import fd_gradient, relative_error, sgd_reference
@@ -58,17 +61,21 @@ def batch_of(spec: NetSpec, n: int, seed: int = 0) -> np.ndarray:
     return rng.normal(size=(n,) + spec.input_shape)
 
 
-def cluster_samples(n_per_class: int = 20, seed: int = 0) -> list[WindowedSample]:
+def windows_of(x, labels) -> Windows:
+    """Windows from a [N, W, C] array and N labels, sourced from trial 1."""
+    x = np.asarray(x, dtype=float)
+    n = x.shape[0]
+    return Windows(x=x, y=labels, source=np.column_stack([np.ones(n), np.arange(n)]))
+
+
+def cluster_samples(n_per_class: int = 20, seed: int = 0) -> Windows:
     """Two linearly separable 2-D clusters as (2, 1) windows."""
     rng = np.random.default_rng(seed)
-    samples = []
-    for cid, center in ((0, (-2.0, -2.0)), (1, (2.0, 2.0))):
-        pts = rng.normal(loc=center, scale=0.4, size=(n_per_class, 2))
-        samples += [
-            WindowedSample(features=p.reshape(2, 1), class_id=cid, source=(1, i))
-            for i, p in enumerate(pts)
-        ]
-    return samples
+    pts = [
+        rng.normal(loc=center, scale=0.4, size=(n_per_class, 2))
+        for center in ((-2.0, -2.0), (2.0, 2.0))
+    ]
+    return windows_of(np.concatenate(pts).reshape(-1, 2, 1), np.repeat([0, 1], n_per_class))
 
 
 # ------------------------------------------------------------ spec and layout
@@ -311,10 +318,8 @@ def test_separable_clusters_reach_full_training_accuracy():
     spec = NetSpec(kind="dense", input_shape=(2, 1), n_classes=2, hidden=(8, 4), seed=3)
     config = TrainConfig(epochs=200, batch_size=8, learning_rate=0.05)
     result = train(init_model(spec), samples, config)
-    x = np.stack([s.features for s in samples])
-    preds = np.argmax(forward(result.model, x), axis=1)
-    labels = np.array([s.class_id for s in samples])
-    assert np.all(preds == labels)
+    preds = np.argmax(forward(result.model, samples.x), axis=1)
+    assert np.all(preds == samples.y)
     assert len(result.epoch_losses) == 200
     assert result.epoch_losses[-1] < result.epoch_losses[0]
 
@@ -420,16 +425,37 @@ def test_train_matches_the_reference_loop_bit_for_bit(case):
     np.testing.assert_array_equal(model.parameters, before)  # input untouched
 
 
+def test_train_and_fisher_call_loss_and_gradient_per_batch_and_per_sample(monkeypatch):
+    # the benchmark's tracer counts these calls at the module attribute, so
+    # train must make one call per minibatch and fisher_diagonal one per row
+    rows = []
+    real = classifier.loss_and_gradient
+
+    def counting(model, batch, labels, penalty=None):
+        assert batch.shape[0] == len(labels)
+        rows.append(len(labels))
+        return real(model, batch, labels, penalty)
+
+    monkeypatch.setattr(classifier, "loss_and_gradient", counting)
+    samples = cluster_samples(11, seed=6)  # 22 rows: the last batch of 5 is short
+    n, epochs, batch = len(samples), 3, 5
+    model = init_model(NetSpec(kind="dense", input_shape=(2, 1), n_classes=2, hidden=(6, 4), seed=2))
+    train(model, samples, TrainConfig(epochs=epochs, batch_size=batch, learning_rate=0.05))
+    assert len(rows) == math.ceil(n / batch) * epochs
+    assert sum(rows) == n * epochs
+
+    rows.clear()
+    fisher_diagonal(model, samples)
+    assert rows == [1] * n
+
+
 # ------------------------------------------------------------- fisher diagonal
 
 
 def test_fisher_is_nonnegative():
     spec = dense_spec(seed=12)
     model = init_model(spec)
-    samples = [
-        WindowedSample(features=f, class_id=i % 3, source=(1, i))
-        for i, f in enumerate(batch_of(spec, 6, seed=6))
-    ]
+    samples = windows_of(batch_of(spec, 6, seed=6), np.arange(6) % 3)
     fisher = fisher_diagonal(model, samples)
     assert fisher.shape == model.parameters.shape
     assert np.all(fisher >= 0.0)
@@ -443,10 +469,7 @@ def test_fisher_is_zero_where_logits_cannot_move():
     layers = [(w.copy(), b.copy()) for w, b in unpack_parameters(spec, model.parameters)]
     layers[-1] = (np.zeros_like(layers[-1][0]), layers[-1][1])
     model = NetModel(spec=spec, parameters=pack_parameters(layers))
-    samples = [
-        WindowedSample(features=f, class_id=i % 3, source=(1, i))
-        for i, f in enumerate(batch_of(spec, 4, seed=7))
-    ]
+    samples = windows_of(batch_of(spec, 4, seed=7), np.arange(4) % 3)
     fisher = fisher_diagonal(model, samples)
     head_size = layers[-1][0].size + layers[-1][1].size
     assert np.all(fisher[:-head_size] == 0.0)
@@ -459,17 +482,14 @@ def test_fisher_matches_per_sample_finite_differences():
     assert spec.param_count == 10
     rng = np.random.default_rng(2)
     model = NetModel(spec=spec, parameters=rng.normal(size=10))
-    samples = [
-        WindowedSample(features=rng.normal(size=(3, 1)), class_id=c, source=(1, i))
-        for i, c in enumerate([0, 1, 0, 1])
-    ]
+    samples = windows_of(rng.normal(size=(4, 3, 1)), [0, 1, 0, 1])
     fisher = fisher_diagonal(model, samples)
 
     acc = np.zeros(10)
-    for s in samples:
-        def single_loss(vec, s=s):
+    for features, label in zip(samples.x, samples.y):
+        def single_loss(vec, features=features, label=label):
             return loss_and_gradient(
-                NetModel(spec=spec, parameters=vec), s.features[None], [s.class_id]
+                NetModel(spec=spec, parameters=vec), features[None], [label]
             )[0]
 
         g = fd_gradient(single_loss, model.parameters, h=1e-6)
@@ -564,8 +584,8 @@ def test_averaged_probabilities_decide_the_prediction():
         members=[biased_model([2.0, 0.0, 0.0]), biased_model([0.0, 10.0, 0.0])],
         standardizer=StandardizationParams(mean=np.zeros(2), std=np.ones(2)),
     )
-    sample = WindowedSample(features=np.zeros((2, 1)), class_id=0, source=(1, 0))
-    assert predict(ens, [sample]).tolist() == [1]
+    sample = windows_of(np.zeros((1, 2, 1)), [0])
+    assert predict(ens, sample).tolist() == [1]
 
 
 def test_prediction_ties_break_toward_the_lower_class():
@@ -581,8 +601,8 @@ def test_prediction_ties_break_toward_the_lower_class():
         members=[model],
         standardizer=StandardizationParams(mean=np.zeros(2), std=np.ones(2)),
     )
-    sample = WindowedSample(features=np.zeros((2, 1)), class_id=0, source=(1, 0))
-    assert predict(ens, [sample]).tolist() == [0]
+    sample = windows_of(np.zeros((1, 2, 1)), [0])
+    assert predict(ens, sample).tolist() == [0]
 
 
 def test_ensemble_accuracy_at_least_median_member_minus_margin():
@@ -592,7 +612,7 @@ def test_ensemble_accuracy_at_least_median_member_minus_margin():
     ens = fit_ensemble(
         spec, train_samples, TrainConfig(epochs=30, batch_size=8, learning_rate=0.02), seed=4, n_members=5
     )
-    labels = np.array([s.class_id for s in held_out])
+    labels = held_out.y
     ens_acc = float(np.mean(predict(ens, held_out) == labels))
     from pseudoreplay.classifier import member_probabilities
 

@@ -187,6 +187,28 @@ def test_run_rejects_bad_train_values_before_training(tmp_path, capsys, train_do
     assert not out.exists()  # rejected while parsing, before any training
 
 
+@pytest.mark.parametrize(
+    "gen_doc", [{"k": 0}, {"k": True}, {"memory_budget": 1}, {"pseudo_per_class": 0}]
+)
+def test_run_rejects_bad_generator_values_before_training(tmp_path, capsys, gen_doc):
+    cfg = write_json(tmp_path / "exp.json", run_config_doc(generator=gen_doc))
+    out = tmp_path / "r"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "field 'generator'" in err and next(iter(gen_doc)) in err
+    assert not out.exists()  # rejected while parsing, before any training
+
+
+def test_run_with_missing_csv_exits_2_naming_the_path(tmp_path, capsys):
+    missing = tmp_path / "absent.csv"
+    cfg = write_json(tmp_path / "exp.json", run_config_doc(data={"csv": str(missing)}))
+    out = tmp_path / "r"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "data file not found" in err and str(missing) in err
+    assert not out.exists()
+
+
 def test_run_rejects_invalid_json(tmp_path, capsys):
     path = tmp_path / "exp.json"
     path.write_text("{not json", encoding="utf-8")

@@ -21,7 +21,7 @@ from pseudoreplay import (
 )
 from pseudoreplay.classifier import fit_ensemble, pad_parameters
 from pseudoreplay.continual import STRATEGIES, TaskSequence
-from pseudoreplay.data import SYNTHETIC_TRIAL_ID, ClassSignal, SyntheticStreamConfig
+from pseudoreplay.data import SYNTHETIC_TRIAL_ID, ClassSignal, SyntheticStreamConfig, Windows
 from pseudoreplay.errors import ConfigurationError, DataFormatError
 from pseudoreplay.seeding import derive_seed
 
@@ -55,8 +55,8 @@ def test_sequence_relabels_classes_by_position(small_stream_config):
     assert seq.class_ids == [2, 0, 1]
     assert seq.n_tasks == 2
     for pos in range(3):
-        assert all(s.class_id == pos for s in seq.train[pos])
-        assert all(s.class_id == pos for s in seq.test[pos])
+        assert np.all(seq.train[pos].y == pos)
+        assert np.all(seq.test[pos].y == pos)
     # trial 1 trains, trial 2 tests, 9 windows each at width 50
     assert [len(t) for t in seq.train] == [9, 9, 9]
     assert [len(t) for t in seq.test] == [9, 9, 9]
@@ -146,15 +146,30 @@ def test_pseudo_set_size_override(small_seq):
     assert run.tasks[1].replay_counts == {0: 4, 1: 4}
 
 
+def test_generator_config_validation():
+    GeneratorConfig(k=np.int64(3), memory_budget=2, pseudo_per_class=1)
+    for bad, needle in (
+        (dict(k=0), "k must be >= 1"),
+        (dict(k=True), "k must be an integer"),
+        (dict(k=2.5), "k must be an integer"),
+        (dict(k=None), "k must be an integer"),
+        (dict(memory_budget=1), "memory_budget must be >= 2"),
+        (dict(memory_budget=False), "memory_budget must be an integer"),
+        (dict(memory_budget=4.0), "memory_budget must be an integer"),
+        (dict(pseudo_per_class=0), "pseudo_per_class must be >= 1"),
+        (dict(pseudo_per_class="9"), "pseudo_per_class must be an integer"),
+    ):
+        with pytest.raises(ConfigurationError, match=needle):
+            GeneratorConfig(**bad)
+
+
 def test_replay_draws_differ_across_tasks(small_seq):
     # the same generator is asked for fresh draws at every task
     run = run_rcl(small_seq, small_net(), FAST, seed=5, n_members=2)
     gen = run.generators[0]
     first = generate(gen, GenerationRequest(9), seed=derive_seed(5, "replay", 1, 0))
     second = generate(gen, GenerationRequest(9), seed=derive_seed(5, "replay", 2, 0))
-    assert not np.array_equal(
-        np.stack([s.flat for s in first]), np.stack([s.flat for s in second])
-    )
+    assert not np.array_equal(first.x, second.x)
 
 
 def test_rcl_task1_tracks_baseline_on_separable_data(small_seq):
@@ -185,7 +200,7 @@ def test_generator_failure_names_task_and_class(small_stream_config):
 
 def test_finetune_task1_equals_a_plain_ensemble(small_seq):
     run = run_finetune(small_seq, small_net(), FAST, seed=5, n_members=3)
-    mix = small_seq.train[0] + small_seq.train[1]
+    mix = Windows.concat([small_seq.train[0], small_seq.train[1]])
     plain = fit_ensemble(
         NetSpec(kind="dense", input_shape=(50, 2), n_classes=2, hidden=(16, 8)),
         mix,

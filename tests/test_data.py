@@ -4,11 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pseudoreplay import (
+    SYNTHETIC_TRIAL_ID,
     ClassSignal,
     StandardizationParams,
     SyntheticStreamConfig,
     TimeSeriesTrial,
-    WindowedSample,
+    Windows,
     apply_standardizer,
     default_synthetic_config,
     fit_standardizer,
@@ -34,7 +35,7 @@ def test_nonoverlapping_window_count_250():
     trial = trial_of(np.zeros((250, 2)))
     windows = window_trial(trial, window=50, stride=50)
     assert len(windows) == 5
-    assert all(w.features.shape == (50, 2) for w in windows)
+    assert windows.x.shape[1:] == (50, 2)
 
 
 def test_nonoverlapping_window_count_6250():
@@ -59,15 +60,15 @@ def test_nonpositive_window_or_stride_rejected():
 def test_windows_carry_class_and_source():
     trial = trial_of(np.arange(20.0).reshape(10, 2), class_id=1, trial_id=4)
     windows = window_trial(trial, window=4, stride=3)
-    assert [w.source for w in windows] == [(4, 0), (4, 3), (4, 6)]
-    assert all(w.class_id == 1 for w in windows)
-    assert not windows[0].is_synthetic
+    assert windows.source.tolist() == [[4, 0], [4, 3], [4, 6]]
+    assert np.all(windows.y == 1)
+    assert windows.source[0, 0] != SYNTHETIC_TRIAL_ID
 
 
 def test_default_stride_partitions_the_trial_exactly():
     trial = trial_of(np.random.default_rng(3).normal(size=(120, 2)))
     windows = window_trial(trial, window=30)
-    rebuilt = np.concatenate([w.features for w in windows])
+    rebuilt = windows.x.reshape(-1, 2)
     np.testing.assert_array_equal(rebuilt, trial.channels)
 
 
@@ -85,20 +86,51 @@ def test_window_count_formula_and_slices(t, window, stride):
         return
     windows = window_trial(trial, window, stride)
     assert len(windows) == (t - window) // stride + 1
-    for i, w in enumerate(windows):
+    for i, w in enumerate(windows.x):
         np.testing.assert_array_equal(
-            w.features, trial.channels[i * stride : i * stride + window]
+            w, trial.channels[i * stride : i * stride + window]
         )
+
+
+def test_windows_check_shapes_and_name_a_non_finite_row():
+    x = np.zeros((3, 2, 1))
+    source = np.array([[1, 0], [1, 2], [1, 4]])
+    with pytest.raises(DataFormatError, match="3-D"):
+        Windows(x=np.zeros((3, 2)), y=np.zeros(3), source=source)
+    with pytest.raises(DataFormatError, match="need y of shape"):
+        Windows(x=x, y=np.zeros(2), source=source)
+    with pytest.raises(DataFormatError, match="need y of shape"):
+        Windows(x=x, y=np.zeros(3), source=source[:, :1])
+    x[1, 1, 0] = np.nan
+    with pytest.raises(DataFormatError, match=r"window from \(1, 2\): non-finite"):
+        Windows(x=x, y=np.zeros(3), source=source)
+
+
+def test_concat_and_select_keep_row_order():
+    trial = trial_of(np.arange(20.0).reshape(10, 2), class_id=1, trial_id=4)
+    a = window_trial(trial, window=4, stride=3)
+    b = window_trial(trial_of(np.ones((4, 2)), trial_id=5), window=4)
+    both = Windows.concat([a, b])
+    assert len(both) == 4
+    assert both.source.tolist() == [[4, 0], [4, 3], [4, 6], [5, 0]]
+    assert both.y.tolist() == [1, 1, 1, 0]
+    np.testing.assert_array_equal(both.x[:3], a.x)
+    picked = both.select(np.array([False, True, False, True]))
+    assert picked.source.tolist() == [[4, 3], [5, 0]]
+    assert len(both.select(np.zeros(4, dtype=bool))) == 0
 
 
 # ----------------------------------------------------------- standardization
 
 
-def samples_from_rows(rows) -> list[WindowedSample]:
-    return [
-        WindowedSample(features=np.asarray(r, dtype=float).reshape(-1, 1), class_id=0, source=(1, i))
-        for i, r in enumerate(rows)
-    ]
+def samples_from_rows(rows) -> Windows:
+    rows = np.asarray(rows, dtype=float)
+    n = rows.shape[0]
+    return Windows(
+        x=rows.reshape(n, -1, 1),
+        y=np.zeros(n),
+        source=np.column_stack([np.ones(n), np.arange(n)]),
+    )
 
 
 def test_two_point_standardizer():
@@ -117,7 +149,7 @@ def test_standardized_moments_are_zero_one():
     rng = np.random.default_rng(0)
     samples = samples_from_rows(rng.normal(3.0, 2.5, size=(100, 6)))
     params = fit_standardizer(samples)
-    out = np.stack([apply_standardizer(params, s).flat for s in samples])
+    out = apply_standardizer(params, samples).x.reshape(len(samples), -1)
     for col in range(out.shape[1]):
         mean, std = two_pass_moments(out[:, col])
         assert abs(mean) <= 1e-9
@@ -126,31 +158,31 @@ def test_standardized_moments_are_zero_one():
 
 def test_identity_params_change_nothing():
     params = StandardizationParams(mean=np.zeros(4), std=np.ones(4))
-    sample = samples_from_rows([[1.0, -2.0, 3.0, 0.5]])[0]
-    np.testing.assert_array_equal(apply_standardizer(params, sample).features, sample.features)
+    sample = samples_from_rows([[1.0, -2.0, 3.0, 0.5]])
+    np.testing.assert_array_equal(apply_standardizer(params, sample).x, sample.x)
 
 
 def test_sample_at_the_mean_maps_to_zero():
     samples = samples_from_rows([[2.0, 4.0], [6.0, 8.0]])
     params = fit_standardizer(samples)
-    center = WindowedSample(features=params.mean.reshape(-1, 1), class_id=0, source=(1, 0))
-    assert np.all(apply_standardizer(params, center).features == 0.0)
+    center = samples_from_rows(params.mean[None, :])
+    assert np.all(apply_standardizer(params, center).x == 0.0)
 
 
 def test_standardize_round_trip():
     rng = np.random.default_rng(5)
     samples = samples_from_rows(rng.normal(size=(30, 8)))
     params = fit_standardizer(samples)
-    for s in samples:
-        back = invert_standardizer(params, apply_standardizer(params, s))
-        np.testing.assert_allclose(back.features, s.features, atol=1e-9)
+    back = invert_standardizer(params, apply_standardizer(params, samples))
+    np.testing.assert_allclose(back.x, samples.x, atol=1e-9)
 
 
 def test_standardizer_rejects_mixed_shapes():
-    a = WindowedSample(features=np.zeros((2, 1)), class_id=0, source=(1, 0))
-    b = WindowedSample(features=np.zeros((3, 1)), class_id=0, source=(1, 1))
-    with pytest.raises(DataFormatError):
-        fit_standardizer([a, b])
+    # windows of two shapes can only meet in a concat, which refuses them
+    a = samples_from_rows([[0.0, 0.0]])
+    b = samples_from_rows([[0.0, 0.0, 0.0]])
+    with pytest.raises(DataFormatError, match="inconsistent window shapes"):
+        fit_standardizer(Windows.concat([a, b]))
 
 
 # ------------------------------------------------------------------ trial CSV

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pseudoreplay import (
+    SYNTHETIC_TRIAL_ID,
     ClassGenerator,
     GenerationRequest,
     fit_generator,
@@ -13,13 +14,18 @@ from pseudoreplay import (
     save_generator,
 )
 from pseudoreplay.errors import ConfigurationError, DataFormatError
+from pseudoreplay.generator import _neighbor_table
 
-from _oracles import knn_bruteforce, on_some_segment, segment_fit
+from _oracles import direct_neighbor_table, knn_bruteforce, on_some_segment, segment_fit
 from conftest import make_samples
 
 
 def generator_from_rows(rows, k=2, **kwargs) -> ClassGenerator:
     return fit_generator(0, make_samples(np.asarray(rows, dtype=float)), k=k, **kwargs)
+
+
+def flat_rows(windows) -> np.ndarray:
+    return windows.x.reshape(len(windows), -1)
 
 
 def check_samples(gen, produced, expect_count):
@@ -28,10 +34,10 @@ def check_samples(gen, produced, expect_count):
     lists = [nearest_neighbors(gen, j) for j in range(gen.memory_size)]
     lo = gen.memory.min(axis=0) - 1e-12
     hi = gen.memory.max(axis=0) + 1e-12
-    for s in produced:
-        assert s.is_synthetic
-        assert s.class_id == gen.class_id
-        flat = s.flat
+    assert np.all(produced.source[:, 0] == SYNTHETIC_TRIAL_ID)
+    assert produced.source[:, 1].tolist() == list(range(expect_count))
+    assert np.all(produced.y == gen.class_id)
+    for flat in flat_rows(produced):
         assert np.all(flat >= lo) and np.all(flat <= hi)
         assert on_some_segment(flat, gen.memory, lists, tol=1e-9)
 
@@ -110,6 +116,27 @@ def test_neighbors_match_exhaustive_scan():
         assert nearest_neighbors(gen, j) == knn_bruteforce(memory, j, 7)
 
 
+def test_gemm_ranked_table_equals_the_direct_ranking():
+    rng = np.random.default_rng(13)
+    normal = rng.normal(size=(200, 100))
+    cases = {
+        "normal 200x100": (normal, (1, 5, 7)),
+        # every distance in a group of copies ties, so only the index decides
+        "duplicate rows": (np.repeat(rng.normal(size=(12, 6)), 4, axis=0), (1, 3, 5)),
+        # |a|^2 ~ 2e7 against distances ~ 4e-11: the Gram form cancels, so
+        # every column is a candidate and the direct distance decides alone
+        "offset 1e3, spread 1e-6": (1e3 + 1e-6 * rng.normal(size=(60, 20)), (1, 5)),
+        "k >= M - 1": (normal[:30], (29, 40)),
+        "M = 2": (normal[:2], (1, 5)),
+    }
+    for name, (memory, ks) in cases.items():
+        for k in ks:
+            got = _neighbor_table(memory, k)
+            want = direct_neighbor_table(memory, k)
+            assert got.shape == want.shape, f"{name}, k={k}"
+            assert np.array_equal(got, want), f"{name}, k={k}: tables differ"
+
+
 def test_neighbor_index_bounds_checked():
     gen = generator_from_rows([[0.0], [1.0]])
     with pytest.raises(ConfigurationError):
@@ -120,15 +147,10 @@ def test_neighbor_index_bounds_checked():
 
 
 def test_two_point_memory_yields_points_on_the_diagonal():
-    gen = fit_generator(
-        0,
-        [s for s in make_samples(np.array([[0.0, 0.0], [1.0, 1.0]]))],
-        k=1,
-    )
+    gen = fit_generator(0, make_samples(np.array([[0.0, 0.0], [1.0, 1.0]])), k=1)
     out = generate(gen, GenerationRequest(2), seed=5)
     assert len(out) == 2
-    for s in out:
-        x, y = s.flat
+    for x, y in flat_rows(out):
         assert x == pytest.approx(y, abs=1e-12)
         assert 0.0 <= x <= 1.0
 
@@ -136,8 +158,8 @@ def test_two_point_memory_yields_points_on_the_diagonal():
 def test_identical_memory_collapses_to_that_vector():
     gen = generator_from_rows(np.full((4, 3), 2.5), k=2)
     out = generate(gen, GenerationRequest(9), seed=1)
-    for s in out:
-        np.testing.assert_array_equal(s.flat, [2.5, 2.5, 2.5])
+    for flat in flat_rows(out):
+        np.testing.assert_array_equal(flat, [2.5, 2.5, 2.5])
 
 
 def test_quota_equal_k_uses_each_neighbor_segment_once():
@@ -150,10 +172,10 @@ def test_quota_equal_k_uses_each_neighbor_segment_once():
     assert len(out) == 12
     for j in range(4):
         segment_hits = set()
-        for s in out[3 * j : 3 * (j + 1)]:
+        for flat in flat_rows(out)[3 * j : 3 * (j + 1)]:
             hits = []
             for l in nearest_neighbors(gen, j):
-                u, residual = segment_fit(s.flat, memory[j], memory[l])
+                u, residual = segment_fit(flat, memory[j], memory[l])
                 if residual <= 1e-9 and -1e-9 <= u <= 1 + 1e-9:
                     hits.append(l)
             assert hits, "candidate not on any segment of its source point"
@@ -174,15 +196,14 @@ def test_generation_is_deterministic():
     b = fit_generator(0, make_samples(rows), k=3, seed=21)
     out_a = generate(a, GenerationRequest(25))
     out_b = generate(b, GenerationRequest(25))
-    for sa, sb in zip(out_a, out_b, strict=True):
-        np.testing.assert_array_equal(sa.features, sb.features)
-        assert sa.source == sb.source
+    np.testing.assert_array_equal(out_a.x, out_b.x)
+    np.testing.assert_array_equal(out_a.source, out_b.source)
 
 
 def test_different_seeds_give_different_draws():
     gen = generator_from_rows(np.random.default_rng(9).normal(size=(8, 4)), k=3)
-    a = np.stack([s.flat for s in generate(gen, GenerationRequest(16), seed=1)])
-    b = np.stack([s.flat for s in generate(gen, GenerationRequest(16), seed=2)])
+    a = generate(gen, GenerationRequest(16), seed=1).x
+    b = generate(gen, GenerationRequest(16), seed=2).x
     assert not np.array_equal(a, b)
 
 
@@ -200,7 +221,7 @@ def test_synthetic_spread_contracts_toward_the_memory():
     rng = np.random.default_rng(11)
     memory = rng.normal(loc=3.0, scale=2.0, size=(60, 5))
     gen = fit_generator(0, make_samples(memory), k=4)
-    out = np.stack([s.flat for s in generate(gen, GenerationRequest(600), seed=6)])
+    out = flat_rows(generate(gen, GenerationRequest(600), seed=6))
     mem_mean = memory.mean(axis=0)
     mem_var = memory.var(axis=0)
     # interpolation keeps the mean (up to memory and draw noise) and shrinks spread
@@ -240,8 +261,7 @@ def test_save_load_round_trip(tmp_path):
     np.testing.assert_array_equal(loaded.neighbors, gen.neighbors)
     a = generate(gen, GenerationRequest(18), seed=7)
     b = generate(loaded, GenerationRequest(18), seed=7)
-    for sa, sb in zip(a, b, strict=True):
-        np.testing.assert_array_equal(sa.features, sb.features)
+    np.testing.assert_array_equal(a.x, b.x)
 
 
 def test_load_rejects_malformed_documents(tmp_path):
