@@ -430,8 +430,8 @@ class EWCPenalty:
     def __post_init__(self):
         object.__setattr__(self, "theta_star", np.asarray(self.theta_star, dtype=float).reshape(-1))
         object.__setattr__(self, "fisher", np.asarray(self.fisher, dtype=float).reshape(-1))
-        if self.lam < 0:
-            raise ConfigurationError(f"lam must be >= 0, got {self.lam}")
+        if not math.isfinite(self.lam) or self.lam < 0:
+            raise ConfigurationError(f"lam must be finite and >= 0, got {self.lam}")
         if self.theta_star.shape != self.fisher.shape:
             raise ConfigurationError("theta_star and fisher must have equal length")
         if not np.all(np.isfinite(self.theta_star)):

@@ -10,6 +10,8 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
+import numbers
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -35,6 +37,24 @@ from .data import (
 )
 from .errors import ConfigurationError, DataFormatError, PseudoreplayError
 from .reporting import atomic_write, build_manifest, manifest_json, metrics_csv, render_report
+
+
+def _require_integer(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigurationError(f"field '{name}': must be an integer, got {value!r}")
+
+
+def _require_integer_list(name: str, value) -> None:
+    if not isinstance(value, (list, tuple)):
+        raise ConfigurationError(f"field '{name}': must be a list of integers, got {value!r}")
+    for entry in value:
+        _require_integer(name, entry)
+
+
+def _require_object(name: str, value) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigurationError(f"field '{name}': must be an object, got {value!r}")
+    return dict(value)
 
 
 @dataclass(eq=False)
@@ -63,6 +83,19 @@ class ExperimentConfig:
             raise ConfigurationError(
                 "field 'data': exactly one of 'synthetic' or 'csv' is required"
             )
+        for name in ("window", "repetitions", "seed", "ensemble_size"):
+            _require_integer(name, getattr(self, name))
+        if self.stride is not None:
+            _require_integer("stride", self.stride)
+        if self.classes is not None:
+            _require_integer_list("classes", self.classes)
+            self.classes = [int(c) for c in self.classes]
+        _require_integer_list("train_trials", self.train_trials)
+        self.train_trials = tuple(int(t) for t in self.train_trials)
+        lam = self.ewc_lambda
+        if isinstance(lam, bool) or not isinstance(lam, numbers.Real) or not math.isfinite(lam) or lam < 0:
+            raise ConfigurationError(f"field 'ewc_lambda': must be a finite number >= 0, got {lam!r}")
+        self.ewc_lambda = float(lam)
         if self.window < 1:
             raise ConfigurationError(f"field 'window': must be >= 1, got {self.window}")
         if self.stride is not None and self.stride < 1:
@@ -81,10 +114,6 @@ class ExperimentConfig:
         if self.ensemble_size < 1:
             raise ConfigurationError(
                 f"field 'ensemble_size': must be >= 1, got {self.ensemble_size}"
-            )
-        if self.ewc_lambda < 0:
-            raise ConfigurationError(
-                f"field 'ewc_lambda': must be >= 0, got {self.ewc_lambda}"
             )
         names = [name for name, _ in self.variants]
         if len(set(names)) != len(names):
@@ -160,24 +189,24 @@ class ExperimentConfig:
         for entry in doc.get("variants", []):
             if not isinstance(entry, dict) or "name" not in entry or "net" not in entry:
                 raise ConfigurationError("field 'variants': entries need 'name' and 'net'")
-            variants.append((str(entry["name"]), dict(entry["net"])))
+            variants.append((str(entry["name"]), _require_object("variants", entry["net"])))
         return cls(
             synthetic=synthetic,
             csv_path=csv_path,
-            window=int(doc.get("window", 50)),
-            stride=None if doc.get("stride") is None else int(doc["stride"]),
-            classes=None if doc.get("classes") is None else [int(c) for c in doc["classes"]],
-            train_trials=tuple(int(t) for t in doc.get("train_trials", [1])),
+            window=doc.get("window", 50),
+            stride=doc.get("stride"),
+            classes=doc.get("classes"),
+            train_trials=doc.get("train_trials", [1]),
             strategies=tuple(doc.get("strategies", list(STRATEGIES))),
-            repetitions=int(doc.get("repetitions", 5)),
-            seed=int(doc.get("seed", 0)),
+            repetitions=doc.get("repetitions", 5),
+            seed=doc.get("seed", 0),
             out_dir=str(doc.get("out_dir", "results")),
-            net=dict(doc.get("net", {"kind": "dense"})),
+            net=_require_object("net", doc.get("net", {"kind": "dense"})),
             variants=variants,
             train=train_cfg,
             generator=gen_cfg,
-            ewc_lambda=float(doc.get("ewc_lambda", 100.0)),
-            ensemble_size=int(doc.get("ensemble_size", 5)),
+            ewc_lambda=doc.get("ewc_lambda", 100.0),
+            ensemble_size=doc.get("ensemble_size", 5),
         )
 
 
@@ -267,8 +296,6 @@ def cmd_run(
     trials, digest = _load_data(cfg)
     seq = _build_sequence(cfg, trials)
     del trials  # the windows hold their own copy, so the raw trials can go
-    out = Path(out_dir if out_dir is not None else cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     base_net = _net_template(cfg.net, cfg.window, seq.channels)
 
     # each variant swaps the final task's classifier; "" is the primary run
@@ -278,6 +305,8 @@ def cmd_run(
         for name, net_doc in cfg.variants:
             vnet = _net_template(net_doc, cfg.window, seq.channels)
             variant_nets[name] = [base_net] * (seq.n_tasks - 1) + [vnet]
+    out = Path(out_dir if out_dir is not None else cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
 
     comparisons: dict[str, ComparisonReport] = {}
     failures: dict[str, str] = {}
@@ -355,6 +384,12 @@ def cmd_validate(config_path: str) -> int:
             violations.append(f"class {c}: no evaluation trials left")
     if len(wanted) < 2:
         violations.append(f"need at least 2 classes, found {len(wanted)}")
+    nets = [("net", cfg.net)] + [(f"variant {name!r}", doc) for name, doc in cfg.variants]
+    for label, net_doc in nets:
+        try:
+            _net_template(net_doc, cfg.window, trials[0].n_channels)
+        except ConfigurationError as exc:
+            violations.append(f"{label}: {exc}")
 
     if violations:
         for v in violations:

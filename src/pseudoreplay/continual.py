@@ -20,6 +20,7 @@ streams.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, replace
 
@@ -431,8 +432,8 @@ def run_ewc(
     seed: int = 0,
     n_members: int = 5,
 ) -> ContinualRun:
-    if lam < 0:
-        raise ConfigurationError(f"lam must be >= 0, got {lam}")
+    if not math.isfinite(lam) or lam < 0:
+        raise ConfigurationError(f"lam must be finite and >= 0, got {lam}")
     return _run_sequential(seq, net, train_config, seed, n_members, lam, "ewc")
 
 

@@ -7,6 +7,11 @@ arrays: features x [N, W, C], classes y [N] and provenance source [N, 2] as
 act on a whole `Windows` at once. A window flattens row-major over
 (timestep, channel), i.e. feature index = t * C + c, and every consumer of
 flat vectors in this package uses that same ordering.
+
+`load_trials` parses a plainly written trial CSV in one np.loadtxt call and
+checks the whole table with array operations. A file it does not accept as
+it is goes to the per-row parser, which reads what Python's int and float
+read and names the offending row in its errors; both give the same trials.
 """
 
 from __future__ import annotations
@@ -230,7 +235,76 @@ def save_trials(path: str | Path, trials: list[TimeSeriesTrial]) -> None:
 
 
 def load_trials(path: str | Path) -> list[TimeSeriesTrial]:
-    """Parse a trial CSV; errors name the offending 1-based file row."""
+    """Parse a trial CSV; errors name the offending 1-based file row.
+
+    A plainly written file is parsed in one numpy pass and checked as a whole
+    table. Every other file goes to the per-row parser, which alone raises the
+    row-naming errors, so the accepted inputs, the trials and the error
+    messages are the per-row parser's.
+    """
+    path = Path(path)
+    trials = _load_trials_in_bulk(path)
+    return trials if trials is not None else _load_trials_by_row(path)
+
+
+def _load_trials_in_bulk(path: Path) -> list[TimeSeriesTrial] | None:
+    """The trials of a file in plain form, or None to leave it to the row parser.
+
+    Plain form: an unquoted header, one unquoted row of ASCII numbers per line,
+    ids within int64, finite values, contiguous (class_id, trial_id) groups in
+    strictly increasing order and steps strictly increasing from >= 0 within a
+    group. Every such file passes the row parser's checks row by row, and
+    np.loadtxt reads floats as float() does, so the bytes come out the same.
+    """
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        return None
+    header, _, body = text.partition("\n")
+    rows = body.split("\n")
+    if rows[-1] == "":
+        rows.pop()  # the final line end
+    names = header.split(",")
+    n_chan = len(names) - 3
+    if n_chan < 1 or names != ["class_id", "trial_id", "step"] + [
+        f"ch{i + 1}" for i in range(n_chan)
+    ]:
+        return None
+    if not rows or "" in rows:  # header only, or a blank line np.loadtxt would skip
+        return None
+    dtype = np.dtype([("key", np.int64, (3,)), ("ch", np.float64, (n_chan,))])
+    try:
+        table = np.loadtxt(
+            rows, dtype=dtype, delimiter=",", comments=None, quotechar=None, ndmin=1
+        )
+    except ValueError:
+        return None
+    if len(table) != len(rows) or not np.isfinite(table["ch"]).all():
+        return None
+    key, step = table["key"][:, :2], table["key"][:, 2]
+    starts = np.flatnonzero(np.any(key[1:] != key[:-1], axis=1)) + 1
+    before, after = key[starts - 1], key[starts]
+    increasing_key = (after[:, 0] > before[:, 0]) | (
+        (after[:, 0] == before[:, 0]) & (after[:, 1] > before[:, 1])
+    )
+    increasing_step = step[1:] > step[:-1]
+    increasing_step[starts - 1] = True  # a new group restarts the step order
+    starts = np.concatenate([[0], starts])
+    if not (increasing_key.all() and increasing_step.all() and (step[starts] >= 0).all()):
+        return None
+    bounds = np.append(starts, len(table)).tolist()
+    return [
+        TimeSeriesTrial(
+            class_id=int(key[a, 0]),
+            trial_id=int(key[a, 1]),
+            channels=np.ascontiguousarray(table["ch"][a:b]),
+        )
+        for a, b in zip(bounds[:-1], bounds[1:])
+    ]
+
+
+def _load_trials_by_row(path: str | Path) -> list[TimeSeriesTrial]:
+    """Parse a trial CSV row by row with csv and Python's int and float."""
     path = Path(path)
     with path.open("r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)

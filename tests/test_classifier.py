@@ -308,6 +308,9 @@ def test_penalty_validation():
         EWCPenalty(lam=1.0, theta_star=np.zeros(3), fisher=np.zeros(4))
     with pytest.raises(ConfigurationError):
         EWCPenalty(lam=1.0, theta_star=np.zeros(3), fisher=-np.ones(3))
+    for lam in (math.nan, math.inf):
+        with pytest.raises(ConfigurationError, match="finite"):
+            EWCPenalty(lam=lam, theta_star=np.zeros(3), fisher=np.zeros(3))
 
 
 # ------------------------------------------------------------------- training

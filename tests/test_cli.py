@@ -199,6 +199,41 @@ def test_run_rejects_bad_generator_values_before_training(tmp_path, capsys, gen_
     assert not out.exists()  # rejected while parsing, before any training
 
 
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize(
+    "override, field",
+    [
+        ({"window": "abc"}, "window"),
+        ({"window": 2.7}, "window"),
+        ({"stride": 2.5}, "stride"),
+        ({"repetitions": True}, "repetitions"),
+        ({"seed": 1.5}, "seed"),
+        ({"ensemble_size": 2.9}, "ensemble_size"),
+        ({"classes": "01"}, "classes"),
+        ({"classes": [0, 1.0]}, "classes"),
+        ({"train_trials": "x"}, "train_trials"),
+        ({"train_trials": [True]}, "train_trials"),
+        ({"ewc_lambda": "x"}, "ewc_lambda"),
+        ({"ewc_lambda": float("nan")}, "ewc_lambda"),
+        ({"ewc_lambda": float("inf")}, "ewc_lambda"),
+        ({"net": "dense"}, "net"),
+        ({"variants": [{"name": "a", "net": "dense"}]}, "variants"),
+    ],
+)
+def test_wrongly_typed_config_values_exit_2_naming_the_field(
+    tmp_path, capsys, command, override, field
+):
+    doc = run_config_doc(strategies=["baseline", "ewc"], **override)
+    cfg = write_json(tmp_path / "exp.json", doc)
+    out = tmp_path / "r"
+    argv = [command, "--config", cfg] + (["--out", str(out)] if command == "run" else [])
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: field '{field}':")
+    assert captured.out == ""
+    assert not out.exists()  # rejected while parsing, before any training
+
+
 def test_run_with_missing_csv_exits_2_naming_the_path(tmp_path, capsys):
     missing = tmp_path / "absent.csv"
     cfg = write_json(tmp_path / "exp.json", run_config_doc(data={"csv": str(missing)}))
@@ -282,6 +317,26 @@ def test_validate_surfaces_data_format_errors(tmp_path, capsys):
     assert "violation:" in out and "row 3" in out
 
 
+@pytest.mark.parametrize(
+    "override, needle",
+    [
+        ({"net": {"kind": "dense", "hidden": [0, 4]}}, "violation: net: hidden must be 2 positive"),
+        ({"net": {"kind": "xyz"}}, "violation: net: kind must be 'dense' or 'conv'"),
+        (
+            {"variants": [{"name": "wide", "net": {"kind": "conv", "conv": [[4, 60, 1], [8, 5, 1]]}}]},
+            "violation: variant 'wide': kernel 60 exceeds input length 50",
+        ),
+    ],
+)
+def test_validate_builds_the_nets_run_builds(tmp_path, capsys, override, needle):
+    cfg = write_json(tmp_path / "exp.json", run_config_doc(**override))
+    assert main(["validate", "--config", cfg]) == 2
+    assert needle in capsys.readouterr().out
+    out = tmp_path / "r"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()  # rejected before any training
+
+
 def test_validate_needs_two_classes(tmp_path, capsys):
     cfg = write_json(tmp_path / "exp.json", run_config_doc(classes=[1]))
     assert main(["validate", "--config", cfg]) == 2
@@ -314,6 +369,8 @@ def test_config_validation_messages_name_fields():
         ("strategies", ["gan"], "unknown strategy"),
         ("ensemble_size", 0, "field 'ensemble_size'"),
         ("ewc_lambda", -1.0, "field 'ewc_lambda'"),
+        ("ewc_lambda", float("nan"), "field 'ewc_lambda'"),
+        ("ewc_lambda", float("inf"), "field 'ewc_lambda'"),
         ("train", {"epochs": "many"}, "field 'train'"),
     ]:
         with pytest.raises(ConfigurationError, match=needle):

@@ -275,6 +275,12 @@ def test_negative_anchor_weight_rejected(small_seq):
         run_ewc(small_seq, small_net(), FAST, lam=-1.0)
 
 
+@pytest.mark.parametrize("lam", [float("nan"), float("inf")])
+def test_non_finite_anchor_weight_rejected_before_training(small_seq, lam):
+    with pytest.raises(ConfigurationError, match="finite"):
+        run_ewc(small_seq, small_net(), FAST, lam=lam)
+
+
 def test_sequential_strategies_refuse_architecture_switches(small_seq):
     conv = NetSpec(kind="conv", input_shape=(50, 2), n_classes=2, hidden=(8, 4), conv=((4, 5, 2), (8, 5, 2)))
     with pytest.raises(ConfigurationError, match="cannot switch"):

@@ -19,6 +19,7 @@ from pseudoreplay import (
     synthesize_stream,
     window_trial,
 )
+from pseudoreplay.data import _load_trials_by_row, _load_trials_in_bulk
 from pseudoreplay.errors import ConfigurationError, DataFormatError
 
 from _oracles import two_pass_moments
@@ -244,6 +245,114 @@ def test_noncontiguous_trial_rows_rejected(tmp_path):
     )
     with pytest.raises(DataFormatError, match="not contiguous"):
         load_trials(path)
+
+
+# load_trials parses plain files in bulk and hands every other file to the
+# per-row parser; either way it must return what the row parser returns and
+# raise what the row parser raises.
+
+HEADER_2 = "class_id,trial_id,step,ch1,ch2\n"
+
+
+def assert_loads_like_the_row_parser(path):
+    loaded, reference = load_trials(path), _load_trials_by_row(path)
+    assert [(t.class_id, t.trial_id) for t in loaded] == [
+        (t.class_id, t.trial_id) for t in reference
+    ]
+    for got, want in zip(loaded, reference):
+        assert type(got.class_id) is int and type(got.trial_id) is int
+        assert got.channels.dtype == np.float64 and got.channels.flags.c_contiguous
+        assert got.channels.shape == want.channels.shape
+        assert got.channels.tobytes() == want.channels.tobytes()
+
+
+def assert_same_error_as_the_row_parser(path, needle):
+    with pytest.raises(DataFormatError) as bulk:
+        load_trials(path)
+    with pytest.raises(DataFormatError) as by_row:
+        _load_trials_by_row(path)
+    assert str(bulk.value) == str(by_row.value)
+    assert needle in str(bulk.value)
+
+
+@pytest.mark.parametrize("n_chan", [1, 2, 3, 4])
+def test_saved_trials_load_in_bulk_like_the_row_parser(tmp_path, n_chan):
+    rng = np.random.default_rng(n_chan)
+    trials = [
+        trial_of(rng.normal(size=(5 + c + t, n_chan)), class_id=c, trial_id=t)
+        for c in (0, 1, 3)
+        for t in (1, 2, 7)
+    ]
+    path = tmp_path / "trials.csv"
+    save_trials(path, trials)
+    assert _load_trials_in_bulk(path) is not None
+    assert_loads_like_the_row_parser(path)
+
+
+def test_extreme_values_load_in_bulk_like_the_row_parser(tmp_path):
+    values = np.array(
+        [1e-300, -1e300, -0.0, 0.0, 5e-324, -1e-310, 2.2250738585072014e-308,
+         1e300, 1.7976931348623157e308, 0.1, 1.0 / 3.0, -123456.789]
+    ).reshape(-1, 2)
+    path = tmp_path / "extreme.csv"
+    save_trials(path, [trial_of(values), trial_of(values[::-1], trial_id=2)])
+    assert _load_trials_in_bulk(path) is not None
+    assert_loads_like_the_row_parser(path)
+    (first, _) = load_trials(path)
+    assert np.signbit(first.channels[1, 0])  # -0.0 keeps its sign
+
+
+@pytest.mark.parametrize(
+    "line_end, final",
+    [("\n", "\n"), ("\n", ""), ("\r\n", "\r\n"), ("\r\n", ""), ("\r", "\r")],
+)
+def test_line_ends_load_in_bulk_like_the_row_parser(tmp_path, line_end, final):
+    lines = [HEADER_2.strip(), "0,1,0,1.5,2.5", "0,1,1,3.5,4.5", "1,1,0,-1,1e-5"]
+    path = tmp_path / "ends.csv"
+    path.write_bytes((line_end.join(lines) + final).encode())
+    assert _load_trials_in_bulk(path) is not None
+    assert_loads_like_the_row_parser(path)
+
+
+@pytest.mark.parametrize("row", ['0,1,1,"3.5",4.5', "0,1,1,1_000,4.5", "0,1,1_0,3.5,4.5"])
+def test_spellings_only_python_reads_go_to_the_row_parser(tmp_path, row):
+    path = tmp_path / "spelled.csv"
+    path.write_text(HEADER_2 + "0,1,0,1.5,2.5\n" + row + "\n")
+    assert _load_trials_in_bulk(path) is None
+    assert_loads_like_the_row_parser(path)
+
+
+@pytest.mark.parametrize(
+    "body, needle",
+    [
+        ("0,1,0,1.5,2.5\n0,1,1,3.5\n", "row 3: expected 5 columns, got 4"),
+        ("0,1,0,1.5,2.5\n\n0,1,1,3.5,4.5\n", "row 3: expected 5 columns, got 0"),
+        ("0,1,0,1.5,2.5\n0,1,1,abc,4.5\n", "row 3"),
+        ("0,1,0,1.5,2.5\n1.0,1,0,3.5,4.5\n", "row 3"),
+        ("0,1,0,1.5,2.5\n0,1,1,inf,4.5\n", "row 3: non-finite value"),
+        ("1,1,0,1.5,2.5\n0,1,0,3.5,4.5\n", "row 3: rows not sorted"),
+        ("0,1,0,1.5,2.5\n0,2,0,3.5,4.5\n0,1,1,3.5,4.5\n", "row 4: rows of class 0 trial 1 are not contiguous"),
+        ("0,1,0,1.5,2.5\n0,1,0,3.5,4.5\n", "row 3: step 0 not increasing"),
+        ("0,1,-1,1.5,2.5\n", "row 2: step -1 not increasing"),
+        ("", "no data rows"),
+    ],
+)
+def test_malformed_files_raise_the_row_parsers_error(tmp_path, body, needle):
+    path = tmp_path / "bad.csv"
+    path.write_text(HEADER_2 + body)
+    assert_same_error_as_the_row_parser(path, needle)
+
+
+@pytest.mark.parametrize(
+    "row_5, row_10",
+    [("0,1,3,nan,1", "0,1,8,x,1"), ("0,1,2,1,1", "0,0,0,1,1")],
+)
+def test_the_first_of_two_problems_is_reported(tmp_path, row_5, row_10):
+    rows = [f"0,1,{step},{step}.5,1" for step in range(9)]
+    rows[3], rows[8] = row_5, row_10  # file rows 5 and 10
+    path = tmp_path / "two.csv"
+    path.write_text(HEADER_2 + "\n".join(rows) + "\n")
+    assert_same_error_as_the_row_parser(path, "row 5:")
 
 
 # ------------------------------------------------------------ synthetic data
