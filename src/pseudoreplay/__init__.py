@@ -13,11 +13,9 @@ from .classifier import (
     forward,
     init_model,
     load_ensemble,
-    load_model,
     loss_and_gradient,
     predict,
     save_ensemble,
-    save_model,
     train,
 )
 from .continual import (
@@ -30,10 +28,6 @@ from .continual import (
     audit_memory,
     audit_replay_purity,
     compare_strategies,
-    run_baseline,
-    run_ewc,
-    run_finetune,
-    run_rcl,
     run_strategy,
 )
 from .data import (
@@ -46,7 +40,6 @@ from .data import (
     apply_standardizer,
     default_synthetic_config,
     fit_standardizer,
-    invert_standardizer,
     load_trials,
     save_trials,
     synthesize_stream,
@@ -59,14 +52,12 @@ from .generator import (
     fit_generator,
     generate,
     load_generator,
-    nearest_neighbors,
     save_generator,
 )
 from .metrics import (
     ConfusionMatrix,
     MetricReport,
     MetricWarning,
-    accuracy,
     aggregate,
     confusion,
     metrics,

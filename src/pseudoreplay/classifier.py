@@ -28,7 +28,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .data import StandardizationParams, Windows, apply_standardizer, fit_standardizer
-from .errors import ConfigurationError, TrainingError
+from .errors import ConfigurationError, TrainingError, require_integer
 from .seeding import derive_seed
 
 
@@ -69,10 +69,11 @@ class NetSpec:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "input_shape", tuple(int(v) for v in self.input_shape))
-        object.__setattr__(self, "hidden", tuple(int(v) for v in self.hidden))
+        for name in ("input_shape", "hidden"):
+            sizes = tuple(require_integer(name, v) for v in getattr(self, name))
+            object.__setattr__(self, name, sizes)
         object.__setattr__(
-            self, "conv", tuple(tuple(int(v) for v in layer) for layer in self.conv)
+            self, "conv", tuple(tuple(require_integer("conv", v) for v in layer) for layer in self.conv)
         )
         if self.kind not in ("dense", "conv"):
             raise ConfigurationError(f"kind must be 'dense' or 'conv', got {self.kind!r}")
@@ -84,8 +85,10 @@ class NetSpec:
         if len(self.hidden) != 2 or any(h < 1 for h in self.hidden):
             raise ConfigurationError(f"hidden must be 2 positive sizes, got {self.hidden}")
         if self.kind == "conv":
-            if len(self.conv) != 2:
-                raise ConfigurationError(f"conv must describe 2 layers, got {len(self.conv)}")
+            if len(self.conv) != 2 or any(len(layer) != 3 for layer in self.conv):
+                raise ConfigurationError(
+                    f"conv must describe 2 layers of (filters, kernel, stride), got {self.conv}"
+                )
             for out, kern, stride in self.conv:
                 if out < 1 or kern < 1 or stride < 1:
                     raise ConfigurationError(f"bad conv layer {(out, kern, stride)}")
@@ -134,10 +137,10 @@ class NetSpec:
             return cls(
                 kind=doc["kind"],
                 input_shape=tuple(doc["input_shape"]),
-                n_classes=int(doc["n_classes"]),
+                n_classes=require_integer("n_classes", doc["n_classes"]),
                 hidden=tuple(doc.get("hidden", (64, 32))),
                 conv=tuple(tuple(l) for l in doc.get("conv", ((8, 5, 1), (16, 5, 1)))),
-                seed=int(doc.get("seed", 0)),
+                seed=require_integer("seed", doc.get("seed", 0)),
             )
         except (KeyError, TypeError) as exc:
             raise ConfigurationError(f"bad net spec: {exc}") from None
@@ -336,9 +339,7 @@ class TrainConfig:
 
     def __post_init__(self):
         for name in ("epochs", "batch_size"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+            require_integer(name, getattr(self, name))
         for name in ("learning_rate", "momentum"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
@@ -545,39 +546,6 @@ def predict(ensemble: Ensemble, batch: Windows) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # checkpoints: JSON header plus the flat parameter vector in decimal
-
-
-def save_model(path: str | Path, model: NetModel, standardizer: StandardizationParams | None = None) -> None:
-    doc = {
-        "spec": model.spec.to_dict(),
-        "standardizer": None
-        if standardizer is None
-        else {"mean": [float(v) for v in standardizer.mean], "std": [float(v) for v in standardizer.std]},
-        "parameters": [float(v) for v in model.parameters],
-    }
-    Path(path).write_text(json.dumps(doc), encoding="utf-8")
-
-
-def load_model(path: str | Path) -> tuple[NetModel, StandardizationParams | None]:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        spec = NetSpec.from_dict(doc["spec"])
-        params = np.array(doc["parameters"], dtype=float)
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
-        if isinstance(exc, ConfigurationError):
-            raise
-        raise ConfigurationError(f"{path}: bad checkpoint: {exc}") from None
-    if params.size != spec.param_count:
-        raise ConfigurationError(
-            f"{path}: checkpoint holds {params.size} parameters, spec expects {spec.param_count}"
-        )
-    std = None
-    if doc.get("standardizer") is not None:
-        std = StandardizationParams(
-            mean=np.array(doc["standardizer"]["mean"], dtype=float),
-            std=np.array(doc["standardizer"]["std"], dtype=float),
-        )
-    return NetModel(spec=spec, parameters=params), std
 
 
 def save_ensemble(path: str | Path, ensemble: Ensemble) -> None:

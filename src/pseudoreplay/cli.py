@@ -35,20 +35,20 @@ from .data import (
     synthesize_stream,
     window_trial,
 )
-from .errors import ConfigurationError, DataFormatError, PseudoreplayError
+from .errors import ConfigurationError, DataFormatError, PseudoreplayError, require_integer
 from .reporting import atomic_write, build_manifest, manifest_json, metrics_csv, render_report
 
 
-def _require_integer(name: str, value) -> None:
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ConfigurationError(f"field '{name}': must be an integer, got {value!r}")
-
-
-def _require_integer_list(name: str, value) -> None:
+def _require_integer_list(name: str, value) -> tuple[int, ...]:
     if not isinstance(value, (list, tuple)):
         raise ConfigurationError(f"field '{name}': must be a list of integers, got {value!r}")
-    for entry in value:
-        _require_integer(name, entry)
+    return tuple(require_integer(f"field '{name}':", entry) for entry in value)
+
+
+def _require_string(name: str, value) -> str:
+    if not isinstance(value, str):
+        raise ConfigurationError(f"field '{name}': must be a string, got {value!r}")
+    return value
 
 
 def _require_object(name: str, value) -> dict:
@@ -84,14 +84,18 @@ class ExperimentConfig:
                 "field 'data': exactly one of 'synthetic' or 'csv' is required"
             )
         for name in ("window", "repetitions", "seed", "ensemble_size"):
-            _require_integer(name, getattr(self, name))
+            require_integer(f"field '{name}':", getattr(self, name))
         if self.stride is not None:
-            _require_integer("stride", self.stride)
+            require_integer("field 'stride':", self.stride)
         if self.classes is not None:
-            _require_integer_list("classes", self.classes)
-            self.classes = [int(c) for c in self.classes]
-        _require_integer_list("train_trials", self.train_trials)
-        self.train_trials = tuple(int(t) for t in self.train_trials)
+            self.classes = list(_require_integer_list("classes", self.classes))
+        self.train_trials = _require_integer_list("train_trials", self.train_trials)
+        _require_string("out_dir", self.out_dir)
+        if not isinstance(self.strategies, (list, tuple)):
+            raise ConfigurationError(
+                f"field 'strategies': must be a list of strategy names, got {self.strategies!r}"
+            )
+        self.strategies = tuple(self.strategies)
         lam = self.ewc_lambda
         if isinstance(lam, bool) or not isinstance(lam, numbers.Real) or not math.isfinite(lam) or lam < 0:
             raise ConfigurationError(f"field 'ewc_lambda': must be a finite number >= 0, got {lam!r}")
@@ -115,7 +119,7 @@ class ExperimentConfig:
             raise ConfigurationError(
                 f"field 'ensemble_size': must be >= 1, got {self.ensemble_size}"
             )
-        names = [name for name, _ in self.variants]
+        names = [_require_string("variants", name) for name, _ in self.variants]
         if len(set(names)) != len(names):
             raise ConfigurationError("field 'variants': duplicate variant names")
 
@@ -189,7 +193,7 @@ class ExperimentConfig:
         for entry in doc.get("variants", []):
             if not isinstance(entry, dict) or "name" not in entry or "net" not in entry:
                 raise ConfigurationError("field 'variants': entries need 'name' and 'net'")
-            variants.append((str(entry["name"]), _require_object("variants", entry["net"])))
+            variants.append((entry["name"], _require_object("variants", entry["net"])))
         return cls(
             synthetic=synthetic,
             csv_path=csv_path,
@@ -197,10 +201,10 @@ class ExperimentConfig:
             stride=doc.get("stride"),
             classes=doc.get("classes"),
             train_trials=doc.get("train_trials", [1]),
-            strategies=tuple(doc.get("strategies", list(STRATEGIES))),
+            strategies=doc.get("strategies", STRATEGIES),
             repetitions=doc.get("repetitions", 5),
             seed=doc.get("seed", 0),
-            out_dir=str(doc.get("out_dir", "results")),
+            out_dir=doc.get("out_dir", "results"),
             net=_require_object("net", doc.get("net", {"kind": "dense"})),
             variants=variants,
             train=train_cfg,
@@ -210,22 +214,24 @@ class ExperimentConfig:
         )
 
 
-def _load_config(path: str) -> ExperimentConfig:
+def _read_json(path: str):
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ConfigurationError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"{path}: invalid JSON: {exc}") from None
-    return ExperimentConfig.from_dict(doc)
 
 
-def _net_template(net_doc: dict, window: int, channels: int) -> NetSpec:
+def _net_template(label: str, net_doc: dict, window: int, channels: int) -> NetSpec:
     doc = dict(net_doc)
     doc.setdefault("kind", "dense")
     doc["input_shape"] = [window, channels]
     doc["n_classes"] = 2  # replaced per task
-    return NetSpec.from_dict(doc)
+    try:
+        return NetSpec.from_dict(doc)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{label}: {exc}") from None
 
 
 def _load_data(cfg: ExperimentConfig) -> tuple[list[TimeSeriesTrial], str]:
@@ -245,13 +251,7 @@ def _load_data(cfg: ExperimentConfig) -> tuple[list[TimeSeriesTrial], str]:
 
 def cmd_synth(config_path: str, out_path: str) -> int:
     """Generate a trial CSV from a SyntheticStreamConfig JSON document."""
-    try:
-        doc = json.loads(Path(config_path).read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise ConfigurationError(f"config file not found: {config_path}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"{config_path}: invalid JSON: {exc}") from None
-    config = SyntheticStreamConfig.from_dict(doc)
+    config = SyntheticStreamConfig.from_dict(_read_json(config_path))
     trials = synthesize_stream(config)
     out = Path(out_path)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -269,16 +269,6 @@ def cmd_synth(config_path: str, out_path: str) -> int:
     return 0
 
 
-def _build_sequence(cfg: ExperimentConfig, trials: list[TimeSeriesTrial]) -> TaskSequence:
-    return TaskSequence.from_trials(
-        trials,
-        window=cfg.window,
-        stride=cfg.stride,
-        train_trials=cfg.train_trials,
-        class_order=cfg.classes,
-    )
-
-
 def cmd_run(
     config_path: str,
     out_dir: str | None = None,
@@ -286,7 +276,7 @@ def cmd_run(
     repetitions: int | None = None,
 ) -> int:
     """Run the configured strategies and write manifest, metrics and report."""
-    cfg = _load_config(config_path)
+    cfg = ExperimentConfig.from_dict(_read_json(config_path))
     if seed is not None:
         cfg.seed = seed
     if repetitions is not None:
@@ -294,16 +284,22 @@ def cmd_run(
             raise ConfigurationError(f"--repetitions must be >= 1, got {repetitions}")
         cfg.repetitions = repetitions
     trials, digest = _load_data(cfg)
-    seq = _build_sequence(cfg, trials)
+    seq = TaskSequence.from_trials(
+        trials,
+        window=cfg.window,
+        stride=cfg.stride,
+        train_trials=cfg.train_trials,
+        class_order=cfg.classes,
+    )
     del trials  # the windows hold their own copy, so the raw trials can go
-    base_net = _net_template(cfg.net, cfg.window, seq.channels)
+    base_net = _net_template("net", cfg.net, cfg.window, seq.channels)
 
     # each variant swaps the final task's classifier; "" is the primary run
     variant_nets: dict[str, object] = {"": base_net}
     if cfg.variants:
         variant_nets = {}
         for name, net_doc in cfg.variants:
-            vnet = _net_template(net_doc, cfg.window, seq.channels)
+            vnet = _net_template(f"variant {name!r}", net_doc, cfg.window, seq.channels)
             variant_nets[name] = [base_net] * (seq.n_tasks - 1) + [vnet]
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -318,28 +314,17 @@ def cmd_run(
             ewc_lambda=cfg.ewc_lambda,
             n_members=cfg.ensemble_size,
         )
-        merged: ComparisonReport | None = None
-        for strat in cfg.strategies:
-            label = strat if not vname else f"{strat}/{vname}"
-            try:
-                comp = compare_strategies(
-                    seq,
-                    settings,
-                    strategies=(strat,),
-                    repetitions=cfg.repetitions,
-                    master_seed=cfg.seed,
-                )
-            except PseudoreplayError as exc:
-                failures[label] = str(exc)
-                continue
-            if merged is None:
-                merged = comp
-            else:
-                merged.strategies.extend(comp.strategies)
-                merged.summaries.update(comp.summaries)
-                merged.runs.update(comp.runs)
-        if merged is not None:
-            comparisons[vname] = merged
+        comp = compare_strategies(
+            seq,
+            settings,
+            strategies=cfg.strategies,
+            repetitions=cfg.repetitions,
+            master_seed=cfg.seed,
+        )
+        for strat, message in comp.failures.items():
+            failures[strat if not vname else f"{strat}/{vname}"] = message
+        if comp.strategies:
+            comparisons[vname] = comp
 
     manifest = build_manifest(cfg.to_dict(), comparisons, digest, failures or None)
     atomic_write(out / "manifest.json", manifest_json(manifest))
@@ -358,7 +343,7 @@ def cmd_validate(config_path: str) -> int:
     """Check the config and its data; list violations instead of stopping at
     the first one where practical."""
     violations: list[str] = []
-    cfg = _load_config(config_path)
+    cfg = ExperimentConfig.from_dict(_read_json(config_path))
     try:
         trials, _ = _load_data(cfg)
     except (ConfigurationError, DataFormatError) as exc:
@@ -387,9 +372,9 @@ def cmd_validate(config_path: str) -> int:
     nets = [("net", cfg.net)] + [(f"variant {name!r}", doc) for name, doc in cfg.variants]
     for label, net_doc in nets:
         try:
-            _net_template(net_doc, cfg.window, trials[0].n_channels)
+            _net_template(label, net_doc, cfg.window, trials[0].n_channels)
         except ConfigurationError as exc:
-            violations.append(f"{label}: {exc}")
+            violations.append(str(exc))
 
     if violations:
         for v in violations:

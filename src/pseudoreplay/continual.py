@@ -1,7 +1,9 @@
 """Class-incremental task orchestration and strategy benchmarks.
 
 Task 0's class is the normal regime; task i (1-based) introduces the i-th
-class. Strategies:
+class. One loop, run_strategy, serves every strategy: each task builds its
+training mix, trains, then evaluates on every class seen so far. The
+strategies differ only in the mix and in whether the model is fresh:
 
 - rcl: per-class generators produce pseudo data for every previous class; a
   fresh ensemble is trained per task on {pseudo previous + raw new}.
@@ -12,17 +14,16 @@ class. Strategies:
 - baseline: retrains a fresh ensemble per task on raw data of all classes
   seen so far.
 
-Classes are relabeled to their position in the task order; every run records
-position -> original id. All randomness derives from the run seed, never from
-the strategy name, so two strategies given equal seeds share identical
-streams.
+Task 1 of finetune and ewc is the baseline's task 1. Classes are relabeled
+to their position in the task order; every run records position -> original
+id. All randomness derives from the run seed, never from the strategy name,
+so two strategies given equal seeds share identical streams.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -47,7 +48,7 @@ from .data import (
     fit_standardizer,
     window_trial,
 )
-from .errors import ConfigurationError, DataFormatError
+from .errors import ConfigurationError, DataFormatError, PseudoreplayError, require_integer
 from .generator import ClassGenerator, GenerationRequest, fit_generator, generate
 from .metrics import ConfusionMatrix, MetricReport, aggregate, confusion, metrics
 from .seeding import derive_seed
@@ -133,9 +134,7 @@ class GeneratorConfig:
             value = getattr(self, name)
             if optional and value is None:
                 continue
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
-            if value < least:
+            if require_integer(name, value) < least:
                 raise ConfigurationError(f"{name} must be >= {least}, got {value}")
 
 
@@ -159,28 +158,6 @@ class ContinualRun:
     generators: dict[int, ClassGenerator]  # position -> generator (rcl only)
     ensembles: list[Ensemble]  # one per task
     memory_footprint: int  # raw previous-class windows retained
-
-
-def _templates(seq: TaskSequence, net) -> list[NetSpec]:
-    if isinstance(net, NetSpec):
-        nets = [net] * seq.n_tasks
-    else:
-        nets = list(net)
-        if len(nets) != seq.n_tasks:
-            raise ConfigurationError(
-                f"need one net spec or {seq.n_tasks}, got {len(nets)}"
-            )
-    return nets
-
-
-def _task_spec(template: NetSpec, seq: TaskSequence, n_classes: int) -> NetSpec:
-    return replace(
-        template, input_shape=(seq.window, seq.channels), n_classes=n_classes
-    )
-
-
-def _provenance(mix: Windows) -> np.ndarray:
-    return np.column_stack([mix.y, mix.source])
 
 
 def _evaluate(ensemble: Ensemble, seq: TaskSequence, upto: int) -> tuple[ConfusionMatrix, MetricReport, float]:
@@ -214,229 +191,6 @@ def _fit_class_generator(
         ) from exc
 
 
-def run_rcl(
-    seq: TaskSequence,
-    net,
-    train_config: TrainConfig,
-    gen_config: GeneratorConfig = GeneratorConfig(),
-    seed: int = 0,
-    n_members: int = 5,
-) -> ContinualRun:
-    """Pseudo-replay: fresh ensemble per task on generated previous classes
-    plus the raw new class. Previous-class raw windows are never trained on;
-    only generator memories retain raw data."""
-    nets = _templates(seq, net)
-    generators: dict[int, ClassGenerator] = {}
-    ensembles: list[Ensemble] = []
-    tasks: list[TaskResult] = []
-    for i in range(1, seq.n_tasks + 1):
-        for pos in range(i + 1):
-            if pos not in generators:
-                generators[pos] = _fit_class_generator(seq, pos, gen_config, seed, i)
-        parts: list[Windows] = []
-        replay: dict[int, int] = {}
-        pseudo_count = gen_config.pseudo_per_class or len(seq.train[i])
-        for pos in range(i):
-            pseudo = generate(
-                generators[pos],
-                GenerationRequest(pseudo_count),
-                seed=derive_seed(seed, "replay", i, pos),
-            )
-            parts.append(pseudo)
-            replay[seq.class_ids[pos]] = pseudo_count
-        mix = Windows.concat(parts + [seq.train[i]])
-
-        ens = fit_ensemble(
-            _task_spec(nets[i - 1], seq, i + 1),
-            mix,
-            train_config,
-            seed=derive_seed(seed, "task", i),
-            n_members=n_members,
-        )
-        ensembles.append(ens)
-        cm, report, spread = _evaluate(ens, seq, i)
-        tasks.append(
-            TaskResult(
-                task_index=i,
-                class_ids=seq.class_ids[: i + 1],
-                cm=cm,
-                report=report,
-                member_f_std=spread,
-                replay_counts=replay,
-                train_provenance=_provenance(mix),
-            )
-        )
-    return ContinualRun(
-        strategy="rcl",
-        seed=seed,
-        class_ids=seq.class_ids,
-        tasks=tasks,
-        generators=generators,
-        ensembles=ensembles,
-        memory_footprint=sum(g.memory_size for g in generators.values()),
-    )
-
-
-def run_baseline(
-    seq: TaskSequence,
-    net,
-    train_config: TrainConfig,
-    seed: int = 0,
-    n_members: int = 5,
-) -> ContinualRun:
-    """Upper reference: fresh ensemble per task on raw data of every class
-    seen so far."""
-    nets = _templates(seq, net)
-    ensembles: list[Ensemble] = []
-    tasks: list[TaskResult] = []
-    for i in range(1, seq.n_tasks + 1):
-        mix = Windows.concat(seq.train[: i + 1])
-        ens = fit_ensemble(
-            _task_spec(nets[i - 1], seq, i + 1),
-            mix,
-            train_config,
-            seed=derive_seed(seed, "task", i),
-            n_members=n_members,
-        )
-        ensembles.append(ens)
-        cm, report, spread = _evaluate(ens, seq, i)
-        tasks.append(
-            TaskResult(
-                task_index=i,
-                class_ids=seq.class_ids[: i + 1],
-                cm=cm,
-                report=report,
-                member_f_std=spread,
-                replay_counts={},
-                train_provenance=_provenance(mix),
-            )
-        )
-    return ContinualRun(
-        strategy="baseline",
-        seed=seed,
-        class_ids=seq.class_ids,
-        tasks=tasks,
-        generators={},
-        ensembles=ensembles,
-        memory_footprint=sum(len(t) for t in seq.train),
-    )
-
-
-def _run_sequential(
-    seq: TaskSequence,
-    net,
-    train_config: TrainConfig,
-    seed: int,
-    n_members: int,
-    lam: float | None,
-    strategy: str,
-) -> ContinualRun:
-    """Shared engine for finetune (lam None) and ewc (lam float).
-
-    A lam of 0.0 still computes Fisher snapshots but contributes no term to
-    the loss, so its parameter trajectory is bit-identical to finetune under
-    the same seed.
-    """
-    nets = _templates(seq, net)
-    # the carried ensemble can only grow its head, not change architecture
-    base = replace(nets[0], n_classes=2, seed=0)
-    for candidate in nets[1:]:
-        if replace(candidate, n_classes=2, seed=0) != base:
-            raise ConfigurationError(
-                f"{strategy} carries one model across tasks and cannot switch"
-                " architectures; per-task net specs must match"
-            )
-    ensembles: list[Ensemble] = []
-    tasks: list[TaskResult] = []
-
-    mix = Windows.concat(seq.train[:2])
-    ens = fit_ensemble(
-        _task_spec(nets[0], seq, 2),
-        mix,
-        train_config,
-        seed=derive_seed(seed, "task", 1),
-        n_members=n_members,
-    )
-    ensembles.append(ens)
-    cm, report, spread = _evaluate(ens, seq, 1)
-    tasks.append(
-        TaskResult(1, seq.class_ids[:2], cm, report, spread, {}, _provenance(mix))
-    )
-
-    anchors: list[np.ndarray] | None = None
-    fishers: list[np.ndarray] | None = None
-
-    def snapshot(current: Ensemble, training_mix: Windows):
-        standardized = apply_standardizer(current.standardizer, training_mix)
-        thetas = [m.parameters.copy() for m in current.members]
-        fish = [fisher_diagonal(m, standardized) for m in current.members]
-        return thetas, fish
-
-    if lam is not None and seq.n_tasks >= 2:
-        anchors, fishers = snapshot(ens, mix)
-
-    for i in range(2, seq.n_tasks + 1):
-        # the carried model sees only raw normal data plus the newest class
-        mix = Windows.concat([seq.train[0], seq.train[i]])
-        standardizer = fit_standardizer(mix)
-        standardized = apply_standardizer(standardizer, mix)
-        new_members = []
-        for m_idx, member in enumerate(ens.members):
-            extended = extend_output(member, 1, derive_seed(seed, "head", i, m_idx))
-            penalty = None
-            if lam is not None:
-                penalty = EWCPenalty(
-                    lam=lam,
-                    theta_star=pad_parameters(member.spec, extended.spec, anchors[m_idx]),
-                    fisher=pad_parameters(member.spec, extended.spec, fishers[m_idx]),
-                )
-            member_cfg = replace(
-                train_config, shuffle_seed=derive_seed(seed, "task", i, "shuffle", m_idx)
-            )
-            new_members.append(train(extended, standardized, member_cfg, penalty).model)
-        ens = Ensemble(members=new_members, standardizer=standardizer)
-        ensembles.append(ens)
-        if lam is not None and i < seq.n_tasks:
-            anchors, fishers = snapshot(ens, mix)
-        cm, report, spread = _evaluate(ens, seq, i)
-        tasks.append(
-            TaskResult(i, seq.class_ids[: i + 1], cm, report, spread, {}, _provenance(mix))
-        )
-
-    return ContinualRun(
-        strategy=strategy,
-        seed=seed,
-        class_ids=seq.class_ids,
-        tasks=tasks,
-        generators={},
-        ensembles=ensembles,
-        memory_footprint=len(seq.train[0]) if seq.n_tasks >= 2 else 0,
-    )
-
-
-def run_finetune(
-    seq: TaskSequence,
-    net,
-    train_config: TrainConfig,
-    seed: int = 0,
-    n_members: int = 5,
-) -> ContinualRun:
-    return _run_sequential(seq, net, train_config, seed, n_members, None, "finetune")
-
-
-def run_ewc(
-    seq: TaskSequence,
-    net,
-    train_config: TrainConfig,
-    lam: float = 100.0,
-    seed: int = 0,
-    n_members: int = 5,
-) -> ContinualRun:
-    if not math.isfinite(lam) or lam < 0:
-        raise ConfigurationError(f"lam must be finite and >= 0, got {lam}")
-    return _run_sequential(seq, net, train_config, seed, n_members, lam, "ewc")
-
-
 @dataclass(frozen=True)
 class RunSettings:
     """Everything a strategy run needs besides the sequence and seed."""
@@ -447,19 +201,138 @@ class RunSettings:
     ewc_lambda: float = 100.0
     n_members: int = 5
 
+    def __post_init__(self):
+        if not math.isfinite(self.ewc_lambda) or self.ewc_lambda < 0:
+            raise ConfigurationError(
+                f"ewc_lambda must be finite and >= 0, got {self.ewc_lambda}"
+            )
+
+
+def _carry_forward(
+    ens: Ensemble,
+    mix: Windows,
+    settings: RunSettings,
+    seed: int,
+    task_index: int,
+    snapshot: tuple[list[np.ndarray], list[np.ndarray]] | None,
+) -> Ensemble:
+    """Extend each member's head by one class and continue training on mix,
+    anchored to snapshot's (parameters, Fisher diagonals) when given."""
+    standardizer = fit_standardizer(mix)
+    standardized = apply_standardizer(standardizer, mix)
+    members = []
+    for m_idx, member in enumerate(ens.members):
+        extended = extend_output(member, 1, derive_seed(seed, "head", task_index, m_idx))
+        penalty = None
+        if snapshot is not None:
+            anchors, fishers = snapshot
+            penalty = EWCPenalty(
+                lam=settings.ewc_lambda,
+                theta_star=pad_parameters(member.spec, extended.spec, anchors[m_idx]),
+                fisher=pad_parameters(member.spec, extended.spec, fishers[m_idx]),
+            )
+        member_cfg = replace(
+            settings.train, shuffle_seed=derive_seed(seed, "task", task_index, "shuffle", m_idx)
+        )
+        members.append(train(extended, standardized, member_cfg, penalty).model)
+    return Ensemble(members=members, standardizer=standardizer)
+
 
 def run_strategy(
     strategy: str, seq: TaskSequence, settings: RunSettings, seed: int
 ) -> ContinualRun:
+    """Run one strategy over every task of seq.
+
+    Each task builds its training mix, trains, then evaluates on every class
+    seen so far. finetune and ewc carry task 1's ensemble forward; ewc
+    anchors it to a Fisher snapshot of the task before. A lam of 0.0 still
+    takes the snapshots but adds no term to the loss, so its parameter
+    trajectory is bit-identical to finetune under the same seed.
+    """
+    if strategy not in STRATEGIES:
+        raise ConfigurationError(f"unknown strategy {strategy!r}; choose from {STRATEGIES}")
+    nets = [settings.net] * seq.n_tasks if isinstance(settings.net, NetSpec) else list(settings.net)
+    if len(nets) != seq.n_tasks:
+        raise ConfigurationError(f"need one net spec or {seq.n_tasks}, got {len(nets)}")
+    carried = strategy in ("finetune", "ewc")
+    if carried and any(
+        replace(net, n_classes=2, seed=0) != replace(nets[0], n_classes=2, seed=0) for net in nets
+    ):
+        raise ConfigurationError(
+            f"{strategy} carries one model across tasks and cannot switch"
+            " architectures; per-task net specs must match"
+        )
+    generators: dict[int, ClassGenerator] = {}
+    ensembles: list[Ensemble] = []
+    tasks: list[TaskResult] = []
+    snapshot = None
+    for i in range(1, seq.n_tasks + 1):
+        carry = carried and i > 1
+        replay: dict[int, int] = {}
+        if strategy == "rcl":
+            # pseudo data for every previous class, plus the raw new class
+            for pos in range(i + 1):
+                if pos not in generators:
+                    generators[pos] = _fit_class_generator(seq, pos, settings.generator, seed, i)
+            pseudo_count = settings.generator.pseudo_per_class or len(seq.train[i])
+            parts = []
+            for pos in range(i):
+                parts.append(generate(
+                    generators[pos],
+                    GenerationRequest(pseudo_count),
+                    seed=derive_seed(seed, "replay", i, pos),
+                ))
+                replay[seq.class_ids[pos]] = pseudo_count
+            mix = Windows.concat(parts + [seq.train[i]])
+        elif carry:
+            # the carried model sees only raw normal data plus the newest class
+            mix = Windows.concat([seq.train[0], seq.train[i]])
+        else:
+            mix = Windows.concat(seq.train[: i + 1])
+
+        if carry:
+            ens = _carry_forward(ensembles[-1], mix, settings, seed, i, snapshot)
+        else:
+            ens = fit_ensemble(
+                replace(nets[i - 1], input_shape=(seq.window, seq.channels), n_classes=i + 1),
+                mix,
+                settings.train,
+                seed=derive_seed(seed, "task", i),
+                n_members=settings.n_members,
+            )
+        ensembles.append(ens)
+        if strategy == "ewc" and i < seq.n_tasks:
+            standardized = apply_standardizer(ens.standardizer, mix)
+            snapshot = (
+                [m.parameters.copy() for m in ens.members],
+                [fisher_diagonal(m, standardized) for m in ens.members],
+            )
+        cm, report, spread = _evaluate(ens, seq, i)
+        tasks.append(TaskResult(
+            task_index=i,
+            class_ids=seq.class_ids[: i + 1],
+            cm=cm,
+            report=report,
+            member_f_std=spread,
+            replay_counts=replay,
+            train_provenance=np.column_stack([mix.y, mix.source]),
+        ))
+
     if strategy == "rcl":
-        return run_rcl(seq, settings.net, settings.train, settings.generator, seed, settings.n_members)
-    if strategy == "ewc":
-        return run_ewc(seq, settings.net, settings.train, settings.ewc_lambda, seed, settings.n_members)
-    if strategy == "finetune":
-        return run_finetune(seq, settings.net, settings.train, seed, settings.n_members)
-    if strategy == "baseline":
-        return run_baseline(seq, settings.net, settings.train, seed, settings.n_members)
-    raise ConfigurationError(f"unknown strategy {strategy!r}; choose from {STRATEGIES}")
+        footprint = sum(g.memory_size for g in generators.values())
+    elif strategy == "baseline":
+        footprint = sum(len(t) for t in seq.train)
+    else:
+        footprint = len(seq.train[0]) if seq.n_tasks >= 2 else 0
+    return ContinualRun(
+        strategy=strategy,
+        seed=seed,
+        class_ids=seq.class_ids,
+        tasks=tasks,
+        generators=generators,
+        ensembles=ensembles,
+        memory_footprint=footprint,
+    )
 
 
 @dataclass(eq=False)
@@ -479,6 +352,7 @@ class ComparisonReport:
     strategies: list[str]
     summaries: dict[str, StrategySummary]
     runs: dict[str, list[ContinualRun]]
+    failures: dict[str, str] = field(default_factory=dict)  # strategy -> message
 
 
 def compare_strategies(
@@ -493,7 +367,9 @@ def compare_strategies(
     repetition) and aggregate per-task metrics across repetitions.
 
     rep_seeds overrides derivation with explicit per-repetition seeds shared
-    by all strategies (useful for paired comparisons).
+    by all strategies (useful for paired comparisons). A strategy whose run
+    raises PseudoreplayError is recorded in failures with the message and
+    left out of strategies, summaries and runs; the others still run.
     """
     if repetitions < 1:
         raise ConfigurationError(f"repetitions must be >= 1, got {repetitions}")
@@ -507,13 +383,18 @@ def compare_strategies(
 
     runs: dict[str, list[ContinualRun]] = {}
     summaries: dict[str, StrategySummary] = {}
+    failures: dict[str, str] = {}
     for strat in strategies:
         strat_runs = []
-        for r in range(repetitions):
-            seed = rep_seeds[r] if rep_seeds is not None else derive_seed(
-                master_seed, "strategy", strat, "rep", r
-            )
-            strat_runs.append(run_strategy(strat, seq, settings, seed))
+        try:
+            for r in range(repetitions):
+                seed = rep_seeds[r] if rep_seeds is not None else derive_seed(
+                    master_seed, "strategy", strat, "rep", r
+                )
+                strat_runs.append(run_strategy(strat, seq, settings, seed))
+        except PseudoreplayError as exc:
+            failures[strat] = str(exc)
+            continue
         runs[strat] = strat_runs
 
         per_task_mean, per_task_std, spread = [], [], []
@@ -533,9 +414,10 @@ def compare_strategies(
     return ComparisonReport(
         class_ids=seq.class_ids,
         repetitions=repetitions,
-        strategies=list(strategies),
+        strategies=list(runs),
         summaries=summaries,
         runs=runs,
+        failures=failures,
     )
 
 

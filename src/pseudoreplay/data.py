@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigurationError, DataFormatError
+from .errors import ConfigurationError, DataFormatError, require_integer
 
 # trial_id used to tag generator output in Windows.source
 SYNTHETIC_TRIAL_ID = -1
@@ -37,7 +37,6 @@ class TimeSeriesTrial:
     class_id: int
     trial_id: int
     channels: np.ndarray
-    sample_rate_hz: float = 1.0
 
     def __post_init__(self):
         self.channels = np.asarray(self.channels, dtype=float)
@@ -58,8 +57,6 @@ class TimeSeriesTrial:
             raise DataFormatError(f"class_id must be >= 0, got {self.class_id}")
         if self.trial_id < 1:
             raise DataFormatError(f"trial_id must be >= 1, got {self.trial_id}")
-        if self.sample_rate_hz <= 0:
-            raise ConfigurationError(f"sample_rate_hz must be > 0, got {self.sample_rate_hz}")
 
     @property
     def length(self) -> int:
@@ -190,24 +187,14 @@ def fit_standardizer(windows: Windows) -> StandardizationParams:
     return StandardizationParams(mean=mean, std=sd)
 
 
-def _flat_features(params: StandardizationParams, windows: Windows) -> np.ndarray:
+def apply_standardizer(params: StandardizationParams, windows: Windows) -> Windows:
+    """Standardized copy, (x - mean) / std per feature; y and source are kept."""
     n, w, c = windows.x.shape
     if w * c != params.mean.shape[0]:
         raise ConfigurationError(
             f"standardizer expects {params.mean.shape[0]} features, window has {w * c}"
         )
-    return windows.x.reshape(n, w * c)
-
-
-def apply_standardizer(params: StandardizationParams, windows: Windows) -> Windows:
-    """Standardized copy, (x - mean) / std per feature; y and source are kept."""
-    flat = (_flat_features(params, windows) - params.mean) / params.std
-    return Windows(flat.reshape(windows.x.shape), windows.y, windows.source)
-
-
-def invert_standardizer(params: StandardizationParams, windows: Windows) -> Windows:
-    """Undo apply_standardizer: x * std + mean."""
-    flat = _flat_features(params, windows) * params.std + params.mean
+    flat = (windows.x.reshape(n, w * c) - params.mean) / params.std
     return Windows(flat.reshape(windows.x.shape), windows.y, windows.source)
 
 
@@ -445,14 +432,11 @@ class SyntheticStreamConfig:
                 )
                 for s in doc["class_signals"]
             )
-            return cls(
-                n_classes=int(doc["n_classes"]),
-                channels=int(doc["channels"]),
-                trial_length=int(doc["trial_length"]),
-                trials_per_class=int(doc["trials_per_class"]),
-                class_signals=signals,
-                seed=int(doc["seed"]),
-            )
+            sizes = {
+                name: require_integer(f"field 'data.synthetic.{name}':", doc[name])
+                for name in ("n_classes", "channels", "trial_length", "trials_per_class", "seed")
+            }
+            return cls(class_signals=signals, **sizes)
         except (KeyError, TypeError) as exc:
             raise ConfigurationError(f"bad synthetic stream config: {exc}") from None
 

@@ -1,8 +1,10 @@
-"""Exception taxonomy shared across the package.
+"""Exception taxonomy shared across the package, and its one integer check.
 
 ConfigurationError and DataFormatError map to CLI exit status 2 (bad inputs);
 everything else that escapes a run maps to exit status 1 (runtime failure).
 """
+
+import numbers
 
 
 class PseudoreplayError(Exception):
@@ -19,3 +21,11 @@ class DataFormatError(PseudoreplayError, ValueError):
 
 class TrainingError(PseudoreplayError, RuntimeError):
     """Training diverged or could not proceed."""
+
+
+def require_integer(what: str, value) -> int:
+    """value as an int; anything but a non-bool integral raises
+    ConfigurationError("<what> must be an integer, got <value>")."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigurationError(f"{what} must be an integer, got {value!r}")
+    return int(value)

@@ -156,15 +156,6 @@ def fit_generator(
     )
 
 
-def nearest_neighbors(gen: ClassGenerator, index: int) -> list[int]:
-    """Stored neighbour indices of memory[index], nearest first."""
-    if not 0 <= index < gen.memory_size:
-        raise ConfigurationError(
-            f"index {index} out of range for memory of size {gen.memory_size}"
-        )
-    return [int(i) for i in gen.neighbors[index]]
-
-
 def generate(
     gen: ClassGenerator, request: GenerationRequest, seed: int | None = None
 ) -> Windows:

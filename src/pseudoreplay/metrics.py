@@ -113,14 +113,6 @@ def metrics(cm: ConfusionMatrix) -> MetricReport:
     )
 
 
-def accuracy(cm: ConfusionMatrix) -> float:
-    """Micro accuracy: trace over total count."""
-    total = cm.total
-    if total == 0:
-        raise ValueError("confusion matrix is all zero")
-    return float(np.trace(cm.counts) / total)
-
-
 def aggregate(reports: list[MetricReport]) -> tuple[MetricReport, MetricReport]:
     """Elementwise mean and population std across reports of equal class count.
 

@@ -39,9 +39,7 @@ from pseudoreplay import (
     init_model,
     loss_and_gradient,
     metrics,
-    run_ewc,
-    run_finetune,
-    run_rcl,
+    run_strategy,
     synthesize_stream,
 )
 from pseudoreplay.classifier import pad_parameters
@@ -249,8 +247,8 @@ def test_gate_3_anchored_training_degeneracy_and_freezing(capsys, small_seq):
     net = NetSpec(kind="dense", input_shape=(50, 2), n_classes=2, hidden=(16, 8))
     fast = TrainConfig(epochs=40, batch_size=16, learning_rate=0.01)
 
-    zero = run_ewc(small_seq, net, fast, lam=0.0, seed=5, n_members=3)
-    plain = run_finetune(small_seq, net, fast, seed=5, n_members=3)
+    zero = run_strategy("ewc", small_seq, RunSettings(net, fast, ewc_lambda=0.0, n_members=3), seed=5)
+    plain = run_strategy("finetune", small_seq, RunSettings(net, fast, n_members=3), seed=5)
     for ens_z, ens_p in zip(zero.ensembles, plain.ensembles):
         for mz, mp in zip(ens_z.members, ens_p.members, strict=True):
             if not np.array_equal(mz.parameters, mp.parameters):
@@ -259,7 +257,7 @@ def test_gate_3_anchored_training_degeneracy_and_freezing(capsys, small_seq):
 
     # intermediate anchor weights only need to train through cleanly
     for lam in (1.0, 100.0):
-        run = run_ewc(small_seq, net, fast, lam=lam, seed=5, n_members=2)
+        run = run_strategy("ewc", small_seq, RunSettings(net, fast, ewc_lambda=lam, n_members=2), seed=5)
         if not all(np.isfinite(t.report.macro_f) for t in run.tasks):
             problems.append(f"weight {lam}: non-finite report")
 
@@ -268,13 +266,16 @@ def test_gate_3_anchored_training_degeneracy_and_freezing(capsys, small_seq):
     trials = synthesize_stream(default_synthetic_config(seed=11, trial_length=450, trials_per_class=2))
     toy_seq = TaskSequence.from_trials(trials, window=50)
     toy_net = NetSpec(kind="dense", input_shape=(50, 2), n_classes=2, hidden=(8, 4))
-    frozen = run_ewc(
+    frozen = run_strategy(
+        "ewc",
         toy_seq,
-        toy_net,
-        TrainConfig(epochs=2, batch_size=16, learning_rate=1e-12, optimizer="sgd"),
-        lam=1e9,
+        RunSettings(
+            toy_net,
+            TrainConfig(epochs=2, batch_size=16, learning_rate=1e-12, optimizer="sgd"),
+            ewc_lambda=1e9,
+            n_members=2,
+        ),
         seed=3,
-        n_members=2,
     )
     moved = _max_shared_movement(frozen)
     if not 0.0 < moved < 1e-3:
@@ -336,7 +337,8 @@ def test_gate_5_replay_purity_and_memory_accounting(capsys, benchmark_seq, bench
             problems.append(f"repetition {r}: {memory.violations[0]}")
 
     budget = GeneratorConfig(memory_budget=40)
-    run = run_rcl(benchmark_seq, _benchmark_net(), TrainConfig(), budget, seed=0, n_members=5)
+    settings = RunSettings(_benchmark_net(), TrainConfig(), budget, n_members=5)
+    run = run_strategy("rcl", benchmark_seq, settings, seed=0)
     if not audit_replay_purity(run).clean:
         problems.append("budgeted run leaked raw previous-class data")
     if not audit_memory(run, budget).clean:

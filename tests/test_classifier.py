@@ -18,11 +18,9 @@ from pseudoreplay import (
     forward,
     init_model,
     load_ensemble,
-    load_model,
     loss_and_gradient,
     predict,
     save_ensemble,
-    save_model,
     train,
 )
 from pseudoreplay.classifier import (
@@ -639,18 +637,6 @@ def test_fit_ensemble_members_differ_and_are_deterministic():
 # ----------------------------------------------------------------- checkpoints
 
 
-def test_model_checkpoint_round_trip(tmp_path):
-    samples = cluster_samples(6, seed=10)
-    spec = NetSpec(kind="dense", input_shape=(2, 1), n_classes=2, hidden=(4, 3), seed=6)
-    result = train(init_model(spec), samples, TrainConfig(epochs=3, batch_size=4, learning_rate=0.01))
-    path = tmp_path / "model.json"
-    save_model(path, result.model)
-    loaded, std = load_model(path)
-    assert std is None
-    assert loaded.spec == spec
-    np.testing.assert_array_equal(loaded.parameters, result.model.parameters)
-
-
 def test_ensemble_checkpoint_round_trip(tmp_path):
     samples = cluster_samples(6, seed=11)
     spec = NetSpec(kind="dense", input_shape=(2, 1), n_classes=2, hidden=(4, 3))
@@ -669,6 +655,9 @@ def test_checkpoint_parameter_count_is_verified(tmp_path):
 
     spec = dense_spec()
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"spec": spec.to_dict(), "standardizer": None, "parameters": [0.0, 1.0]}))
+    path.write_text(json.dumps({
+        "standardizer": {"mean": [0.0], "std": [1.0]},
+        "members": [{"spec": spec.to_dict(), "parameters": [0.0, 1.0]}],
+    }))
     with pytest.raises(ConfigurationError, match="parameters"):
-        load_model(path)
+        load_ensemble(path)

@@ -32,6 +32,11 @@ def run_config_doc(**overrides) -> dict:
     return doc
 
 
+def synthetic_override(**fields) -> dict:
+    """A run-config override replacing fields of the synthetic stream."""
+    return {"data": {"synthetic": {**small_data_doc()["synthetic"], **fields}}}
+
+
 def write_json(path, doc) -> str:
     path.write_text(json.dumps(doc), encoding="utf-8")
     return str(path)
@@ -218,12 +223,19 @@ def test_run_rejects_bad_generator_values_before_training(tmp_path, capsys, gen_
         ({"ewc_lambda": float("inf")}, "ewc_lambda"),
         ({"net": "dense"}, "net"),
         ({"variants": [{"name": "a", "net": "dense"}]}, "variants"),
+        ({"strategies": "rcl"}, "strategies"),
+        ({"out_dir": 5}, "out_dir"),
+        ({"variants": [{"name": 3, "net": {"kind": "dense"}}]}, "variants"),
+        (synthetic_override(trial_length=300.7), "data.synthetic.trial_length"),
+        (synthetic_override(channels="2"), "data.synthetic.channels"),
+        (synthetic_override(trials_per_class=True), "data.synthetic.trials_per_class"),
+        (synthetic_override(seed=1.5), "data.synthetic.seed"),
     ],
 )
 def test_wrongly_typed_config_values_exit_2_naming_the_field(
     tmp_path, capsys, command, override, field
 ):
-    doc = run_config_doc(strategies=["baseline", "ewc"], **override)
+    doc = run_config_doc(**{"strategies": ["baseline", "ewc"], **override})
     cfg = write_json(tmp_path / "exp.json", doc)
     out = tmp_path / "r"
     argv = [command, "--config", cfg] + (["--out", str(out)] if command == "run" else [])
@@ -326,6 +338,14 @@ def test_validate_surfaces_data_format_errors(tmp_path, capsys):
             {"variants": [{"name": "wide", "net": {"kind": "conv", "conv": [[4, 60, 1], [8, 5, 1]]}}]},
             "violation: variant 'wide': kernel 60 exceeds input length 50",
         ),
+        (
+            {"net": {"kind": "dense", "hidden": ["a", 4]}},
+            "violation: net: hidden must be an integer, got 'a'",
+        ),
+        (
+            {"net": {"kind": "conv", "conv": "x"}},
+            "violation: net: conv must be an integer, got 'x'",
+        ),
     ],
 )
 def test_validate_builds_the_nets_run_builds(tmp_path, capsys, override, needle):
@@ -334,6 +354,7 @@ def test_validate_builds_the_nets_run_builds(tmp_path, capsys, override, needle)
     assert needle in capsys.readouterr().out
     out = tmp_path / "r"
     assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    assert needle.removeprefix("violation: ") in capsys.readouterr().err
     assert not out.exists()  # rejected before any training
 
 

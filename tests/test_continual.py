@@ -12,10 +12,6 @@ from pseudoreplay import (
     compare_strategies,
     default_synthetic_config,
     generate,
-    run_baseline,
-    run_ewc,
-    run_finetune,
-    run_rcl,
     run_strategy,
     synthesize_stream,
 )
@@ -33,6 +29,12 @@ def small_net(n_classes: int = 2) -> NetSpec:
 
 
 FAST = TrainConfig(epochs=40, batch_size=16, learning_rate=0.01)
+
+
+def strategy_run(strategy: str, seq, seed: int, **settings):
+    """run_strategy with RunSettings defaulting to small_net() and FAST."""
+    settings = {"net": small_net(), "train": FAST, **settings}
+    return run_strategy(strategy, seq, RunSettings(**settings), seed=seed)
 
 
 def shared_movement(run) -> float:
@@ -90,7 +92,7 @@ def test_sequence_window_longer_than_trials_fails(small_stream_config):
 def test_single_anomaly_run_structure(small_seq, small_stream_config):
     trials = synthesize_stream(small_stream_config)
     two_class = TaskSequence.from_trials(trials, window=50, class_order=[0, 1])
-    run = run_rcl(two_class, small_net(), FAST, seed=1, n_members=2)
+    run = strategy_run("rcl", two_class, seed=1, n_members=2)
     assert sorted(run.generators) == [0, 1]
     assert len(run.ensembles) == 1
     assert run.ensembles[0].n_classes == 2
@@ -98,13 +100,13 @@ def test_single_anomaly_run_structure(small_seq, small_stream_config):
 
 
 def test_well_separated_sequence_keeps_high_scores(small_seq):
-    run = run_rcl(small_seq, small_net(), FAST, seed=5, n_members=3)
+    run = strategy_run("rcl", small_seq, seed=5, n_members=3)
     assert run.tasks[1].report.macro_f >= 0.95
     assert run.tasks[0].report.macro_f >= 0.95
 
 
 def test_replay_mix_is_pure_and_counted(small_seq):
-    run = run_rcl(small_seq, small_net(), FAST, seed=5, n_members=3)
+    run = strategy_run("rcl", small_seq, seed=5, n_members=3)
     audit = audit_replay_purity(run)
     assert audit.clean, audit.violations
     # task 2 trains on pseudo windows for both previous positions
@@ -118,7 +120,7 @@ def test_replay_mix_is_pure_and_counted(small_seq):
 
 
 def test_purity_audit_flags_planted_raw_leakage(small_seq):
-    run = run_rcl(small_seq, small_net(), FAST, seed=5, n_members=2)
+    run = strategy_run("rcl", small_seq, seed=5, n_members=2)
     run.tasks[1].train_provenance[0] = (0, 1, 0)  # raw window of an old class
     audit = audit_replay_purity(run)
     assert not audit.clean
@@ -127,7 +129,7 @@ def test_purity_audit_flags_planted_raw_leakage(small_seq):
 
 def test_memory_audit_checks_footprint_and_budgets(small_seq):
     gen_cfg = GeneratorConfig(memory_budget=5)
-    run = run_rcl(small_seq, small_net(), FAST, gen_cfg, seed=5, n_members=2)
+    run = strategy_run("rcl", small_seq, seed=5, generator=gen_cfg, n_members=2)
     assert all(g.memory_size == 5 for g in run.generators.values())
     assert run.memory_footprint == 15
     assert audit_memory(run, gen_cfg).clean
@@ -140,8 +142,8 @@ def test_memory_audit_checks_footprint_and_budgets(small_seq):
 
 
 def test_pseudo_set_size_override(small_seq):
-    run = run_rcl(
-        small_seq, small_net(), FAST, GeneratorConfig(pseudo_per_class=4), seed=5, n_members=2
+    run = strategy_run(
+        "rcl", small_seq, seed=5, generator=GeneratorConfig(pseudo_per_class=4), n_members=2
     )
     assert run.tasks[1].replay_counts == {0: 4, 1: 4}
 
@@ -165,7 +167,7 @@ def test_generator_config_validation():
 
 def test_replay_draws_differ_across_tasks(small_seq):
     # the same generator is asked for fresh draws at every task
-    run = run_rcl(small_seq, small_net(), FAST, seed=5, n_members=2)
+    run = strategy_run("rcl", small_seq, seed=5, n_members=2)
     gen = run.generators[0]
     first = generate(gen, GenerationRequest(9), seed=derive_seed(5, "replay", 1, 0))
     second = generate(gen, GenerationRequest(9), seed=derive_seed(5, "replay", 2, 0))
@@ -173,14 +175,14 @@ def test_replay_draws_differ_across_tasks(small_seq):
 
 
 def test_rcl_task1_tracks_baseline_on_separable_data(small_seq):
-    rcl = run_rcl(small_seq, small_net(), FAST, seed=5, n_members=3)
-    base = run_baseline(small_seq, small_net(), FAST, seed=5, n_members=3)
+    rcl = strategy_run("rcl", small_seq, seed=5, n_members=3)
+    base = strategy_run("baseline", small_seq, seed=5, n_members=3)
     assert abs(rcl.tasks[0].report.macro_f - base.tasks[0].report.macro_f) < 0.05
 
 
 def test_rcl_is_deterministic(small_seq):
-    a = run_rcl(small_seq, small_net(), FAST, seed=9, n_members=2)
-    b = run_rcl(small_seq, small_net(), FAST, seed=9, n_members=2)
+    a = strategy_run("rcl", small_seq, seed=9, n_members=2)
+    b = strategy_run("rcl", small_seq, seed=9, n_members=2)
     for ta, tb in zip(a.tasks, b.tasks):
         np.testing.assert_array_equal(ta.cm.counts, tb.cm.counts)
     for ea, eb in zip(a.ensembles, b.ensembles):
@@ -191,15 +193,16 @@ def test_rcl_is_deterministic(small_seq):
 def test_generator_failure_names_task_and_class(small_stream_config):
     trials = synthesize_stream(small_stream_config)
     seq = TaskSequence.from_trials(trials, window=450)  # 1 window per trial
+    net = NetSpec(kind="dense", input_shape=(450, 2), n_classes=2, hidden=(4, 3))
     with pytest.raises(DataFormatError, match=r"task 1: generator for class 0"):
-        run_rcl(seq, NetSpec(kind="dense", input_shape=(450, 2), n_classes=2, hidden=(4, 3)), FAST, seed=0, n_members=1)
+        strategy_run("rcl", seq, seed=0, net=net, n_members=1)
 
 
 # ------------------------------------------------------- sequential strategies
 
 
 def test_finetune_task1_equals_a_plain_ensemble(small_seq):
-    run = run_finetune(small_seq, small_net(), FAST, seed=5, n_members=3)
+    run = strategy_run("finetune", small_seq, seed=5, n_members=3)
     mix = Windows.concat([small_seq.train[0], small_seq.train[1]])
     plain = fit_ensemble(
         NetSpec(kind="dense", input_shape=(50, 2), n_classes=2, hidden=(16, 8)),
@@ -213,8 +216,8 @@ def test_finetune_task1_equals_a_plain_ensemble(small_seq):
 
 
 def test_finetune_forgets_the_middle_class(small_seq):
-    ft = run_finetune(small_seq, small_net(), FAST, seed=5, n_members=3)
-    rcl = run_rcl(small_seq, small_net(), FAST, seed=5, n_members=3)
+    ft = strategy_run("finetune", small_seq, seed=5, n_members=3)
+    rcl = strategy_run("rcl", small_seq, seed=5, n_members=3)
     drop = rcl.tasks[1].report.recall[1] - ft.tasks[1].report.recall[1]
     assert drop >= 0.2
     assert ft.tasks[0].report.macro_f >= 0.95  # task 1 itself is easy
@@ -222,7 +225,7 @@ def test_finetune_forgets_the_middle_class(small_seq):
 
 
 def test_finetune_trains_on_normal_plus_newest_only(small_seq):
-    ft = run_finetune(small_seq, small_net(), FAST, seed=5, n_members=2)
+    ft = strategy_run("finetune", small_seq, seed=5, n_members=2)
     positions = {p[0] for p in ft.tasks[1].train_provenance}
     assert positions == {0, 2}
     assert all(p[1] != SYNTHETIC_TRIAL_ID for p in ft.tasks[1].train_provenance)
@@ -230,8 +233,8 @@ def test_finetune_trains_on_normal_plus_newest_only(small_seq):
 
 
 def test_zero_weight_anchor_is_bitwise_finetune(small_seq):
-    ewc = run_ewc(small_seq, small_net(), FAST, lam=0.0, seed=5, n_members=3)
-    ft = run_finetune(small_seq, small_net(), FAST, seed=5, n_members=3)
+    ewc = strategy_run("ewc", small_seq, seed=5, ewc_lambda=0.0, n_members=3)
+    ft = strategy_run("finetune", small_seq, seed=5, n_members=3)
     for ea, eb in zip(ewc.ensembles, ft.ensembles):
         for ma, mb in zip(ea.members, eb.members, strict=True):
             np.testing.assert_array_equal(ma.parameters, mb.parameters)
@@ -247,11 +250,12 @@ def test_huge_anchor_weight_freezes_shared_parameters(small_stream_config):
     seq = TaskSequence.from_trials(trials, window=50)
     net = NetSpec(kind="dense", input_shape=(50, 2), n_classes=2, hidden=(8, 4))
     frozen_cfg = TrainConfig(epochs=2, batch_size=16, learning_rate=1e-12, optimizer="sgd")
-    frozen = run_ewc(seq, net, frozen_cfg, lam=1e9, seed=3, n_members=2)
+    frozen = strategy_run("ewc", seq, seed=3, net=net, train=frozen_cfg, ewc_lambda=1e9, n_members=2)
     movement = shared_movement(frozen)
     assert 0.0 < movement < 1e-3
 
-    contrast = run_ewc(seq, net, TrainConfig(epochs=3, batch_size=16, learning_rate=0.01), lam=0.0, seed=3, n_members=2)
+    plain_cfg = TrainConfig(epochs=3, batch_size=16, learning_rate=0.01)
+    contrast = strategy_run("ewc", seq, seed=3, net=net, train=plain_cfg, ewc_lambda=0.0, n_members=2)
     assert shared_movement(contrast) > 1e-3
 
 
@@ -262,37 +266,37 @@ def test_moderate_anchor_weight_trades_plasticity_for_retention():
     net = NetSpec(kind="dense", input_shape=(50, 2), n_classes=2, hidden=(32, 16))
     light = TrainConfig(epochs=3, batch_size=16, learning_rate=0.01)
 
-    ewc = run_ewc(seq, net, light, lam=1e6, seed=5, n_members=3)
-    ft = run_finetune(seq, net, light, seed=5, n_members=3)
-    base = run_baseline(seq, net, light, seed=5, n_members=3)
+    ewc = strategy_run("ewc", seq, seed=5, net=net, train=light, ewc_lambda=1e6, n_members=3)
+    ft = strategy_run("finetune", seq, seed=5, net=net, train=light, n_members=3)
+    base = strategy_run("baseline", seq, seed=5, net=net, train=light, n_members=3)
 
     assert ewc.tasks[1].report.recall[1] > ft.tasks[1].report.recall[1]
     assert ewc.tasks[1].report.f_score[2] < base.tasks[1].report.f_score[2]
 
 
-def test_negative_anchor_weight_rejected(small_seq):
+def test_negative_anchor_weight_rejected():
     with pytest.raises(ConfigurationError):
-        run_ewc(small_seq, small_net(), FAST, lam=-1.0)
+        RunSettings(net=small_net(), train=FAST, ewc_lambda=-1.0)
 
 
 @pytest.mark.parametrize("lam", [float("nan"), float("inf")])
-def test_non_finite_anchor_weight_rejected_before_training(small_seq, lam):
+def test_non_finite_anchor_weight_rejected_before_training(lam):
     with pytest.raises(ConfigurationError, match="finite"):
-        run_ewc(small_seq, small_net(), FAST, lam=lam)
+        RunSettings(net=small_net(), train=FAST, ewc_lambda=lam)
 
 
 def test_sequential_strategies_refuse_architecture_switches(small_seq):
     conv = NetSpec(kind="conv", input_shape=(50, 2), n_classes=2, hidden=(8, 4), conv=((4, 5, 2), (8, 5, 2)))
     with pytest.raises(ConfigurationError, match="cannot switch"):
-        run_finetune(small_seq, [small_net(), conv], FAST, seed=0, n_members=1)
+        strategy_run("finetune", small_seq, seed=0, net=[small_net(), conv], n_members=1)
 
 
 # -------------------------------------------------------------------- baseline
 
 
 def test_baseline_task1_is_bitwise_finetune_task1(small_seq):
-    base = run_baseline(small_seq, small_net(), FAST, seed=5, n_members=3)
-    ft = run_finetune(small_seq, small_net(), FAST, seed=5, n_members=3)
+    base = strategy_run("baseline", small_seq, seed=5, n_members=3)
+    ft = strategy_run("finetune", small_seq, seed=5, n_members=3)
     for ma, mb in zip(base.ensembles[0].members, ft.ensembles[0].members, strict=True):
         np.testing.assert_array_equal(ma.parameters, mb.parameters)
     np.testing.assert_array_equal(base.tasks[0].cm.counts, ft.tasks[0].cm.counts)
@@ -313,20 +317,21 @@ def test_point_mass_classes_score_perfectly():
     )
     seq = TaskSequence.from_trials(synthesize_stream(config), window=50)
     net = NetSpec(kind="dense", input_shape=(50, 1), n_classes=2, hidden=(8, 4))
-    run = run_baseline(seq, net, TrainConfig(epochs=60, batch_size=4, learning_rate=0.05), seed=1, n_members=2)
+    cfg = TrainConfig(epochs=60, batch_size=4, learning_rate=0.05)
+    run = strategy_run("baseline", seq, seed=1, net=net, train=cfg, n_members=2)
     assert run.tasks[-1].report.macro_f == 1.0
 
 
 def test_baseline_sits_between_finetune_and_replay(small_seq):
-    base = run_baseline(small_seq, small_net(), FAST, seed=5, n_members=3)
-    ft = run_finetune(small_seq, small_net(), FAST, seed=5, n_members=3)
-    rcl = run_rcl(small_seq, small_net(), FAST, seed=5, n_members=3)
+    base = strategy_run("baseline", small_seq, seed=5, n_members=3)
+    ft = strategy_run("finetune", small_seq, seed=5, n_members=3)
+    rcl = strategy_run("rcl", small_seq, seed=5, n_members=3)
     b = base.tasks[1].report.macro_f
     assert ft.tasks[1].report.macro_f <= b <= rcl.tasks[1].report.macro_f + 0.05
 
 
 def test_baseline_footprint_counts_all_raw_training_data(small_seq):
-    base = run_baseline(small_seq, small_net(), FAST, seed=5, n_members=2)
+    base = strategy_run("baseline", small_seq, seed=5, n_members=2)
     assert base.memory_footprint == sum(len(t) for t in small_seq.train)
 
 
@@ -374,6 +379,20 @@ def test_comparison_is_reproducible(small_seq):
         np.testing.assert_array_equal(ta.recall, tb.recall)
 
 
+def test_failing_strategy_is_recorded_and_the_rest_still_run(small_stream_config):
+    # one window per trial is too few to fit a generator, so rcl fails at
+    # task 1 while baseline completes
+    seq = TaskSequence.from_trials(synthesize_stream(small_stream_config), window=450)
+    net = NetSpec(kind="dense", input_shape=(450, 2), n_classes=2, hidden=(4, 3))
+    settings = RunSettings(net=net, train=FAST, n_members=1)
+    comp = compare_strategies(seq, settings, strategies=("rcl", "baseline"), repetitions=1)
+    assert list(comp.failures) == ["rcl"]
+    assert "task 1: generator for class 0" in comp.failures["rcl"]
+    assert comp.strategies == ["baseline"]
+    assert list(comp.summaries) == list(comp.runs) == ["baseline"]
+    assert len(comp.summaries["baseline"].per_task_mean) == seq.n_tasks
+
+
 def test_rep_seeds_length_validated(small_seq):
     settings = RunSettings(net=small_net(), train=FAST)
     with pytest.raises(ConfigurationError):
@@ -399,4 +418,4 @@ def test_dense_then_conv_run_completes(small_seq):
 
 def test_net_template_list_length_checked(small_seq):
     with pytest.raises(ConfigurationError):
-        run_rcl(small_seq, [small_net()], FAST, seed=0, n_members=1)
+        strategy_run("rcl", small_seq, seed=0, net=[small_net()], n_members=1)

@@ -10,7 +10,6 @@ from pseudoreplay import (
     fit_generator,
     generate,
     load_generator,
-    nearest_neighbors,
     save_generator,
 )
 from pseudoreplay.errors import ConfigurationError, DataFormatError
@@ -31,7 +30,7 @@ def flat_rows(windows) -> np.ndarray:
 def check_samples(gen, produced, expect_count):
     """Count, envelope and segment membership for every produced sample."""
     assert len(produced) == expect_count
-    lists = [nearest_neighbors(gen, j) for j in range(gen.memory_size)]
+    lists = [gen.neighbors[j].tolist() for j in range(gen.memory_size)]
     lo = gen.memory.min(axis=0) - 1e-12
     hi = gen.memory.max(axis=0) + 1e-12
     assert np.all(produced.source[:, 0] == SYNTHETIC_TRIAL_ID)
@@ -87,14 +86,14 @@ def test_bad_k_and_budget_rejected():
 
 def test_neighbors_on_a_line():
     gen = generator_from_rows([[0.0], [1.0], [3.0], [7.0]], k=2)
-    values = sorted(gen.memory[i, 0] for i in nearest_neighbors(gen, 0))
+    values = sorted(gen.memory[i, 0] for i in gen.neighbors[0].tolist())
     assert values == [1.0, 3.0]
 
 
 def test_k_equal_m_minus_one_returns_all_others():
     gen = generator_from_rows(np.random.default_rng(3).normal(size=(6, 2)), k=5)
     for j in range(6):
-        assert sorted(nearest_neighbors(gen, j)) == [i for i in range(6) if i != j]
+        assert sorted(gen.neighbors[j].tolist()) == [i for i in range(6) if i != j]
 
 
 def test_k_larger_than_memory_is_clamped():
@@ -105,7 +104,7 @@ def test_k_larger_than_memory_is_clamped():
 def test_distance_ties_prefer_the_lower_index():
     # index 1 and 2 are both at distance 1 from index 0
     gen = generator_from_rows([[0.0], [1.0], [-1.0], [5.0]], k=1)
-    assert nearest_neighbors(gen, 0) == [1]
+    assert gen.neighbors[0].tolist() == [1]
 
 
 def test_neighbors_match_exhaustive_scan():
@@ -113,7 +112,7 @@ def test_neighbors_match_exhaustive_scan():
     memory = rng.normal(size=(200, 100))
     gen = fit_generator(0, make_samples(memory), k=7)
     for j in range(200):
-        assert nearest_neighbors(gen, j) == knn_bruteforce(memory, j, 7)
+        assert gen.neighbors[j].tolist() == knn_bruteforce(memory, j, 7)
 
 
 def test_gemm_ranked_table_equals_the_direct_ranking():
@@ -135,12 +134,6 @@ def test_gemm_ranked_table_equals_the_direct_ranking():
             want = direct_neighbor_table(memory, k)
             assert got.shape == want.shape, f"{name}, k={k}"
             assert np.array_equal(got, want), f"{name}, k={k}: tables differ"
-
-
-def test_neighbor_index_bounds_checked():
-    gen = generator_from_rows([[0.0], [1.0]])
-    with pytest.raises(ConfigurationError):
-        nearest_neighbors(gen, 2)
 
 
 # ------------------------------------------------------------------ generation
@@ -174,7 +167,7 @@ def test_quota_equal_k_uses_each_neighbor_segment_once():
         segment_hits = set()
         for flat in flat_rows(out)[3 * j : 3 * (j + 1)]:
             hits = []
-            for l in nearest_neighbors(gen, j):
+            for l in gen.neighbors[j].tolist():
                 u, residual = segment_fit(flat, memory[j], memory[l])
                 if residual <= 1e-9 and -1e-9 <= u <= 1 + 1e-9:
                     hits.append(l)
