@@ -17,9 +17,7 @@ straight into views of one flat buffer laid out like `parameters`.
 from __future__ import annotations
 
 import json
-import math
-import numbers
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple, Sequence
@@ -28,7 +26,14 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .data import StandardizationParams, Windows, apply_standardizer, fit_standardizer
-from .errors import ConfigurationError, TrainingError, require_integer
+from .errors import (
+    ConfigurationError,
+    TrainingError,
+    read_config,
+    require_integer,
+    require_list,
+    require_number,
+)
 from .seeding import derive_seed
 
 
@@ -70,28 +75,21 @@ class NetSpec:
 
     def __post_init__(self):
         for name in ("input_shape", "hidden"):
-            sizes = tuple(require_integer(name, v) for v in getattr(self, name))
+            sizes = require_list(name, getattr(self, name), require_integer)
+            if len(sizes) != 2 or min(sizes) < 1:
+                raise ConfigurationError(f"{name} must be 2 positive sizes, got {sizes}", name)
             object.__setattr__(self, name, sizes)
-        object.__setattr__(
-            self, "conv", tuple(tuple(require_integer("conv", v) for v in layer) for layer in self.conv)
-        )
+        layers = require_list("conv", self.conv)
+        conv = tuple(require_list("conv", layer, require_integer) for layer in layers)
+        object.__setattr__(self, "conv", conv)
         if self.kind not in ("dense", "conv"):
-            raise ConfigurationError(f"kind must be 'dense' or 'conv', got {self.kind!r}")
-        w, c = self.input_shape
-        if w < 1 or c < 1:
-            raise ConfigurationError(f"input_shape must be positive, got {self.input_shape}")
-        if self.n_classes < 2:
-            raise ConfigurationError(f"n_classes must be >= 2, got {self.n_classes}")
-        if len(self.hidden) != 2 or any(h < 1 for h in self.hidden):
-            raise ConfigurationError(f"hidden must be 2 positive sizes, got {self.hidden}")
-        if self.kind == "conv":
-            if len(self.conv) != 2 or any(len(layer) != 3 for layer in self.conv):
-                raise ConfigurationError(
-                    f"conv must describe 2 layers of (filters, kernel, stride), got {self.conv}"
-                )
-            for out, kern, stride in self.conv:
-                if out < 1 or kern < 1 or stride < 1:
-                    raise ConfigurationError(f"bad conv layer {(out, kern, stride)}")
+            raise ConfigurationError(f"kind must be 'dense' or 'conv', got {self.kind!r}", "kind")
+        require_integer("n_classes", self.n_classes, least=2)
+        require_integer("seed", self.seed)
+        if self.kind == "conv" and ([len(c) for c in conv] != [3, 3] or min(map(min, conv)) < 1):
+            raise ConfigurationError(
+                f"conv must be 2 layers of positive (filters, kernel, stride), got {conv}", "conv"
+            )
         self._layers  # raises if a conv stage collapses below length 1
 
     @cached_property
@@ -122,33 +120,16 @@ class NetSpec:
         return last.offset + (last.fan_in + 1) * last.fan_out
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "input_shape": list(self.input_shape),
-            "n_classes": self.n_classes,
-            "hidden": list(self.hidden),
-            "conv": [list(layer) for layer in self.conv],
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "NetSpec":
-        try:
-            return cls(
-                kind=doc["kind"],
-                input_shape=tuple(doc["input_shape"]),
-                n_classes=require_integer("n_classes", doc["n_classes"]),
-                hidden=tuple(doc.get("hidden", (64, 32))),
-                conv=tuple(tuple(l) for l in doc.get("conv", ((8, 5, 1), (16, 5, 1)))),
-                seed=require_integer("seed", doc.get("seed", 0)),
-            )
-        except (KeyError, TypeError) as exc:
-            raise ConfigurationError(f"bad net spec: {exc}") from None
+        return read_config(cls, doc)
 
 
 def conv_output_length(length: int, kernel: int, stride: int) -> int:
     if kernel > length:
-        raise ConfigurationError(f"kernel {kernel} exceeds input length {length}")
+        raise ConfigurationError(f"kernel {kernel} exceeds input length {length}", "conv")
     return (length - kernel) // stride + 1
 
 
@@ -335,25 +316,15 @@ class TrainConfig:
     learning_rate: float = 0.01
     optimizer: str = "sgd_momentum"
     momentum: float = 0.9
-    shuffle_seed: int = 0
+    shuffle_seed: int = field(default=0, metadata={"config": False})  # set per member
 
     def __post_init__(self):
-        for name in ("epochs", "batch_size"):
-            require_integer(name, getattr(self, name))
-        for name in ("learning_rate", "momentum"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
-                raise ConfigurationError(f"{name} must be a finite number, got {value!r}")
-        if self.epochs < 1:
-            raise ConfigurationError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ConfigurationError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.learning_rate < 0:
-            raise ConfigurationError(f"learning_rate must be >= 0, got {self.learning_rate}")
+        require_integer("epochs", self.epochs, least=1)
+        require_integer("batch_size", self.batch_size, least=1)
+        require_number("learning_rate", self.learning_rate, least=0)
         if self.optimizer not in ("sgd", "sgd_momentum"):
-            raise ConfigurationError(f"unknown optimizer {self.optimizer!r}")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ConfigurationError(f"momentum must be in [0, 1), got {self.momentum}")
+            raise ConfigurationError(f"unknown optimizer {self.optimizer!r}", "optimizer")
+        require_number("momentum", self.momentum, least=0, below=1)
 
 
 @dataclass(eq=False)
@@ -431,8 +402,7 @@ class EWCPenalty:
     def __post_init__(self):
         object.__setattr__(self, "theta_star", np.asarray(self.theta_star, dtype=float).reshape(-1))
         object.__setattr__(self, "fisher", np.asarray(self.fisher, dtype=float).reshape(-1))
-        if not math.isfinite(self.lam) or self.lam < 0:
-            raise ConfigurationError(f"lam must be finite and >= 0, got {self.lam}")
+        require_number("lam", self.lam, least=0)
         if self.theta_star.shape != self.fisher.shape:
             raise ConfigurationError("theta_star and fisher must have equal length")
         if not np.all(np.isfinite(self.theta_star)):
@@ -447,8 +417,7 @@ def extend_output(model: NetModel, n_new_classes: int, seed: int) -> NetModel:
     Old-class logits are unchanged at the moment of extension because every
     shared weight and every pre-existing output column keeps its value.
     """
-    if n_new_classes < 1:
-        raise ConfigurationError(f"n_new_classes must be >= 1, got {n_new_classes}")
+    require_integer("n_new_classes", n_new_classes, least=1)
     spec = model.spec
     new_spec = replace(spec, n_classes=spec.n_classes + n_new_classes)
     layers = [(w.copy(), b.copy()) for w, b in unpack_parameters(spec, model.parameters)]
@@ -519,8 +488,7 @@ def fit_ensemble(
 ) -> Ensemble:
     """Standardize on the given mix, then train n_members nets that differ
     only in derived init and shuffle seeds."""
-    if n_members < 1:
-        raise ConfigurationError(f"n_members must be >= 1, got {n_members}")
+    require_integer("n_members", n_members, least=1)
     standardizer = fit_standardizer(samples)
     standardized = apply_standardizer(standardizer, samples)
     members = []

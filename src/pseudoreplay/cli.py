@@ -10,10 +10,8 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
-import numbers
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -35,34 +33,51 @@ from .data import (
     synthesize_stream,
     window_trial,
 )
-from .errors import ConfigurationError, DataFormatError, PseudoreplayError, require_integer
+from .errors import (
+    ConfigurationError,
+    DataFormatError,
+    PseudoreplayError,
+    read_config,
+    require_integer,
+    require_list,
+    require_number,
+    require_string,
+)
 from .reporting import atomic_write, build_manifest, manifest_json, metrics_csv, render_report
 
 
-def _require_integer_list(name: str, value) -> tuple[int, ...]:
-    if not isinstance(value, (list, tuple)):
-        raise ConfigurationError(f"field '{name}': must be a list of integers, got {value!r}")
-    return tuple(require_integer(f"field '{name}':", entry) for entry in value)
+@dataclass(frozen=True)
+class DataSource:
+    """Where the trials come from: a synthetic stream or a trial CSV."""
+
+    synthetic: SyntheticStreamConfig | None = None
+    csv: str | None = None
+
+    def __post_init__(self):
+        if (self.synthetic is None) == (self.csv is None):
+            raise ConfigurationError("exactly one of 'synthetic' or 'csv' is required")
+        if self.csv is not None:
+            require_string("csv", self.csv)
 
 
-def _require_string(name: str, value) -> str:
-    if not isinstance(value, str):
-        raise ConfigurationError(f"field '{name}': must be a string, got {value!r}")
-    return value
+@dataclass(frozen=True)
+class Variant:
+    """A named net doc that replaces `net` for the final task."""
 
+    name: str
+    net: dict
 
-def _require_object(name: str, value) -> dict:
-    if not isinstance(value, dict):
-        raise ConfigurationError(f"field '{name}': must be an object, got {value!r}")
-    return dict(value)
+    def __post_init__(self):
+        require_string("name", self.name)
 
 
 @dataclass(eq=False)
 class ExperimentConfig:
-    """Parsed and validated run configuration (see README for the schema)."""
+    """Parsed and validated run configuration (see README for the schema).
+    `net` and each variant's net stay objects: _net_template builds their
+    NetSpec once the data's channel count is known."""
 
-    synthetic: SyntheticStreamConfig | None
-    csv_path: str | None
+    data: DataSource
     window: int = 50
     stride: int | None = None
     classes: list[int] | None = None
@@ -72,146 +87,48 @@ class ExperimentConfig:
     seed: int = 0
     out_dir: str = "results"
     net: dict = field(default_factory=lambda: {"kind": "dense"})
-    variants: list[tuple[str, dict]] = field(default_factory=list)
     train: TrainConfig = TrainConfig()
     generator: GeneratorConfig = GeneratorConfig()
     ewc_lambda: float = 100.0
     ensemble_size: int = 5
+    variants: list[Variant] = field(default_factory=list)
 
     def __post_init__(self):
-        if (self.synthetic is None) == (self.csv_path is None):
-            raise ConfigurationError(
-                "field 'data': exactly one of 'synthetic' or 'csv' is required"
-            )
-        for name in ("window", "repetitions", "seed", "ensemble_size"):
-            require_integer(f"field '{name}':", getattr(self, name))
+        for name in ("window", "repetitions", "ensemble_size"):
+            require_integer(name, getattr(self, name), least=1)
+        require_integer("seed", self.seed)
         if self.stride is not None:
-            require_integer("field 'stride':", self.stride)
+            require_integer("stride", self.stride, least=1)
         if self.classes is not None:
-            self.classes = list(_require_integer_list("classes", self.classes))
-        self.train_trials = _require_integer_list("train_trials", self.train_trials)
-        _require_string("out_dir", self.out_dir)
-        if not isinstance(self.strategies, (list, tuple)):
-            raise ConfigurationError(
-                f"field 'strategies': must be a list of strategy names, got {self.strategies!r}"
-            )
-        self.strategies = tuple(self.strategies)
-        lam = self.ewc_lambda
-        if isinstance(lam, bool) or not isinstance(lam, numbers.Real) or not math.isfinite(lam) or lam < 0:
-            raise ConfigurationError(f"field 'ewc_lambda': must be a finite number >= 0, got {lam!r}")
-        self.ewc_lambda = float(lam)
-        if self.window < 1:
-            raise ConfigurationError(f"field 'window': must be >= 1, got {self.window}")
-        if self.stride is not None and self.stride < 1:
-            raise ConfigurationError(f"field 'stride': must be >= 1, got {self.stride}")
-        if self.repetitions < 1:
-            raise ConfigurationError(
-                f"field 'repetitions': must be >= 1, got {self.repetitions}"
-            )
+            self.classes = list(require_list("classes", self.classes, require_integer))
+            if len(set(self.classes)) != len(self.classes):
+                raise ConfigurationError(f"classes must not repeat, got {self.classes}", "classes")
+        self.train_trials = require_list("train_trials", self.train_trials, require_integer)
+        require_string("out_dir", self.out_dir)
+        self.strategies = require_list("strategies", self.strategies)
         if not self.strategies:
-            raise ConfigurationError("field 'strategies': must not be empty")
+            raise ConfigurationError("strategies must not be empty", "strategies")
         for s in self.strategies:
             if s not in STRATEGIES:
                 raise ConfigurationError(
-                    f"field 'strategies': unknown strategy {s!r}; choose from {STRATEGIES}"
+                    f"unknown strategy {s!r}; choose from {STRATEGIES}", "strategies"
                 )
-        if self.ensemble_size < 1:
-            raise ConfigurationError(
-                f"field 'ensemble_size': must be >= 1, got {self.ensemble_size}"
-            )
-        names = [_require_string("variants", name) for name, _ in self.variants]
+        self.ewc_lambda = require_number("ewc_lambda", self.ewc_lambda, least=0)
+        names = [v.name for v in self.variants]
         if len(set(names)) != len(names):
-            raise ConfigurationError("field 'variants': duplicate variant names")
+            raise ConfigurationError("duplicate variant names", "variants")
 
     def to_dict(self) -> dict:
-        doc: dict = {
-            "data": (
-                {"synthetic": self.synthetic.to_dict()}
-                if self.synthetic is not None
-                else {"csv": self.csv_path}
-            ),
-            "window": self.window,
-            "stride": self.stride,
-            "classes": self.classes,
-            "train_trials": list(self.train_trials),
-            "strategies": list(self.strategies),
-            "repetitions": self.repetitions,
-            "seed": self.seed,
-            "out_dir": self.out_dir,
-            "net": self.net,
-            "train": {
-                "epochs": self.train.epochs,
-                "batch_size": self.train.batch_size,
-                "learning_rate": self.train.learning_rate,
-                "optimizer": self.train.optimizer,
-                "momentum": self.train.momentum,
-            },
-            "generator": {
-                "k": self.generator.k,
-                "memory_budget": self.generator.memory_budget,
-                "pseudo_per_class": self.generator.pseudo_per_class,
-            },
-            "ewc_lambda": self.ewc_lambda,
-            "ensemble_size": self.ensemble_size,
-        }
-        if self.variants:
-            doc["variants"] = [{"name": n, "net": d} for n, d in self.variants]
+        doc = asdict(self)
+        doc["data"] = {key: value for key, value in doc["data"].items() if value is not None}
+        del doc["train"]["shuffle_seed"]
+        if not self.variants:
+            del doc["variants"]
         return doc
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        if not isinstance(doc, dict):
-            raise ConfigurationError("config must be a JSON object")
-        known = {
-            "data", "window", "stride", "classes", "train_trials", "strategies",
-            "repetitions", "seed", "out_dir", "net", "variants", "train",
-            "generator", "ewc_lambda", "ensemble_size",
-        }
-        unknown = set(doc) - known
-        if unknown:
-            raise ConfigurationError(f"unknown config fields: {sorted(unknown)}")
-        data = doc.get("data")
-        if not isinstance(data, dict):
-            raise ConfigurationError("field 'data': required object with 'synthetic' or 'csv'")
-        synthetic = None
-        csv_path = None
-        if "synthetic" in data:
-            synthetic = SyntheticStreamConfig.from_dict(data["synthetic"])
-        if "csv" in data:
-            csv_path = str(data["csv"])
-        train_doc = doc.get("train", {})
-        gen_doc = doc.get("generator", {})
-        try:
-            train_cfg = TrainConfig(**train_doc)
-        except (TypeError, ConfigurationError) as exc:
-            raise ConfigurationError(f"field 'train': {exc}") from None
-        try:
-            gen_cfg = GeneratorConfig(**gen_doc)
-        except (TypeError, ConfigurationError) as exc:
-            raise ConfigurationError(f"field 'generator': {exc}") from None
-        variants = []
-        for entry in doc.get("variants", []):
-            if not isinstance(entry, dict) or "name" not in entry or "net" not in entry:
-                raise ConfigurationError("field 'variants': entries need 'name' and 'net'")
-            variants.append((entry["name"], _require_object("variants", entry["net"])))
-        return cls(
-            synthetic=synthetic,
-            csv_path=csv_path,
-            window=doc.get("window", 50),
-            stride=doc.get("stride"),
-            classes=doc.get("classes"),
-            train_trials=doc.get("train_trials", [1]),
-            strategies=doc.get("strategies", STRATEGIES),
-            repetitions=doc.get("repetitions", 5),
-            seed=doc.get("seed", 0),
-            out_dir=doc.get("out_dir", "results"),
-            net=_require_object("net", doc.get("net", {"kind": "dense"})),
-            variants=variants,
-            train=train_cfg,
-            generator=gen_cfg,
-            ewc_lambda=doc.get("ewc_lambda", 100.0),
-            ensemble_size=doc.get("ensemble_size", 5),
-        )
+        return read_config(cls, doc)
 
 
 def _read_json(path: str):
@@ -223,30 +140,28 @@ def _read_json(path: str):
         raise ConfigurationError(f"{path}: invalid JSON: {exc}") from None
 
 
-def _net_template(label: str, net_doc: dict, window: int, channels: int) -> NetSpec:
-    doc = dict(net_doc)
-    doc.setdefault("kind", "dense")
-    doc["input_shape"] = [window, channels]
-    doc["n_classes"] = 2  # replaced per task
-    try:
-        return NetSpec.from_dict(doc)
-    except ConfigurationError as exc:
-        raise ConfigurationError(f"{label}: {exc}") from None
+def _net_template(path: str, net_doc: dict, window: int, channels: int) -> NetSpec:
+    """The spec a net doc describes. The run sets the input shape, replaces
+    n_classes per task and derives each member's seed."""
+    return read_config(
+        NetSpec, {"kind": "dense", **net_doc}, path,
+        input_shape=(window, channels), n_classes=2, seed=0,
+    )
 
 
 def _load_data(cfg: ExperimentConfig) -> tuple[list[TimeSeriesTrial], str]:
-    if cfg.synthetic is not None:
-        trials = synthesize_stream(cfg.synthetic)
+    if cfg.data.synthetic is not None:
+        trials = synthesize_stream(cfg.data.synthetic)
         h = hashlib.sha256()
         for t in trials:
             h.update(f"{t.class_id},{t.trial_id};".encode())
             h.update(np.ascontiguousarray(t.channels).tobytes())
         return trials, h.hexdigest()
     try:
-        raw = Path(cfg.csv_path).read_bytes()
+        raw = Path(cfg.data.csv).read_bytes()
     except FileNotFoundError:
-        raise ConfigurationError(f"data file not found: {cfg.csv_path}") from None
-    return load_trials(cfg.csv_path), hashlib.sha256(raw).hexdigest()
+        raise ConfigurationError(f"data file not found: {cfg.data.csv}") from None
+    return load_trials(cfg.data.csv), hashlib.sha256(raw).hexdigest()
 
 
 def cmd_synth(config_path: str, out_path: str) -> int:
@@ -280,9 +195,7 @@ def cmd_run(
     if seed is not None:
         cfg.seed = seed
     if repetitions is not None:
-        if repetitions < 1:
-            raise ConfigurationError(f"--repetitions must be >= 1, got {repetitions}")
-        cfg.repetitions = repetitions
+        cfg.repetitions = require_integer("--repetitions", repetitions, least=1)
     trials, digest = _load_data(cfg)
     seq = TaskSequence.from_trials(
         trials,
@@ -298,9 +211,9 @@ def cmd_run(
     variant_nets: dict[str, object] = {"": base_net}
     if cfg.variants:
         variant_nets = {}
-        for name, net_doc in cfg.variants:
-            vnet = _net_template(f"variant {name!r}", net_doc, cfg.window, seq.channels)
-            variant_nets[name] = [base_net] * (seq.n_tasks - 1) + [vnet]
+        for i, variant in enumerate(cfg.variants):
+            vnet = _net_template(f"variants[{i}].net", variant.net, cfg.window, seq.channels)
+            variant_nets[variant.name] = [base_net] * (seq.n_tasks - 1) + [vnet]
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -369,10 +282,10 @@ def cmd_validate(config_path: str) -> int:
             violations.append(f"class {c}: no evaluation trials left")
     if len(wanted) < 2:
         violations.append(f"need at least 2 classes, found {len(wanted)}")
-    nets = [("net", cfg.net)] + [(f"variant {name!r}", doc) for name, doc in cfg.variants]
-    for label, net_doc in nets:
+    nets = [("net", cfg.net)] + [(f"variants[{i}].net", v.net) for i, v in enumerate(cfg.variants)]
+    for path, net_doc in nets:
         try:
-            _net_template(label, net_doc, cfg.window, trials[0].n_channels)
+            _net_template(path, net_doc, cfg.window, trials[0].n_channels)
         except ConfigurationError as exc:
             violations.append(str(exc))
 

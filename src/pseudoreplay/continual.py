@@ -22,7 +22,6 @@ so two strategies given equal seeds share identical streams.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -48,7 +47,13 @@ from .data import (
     fit_standardizer,
     window_trial,
 )
-from .errors import ConfigurationError, DataFormatError, PseudoreplayError, require_integer
+from .errors import (
+    ConfigurationError,
+    DataFormatError,
+    PseudoreplayError,
+    require_integer,
+    require_number,
+)
 from .generator import ClassGenerator, GenerationRequest, fit_generator, generate
 from .metrics import ConfusionMatrix, MetricReport, aggregate, confusion, metrics
 from .seeding import derive_seed
@@ -126,16 +131,11 @@ class GeneratorConfig:
     pseudo_per_class: int | None = None  # None: match the new class's size
 
     def __post_init__(self):
-        for name, least, optional in (
-            ("k", 1, False),
-            ("memory_budget", 2, True),
-            ("pseudo_per_class", 1, True),
-        ):
-            value = getattr(self, name)
-            if optional and value is None:
-                continue
-            if require_integer(name, value) < least:
-                raise ConfigurationError(f"{name} must be >= {least}, got {value}")
+        require_integer("k", self.k, least=1)
+        if self.memory_budget is not None:
+            require_integer("memory_budget", self.memory_budget, least=2)
+        if self.pseudo_per_class is not None:
+            require_integer("pseudo_per_class", self.pseudo_per_class, least=1)
 
 
 @dataclass(eq=False)
@@ -202,10 +202,7 @@ class RunSettings:
     n_members: int = 5
 
     def __post_init__(self):
-        if not math.isfinite(self.ewc_lambda) or self.ewc_lambda < 0:
-            raise ConfigurationError(
-                f"ewc_lambda must be finite and >= 0, got {self.ewc_lambda}"
-            )
+        require_number("ewc_lambda", self.ewc_lambda, least=0)
 
 
 def _carry_forward(
@@ -371,8 +368,7 @@ def compare_strategies(
     raises PseudoreplayError is recorded in failures with the message and
     left out of strategies, summaries and runs; the others still run.
     """
-    if repetitions < 1:
-        raise ConfigurationError(f"repetitions must be >= 1, got {repetitions}")
+    require_integer("repetitions", repetitions, least=1)
     if not strategies:
         raise ConfigurationError("no strategies requested")
     for s in strategies:

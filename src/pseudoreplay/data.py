@@ -18,13 +18,20 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigurationError, DataFormatError, require_integer
+from .errors import (
+    ConfigurationError,
+    DataFormatError,
+    read_config,
+    require_integer,
+    require_list,
+    require_number,
+)
 
 # trial_id used to tag generator output in Windows.source
 SYNTHETIC_TRIAL_ID = -1
@@ -363,6 +370,12 @@ class ClassSignal:
     frequency: float  # cycles per sample
     noise_std: float
 
+    def __post_init__(self):
+        object.__setattr__(self, "mean", require_list("mean", self.mean, require_number))
+        for name in ("amplitude", "frequency"):
+            object.__setattr__(self, name, require_number(name, getattr(self, name)))
+        object.__setattr__(self, "noise_std", require_number("noise_std", self.noise_std, least=0))
+
 
 @dataclass(frozen=True)
 class SyntheticStreamConfig:
@@ -374,71 +387,31 @@ class SyntheticStreamConfig:
     seed: int
 
     def __post_init__(self):
-        object.__setattr__(self, "class_signals", tuple(self.class_signals))
-        if self.n_classes < 2:
-            raise ConfigurationError(f"n_classes must be >= 2, got {self.n_classes}")
-        if self.channels < 1:
-            raise ConfigurationError(f"channels must be >= 1, got {self.channels}")
-        if self.trial_length < 1:
-            raise ConfigurationError(f"trial_length must be >= 1, got {self.trial_length}")
-        if self.trials_per_class < 1:
-            raise ConfigurationError(
-                f"trials_per_class must be >= 1, got {self.trials_per_class}"
-            )
+        object.__setattr__(self, "class_signals", require_list("class_signals", self.class_signals))
+        require_integer("n_classes", self.n_classes, least=2)
+        for name in ("channels", "trial_length", "trials_per_class"):
+            require_integer(name, getattr(self, name), least=1)
+        require_integer("seed", self.seed, least=0)
         if len(self.class_signals) != self.n_classes:
             raise ConfigurationError(
-                f"need {self.n_classes} class_signals, got {len(self.class_signals)}"
+                f"need {self.n_classes} class_signals, got {len(self.class_signals)}",
+                "class_signals",
             )
-        seen = set()
         for i, sig in enumerate(self.class_signals):
             if len(sig.mean) != self.channels:
                 raise ConfigurationError(
-                    f"class {i}: mean vector length {len(sig.mean)} != channels {self.channels}"
+                    f"mean vector length {len(sig.mean)} != channels {self.channels}",
+                    f"class_signals[{i}].mean",
                 )
-            if sig.noise_std < 0:
-                raise ConfigurationError(f"class {i}: noise_std must be >= 0")
-            key = (tuple(sig.mean), sig.amplitude, sig.frequency, sig.noise_std)
-            if key in seen:
-                raise ConfigurationError(f"class {i}: duplicate signal parameters")
-            seen.add(key)
+            if sig in self.class_signals[:i]:
+                raise ConfigurationError("duplicate signal parameters", f"class_signals[{i}]")
 
     def to_dict(self) -> dict:
-        return {
-            "n_classes": self.n_classes,
-            "channels": self.channels,
-            "trial_length": self.trial_length,
-            "trials_per_class": self.trials_per_class,
-            "class_signals": [
-                {
-                    "mean": list(s.mean),
-                    "amplitude": s.amplitude,
-                    "frequency": s.frequency,
-                    "noise_std": s.noise_std,
-                }
-                for s in self.class_signals
-            ],
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SyntheticStreamConfig":
-        try:
-            signals = tuple(
-                ClassSignal(
-                    mean=tuple(float(v) for v in s["mean"]),
-                    amplitude=float(s["amplitude"]),
-                    frequency=float(s["frequency"]),
-                    noise_std=float(s["noise_std"]),
-                )
-                for s in doc["class_signals"]
-            )
-            sizes = {
-                name: require_integer(f"field 'data.synthetic.{name}':", doc[name])
-                for name in ("n_classes", "channels", "trial_length", "trials_per_class", "seed")
-            }
-            return cls(class_signals=signals, **sizes)
-        except (KeyError, TypeError) as exc:
-            raise ConfigurationError(f"bad synthetic stream config: {exc}") from None
+        return read_config(cls, doc)
 
 
 def synthesize_stream(config: SyntheticStreamConfig) -> list[TimeSeriesTrial]:

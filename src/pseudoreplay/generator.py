@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import SYNTHETIC_TRIAL_ID, Windows
-from .errors import ConfigurationError, DataFormatError
+from .errors import ConfigurationError, DataFormatError, require_integer
 from .seeding import derive_seed
 
 
@@ -42,8 +42,7 @@ class ClassGenerator:
             raise ConfigurationError("generator memory must be [M >= 2, D]")
         if not np.all(np.isfinite(self.memory)):
             raise DataFormatError(f"class {self.class_id}: non-finite memory")
-        if self.k < 1:
-            raise ConfigurationError(f"k must be >= 1, got {self.k}")
+        require_integer("k", self.k, least=1)
         w, c = self.feature_shape
         if w * c != self.memory.shape[1]:
             raise ConfigurationError(
@@ -66,8 +65,7 @@ class GenerationRequest:
     count: int
 
     def __post_init__(self):
-        if self.count < 1:
-            raise ConfigurationError(f"count must be >= 1, got {self.count}")
+        require_integer("count", self.count, least=1)
 
 
 def _neighbor_table(memory: np.ndarray, k: int) -> np.ndarray:
@@ -138,8 +136,8 @@ def fit_generator(
         raise DataFormatError(
             f"sample of class {wrong[0]} passed to generator for class {class_id}"
         )
-    if memory_budget is not None and memory_budget < 2:
-        raise ConfigurationError(f"memory_budget must be >= 2, got {memory_budget}")
+    if memory_budget is not None:
+        require_integer("memory_budget", memory_budget, least=2)
 
     vectors = samples.x.reshape(n, -1)
     if memory_budget is not None and memory_budget < n:

@@ -7,8 +7,11 @@ from pseudoreplay import (
     SyntheticStreamConfig,
     TrainConfig,
     Windows,
+    apply_standardizer,
+    fisher_diagonal,
     synthesize_stream,
 )
+from pseudoreplay.classifier import pad_parameters
 from pseudoreplay.continual import TaskSequence
 
 
@@ -21,6 +24,26 @@ def make_samples(rows: np.ndarray, class_id: int = 0) -> Windows:
         y=np.full(n, class_id),
         source=np.column_stack([np.ones(n, dtype=int), np.arange(n)]),
     )
+
+
+def task1_fishers(run, seq: TaskSequence) -> list[np.ndarray]:
+    """Each task-1 member's Fisher diagonal on its standardized training mix:
+    the weights an ewc run anchors task 2 with, recomputed from the run."""
+    ens = run.ensembles[0]
+    mix = apply_standardizer(ens.standardizer, Windows.concat(seq.train[:2]))
+    return [fisher_diagonal(m, mix) for m in ens.members]
+
+
+def fisher_weighted_movement(run, seq: TaskSequence) -> float:
+    """sum over members and task-1 coordinates of F_i * (theta2_i - theta1_i)^2,
+    F being the task-1 Fisher diagonal."""
+    total = 0.0
+    pairs = zip(run.ensembles[0].members, run.ensembles[1].members, task1_fishers(run, seq))
+    for m1, m2, fisher in pairs:
+        anchor = pad_parameters(m1.spec, m2.spec, m1.parameters)
+        weight = pad_parameters(m1.spec, m2.spec, fisher)  # appended head units weigh 0
+        total += float(np.sum(weight * (m2.parameters - anchor) ** 2))
+    return total
 
 
 @pytest.fixture(scope="session")

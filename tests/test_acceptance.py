@@ -7,6 +7,7 @@ bounds, so this module is slower than the unit suites.
 import json
 import re
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from _oracles import (
     relative_errors,
     segment_fit,
 )
-from conftest import make_samples
+from conftest import fisher_weighted_movement, make_samples, task1_fishers
 from pseudoreplay import (
     ConfusionMatrix,
     EWCPenalty,
@@ -280,6 +281,17 @@ def test_gate_3_anchored_training_degeneracy_and_freezing(capsys, small_seq):
     moved = _max_shared_movement(frozen)
     if not 0.0 < moved < 1e-3:
         problems.append(f"huge-weight run moved shared parameters by {moved:.3e}")
+
+    # the tiny step size alone keeps that movement small, so also check that
+    # the anchor holds what the Fisher weighs, at lam * lr * max(fisher) = 1
+    momentum = TrainConfig(epochs=2, batch_size=16, learning_rate=0.01)
+    unanchored = RunSettings(toy_net, momentum, ewc_lambda=0.0, n_members=2)
+    free = run_strategy("ewc", toy_seq, unanchored, seed=3)
+    lam = 1.0 / (momentum.learning_rate * max(f.max() for f in task1_fishers(free, toy_seq)))
+    held = run_strategy("ewc", toy_seq, replace(unanchored, ewc_lambda=lam), seed=3)
+    held_fw, free_fw = (fisher_weighted_movement(r, toy_seq) for r in (held, free))
+    if not held_fw < 0.5 * free_fw:
+        problems.append(f"Fisher-weighted movement {held_fw:.3e} held vs {free_fw:.3e} at lam 0")
     _gate(capsys, 3, "anchored training: zero-weight identity, huge-weight freeze", problems)
 
 

@@ -1,9 +1,27 @@
+import copy
+import dataclasses
 import json
+import re
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from pseudoreplay import default_synthetic_config, load_trials, save_trials, synthesize_stream
-from pseudoreplay.cli import ExperimentConfig, main
+from pseudoreplay import (
+    ClassSignal,
+    GeneratorConfig,
+    NetSpec,
+    SyntheticStreamConfig,
+    TrainConfig,
+    cli,
+    default_synthetic_config,
+    load_trials,
+    save_trials,
+    synthesize_stream,
+)
+from pseudoreplay.cli import DataSource, ExperimentConfig, Variant, main
 from pseudoreplay.errors import ConfigurationError
 
 pytestmark = pytest.mark.filterwarnings("ignore::pseudoreplay.metrics.MetricWarning")
@@ -35,6 +53,30 @@ def run_config_doc(**overrides) -> dict:
 def synthetic_override(**fields) -> dict:
     """A run-config override replacing fields of the synthetic stream."""
     return {"data": {"synthetic": {**small_data_doc()["synthetic"], **fields}}}
+
+
+DROP = object()  # a signal_stream value that removes the key
+
+
+def signal_stream(**fields) -> dict:
+    """The small synthetic stream with fields of its first class signal
+    replaced, or removed where the value is DROP."""
+    stream = small_data_doc()["synthetic"]
+    first = {**stream["class_signals"][0], **fields}
+    first = {key: value for key, value in first.items() if value is not DROP}
+    return {**stream, "class_signals": [first, *stream["class_signals"][1:]]}
+
+
+# each holds one fault in data.synthetic.class_signals[0], at its only key
+BAD_SIGNALS = [
+    {"amplitude": "x"},
+    {"mean": "ab"},
+    {"amplitude": True},
+    {"frequency": "0.1"},
+    {"mean": ["0.5"]},
+    {"frequency": DROP},
+    {"extra": 1},
+]
 
 
 def write_json(path, doc) -> str:
@@ -71,6 +113,16 @@ def test_synth_invalid_stream_config_exits_2(tmp_path, capsys):
     cfg = write_json(tmp_path / "stream.json", doc)
     assert main(["synth", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
     assert "n_classes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fields", BAD_SIGNALS)
+def test_synth_rejects_bad_class_signals_naming_the_field(tmp_path, capsys, fields):
+    cfg = write_json(tmp_path / "stream.json", signal_stream(**fields))
+    out = tmp_path / "x.csv"
+    assert main(["synth", "--config", cfg, "--out", str(out)]) == 2
+    field = f"class_signals[0].{next(iter(fields))}"
+    assert capsys.readouterr().err.startswith(f"error: field '{field}':")
+    assert not out.exists()
 
 
 def test_missing_config_file_exits_2(tmp_path, capsys):
@@ -170,7 +222,7 @@ def test_run_strategy_failure_exits_1_with_failed_manifest(tmp_path, capsys):
 def test_run_rejects_unknown_config_fields(tmp_path, capsys):
     cfg = write_json(tmp_path / "exp.json", run_config_doc(extra_field=1))
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
-    assert "unknown config fields" in capsys.readouterr().err
+    assert "field 'extra_field': unknown key" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -199,8 +251,7 @@ def test_run_rejects_bad_generator_values_before_training(tmp_path, capsys, gen_
     cfg = write_json(tmp_path / "exp.json", run_config_doc(generator=gen_doc))
     out = tmp_path / "r"
     assert main(["run", "--config", cfg, "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert "field 'generator'" in err and next(iter(gen_doc)) in err
+    assert f"field 'generator.{next(iter(gen_doc))}'" in capsys.readouterr().err
     assert not out.exists()  # rejected while parsing, before any training
 
 
@@ -222,14 +273,26 @@ def test_run_rejects_bad_generator_values_before_training(tmp_path, capsys, gen_
         ({"ewc_lambda": float("nan")}, "ewc_lambda"),
         ({"ewc_lambda": float("inf")}, "ewc_lambda"),
         ({"net": "dense"}, "net"),
-        ({"variants": [{"name": "a", "net": "dense"}]}, "variants"),
+        ({"variants": [{"name": "a", "net": "dense"}]}, "variants[0].net"),
         ({"strategies": "rcl"}, "strategies"),
         ({"out_dir": 5}, "out_dir"),
-        ({"variants": [{"name": 3, "net": {"kind": "dense"}}]}, "variants"),
+        ({"variants": [{"name": 3, "net": {"kind": "dense"}}]}, "variants[0].name"),
         (synthetic_override(trial_length=300.7), "data.synthetic.trial_length"),
         (synthetic_override(channels="2"), "data.synthetic.channels"),
         (synthetic_override(trials_per_class=True), "data.synthetic.trials_per_class"),
         (synthetic_override(seed=1.5), "data.synthetic.seed"),
+        *[
+            ({"data": {"synthetic": signal_stream(**fields)}},
+             f"data.synthetic.class_signals[0].{next(iter(fields))}")
+            for fields in BAD_SIGNALS
+        ],
+        ({"data": {**small_data_doc(), "extra": 1}}, "data.extra"),
+        (synthetic_override(extra=1), "data.synthetic.extra"),
+        ({"variants": [{"name": "a", "net": {"kind": "dense"}, "extra": 1}]}, "variants[0].extra"),
+        ({"train": {"epochs": 2, "shuffle_seed": 3}}, "train.shuffle_seed"),
+        ({"classes": [0, 0, 1]}, "classes"),
+        ({"data": {"csv": 5}}, "data.csv"),
+        (synthetic_override(seed=-1), "data.synthetic.seed"),
     ],
 )
 def test_wrongly_typed_config_values_exit_2_naming_the_field(
@@ -332,19 +395,32 @@ def test_validate_surfaces_data_format_errors(tmp_path, capsys):
 @pytest.mark.parametrize(
     "override, needle",
     [
-        ({"net": {"kind": "dense", "hidden": [0, 4]}}, "violation: net: hidden must be 2 positive"),
-        ({"net": {"kind": "xyz"}}, "violation: net: kind must be 'dense' or 'conv'"),
+        (
+            {"net": {"kind": "dense", "hidden": [0, 4]}},
+            "violation: field 'net.hidden': hidden must be 2 positive",
+        ),
+        ({"net": {"kind": "xyz"}}, "violation: field 'net.kind': kind must be 'dense' or 'conv'"),
         (
             {"variants": [{"name": "wide", "net": {"kind": "conv", "conv": [[4, 60, 1], [8, 5, 1]]}}]},
-            "violation: variant 'wide': kernel 60 exceeds input length 50",
+            "violation: field 'variants[0].net.conv': kernel 60 exceeds input length 50",
         ),
         (
             {"net": {"kind": "dense", "hidden": ["a", 4]}},
-            "violation: net: hidden must be an integer, got 'a'",
+            "violation: field 'net.hidden': hidden must be an integer, got 'a'",
         ),
         (
             {"net": {"kind": "conv", "conv": "x"}},
-            "violation: net: conv must be an integer, got 'x'",
+            "violation: field 'net.conv': conv must be a list, got 'x'",
+        ),
+        ({"net": {"kind": "dense", "extra": 1}}, "violation: field 'net.extra': unknown key"),
+        ({"net": {"kind": "dense", "seed": 3}}, "violation: field 'net.seed': unknown key"),
+        (
+            {"net": {"kind": "dense", "input_shape": [50, 2]}},
+            "violation: field 'net.input_shape': unknown key",
+        ),
+        (
+            {"net": {"kind": "dense", "n_classes": 3}},
+            "violation: field 'net.n_classes': unknown key",
         ),
     ],
 )
@@ -392,10 +468,74 @@ def test_config_validation_messages_name_fields():
         ("ewc_lambda", -1.0, "field 'ewc_lambda'"),
         ("ewc_lambda", float("nan"), "field 'ewc_lambda'"),
         ("ewc_lambda", float("inf"), "field 'ewc_lambda'"),
-        ("train", {"epochs": "many"}, "field 'train'"),
+        ("train", {"epochs": "many"}, "field 'train.epochs'"),
     ]:
         with pytest.raises(ConfigurationError, match=needle):
             ExperimentConfig.from_dict(run_config_doc(**{field: value}))
+
+
+# values small enough that no accepted draw asks for large data or long training
+FUZZ_VALUES = [
+    *range(-2, 5), 2.5, float("nan"), float("inf"), 1e300, True, None, "x", [], {}, [1, "a"],
+]
+# keys a draw may insert: every field of every config class, plus one no class has
+CONFIG_CLASSES = (
+    ExperimentConfig, DataSource, SyntheticStreamConfig, ClassSignal, NetSpec, TrainConfig,
+    GeneratorConfig, Variant,
+)
+FUZZ_KEYS = sorted({f.name for cls in CONFIG_CLASSES for f in dataclasses.fields(cls)} | {"extra"})
+
+
+def _containers(doc):
+    """doc and every object or list nested in it."""
+    yield doc
+    for value in doc.values() if isinstance(doc, dict) else doc:
+        if isinstance(value, (dict, list)):
+            yield from _containers(value)
+
+
+@st.composite
+def fuzzed_config(draw):
+    """run_config_doc with one or two keys replaced or inserted at any depth."""
+    doc = json.loads(json.dumps(run_config_doc()))
+    for _ in range(draw(st.integers(1, 2))):
+        targets = [c for c in _containers(doc) if isinstance(c, dict) or c]
+        target = targets[draw(st.integers(0, len(targets) - 1))]
+        if isinstance(target, dict):  # replace one of its keys, or insert any key
+            replace = target and draw(st.booleans())
+            key = draw(st.sampled_from(sorted(target) if replace else FUZZ_KEYS))
+        else:
+            key = draw(st.integers(0, len(target) - 1))
+        target[key] = copy.deepcopy(draw(st.sampled_from(FUZZ_VALUES)))
+    return doc
+
+
+class ReachedTraining(Exception):
+    pass
+
+
+@settings(
+    max_examples=300, deadline=None, derandomize=True, database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(doc=fuzzed_config())
+def test_fuzzed_configs_exit_0_or_2_and_run_agrees_with_validate(monkeypatch, doc):
+    def reached_training(*args, **kwargs):
+        raise ReachedTraining
+
+    monkeypatch.setattr(cli, "compare_strategies", reached_training)
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = write_json(Path(tmp) / "exp.json", doc)
+        out = Path(tmp) / "r"
+        status = main(["validate", "--config", cfg])
+        assert status in (0, 2)
+        run = ["run", "--config", cfg, "--out", str(out)]
+        if status == 2:
+            assert main(run) == 2
+            assert not out.exists()
+        else:
+            with pytest.raises(ReachedTraining):
+                main(run)
 
 
 def test_config_rejects_duplicate_variant_names():
@@ -407,3 +547,10 @@ def test_config_rejects_duplicate_variant_names():
     )
     with pytest.raises(ConfigurationError, match="duplicate variant names"):
         ExperimentConfig.from_dict(doc)
+
+
+def test_readme_field_table_lists_exactly_the_config_keys():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Config schema", 1)[1].split("\n## ", 1)[0]
+    listed = re.findall(r"^\| `(\w+)` \|", section, flags=re.MULTILINE)
+    assert sorted(listed) == sorted(f.name for f in dataclasses.fields(ExperimentConfig))

@@ -15,6 +15,7 @@ from pseudoreplay import (
     run_strategy,
     synthesize_stream,
 )
+from conftest import fisher_weighted_movement, task1_fishers
 from pseudoreplay.classifier import fit_ensemble, pad_parameters
 from pseudoreplay.continual import STRATEGIES, TaskSequence
 from pseudoreplay.data import SYNTHETIC_TRIAL_ID, ClassSignal, SyntheticStreamConfig, Windows
@@ -257,6 +258,16 @@ def test_huge_anchor_weight_freezes_shared_parameters(small_stream_config):
     plain_cfg = TrainConfig(epochs=3, batch_size=16, learning_rate=0.01)
     contrast = strategy_run("ewc", seq, seed=3, net=net, train=plain_cfg, ewc_lambda=0.0, n_members=2)
     assert shared_movement(contrast) > 1e-3
+
+    # the tiny step size alone keeps that movement small, so also check that
+    # the anchor holds what the Fisher weighs: with momentum SGD at
+    # lam * lr * max(fisher) = 1, inside its stable regime, the Fisher-weighted
+    # movement must at least halve against the same run at lam 0
+    momentum = TrainConfig(epochs=2, batch_size=16, learning_rate=0.01)
+    free = strategy_run("ewc", seq, seed=3, net=net, train=momentum, ewc_lambda=0.0, n_members=2)
+    lam = 1.0 / (momentum.learning_rate * max(f.max() for f in task1_fishers(free, seq)))
+    held = strategy_run("ewc", seq, seed=3, net=net, train=momentum, ewc_lambda=lam, n_members=2)
+    assert fisher_weighted_movement(held, seq) < 0.5 * fisher_weighted_movement(free, seq)
 
 
 def test_moderate_anchor_weight_trades_plasticity_for_retention():
