@@ -256,7 +256,36 @@ def _check_labels(spec: NetSpec, labels, n_rows: int) -> np.ndarray:
     return y
 
 
-def loss_and_gradient(model: NetModel, batch: np.ndarray, labels, penalty=None):
+_SQUARES_BLOCK = 1 << 20  # elements of the [chunk, fan_in, fan_out] per-sample block
+
+
+def _squared_gradients(rows: np.ndarray, dz: np.ndarray, n: int, layer: _Layer, gw, gb) -> None:
+    """Write sum_i g_i * g_i of one layer's per-sample gradients into gw, gb.
+
+    dz holds each sample's own delta rows, not divided by n. A dense sample's
+    weight gradient is the outer product a_i delta_i, so the squared sum is
+    (A*A).T (D*D). A conv sample's weight gradient P_i.T D_i sums over its
+    out_len positions, so it is formed per sample as one batched matmul in
+    chunks of _SQUARES_BLOCK elements, then squared and summed.
+    """
+    if layer.kind == "dense":
+        dz2 = np.square(dz)
+        np.matmul(np.square(rows).T, dz2, out=gw)
+        np.sum(dz2, axis=0, out=gb)
+        return
+    patches = rows.reshape(n, layer.out_len, layer.fan_in).transpose(0, 2, 1)
+    deltas = dz.reshape(n, layer.out_len, layer.fan_out)
+    chunk = max(1, _SQUARES_BLOCK // (layer.fan_in * layer.fan_out))
+    gw[...] = 0.0
+    for lo in range(0, n, chunk):
+        per_sample = np.matmul(patches[lo : lo + chunk], deltas[lo : lo + chunk])
+        gw += np.square(per_sample, out=per_sample).sum(axis=0)
+    np.sum(np.square(deltas.sum(axis=1)), axis=0, out=gb)
+
+
+def loss_and_gradient(
+    model: NetModel, batch: np.ndarray, labels, penalty=None, per_sample_squares: bool = False
+):
     """Mean softmax cross-entropy (plus optional quadratic anchor) and its
     gradient as a flat vector aligned with model.parameters.
 
@@ -264,7 +293,16 @@ def loss_and_gradient(model: NetModel, batch: np.ndarray, labels, penalty=None):
     lam/2 * sum(fisher * (theta - theta_star)^2). lam == 0 contributes nothing
     and is skipped outright so a zero-weight run matches the no-penalty code
     path bit for bit.
+
+    With per_sample_squares the same forward and backward pass returns, in
+    place of the gradient, sum_i g_i * g_i over the rows' own single-row
+    gradients g_i. Backprop is linear in each row's output delta, so the
+    undivided delta rows are the per-sample deltas at every layer, and each
+    layer squares its per-sample weight gradients before summing them. This
+    mode takes no penalty.
     """
+    if per_sample_squares and penalty is not None:
+        raise ConfigurationError("per_sample_squares takes no penalty")
     spec = model.spec
     x = _as_batch(spec, batch)
     y = _check_labels(spec, labels, x.shape[0])
@@ -279,7 +317,8 @@ def loss_and_gradient(model: NetModel, batch: np.ndarray, labels, penalty=None):
 
     dz = e / norm
     dz[rows, y] -= 1.0
-    dz /= n
+    if not per_sample_squares:
+        dz /= n
 
     grad = np.empty(spec.param_count)
     layers = spec._layers
@@ -287,8 +326,11 @@ def loss_and_gradient(model: NetModel, batch: np.ndarray, labels, penalty=None):
     grads = unpack_parameters(spec, grad)
     for i in range(len(layers) - 1, -1, -1):
         (w, _), (gw, gb) = weights[i], grads[i]
-        np.matmul(caches[i][0].T, dz, out=gw)
-        np.sum(dz, axis=0, out=gb)
+        if per_sample_squares:
+            _squared_gradients(caches[i][0], dz, n, layers[i], gw, gb)
+        else:
+            np.matmul(caches[i][0].T, dz, out=gw)
+            np.sum(dz, axis=0, out=gb)
         if i == 0:
             break
         if layers[i].kind == "conv":
@@ -379,16 +421,14 @@ def fisher_diagonal(model: NetModel, samples: Windows) -> np.ndarray:
     """Mean over samples of squared per-sample log-likelihood gradients.
 
     The per-sample gradient of log p(true class | x) is minus the single-row
-    cross-entropy gradient; the sign vanishes under squaring.
+    cross-entropy gradient; the sign vanishes under squaring. One batched
+    loss_and_gradient call with per_sample_squares sums those squares over
+    all rows exactly, without a backward pass per row.
     """
     if len(samples) == 0:
         raise ConfigurationError("fisher_diagonal needs at least one sample")
-    acc = np.zeros_like(model.parameters)
-    x, y = samples.x, samples.y
-    for i in range(len(samples)):
-        _, grad = loss_and_gradient(model, x[i : i + 1], y[i : i + 1])
-        acc += grad * grad
-    return acc / len(samples)
+    _, squares = loss_and_gradient(model, samples.x, samples.y, per_sample_squares=True)
+    return squares / len(samples)
 
 
 @dataclass(frozen=True)

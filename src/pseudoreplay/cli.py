@@ -113,6 +113,10 @@ class ExperimentConfig:
                 raise ConfigurationError(
                     f"unknown strategy {s!r}; choose from {STRATEGIES}", "strategies"
                 )
+        if len(set(self.strategies)) != len(self.strategies):
+            raise ConfigurationError(
+                f"strategies must not repeat, got {list(self.strategies)}", "strategies"
+            )
         self.ewc_lambda = require_number("ewc_lambda", self.ewc_lambda, least=0)
         names = [v.name for v in self.variants]
         if len(set(names)) != len(names):
@@ -161,6 +165,10 @@ def _load_data(cfg: ExperimentConfig) -> tuple[list[TimeSeriesTrial], str]:
         raw = Path(cfg.data.csv).read_bytes()
     except FileNotFoundError:
         raise ConfigurationError(f"data file not found: {cfg.data.csv}") from None
+    except OSError as exc:  # a directory, "" among them, or an unreadable file
+        raise ConfigurationError(
+            f"cannot read data file {cfg.data.csv!r}: {exc.strerror}"
+        ) from None
     return load_trials(cfg.data.csv), hashlib.sha256(raw).hexdigest()
 
 

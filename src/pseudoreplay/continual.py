@@ -36,7 +36,7 @@ from .classifier import (
     fit_ensemble,
     member_probabilities,
     pad_parameters,
-    predict,
+    predict,  # unused here, but perfbench's tracer wraps continual.predict by name
     train,
 )
 from .data import (
@@ -161,13 +161,14 @@ class ContinualRun:
 
 
 def _evaluate(ensemble: Ensemble, seq: TaskSequence, upto: int) -> tuple[ConfusionMatrix, MetricReport, float]:
+    """One forward pass per member: the ensemble prediction is the argmax of
+    the mean member probability, as `predict` computes it, and the member
+    spread comes from the same probabilities."""
     batch = Windows.concat(seq.test[: upto + 1])
     y_true = batch.y
-    y_pred = predict(ensemble, batch)
-    cm = confusion(y_true, y_pred, upto + 1)
-    report = metrics(cm)
-
     probs = member_probabilities(ensemble, batch)
+    cm = confusion(y_true, np.argmax(probs.mean(axis=0), axis=1), upto + 1)
+    report = metrics(cm)
     member_f = [
         metrics(confusion(y_true, np.argmax(p, axis=1), upto + 1)).macro_f for p in probs
     ]
@@ -374,6 +375,8 @@ def compare_strategies(
     for s in strategies:
         if s not in STRATEGIES:
             raise ConfigurationError(f"unknown strategy {s!r}; choose from {STRATEGIES}")
+    if len(set(strategies)) != len(strategies):
+        raise ConfigurationError(f"strategies must not repeat, got {list(strategies)}")
     if rep_seeds is not None and len(rep_seeds) != repetitions:
         raise ConfigurationError("rep_seeds length must equal repetitions")
 

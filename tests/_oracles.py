@@ -152,6 +152,19 @@ def sgd_reference(model, samples, config, penalty=None) -> tuple[np.ndarray, lis
     return theta, losses
 
 
+def fisher_per_row(model, samples) -> np.ndarray:
+    """Fisher diagonal as one single-row loss_and_gradient call per sample:
+    the mean of each row's squared gradient."""
+    from pseudoreplay import loss_and_gradient
+
+    acc = np.zeros_like(model.parameters)
+    x, y = samples.x, samples.y
+    for i in range(len(samples)):
+        _, grad = loss_and_gradient(model, x[i : i + 1], y[i : i + 1])
+        acc += grad * grad
+    return acc / len(samples)
+
+
 def counting_confusion(y_true, y_pred, n_classes: int) -> np.ndarray:
     counts = np.zeros((n_classes, n_classes), dtype=np.int64)
     for t, p in zip(y_true, y_pred, strict=True):

@@ -32,7 +32,7 @@ from pseudoreplay.classifier import (
 from pseudoreplay import classifier
 from pseudoreplay.errors import ConfigurationError, TrainingError
 
-from _oracles import fd_gradient, relative_error, sgd_reference
+from _oracles import fd_gradient, fisher_per_row, relative_error, sgd_reference
 
 
 def dense_spec(**kwargs) -> NetSpec:
@@ -428,14 +428,15 @@ def test_train_matches_the_reference_loop_bit_for_bit(case):
 
 def test_train_and_fisher_call_loss_and_gradient_per_batch_and_per_sample(monkeypatch):
     # the benchmark's tracer counts these calls at the module attribute, so
-    # train must make one call per minibatch and fisher_diagonal one per row
+    # train must make one call per minibatch and fisher_diagonal one call
+    # whose rows are every sample
     rows = []
     real = classifier.loss_and_gradient
 
-    def counting(model, batch, labels, penalty=None):
+    def counting(model, batch, labels, penalty=None, **kwargs):
         assert batch.shape[0] == len(labels)
         rows.append(len(labels))
-        return real(model, batch, labels, penalty)
+        return real(model, batch, labels, penalty, **kwargs)
 
     monkeypatch.setattr(classifier, "loss_and_gradient", counting)
     samples = cluster_samples(11, seed=6)  # 22 rows: the last batch of 5 is short
@@ -447,10 +448,50 @@ def test_train_and_fisher_call_loss_and_gradient_per_batch_and_per_sample(monkey
 
     rows.clear()
     fisher_diagonal(model, samples)
-    assert rows == [1] * n
+    assert rows == [n]
 
 
 # ------------------------------------------------------------- fisher diagonal
+
+
+def _fisher_case(case: str) -> tuple[NetModel, Windows]:
+    """(model, samples) of one batched-Fisher case, named "<kind>_<rows>"."""
+    if case == "grown_head":
+        model = extend_output(init_model(dense_spec(n_classes=2, seed=16)), 2, seed=3)
+        n, labels = 12, np.arange(12) % 4
+    else:
+        kind, rows = case.split("_", 1)
+        model = init_model(conv_spec(seed=17) if kind == "conv" else dense_spec(seed=18))
+        n = {"mixed": 13, "n1": 1, "one_class": 10, "chunks": 23}[rows]
+        labels = np.full(n, 2) if rows == "one_class" else np.arange(n) % 3
+    return model, windows_of(batch_of(model.spec, n, seed=10), labels)
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["dense_mixed", "conv_mixed", "dense_n1", "conv_n1", "dense_one_class", "conv_one_class",
+     "grown_head", "conv_chunks"],
+)
+def test_batched_fisher_matches_the_per_row_loop(monkeypatch, case):
+    model, samples = _fisher_case(case)
+    if case == "conv_chunks":
+        # both conv layers hold 6 x (3 or 4) weights, so 50 elements make
+        # chunks of 2 samples: 23 rows span 12 chunks, the last one short
+        monkeypatch.setattr(classifier, "_SQUARES_BLOCK", 50)
+    got = fisher_diagonal(model, samples)
+    want = fisher_per_row(model, samples)
+    assert np.max(want) > 0.0
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.max(want))
+
+
+def test_per_sample_squares_take_no_penalty():
+    spec = dense_spec(seed=19)
+    model = init_model(spec)
+    penalty = EWCPenalty(
+        lam=0.0, theta_star=model.parameters.copy(), fisher=np.ones(spec.param_count)
+    )
+    with pytest.raises(ConfigurationError, match="no penalty"):
+        loss_and_gradient(model, batch_of(spec, 3), [0, 1, 2], penalty, per_sample_squares=True)
 
 
 def test_fisher_is_nonnegative():

@@ -293,6 +293,7 @@ def test_run_rejects_bad_generator_values_before_training(tmp_path, capsys, gen_
         ({"classes": [0, 0, 1]}, "classes"),
         ({"data": {"csv": 5}}, "data.csv"),
         (synthetic_override(seed=-1), "data.synthetic.seed"),
+        ({"strategies": ["baseline", "baseline"]}, "strategies"),
     ],
 )
 def test_wrongly_typed_config_values_exit_2_naming_the_field(
@@ -421,6 +422,12 @@ def test_validate_surfaces_data_format_errors(tmp_path, capsys):
         (
             {"net": {"kind": "dense", "n_classes": 3}},
             "violation: field 'net.n_classes': unknown key",
+        ),
+        ({"data": {"csv": ""}}, "violation: cannot read data file '': Is a directory"),
+        pytest.param(
+            {"data": {"csv": str(Path(__file__).parent)}},
+            f"violation: cannot read data file {str(Path(__file__).parent)!r}: Is a directory",
+            id="data-csv-is-the-tests-directory",
         ),
     ],
 )

@@ -16,10 +16,12 @@ from pseudoreplay import (
     synthesize_stream,
 )
 from conftest import fisher_weighted_movement, task1_fishers
-from pseudoreplay.classifier import fit_ensemble, pad_parameters
+from pseudoreplay import classifier, continual
+from pseudoreplay.classifier import fit_ensemble, pad_parameters, predict
 from pseudoreplay.continual import STRATEGIES, TaskSequence
 from pseudoreplay.data import SYNTHETIC_TRIAL_ID, ClassSignal, SyntheticStreamConfig, Windows
 from pseudoreplay.errors import ConfigurationError, DataFormatError
+from pseudoreplay.metrics import confusion
 from pseudoreplay.seeding import derive_seed
 
 pytestmark = pytest.mark.filterwarnings("ignore::pseudoreplay.metrics.MetricWarning")
@@ -98,6 +100,25 @@ def test_single_anomaly_run_structure(small_seq, small_stream_config):
     assert len(run.ensembles) == 1
     assert run.ensembles[0].n_classes == 2
     assert len(run.tasks) == 1
+
+
+def test_evaluation_runs_each_member_forward_once(small_seq, monkeypatch):
+    ens = fit_ensemble(
+        small_net(3), Windows.concat(small_seq.train), TrainConfig(epochs=2), seed=3, n_members=3
+    )
+    calls = []
+    real = classifier.forward
+
+    def counting(model, batch):
+        calls.append(len(batch))
+        return real(model, batch)
+
+    monkeypatch.setattr(classifier, "forward", counting)
+    cm, _, _ = continual._evaluate(ens, small_seq, 2)
+    batch = Windows.concat(small_seq.test)
+    assert calls == [len(batch)] * 3
+    want = confusion(batch.y, predict(ens, batch), 3)
+    np.testing.assert_array_equal(cm.counts, want.counts)
 
 
 def test_well_separated_sequence_keeps_high_scores(small_seq):
@@ -355,6 +376,8 @@ def test_unknown_strategy_rejected(small_seq):
         run_strategy("replay", small_seq, settings, seed=0)
     with pytest.raises(ConfigurationError, match="unknown strategy"):
         compare_strategies(small_seq, settings, strategies=("gan",), repetitions=1)
+    with pytest.raises(ConfigurationError, match="must not repeat"):
+        compare_strategies(small_seq, settings, strategies=("baseline", "baseline"), repetitions=1)
 
 
 def test_forced_equal_seeds_zero_out_the_spread(small_seq):
