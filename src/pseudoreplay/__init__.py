@@ -12,10 +12,8 @@ from .classifier import (
     fit_ensemble,
     forward,
     init_model,
-    load_ensemble,
     loss_and_gradient,
     predict,
-    save_ensemble,
     train,
 )
 from .continual import (

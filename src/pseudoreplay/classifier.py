@@ -16,10 +16,8 @@ straight into views of one flat buffer laid out like `parameters`.
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
-from pathlib import Path
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -29,7 +27,6 @@ from .data import StandardizationParams, Windows, apply_standardizer, fit_standa
 from .errors import (
     ConfigurationError,
     TrainingError,
-    read_config,
     require_integer,
     require_list,
     require_number,
@@ -118,13 +115,6 @@ class NetSpec:
     def param_count(self) -> int:
         last = self._layers[-1]
         return last.offset + (last.fan_in + 1) * last.fan_out
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "NetSpec":
-        return read_config(cls, doc)
 
 
 def conv_output_length(length: int, kernel: int, stride: int) -> int:
@@ -551,43 +541,3 @@ def predict(ensemble: Ensemble, batch: Windows) -> np.ndarray:
     probs = member_probabilities(ensemble, batch).mean(axis=0)
     return np.argmax(probs, axis=1)
 
-
-# ---------------------------------------------------------------------------
-# checkpoints: JSON header plus the flat parameter vector in decimal
-
-
-def save_ensemble(path: str | Path, ensemble: Ensemble) -> None:
-    doc = {
-        "standardizer": {
-            "mean": [float(v) for v in ensemble.standardizer.mean],
-            "std": [float(v) for v in ensemble.standardizer.std],
-        },
-        "members": [
-            {"spec": m.spec.to_dict(), "parameters": [float(v) for v in m.parameters]}
-            for m in ensemble.members
-        ],
-    }
-    Path(path).write_text(json.dumps(doc), encoding="utf-8")
-
-
-def load_ensemble(path: str | Path) -> Ensemble:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        std = StandardizationParams(
-            mean=np.array(doc["standardizer"]["mean"], dtype=float),
-            std=np.array(doc["standardizer"]["std"], dtype=float),
-        )
-        members = []
-        for entry in doc["members"]:
-            spec = NetSpec.from_dict(entry["spec"])
-            params = np.array(entry["parameters"], dtype=float)
-            if params.size != spec.param_count:
-                raise ConfigurationError(
-                    f"{path}: member holds {params.size} parameters, spec expects {spec.param_count}"
-                )
-            members.append(NetModel(spec=spec, parameters=params))
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
-        if isinstance(exc, ConfigurationError):
-            raise
-        raise ConfigurationError(f"{path}: bad ensemble file: {exc}") from None
-    return Ensemble(members=members, standardizer=std)

@@ -359,15 +359,13 @@ def compare_strategies(
     strategies: tuple[str, ...] = STRATEGIES,
     repetitions: int = 5,
     master_seed: int = 0,
-    rep_seeds: list[int] | None = None,
 ) -> ComparisonReport:
     """Run each strategy `repetitions` times on seeds derived per (strategy,
     repetition) and aggregate per-task metrics across repetitions.
 
-    rep_seeds overrides derivation with explicit per-repetition seeds shared
-    by all strategies (useful for paired comparisons). A strategy whose run
-    raises PseudoreplayError is recorded in failures with the message and
-    left out of strategies, summaries and runs; the others still run.
+    A strategy whose run raises PseudoreplayError is recorded in failures
+    with the message and left out of strategies, summaries and runs; the
+    others still run.
     """
     require_integer("repetitions", repetitions, least=1)
     if not strategies:
@@ -377,8 +375,6 @@ def compare_strategies(
             raise ConfigurationError(f"unknown strategy {s!r}; choose from {STRATEGIES}")
     if len(set(strategies)) != len(strategies):
         raise ConfigurationError(f"strategies must not repeat, got {list(strategies)}")
-    if rep_seeds is not None and len(rep_seeds) != repetitions:
-        raise ConfigurationError("rep_seeds length must equal repetitions")
 
     runs: dict[str, list[ContinualRun]] = {}
     summaries: dict[str, StrategySummary] = {}
@@ -387,9 +383,7 @@ def compare_strategies(
         strat_runs = []
         try:
             for r in range(repetitions):
-                seed = rep_seeds[r] if rep_seeds is not None else derive_seed(
-                    master_seed, "strategy", strat, "rep", r
-                )
+                seed = derive_seed(master_seed, "strategy", strat, "rep", r)
                 strat_runs.append(run_strategy(strat, seq, settings, seed))
         except PseudoreplayError as exc:
             failures[strat] = str(exc)

@@ -8,16 +8,13 @@ act on a whole `Windows` at once. A window flattens row-major over
 (timestep, channel), i.e. feature index = t * C + c, and every consumer of
 flat vectors in this package uses that same ordering.
 
-`load_trials` parses a plainly written trial CSV in one np.loadtxt call and
-checks the whole table with array operations. A file it does not accept as
-it is goes to the per-row parser, which reads what Python's int and float
-read and names the offending row in its errors; both give the same trials.
+`load_trials` parses a trial CSV in one np.loadtxt call and checks the whole
+table with array operations; its errors name the file and the first bad row.
 """
 
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -229,64 +226,47 @@ def save_trials(path: str | Path, trials: list[TimeSeriesTrial]) -> None:
 
 
 def load_trials(path: str | Path) -> list[TimeSeriesTrial]:
-    """Parse a trial CSV; errors name the offending 1-based file row.
+    """Parse a trial CSV; errors name the file and the first bad 1-based row.
 
-    A plainly written file is parsed in one numpy pass and checked as a whole
-    table. Every other file goes to the per-row parser, which alone raises the
-    row-naming errors, so the accepted inputs, the trials and the error
-    messages are the per-row parser's.
+    Every data line is parsed in one np.loadtxt call: three int64 ids and
+    one float64 per channel, unquoted and comma-separated. The table is then
+    checked as a whole: finite values, class_id >= 0, trial_id >= 1,
+    contiguous (class_id, trial_id) groups in strictly increasing order and
+    steps strictly increasing from >= 0 within a group. If the parse fails,
+    the failing line is found one line at a time, so of several problems the
+    one on the earliest row is reported.
     """
     path = Path(path)
-    trials = _load_trials_in_bulk(path)
-    return trials if trials is not None else _load_trials_by_row(path)
-
-
-def _load_trials_in_bulk(path: Path) -> list[TimeSeriesTrial] | None:
-    """The trials of a file in plain form, or None to leave it to the row parser.
-
-    Plain form: an unquoted header, one unquoted row of ASCII numbers per line,
-    ids within int64, finite values, contiguous (class_id, trial_id) groups in
-    strictly increasing order and steps strictly increasing from >= 0 within a
-    group. Every such file passes the row parser's checks row by row, and
-    np.loadtxt reads floats as float() does, so the bytes come out the same.
-    """
     try:
         text = path.read_text(encoding="utf-8")
-    except UnicodeDecodeError:
-        return None
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: not UTF-8 text: {exc}") from None
     header, _, body = text.partition("\n")
-    rows = body.split("\n")
-    if rows[-1] == "":
-        rows.pop()  # the final line end
     names = header.split(",")
     n_chan = len(names) - 3
     if n_chan < 1 or names != ["class_id", "trial_id", "step"] + [
         f"ch{i + 1}" for i in range(n_chan)
     ]:
-        return None
-    if not rows or "" in rows:  # header only, or a blank line np.loadtxt would skip
-        return None
-    dtype = np.dtype([("key", np.int64, (3,)), ("ch", np.float64, (n_chan,))])
+        raise DataFormatError(f"{path} row 1: header must be class_id,trial_id,step,ch1..chN")
+    rows = body.split("\n")
+    if rows[-1] == "":
+        rows.pop()  # the final line end
+    if not rows:
+        raise DataFormatError(f"{path}: no data rows")
     try:
-        table = np.loadtxt(
-            rows, dtype=dtype, delimiter=",", comments=None, quotechar=None, ndmin=1
-        )
+        table, bad_line = _parse_rows(rows, n_chan), None
     except ValueError:
-        return None
-    if len(table) != len(rows) or not np.isfinite(table["ch"]).all():
-        return None
-    key, step = table["key"][:, :2], table["key"][:, 2]
-    starts = np.flatnonzero(np.any(key[1:] != key[:-1], axis=1)) + 1
-    before, after = key[starts - 1], key[starts]
-    increasing_key = (after[:, 0] > before[:, 0]) | (
-        (after[:, 0] == before[:, 0]) & (after[:, 1] > before[:, 1])
-    )
-    increasing_step = step[1:] > step[:-1]
-    increasing_step[starts - 1] = True  # a new group restarts the step order
-    starts = np.concatenate([[0], starts])
-    if not (increasing_key.all() and increasing_step.all() and (step[starts] >= 0).all()):
-        return None
-    bounds = np.append(starts, len(table)).tolist()
+        bad_line = next(i for i, row in enumerate(rows) if _line_problem(row, n_chan))
+        table = _parse_rows(rows[:bad_line], n_chan)
+    key = table["key"]
+    starts = np.ones(len(key), dtype=bool)  # the first row of each trial
+    starts[1:] = np.any(key[1:, :2] != key[:-1, :2], axis=1)
+    problem = _first_table_problem(key, table["ch"], starts)
+    if problem is None and bad_line is not None:
+        problem = bad_line, _line_problem(rows[bad_line], n_chan)
+    if problem is not None:
+        raise DataFormatError(f"{path} row {problem[0] + 2}: {problem[1]}")
+    bounds = np.append(np.flatnonzero(starts), len(table)).tolist()
     return [
         TimeSeriesTrial(
             class_id=int(key[a, 0]),
@@ -297,64 +277,57 @@ def _load_trials_in_bulk(path: Path) -> list[TimeSeriesTrial] | None:
     ]
 
 
-def _load_trials_by_row(path: str | Path) -> list[TimeSeriesTrial]:
-    """Parse a trial CSV row by row with csv and Python's int and float."""
-    path = Path(path)
-    with path.open("r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataFormatError(f"{path}: empty file") from None
-        if header[:3] != ["class_id", "trial_id", "step"]:
-            raise DataFormatError(
-                f"{path} row 1: header must start with class_id,trial_id,step"
-            )
-        chan_names = header[3:]
-        if not chan_names or chan_names != [f"ch{i + 1}" for i in range(len(chan_names))]:
-            raise DataFormatError(f"{path} row 1: channel columns must be ch1..chN")
-        n_chan = len(chan_names)
+def _parse_rows(rows: list[str], n_chan: int) -> np.ndarray:
+    """One record per line: int64 key (class_id, trial_id, step), float64 ch."""
+    dtype = np.dtype([("key", np.int64, (3,)), ("ch", np.float64, (n_chan,))])
+    if not rows:
+        return np.zeros(0, dtype=dtype)
+    if "" in rows:  # np.loadtxt would skip it
+        raise ValueError("blank line")
+    return np.loadtxt(rows, dtype=dtype, delimiter=",", comments=None, quotechar=None, ndmin=1)
 
-        groups: dict[tuple[int, int], list[list[float]]] = {}
-        prev_key: tuple[int, int] | None = None
-        prev_step = -1
-        for rownum, row in enumerate(reader, start=2):
-            if len(row) != 3 + n_chan:
-                raise DataFormatError(
-                    f"{path} row {rownum}: expected {3 + n_chan} columns, got {len(row)}"
-                )
-            try:
-                class_id, trial_id, step = int(row[0]), int(row[1]), int(row[2])
-                values = [float(v) for v in row[3:]]
-            except ValueError as exc:
-                raise DataFormatError(f"{path} row {rownum}: {exc}") from None
-            if not all(math.isfinite(v) for v in values):
-                raise DataFormatError(f"{path} row {rownum}: non-finite value")
-            key = (class_id, trial_id)
-            if key != prev_key:
-                if key in groups:
-                    raise DataFormatError(
-                        f"{path} row {rownum}: rows of class {class_id} trial {trial_id} are not contiguous"
-                    )
-                if prev_key is not None and key < prev_key:
-                    raise DataFormatError(
-                        f"{path} row {rownum}: rows not sorted by (class_id, trial_id)"
-                    )
-                groups[key] = []
-                prev_key, prev_step = key, -1
-            if step <= prev_step:
-                raise DataFormatError(
-                    f"{path} row {rownum}: step {step} not increasing within trial {trial_id}"
-                )
-            prev_step = step
-            groups[key].append(values)
 
-    if not groups:
-        raise DataFormatError(f"{path}: no data rows")
-    return [
-        TimeSeriesTrial(class_id=k[0], trial_id=k[1], channels=np.array(rows))
-        for k, rows in groups.items()
+def _line_problem(row: str, n_chan: int) -> str | None:
+    """Why one data line does not parse, or None if it does."""
+    n_fields = len(row.split(",")) if row else 0
+    if n_fields != 3 + n_chan:
+        return f"expected {3 + n_chan} columns, got {n_fields}"
+    try:
+        _parse_rows([row], n_chan)
+    except ValueError:
+        return f"cannot read {row!r} as 3 integers and {n_chan} numbers"
+    return None
+
+
+def _first_table_problem(
+    key: np.ndarray, ch: np.ndarray, starts: np.ndarray
+) -> tuple[int, str] | None:
+    """(row index, reason) of the earliest row the table checks reject."""
+    prev_key = np.concatenate([key[:1], key[:-1]])
+    decreasing = starts & (
+        (key[:, 0] < prev_key[:, 0])
+        | ((key[:, 0] == prev_key[:, 0]) & (key[:, 1] < prev_key[:, 1]))
+    )
+    prev_step = np.where(starts, -1, prev_key[:, 2])
+
+    def unordered(i: int) -> str:
+        c, t = key[i, :2].tolist()
+        if np.all(key[:i, :2] == (c, t), axis=1).any():
+            return f"rows of class {c} trial {t} are not contiguous"
+        return "rows not sorted by (class_id, trial_id)"
+
+    checks = [
+        (~np.isfinite(ch).all(axis=1), lambda i: "non-finite value"),
+        (key[:, 0] < 0, lambda i: f"class_id must be >= 0, got {key[i, 0]}"),
+        (key[:, 1] < 1, lambda i: f"trial_id must be >= 1, got {key[i, 1]}"),
+        (decreasing, unordered),
+        (key[:, 2] <= prev_step, lambda i: f"step {key[i, 2]} not increasing within trial {key[i, 1]}"),
     ]
+    found = [(int(np.flatnonzero(bad)[0]), say) for bad, say in checks if bad.any()]
+    if not found:
+        return None
+    i, say = min(found, key=lambda f: f[0])
+    return i, say(i)
 
 
 # ---------------------------------------------------------------------------

@@ -17,10 +17,8 @@ from pseudoreplay import (
     fit_ensemble,
     forward,
     init_model,
-    load_ensemble,
     loss_and_gradient,
     predict,
-    save_ensemble,
     train,
 )
 from pseudoreplay.classifier import (
@@ -674,31 +672,3 @@ def test_fit_ensemble_members_differ_and_are_deterministic():
     for ma, mb in zip(a.members, b.members, strict=True):
         np.testing.assert_array_equal(ma.parameters, mb.parameters)
 
-
-# ----------------------------------------------------------------- checkpoints
-
-
-def test_ensemble_checkpoint_round_trip(tmp_path):
-    samples = cluster_samples(6, seed=11)
-    spec = NetSpec(kind="dense", input_shape=(2, 1), n_classes=2, hidden=(4, 3))
-    ens = fit_ensemble(samples=samples, spec=spec, config=TrainConfig(epochs=2, batch_size=4, learning_rate=0.01), seed=1, n_members=2)
-    path = tmp_path / "ens.json"
-    save_ensemble(path, ens)
-    loaded = load_ensemble(path)
-    np.testing.assert_array_equal(loaded.standardizer.mean, ens.standardizer.mean)
-    for ma, mb in zip(loaded.members, ens.members, strict=True):
-        np.testing.assert_array_equal(ma.parameters, mb.parameters)
-    np.testing.assert_array_equal(predict(loaded, samples), predict(ens, samples))
-
-
-def test_checkpoint_parameter_count_is_verified(tmp_path):
-    import json
-
-    spec = dense_spec()
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps({
-        "standardizer": {"mean": [0.0], "std": [1.0]},
-        "members": [{"spec": spec.to_dict(), "parameters": [0.0, 1.0]}],
-    }))
-    with pytest.raises(ConfigurationError, match="parameters"):
-        load_ensemble(path)

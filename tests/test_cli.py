@@ -394,6 +394,26 @@ def test_validate_surfaces_data_format_errors(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "data, needle",
+    [
+        (b"0,1,0,1.5,2\xe9\n", ": not UTF-8 text"),
+        (b"-1,1,0,1.5,2.5\n", " row 2: class_id must be >= 0, got -1"),
+        (b"0,1,0,1.5,2.5\n0,0,0,1.5,2.5\n", " row 3: trial_id must be >= 1, got 0"),
+    ],
+)
+def test_bad_data_file_exits_2_naming_the_file(tmp_path, capsys, data, needle):
+    csv_path = tmp_path / "data.csv"
+    csv_path.write_bytes(b"class_id,trial_id,step,ch1,ch2\n" + data)
+    cfg = write_json(tmp_path / "exp.json", run_config_doc(data={"csv": str(csv_path)}))
+    assert main(["validate", "--config", cfg]) == 2
+    assert f"violation: {csv_path}{needle}" in capsys.readouterr().out
+    out = tmp_path / "r"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {csv_path}{needle}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "override, needle",
     [
         (

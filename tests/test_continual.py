@@ -21,7 +21,7 @@ from pseudoreplay.classifier import fit_ensemble, pad_parameters, predict
 from pseudoreplay.continual import STRATEGIES, TaskSequence
 from pseudoreplay.data import SYNTHETIC_TRIAL_ID, ClassSignal, SyntheticStreamConfig, Windows
 from pseudoreplay.errors import ConfigurationError, DataFormatError
-from pseudoreplay.metrics import confusion
+from pseudoreplay.metrics import aggregate, confusion
 from pseudoreplay.seeding import derive_seed
 
 pytestmark = pytest.mark.filterwarnings("ignore::pseudoreplay.metrics.MetricWarning")
@@ -382,11 +382,10 @@ def test_unknown_strategy_rejected(small_seq):
 
 def test_forced_equal_seeds_zero_out_the_spread(small_seq):
     settings = RunSettings(net=small_net(), train=FAST, n_members=2)
-    comp = compare_strategies(
-        small_seq, settings, strategies=("baseline", "rcl"), repetitions=2, rep_seeds=[7, 7]
-    )
-    for summary in comp.summaries.values():
-        for task_std in summary.per_task_std:
+    for strat in ("baseline", "rcl"):
+        runs = [run_strategy(strat, small_seq, settings, seed=7) for _ in range(2)]
+        for t in range(small_seq.n_tasks):
+            _, task_std = aggregate([run.tasks[t].report for run in runs])
             assert task_std.macro_f == 0.0
             assert np.all(task_std.f_score == 0.0)
 
@@ -425,12 +424,6 @@ def test_failing_strategy_is_recorded_and_the_rest_still_run(small_stream_config
     assert comp.strategies == ["baseline"]
     assert list(comp.summaries) == list(comp.runs) == ["baseline"]
     assert len(comp.summaries["baseline"].per_task_mean) == seq.n_tasks
-
-
-def test_rep_seeds_length_validated(small_seq):
-    settings = RunSettings(net=small_net(), train=FAST)
-    with pytest.raises(ConfigurationError):
-        compare_strategies(small_seq, settings, strategies=("baseline",), repetitions=3, rep_seeds=[1])
 
 
 # -------------------------------------------------- mixed classifier variants

@@ -1,6 +1,8 @@
+import re
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from pseudoreplay import (
@@ -18,7 +20,6 @@ from pseudoreplay import (
     synthesize_stream,
     window_trial,
 )
-from pseudoreplay.data import _load_trials_by_row, _load_trials_in_bulk
 from pseudoreplay.errors import ConfigurationError, DataFormatError
 
 from _oracles import two_pass_moments
@@ -247,57 +248,52 @@ def test_noncontiguous_trial_rows_rejected(tmp_path):
         load_trials(path)
 
 
-# load_trials parses plain files in bulk and hands every other file to the
-# per-row parser; either way it must return what the row parser returns and
-# raise what the row parser raises.
-
 HEADER_2 = "class_id,trial_id,step,ch1,ch2\n"
 
 
-def assert_loads_like_the_row_parser(path):
-    loaded, reference = load_trials(path), _load_trials_by_row(path)
+def assert_loads_as_written(path, written):
+    """load_trials gives back the written trials, sorted by key, to the byte."""
+    loaded = load_trials(path)
+    written = sorted(written, key=lambda t: (t.class_id, t.trial_id))
     assert [(t.class_id, t.trial_id) for t in loaded] == [
-        (t.class_id, t.trial_id) for t in reference
+        (t.class_id, t.trial_id) for t in written
     ]
-    for got, want in zip(loaded, reference):
+    for got, want in zip(loaded, written):
         assert type(got.class_id) is int and type(got.trial_id) is int
         assert got.channels.dtype == np.float64 and got.channels.flags.c_contiguous
         assert got.channels.shape == want.channels.shape
         assert got.channels.tobytes() == want.channels.tobytes()
 
 
-def assert_same_error_as_the_row_parser(path, needle):
-    with pytest.raises(DataFormatError) as bulk:
+def assert_names_the_file(path, needle):
+    with pytest.raises(DataFormatError) as err:
         load_trials(path)
-    with pytest.raises(DataFormatError) as by_row:
-        _load_trials_by_row(path)
-    assert str(bulk.value) == str(by_row.value)
-    assert needle in str(bulk.value)
+    assert str(err.value).startswith(str(path))
+    assert needle in str(err.value)
 
 
 @pytest.mark.parametrize("n_chan", [1, 2, 3, 4])
-def test_saved_trials_load_in_bulk_like_the_row_parser(tmp_path, n_chan):
+def test_saved_trials_load_as_written(tmp_path, n_chan):
     rng = np.random.default_rng(n_chan)
     trials = [
         trial_of(rng.normal(size=(5 + c + t, n_chan)), class_id=c, trial_id=t)
-        for c in (0, 1, 3)
-        for t in (1, 2, 7)
+        for c in (3, 0, 1)
+        for t in (7, 1, 2)
     ]
     path = tmp_path / "trials.csv"
     save_trials(path, trials)
-    assert _load_trials_in_bulk(path) is not None
-    assert_loads_like_the_row_parser(path)
+    assert_loads_as_written(path, trials)
 
 
-def test_extreme_values_load_in_bulk_like_the_row_parser(tmp_path):
+def test_extreme_values_load_as_written(tmp_path):
     values = np.array(
         [1e-300, -1e300, -0.0, 0.0, 5e-324, -1e-310, 2.2250738585072014e-308,
          1e300, 1.7976931348623157e308, 0.1, 1.0 / 3.0, -123456.789]
     ).reshape(-1, 2)
     path = tmp_path / "extreme.csv"
-    save_trials(path, [trial_of(values), trial_of(values[::-1], trial_id=2)])
-    assert _load_trials_in_bulk(path) is not None
-    assert_loads_like_the_row_parser(path)
+    written = [trial_of(values), trial_of(values[::-1].copy(), trial_id=2)]
+    save_trials(path, written)
+    assert_loads_as_written(path, written)
     (first, _) = load_trials(path)
     assert np.signbit(first.channels[1, 0])  # -0.0 keeps its sign
 
@@ -306,20 +302,15 @@ def test_extreme_values_load_in_bulk_like_the_row_parser(tmp_path):
     "line_end, final",
     [("\n", "\n"), ("\n", ""), ("\r\n", "\r\n"), ("\r\n", ""), ("\r", "\r")],
 )
-def test_line_ends_load_in_bulk_like_the_row_parser(tmp_path, line_end, final):
+def test_every_line_end_loads_as_written(tmp_path, line_end, final):
     lines = [HEADER_2.strip(), "0,1,0,1.5,2.5", "0,1,1,3.5,4.5", "1,1,0,-1,1e-5"]
     path = tmp_path / "ends.csv"
     path.write_bytes((line_end.join(lines) + final).encode())
-    assert _load_trials_in_bulk(path) is not None
-    assert_loads_like_the_row_parser(path)
-
-
-@pytest.mark.parametrize("row", ['0,1,1,"3.5",4.5', "0,1,1,1_000,4.5", "0,1,1_0,3.5,4.5"])
-def test_spellings_only_python_reads_go_to_the_row_parser(tmp_path, row):
-    path = tmp_path / "spelled.csv"
-    path.write_text(HEADER_2 + "0,1,0,1.5,2.5\n" + row + "\n")
-    assert _load_trials_in_bulk(path) is None
-    assert_loads_like_the_row_parser(path)
+    written = [
+        trial_of(np.array([[1.5, 2.5], [3.5, 4.5]])),
+        trial_of(np.array([[-1.0, 1e-5]]), class_id=1),
+    ]
+    assert_loads_as_written(path, written)
 
 
 @pytest.mark.parametrize(
@@ -334,25 +325,75 @@ def test_spellings_only_python_reads_go_to_the_row_parser(tmp_path, row):
         ("0,1,0,1.5,2.5\n0,2,0,3.5,4.5\n0,1,1,3.5,4.5\n", "row 4: rows of class 0 trial 1 are not contiguous"),
         ("0,1,0,1.5,2.5\n0,1,0,3.5,4.5\n", "row 3: step 0 not increasing"),
         ("0,1,-1,1.5,2.5\n", "row 2: step -1 not increasing"),
-        ("", "no data rows"),
+        ("-1,1,0,1.5,2.5\n", "row 2: class_id must be >= 0, got -1"),
+        ("0,1,0,1.5,2.5\n1,0,0,3.5,4.5\n", "row 3: trial_id must be >= 1, got 0"),
+        ("", ": no data rows"),
     ],
 )
-def test_malformed_files_raise_the_row_parsers_error(tmp_path, body, needle):
+def test_malformed_files_name_the_first_bad_row(tmp_path, body, needle):
     path = tmp_path / "bad.csv"
     path.write_text(HEADER_2 + body)
-    assert_same_error_as_the_row_parser(path, needle)
+    assert_names_the_file(path, needle)
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        '0,1,1,"3.5",4.5',
+        "0,1,1,1_000,4.5",
+        "0,1,1_0,3.5,4.5",
+        "0,1,1,\u0663,4.5",  # an Arabic-Indic digit
+        "0,99999999999999999999,1,3.5,4.5",
+        "0,1,-9223372036854775809,3.5,4.5",
+    ],
+)
+def test_spellings_beyond_plain_ascii_numbers_name_the_row(tmp_path, row):
+    path = tmp_path / "spelled.csv"
+    path.write_text(HEADER_2 + "0,1,0,1.5,2.5\n" + row + "\n", encoding="utf-8")
+    assert_names_the_file(path, f"row 3: cannot read {row!r}")
 
 
 @pytest.mark.parametrize(
     "row_5, row_10",
-    [("0,1,3,nan,1", "0,1,8,x,1"), ("0,1,2,1,1", "0,0,0,1,1")],
+    [("0,1,3,nan,1", "0,1,8,x,1"), ("0,1,2,1,1", "0,0,0,1,1"), ("0,1,3,x,1", "0,1,8,nan,1")],
 )
 def test_the_first_of_two_problems_is_reported(tmp_path, row_5, row_10):
     rows = [f"0,1,{step},{step}.5,1" for step in range(9)]
     rows[3], rows[8] = row_5, row_10  # file rows 5 and 10
     path = tmp_path / "two.csv"
     path.write_text(HEADER_2 + "\n".join(rows) + "\n")
-    assert_same_error_as_the_row_parser(path, "row 5:")
+    assert_names_the_file(path, "row 5:")
+
+
+IDS = st.sampled_from(["0", "1", "2", "-1", " 3"])
+VALUES = st.sampled_from(["1.5", "-0.0", "1e5", "nan", "inf"])
+ODD_FIELDS = st.sampled_from(["", "x", "1_0", '"1"', "1.0", "99999999999999999999", "\u0663", "\t"])
+CSV_TEXT = st.lists(
+    st.one_of(
+        st.tuples(IDS, IDS, IDS, VALUES, VALUES).map(",".join),
+        st.lists(st.one_of(IDS, VALUES, ODD_FIELDS), min_size=1, max_size=6).map(",".join),
+    ),
+    max_size=6,
+).map(lambda rows: HEADER_2 + "\n".join(rows))
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    raw=st.one_of(
+        CSV_TEXT.map(str.encode),
+        st.tuples(CSV_TEXT, st.binary(max_size=12)).map(lambda p: p[0].encode() + p[1]),
+        st.binary(max_size=60),
+    )
+)
+def test_any_bytes_load_or_raise_a_data_format_error(tmp_path, raw):
+    path = tmp_path / "fuzz.csv"
+    path.write_bytes(raw)
+    try:
+        trials = load_trials(path)
+    except DataFormatError as exc:
+        assert re.match(rf"{re.escape(str(path))}( row [1-9][0-9]*)?: ", str(exc)), str(exc)
+        return
+    assert trials and all(isinstance(t, TimeSeriesTrial) for t in trials)
 
 
 # ------------------------------------------------------------ synthetic data
