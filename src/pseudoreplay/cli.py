@@ -18,12 +18,14 @@ import numpy as np
 
 from .classifier import NetSpec, TrainConfig
 from .continual import (
+    CARRIED,
     STRATEGIES,
     ComparisonReport,
     GeneratorConfig,
     RunSettings,
     TaskSequence,
     compare_strategies,
+    switches_architecture,
 )
 from .data import (
     SyntheticStreamConfig,
@@ -31,7 +33,7 @@ from .data import (
     load_trials,
     save_trials,
     synthesize_stream,
-    window_trial,
+    window_count,
 )
 from .errors import (
     ConfigurationError,
@@ -153,6 +155,22 @@ def _net_template(path: str, net_doc: dict, window: int, channels: int) -> NetSp
     )
 
 
+def _variant_task_nets(
+    cfg: ExperimentConfig, i: int, base: NetSpec, net: NetSpec, n_tasks: int
+) -> list[NetSpec]:
+    """Variant i's net per task: `base` for every task but the last, `net`
+    for the last. A carried strategy that could not follow the switch is
+    rejected here, as run_strategy would reject it only after training."""
+    nets = [base] * (n_tasks - 1) + [net]
+    carried = [s for s in cfg.strategies if s in CARRIED]
+    if carried and switches_architecture(nets):
+        raise ConfigurationError(
+            f"field 'variants[{i}].net': {carried[0]} carries one model across tasks,"
+            " so a variant net must match 'net' apart from the head"
+        )
+    return nets
+
+
 def _load_data(cfg: ExperimentConfig) -> tuple[list[TimeSeriesTrial], str]:
     if cfg.data.synthetic is not None:
         trials = synthesize_stream(cfg.data.synthetic)
@@ -221,7 +239,7 @@ def cmd_run(
         variant_nets = {}
         for i, variant in enumerate(cfg.variants):
             vnet = _net_template(f"variants[{i}].net", variant.net, cfg.window, seq.channels)
-            variant_nets[variant.name] = [base_net] * (seq.n_tasks - 1) + [vnet]
+            variant_nets[variant.name] = _variant_task_nets(cfg, i, base_net, vnet, seq.n_tasks)
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -291,11 +309,18 @@ def cmd_validate(config_path: str) -> int:
     if len(wanted) < 2:
         violations.append(f"need at least 2 classes, found {len(wanted)}")
     nets = [("net", cfg.net)] + [(f"variants[{i}].net", v.net) for i, v in enumerate(cfg.variants)]
+    specs = []
     for path, net_doc in nets:
         try:
-            _net_template(path, net_doc, cfg.window, trials[0].n_channels)
+            specs.append(_net_template(path, net_doc, cfg.window, trials[0].n_channels))
         except ConfigurationError as exc:
             violations.append(str(exc))
+    if len(specs) == len(nets) and len(wanted) >= 2:
+        for i, vnet in enumerate(specs[1:]):
+            try:
+                _variant_task_nets(cfg, i, specs[0], vnet, len(wanted) - 1)
+            except ConfigurationError as exc:
+                violations.append(str(exc))
 
     if violations:
         for v in violations:
@@ -306,7 +331,7 @@ def cmd_validate(config_path: str) -> int:
     print(f"config ok: {len(wanted)} classes, window {cfg.window}, stride {stride}")
     for c in wanted:
         cls_trials = [t for t in trials if t.class_id == c]
-        windows = sum(len(window_trial(t, cfg.window, cfg.stride)) for t in cls_trials)
+        windows = sum(window_count(t.length, cfg.window, cfg.stride) for t in cls_trials)
         print(f"class {c}: {len(cls_trials)} trials, {windows} windows")
     return 0
 

@@ -59,6 +59,7 @@ from .metrics import ConfusionMatrix, MetricReport, aggregate, confusion, metric
 from .seeding import derive_seed
 
 STRATEGIES = ("rcl", "ewc", "finetune", "baseline")
+CARRIED = ("ewc", "finetune")  # the strategies that carry one model across tasks
 
 
 @dataclass(eq=False)
@@ -160,18 +161,36 @@ class ContinualRun:
     memory_footprint: int  # raw previous-class windows retained
 
 
+_EVAL_BLOCK = 1 << 16  # elements of test windows standardized and forwarded at once
+
+
 def _evaluate(ensemble: Ensemble, seq: TaskSequence, upto: int) -> tuple[ConfusionMatrix, MetricReport, float]:
-    """One forward pass per member: the ensemble prediction is the argmax of
-    the mean member probability, as `predict` computes it, and the member
-    spread comes from the same probabilities."""
-    batch = Windows.concat(seq.test[: upto + 1])
-    y_true = batch.y
-    probs = member_probabilities(ensemble, batch)
-    cm = confusion(y_true, np.argmax(probs.mean(axis=0), axis=1), upto + 1)
+    """Walk the test windows of positions 0..upto in even blocks of about
+    _EVAL_BLOCK elements at most, one member_probabilities call each, so
+    every member runs forward once over every window and no full copy of the
+    test set is made. The ensemble prediction is the argmax of the mean
+    member probability, as `predict` computes it, and the member spread
+    comes from the same probabilities."""
+    parts = seq.test[: upto + 1]
+    starts = np.cumsum([0] + [len(p) for p in parts[:-1]]).tolist()
+    y_true = np.concatenate([p.y for p in parts])
+    n = len(y_true)
+    blocks = min(n, -(-n * parts[0].x[0].size // _EVAL_BLOCK))  # ceil, one window at least
+    y_pred = np.empty(n, dtype=np.int64)
+    member_pred = np.empty((len(ensemble.members), n), dtype=np.int64)
+    for b in range(blocks):
+        lo, hi = n * b // blocks, n * (b + 1) // blocks
+        pieces = [
+            p.select(slice(max(lo - a, 0), min(hi - a, len(p))))
+            for p, a in zip(parts, starts)
+            if a < hi and a + len(p) > lo
+        ]
+        probs = member_probabilities(ensemble, Windows.concat(pieces))
+        y_pred[lo:hi] = np.argmax(probs.mean(axis=0), axis=1)
+        member_pred[:, lo:hi] = np.argmax(probs, axis=2)
+    cm = confusion(y_true, y_pred, upto + 1)
     report = metrics(cm)
-    member_f = [
-        metrics(confusion(y_true, np.argmax(p, axis=1), upto + 1)).macro_f for p in probs
-    ]
+    member_f = [metrics(confusion(y_true, p, upto + 1)).macro_f for p in member_pred]
     return cm, report, float(np.std(member_f))
 
 
@@ -236,6 +255,13 @@ def _carry_forward(
     return Ensemble(members=members, standardizer=standardizer)
 
 
+def switches_architecture(nets: list[NetSpec]) -> bool:
+    """Whether per-task net specs differ beyond the head size and seed, which
+    a carried model cannot follow."""
+    first = replace(nets[0], n_classes=2, seed=0)
+    return any(replace(net, n_classes=2, seed=0) != first for net in nets)
+
+
 def run_strategy(
     strategy: str, seq: TaskSequence, settings: RunSettings, seed: int
 ) -> ContinualRun:
@@ -252,10 +278,8 @@ def run_strategy(
     nets = [settings.net] * seq.n_tasks if isinstance(settings.net, NetSpec) else list(settings.net)
     if len(nets) != seq.n_tasks:
         raise ConfigurationError(f"need one net spec or {seq.n_tasks}, got {len(nets)}")
-    carried = strategy in ("finetune", "ewc")
-    if carried and any(
-        replace(net, n_classes=2, seed=0) != replace(nets[0], n_classes=2, seed=0) for net in nets
-    ):
+    carried = strategy in CARRIED
+    if carried and switches_architecture(nets):
         raise ConfigurationError(
             f"{strategy} carries one model across tasks and cannot switch"
             " architectures; per-task net specs must match"

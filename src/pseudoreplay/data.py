@@ -132,22 +132,29 @@ class Windows:
         )
 
 
-def window_trial(trial: TimeSeriesTrial, window: int, stride: int | None = None) -> Windows:
-    """Cut a trial into windows of length `window` every `stride` steps.
-
-    Default stride equals window (non-overlapping partition). Yields
-    floor((T - window) / stride) + 1 windows; trailing remainder is dropped.
-    """
+def window_count(length: int, window: int, stride: int | None = None) -> int:
+    """Windows of `window` steps every `stride` steps (default: window) that
+    fit in `length` steps: floor((length - window) / stride) + 1, or 0."""
     if stride is None:
         stride = window
     if window < 1 or stride < 1:
         raise ConfigurationError(f"window and stride must be >= 1, got {window}, {stride}")
+    return max(0, (length - window) // stride + 1)
+
+
+def window_trial(trial: TimeSeriesTrial, window: int, stride: int | None = None) -> Windows:
+    """Cut a trial into its window_count windows of length `window` every
+    `stride` steps. Default stride equals window (non-overlapping
+    partition); the trailing remainder is dropped.
+    """
+    if stride is None:
+        stride = window
     t = trial.length
-    if window > t:
+    n = window_count(t, window, stride)
+    if n == 0:
         raise DataFormatError(
             f"trial {trial.trial_id} of class {trial.class_id}: length {t} < window {window}"
         )
-    n = (t - window) // stride + 1
     # [T - window + 1, C, window] view; Windows makes the one [n, window, C] copy
     views = sliding_window_view(trial.channels, window, axis=0)[::stride]
     starts = np.arange(n, dtype=np.int64) * stride
@@ -198,7 +205,8 @@ def apply_standardizer(params: StandardizationParams, windows: Windows) -> Windo
         raise ConfigurationError(
             f"standardizer expects {params.mean.shape[0]} features, window has {w * c}"
         )
-    flat = (windows.x.reshape(n, w * c) - params.mean) / params.std
+    flat = windows.x.reshape(n, w * c) - params.mean
+    flat /= params.std
     return Windows(flat.reshape(windows.x.shape), windows.y, windows.source)
 
 
@@ -233,8 +241,9 @@ def load_trials(path: str | Path) -> list[TimeSeriesTrial]:
     checked as a whole: finite values, class_id >= 0, trial_id >= 1,
     contiguous (class_id, trial_id) groups in strictly increasing order and
     steps strictly increasing from >= 0 within a group. If the parse fails,
-    the failing line is found one line at a time, so of several problems the
-    one on the earliest row is reported.
+    the first failing line is found by bisection, and the table checks run on
+    the rows before it, so of several problems the one on the earliest row
+    is reported.
     """
     path = Path(path)
     try:
@@ -253,11 +262,7 @@ def load_trials(path: str | Path) -> list[TimeSeriesTrial]:
         rows.pop()  # the final line end
     if not rows:
         raise DataFormatError(f"{path}: no data rows")
-    try:
-        table, bad_line = _parse_rows(rows, n_chan), None
-    except ValueError:
-        bad_line = next(i for i, row in enumerate(rows) if _line_problem(row, n_chan))
-        table = _parse_rows(rows[:bad_line], n_chan)
+    table, bad_line = _parse_until_bad(rows, n_chan)
     key = table["key"]
     starts = np.ones(len(key), dtype=bool)  # the first row of each trial
     starts[1:] = np.any(key[1:, :2] != key[:-1, :2], axis=1)
@@ -285,6 +290,29 @@ def _parse_rows(rows: list[str], n_chan: int) -> np.ndarray:
     if "" in rows:  # np.loadtxt would skip it
         raise ValueError("blank line")
     return np.loadtxt(rows, dtype=dtype, delimiter=",", comments=None, quotechar=None, ndmin=1)
+
+
+def _parse_until_bad(rows: list[str], n_chan: int) -> tuple[np.ndarray, int | None]:
+    """The parsed rows before the first line that does not parse, and that
+    line's index (None if every line parses).
+
+    Whether a line parses depends on that line alone, so halving the range
+    known to hold the first bad line finds it in O(log n) parse calls that
+    read about 2n lines in all.
+    """
+    try:
+        return _parse_rows(rows, n_chan), None
+    except ValueError:
+        pass
+    parsed, lo, hi = [_parse_rows([], n_chan)], 0, len(rows)
+    while hi - lo > 1:  # rows[:lo] parse; the first bad line is in [lo, hi)
+        mid = (lo + hi) // 2
+        try:
+            parsed.append(_parse_rows(rows[lo:mid], n_chan))
+            lo = mid
+        except ValueError:
+            hi = mid
+    return np.concatenate(parsed), lo
 
 
 def _line_problem(row: str, n_chan: int) -> str | None:

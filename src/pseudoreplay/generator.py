@@ -6,12 +6,12 @@ nearest same-class neighbours (Euclidean, self excluded, distance ties broken
 by lower index): s = x_j + u * (x_l - x_j) with u uniform on [0, 1]. Every
 output therefore stays inside the per-feature envelope of the memory.
 
-The neighbour table is ranked in two passes: one GEMM gives every pairwise
-distance in Gram form, and the few columns per row that can still be among
-the k nearest, within a forward-error margin, are re-ranked by the direct
-difference distance. The table equals a direct ranking of all pairs. Fitting
-takes a `Windows` of one class and `generate` returns a `Windows` whose rows
-are tagged as synthetic.
+The neighbour table is ranked in two passes over fixed-size row blocks: a
+GEMM gives the block's pairwise distances in Gram form, and the few columns
+per row that can still be among the k nearest, within a forward-error
+margin, are re-ranked by the direct difference distance. The table equals a
+direct ranking of all pairs. Fitting takes a `Windows` of one class and
+`generate` returns a `Windows` whose rows are tagged as synthetic.
 """
 
 from __future__ import annotations
@@ -68,48 +68,68 @@ class GenerationRequest:
         require_integer("count", self.count, least=1)
 
 
+_GRAM_BLOCK = 1 << 18  # elements of one [rows, M] block of distances, and of a difference temporary
+
+
 def _neighbor_table(memory: np.ndarray, k: int) -> np.ndarray:
     """k_eff = min(k, M - 1) nearest indices per row, ties to lower index.
 
-    All squared distances come from one GEMM as |a|^2 + |b|^2 - 2 a.b. Each
+    Squared distances come from GEMMs as |a|^2 + |b|^2 - 2 a.b, one block of
+    rows against all M columns at a time, _GRAM_BLOCK elements at most. Each
     row keeps as candidates every column within `margin` of its k_eff-th
     smallest Gram-form distance, and only those are ranked by the direct
     difference distance sum((a - b)^2). The margin is twice the summed
     forward-error bounds of the two forms, so no column the direct ranking
     would pick can fall outside the candidates; where the Gram form cancels
     (rows far from the origin and close together) every column qualifies and
-    the table is the direct ranking of the whole row.
+    the table is the direct ranking of the whole row. A row's entry depends
+    on that row alone, so the block size cannot change the table.
     """
     m, d = memory.shape
     k_eff = min(k, m - 1)
     sq = np.einsum("ij,ij->i", memory, memory)
-    d2 = memory @ memory.T
-    d2 *= -2.0
-    d2 += sq[:, None]
-    d2 += sq[None, :]
-    np.fill_diagonal(d2, np.inf)
-    kth = np.partition(d2, k_eff - 1, axis=1)[:, k_eff - 1]
     margin = 2.0 * (2 * d + 4) * np.finfo(float).eps * (sq + sq.max())
-    # "not above" keeps every column of a row whose bound is NaN or inf
-    candidate = ~(d2 > (kth + margin)[:, None])
-    np.fill_diagonal(candidate, False)
-    rows, cols = np.nonzero(candidate)
+    table = np.empty((m, k_eff), dtype=np.intp)
+    step = max(1, _GRAM_BLOCK // m)
+    for lo in range(0, m, step):
+        rows = slice(lo, min(m, lo + step))
+        table[rows] = _neighbor_rows(memory, sq, margin, rows, k_eff)
+    return table
 
-    exact = np.empty(rows.size)
-    step = max(1, int(4e6 // max(1, d)))  # bounds the [step, D] difference temporary
-    for lo in range(0, rows.size, step):
-        diff = memory.take(rows[lo : lo + step], axis=0)
-        diff -= memory.take(cols[lo : lo + step], axis=0)
-        exact[lo : lo + step] = np.einsum("ij,ij->i", diff, diff)
+
+def _neighbor_rows(
+    memory: np.ndarray, sq: np.ndarray, margin: np.ndarray, rows: slice, k_eff: int
+) -> np.ndarray:
+    """The neighbour table's entries for memory[rows], as _neighbor_table ranks them."""
+    n = rows.stop - rows.start
+    own = (np.arange(n), np.arange(rows.start, rows.stop))
+    d2 = memory[rows] @ memory.T
+    d2 *= -2.0
+    d2 += sq[rows, None]
+    d2 += sq[None, :]
+    d2[own] = np.inf
+    kth = np.partition(d2, k_eff - 1, axis=1)[:, k_eff - 1]
+    # "not above" keeps every column of a row whose bound is NaN or inf
+    candidate = ~(d2 > (kth + margin[rows])[:, None])
+    candidate[own] = False
+    del d2, kth  # free both [rows, M] float blocks before the ranking
+    block_rows, cols = np.nonzero(candidate)
+
+    exact = np.empty(block_rows.size)
+    chunk = max(1, _GRAM_BLOCK // memory.shape[1])  # bounds the [chunk, D] difference temporary
+    for lo in range(0, block_rows.size, chunk):
+        diff = memory.take(rows.start + block_rows[lo : lo + chunk], axis=0)
+        diff -= memory.take(cols[lo : lo + chunk], axis=0)
+        exact[lo : lo + chunk] = np.einsum("ij,ij->i", diff, diff)
 
     # each row's candidates, in column order, then inf padding; a stable sort
     # breaks distance ties toward the lower column and never reaches the padding
-    counts = np.bincount(rows, minlength=m)
-    slot = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    distance = np.full((m, counts.max()), np.inf)
-    distance[rows, slot] = exact
-    column = np.zeros((m, counts.max()), dtype=cols.dtype)
-    column[rows, slot] = cols
+    counts = np.bincount(block_rows, minlength=n)
+    slot = np.arange(block_rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    distance = np.full((n, counts.max()), np.inf)
+    distance[block_rows, slot] = exact
+    column = np.zeros((n, counts.max()), dtype=cols.dtype)
+    column[block_rows, slot] = cols
     order = np.argsort(distance, axis=1, kind="stable")[:, :k_eff]
     return np.take_along_axis(column, order, axis=1)
 

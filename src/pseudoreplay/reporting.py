@@ -96,9 +96,10 @@ def comparison_table(comp: ComparisonReport, variant: str = "") -> str:
 
 
 def variant_table(comparisons: dict[str, ComparisonReport]) -> str:
-    """Strategies x classifier variants on the final task, macro metrics."""
+    """Strategies x classifier variants on the final task, macro metrics.
+    A strategy that failed under some variant reads 'failed' there."""
     variants = sorted(v for v in comparisons if v)
-    strategies = comparisons[variants[0]].strategies
+    strategies = list(dict.fromkeys(s for v in variants for s in comparisons[v].strategies))
     header = ["Method"]
     for v in variants:
         header += [f"{v} Precision", f"{v} Recall", f"{v} F-score"]
@@ -109,7 +110,10 @@ def variant_table(comparisons: dict[str, ComparisonReport]) -> str:
     for strat in strategies:
         row = [_strategy_label(strat)]
         for v in variants:
-            s = comparisons[v].summaries[strat]
+            s = comparisons[v].summaries.get(strat)
+            if s is None:
+                row += ["failed"] * 3
+                continue
             mean, std = s.per_task_mean[-1], s.per_task_std[-1]
             row += [
                 format_cell(mean.macro_precision, std.macro_precision),

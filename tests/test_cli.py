@@ -22,7 +22,8 @@ from pseudoreplay import (
     synthesize_stream,
 )
 from pseudoreplay.cli import DataSource, ExperimentConfig, Variant, main
-from pseudoreplay.errors import ConfigurationError
+from pseudoreplay import continual, data
+from pseudoreplay.errors import ConfigurationError, TrainingError
 
 pytestmark = pytest.mark.filterwarnings("ignore::pseudoreplay.metrics.MetricWarning")
 
@@ -219,6 +220,61 @@ def test_run_strategy_failure_exits_1_with_failed_manifest(tmp_path, capsys):
     assert methods == {"baseline"}
 
 
+MLP_AND_CNN = [
+    {"name": "a_mlp", "net": {"kind": "dense"}},
+    {"name": "b_cnn", "net": {"kind": "conv"}},
+]
+
+
+@pytest.mark.parametrize("carried", ["finetune", "ewc"])
+def test_a_carried_strategy_with_a_switching_variant_exits_2_before_training(
+    tmp_path, capsys, carried
+):
+    cfg = write_json(
+        tmp_path / "exp.json",
+        run_config_doc(strategies=["rcl", carried], net={"kind": "dense"}, variants=MLP_AND_CNN),
+    )
+    needle = f"field 'variants[1].net': {carried} carries one model across tasks"
+    assert main(["validate", "--config", cfg]) == 2
+    out = capsys.readouterr().out
+    assert f"violation: {needle}" in out
+    assert "variants[0]" not in out  # the dense variant is the base net's architecture
+    results = tmp_path / "r"
+    assert main(["run", "--config", cfg, "--out", str(results)]) == 2
+    assert needle in capsys.readouterr().err
+    assert not results.exists()
+    # with two classes there is one task, so no model is carried to a new net
+    two = write_json(
+        tmp_path / "two.json",
+        run_config_doc(strategies=["rcl", carried], variants=MLP_AND_CNN, classes=[0, 1]),
+    )
+    assert main(["validate", "--config", two]) == 0
+
+
+def test_a_strategy_failing_under_one_variant_still_writes_the_report(
+    tmp_path, capsys, monkeypatch
+):
+    real = continual.run_strategy
+
+    def diverging_cnn(strategy, seq, settings, seed):
+        if strategy == "rcl" and settings.net[-1].kind == "conv":
+            raise TrainingError("loss diverged")
+        return real(strategy, seq, settings, seed)
+
+    monkeypatch.setattr(continual, "run_strategy", diverging_cnn)
+    cfg = write_json(
+        tmp_path / "exp.json", run_config_doc(variants=MLP_AND_CNN, train={"epochs": 1})
+    )
+    out = tmp_path / "r"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 1
+    assert "FAILED rcl/b_cnn: loss diverged" in capsys.readouterr().err
+    report = (out / "report.md").read_text()
+    rcl_row = next(line for line in report.splitlines() if line.startswith("| RCL | "))
+    assert rcl_row.endswith(" | failed | failed | failed |")
+    methods = {row.split(",")[0] for row in (out / "metrics.csv").read_text().splitlines()[1:]}
+    assert methods == {"baseline/a_mlp", "baseline/b_cnn", "rcl/a_mlp"}
+
+
 def test_run_rejects_unknown_config_fields(tmp_path, capsys):
     cfg = write_json(tmp_path / "exp.json", run_config_doc(extra_field=1))
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
@@ -350,6 +406,25 @@ def test_validate_ok_prints_counts(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "config ok: 3 classes, window 50, stride 50" in out
     assert "class 0: 2 trials, 18 windows" in out
+
+
+def test_validate_counts_windows_without_cutting_them(tmp_path, capsys, monkeypatch):
+    doc = run_config_doc(stride=7)
+    trials = synthesize_stream(SyntheticStreamConfig.from_dict(doc["data"]["synthetic"]))
+    want = {
+        c: sum(len(data.window_trial(t, 50, 7)) for t in trials if t.class_id == c)
+        for c in (0, 1, 2)
+    }
+
+    def cut(*args, **kwargs):
+        raise AssertionError("validate cut a trial into windows")
+
+    monkeypatch.setattr(data, "window_trial", cut)
+    monkeypatch.setattr(cli, "window_trial", cut, raising=False)
+    assert main(["validate", "--config", write_json(tmp_path / "exp.json", doc)]) == 0
+    out = capsys.readouterr().out
+    for c, windows in want.items():
+        assert f"class {c}: 2 trials, {windows} windows" in out
 
 
 def test_validate_flags_oversized_window(tmp_path, capsys):

@@ -1,3 +1,6 @@
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -17,9 +20,16 @@ from pseudoreplay import (
 )
 from conftest import fisher_weighted_movement, task1_fishers
 from pseudoreplay import classifier, continual
-from pseudoreplay.classifier import fit_ensemble, pad_parameters, predict
+from pseudoreplay.classifier import Ensemble, fit_ensemble, init_model, pad_parameters, predict
 from pseudoreplay.continual import STRATEGIES, TaskSequence
-from pseudoreplay.data import SYNTHETIC_TRIAL_ID, ClassSignal, SyntheticStreamConfig, Windows
+from pseudoreplay.data import (
+    SYNTHETIC_TRIAL_ID,
+    ClassSignal,
+    SyntheticStreamConfig,
+    Windows,
+    apply_standardizer,
+    fit_standardizer,
+)
 from pseudoreplay.errors import ConfigurationError, DataFormatError
 from pseudoreplay.metrics import aggregate, confusion
 from pseudoreplay.seeding import derive_seed
@@ -103,22 +113,67 @@ def test_single_anomaly_run_structure(small_seq, small_stream_config):
 
 
 def test_evaluation_runs_each_member_forward_once(small_seq, monkeypatch):
+    # blocks of 4 windows split the 9-window class parts unevenly
+    monkeypatch.setattr(continual, "_EVAL_BLOCK", 4 * 50 * 2)
     ens = fit_ensemble(
         small_net(3), Windows.concat(small_seq.train), TrainConfig(epochs=2), seed=3, n_members=3
     )
-    calls = []
+    seen = {id(m): [] for m in ens.members}
     real = classifier.forward
 
-    def counting(model, batch):
-        calls.append(len(batch))
+    def recording(model, batch):
+        seen[id(model)].append(batch.copy())
         return real(model, batch)
 
-    monkeypatch.setattr(classifier, "forward", counting)
+    monkeypatch.setattr(classifier, "forward", recording)
     cm, _, _ = continual._evaluate(ens, small_seq, 2)
     batch = Windows.concat(small_seq.test)
-    assert calls == [len(batch)] * 3
+    standardized = apply_standardizer(ens.standardizer, batch).x
+    for batches in seen.values():  # every window once per member, in order
+        assert len(batches) > 1
+        np.testing.assert_array_equal(np.concatenate(batches), standardized)
     want = confusion(batch.y, predict(ens, batch), 3)
     np.testing.assert_array_equal(cm.counts, want.counts)
+
+
+def test_blocked_evaluation_equals_one_block(small_seq, monkeypatch):
+    ens = fit_ensemble(
+        small_net(3), Windows.concat(small_seq.train), TrainConfig(epochs=5), seed=4, n_members=4
+    )
+    per_window = small_seq.window * small_seq.channels
+    cm, report, spread = continual._evaluate(ens, small_seq, 2)
+    for rows in (4, 5, 13):  # block edges fall inside the 9-window class parts
+        monkeypatch.setattr(continual, "_EVAL_BLOCK", rows * per_window)
+        got_cm, got_report, got_spread = continual._evaluate(ens, small_seq, 2)
+        np.testing.assert_array_equal(got_cm.counts, cm.counts)
+        for name in ("precision", "recall", "f_score"):
+            np.testing.assert_array_equal(getattr(got_report, name), getattr(report, name))
+        assert got_report.macro_f == report.macro_f
+        assert got_spread == spread
+
+
+def test_evaluation_memory_stays_bounded_as_the_test_set_grows():
+    rng = np.random.default_rng(8)
+    net = NetSpec(kind="dense", input_shape=(50, 2), n_classes=3, hidden=(16, 8))
+    ens = Ensemble(
+        [init_model(replace(net, seed=s)) for s in range(3)],
+        fit_standardizer(Windows(rng.normal(size=(8, 50, 2)), np.zeros(8), np.zeros((8, 2)))),
+    )
+    bound = 4 << 20  # bytes; one full copy of the larger test set is 7.7 MB
+    for per_class in (400, 3200):
+        parts = [
+            Windows(rng.normal(p, 1.0, size=(per_class, 50, 2)), np.full(per_class, p),
+                    np.zeros((per_class, 2)))
+            for p in range(3)
+        ]
+        seq = TaskSequence([0, 1, 2], parts, parts, window=50, channels=2)
+        tracemalloc.start()
+        try:
+            continual._evaluate(ens, seq, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, f"{per_class} windows per class: peak {peak} bytes"
 
 
 def test_well_separated_sequence_keeps_high_scores(small_seq):

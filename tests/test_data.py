@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -20,6 +21,7 @@ from pseudoreplay import (
     synthesize_stream,
     window_trial,
 )
+from pseudoreplay.data import window_count
 from pseudoreplay.errors import ConfigurationError, DataFormatError
 
 from _oracles import two_pass_moments
@@ -82,11 +84,12 @@ def test_default_stride_partitions_the_trial_exactly():
 def test_window_count_formula_and_slices(t, window, stride):
     trial = trial_of(np.arange(float(t)).reshape(-1, 1))
     if window > t:
+        assert window_count(t, window, stride) == 0
         with pytest.raises(DataFormatError):
             window_trial(trial, window, stride)
         return
     windows = window_trial(trial, window, stride)
-    assert len(windows) == (t - window) // stride + 1
+    assert len(windows) == (t - window) // stride + 1 == window_count(t, window, stride)
     for i, w in enumerate(windows.x):
         np.testing.assert_array_equal(
             w, trial.channels[i * stride : i * stride + window]
@@ -363,6 +366,24 @@ def test_the_first_of_two_problems_is_reported(tmp_path, row_5, row_10):
     path = tmp_path / "two.csv"
     path.write_text(HEADER_2 + "\n".join(rows) + "\n")
     assert_names_the_file(path, "row 5:")
+
+
+@pytest.mark.parametrize("bad_row", ["0,1,x,1,1", "0,1", ""])
+def test_a_bad_last_line_is_found_in_log_n_parses(tmp_path, monkeypatch, bad_row):
+    n = 20_000
+    rows = [f"0,1,{step},{step}.5,1" for step in range(n - 1)] + [bad_row]
+    path = tmp_path / "long.csv"
+    path.write_text(HEADER_2 + "\n".join(rows) + "\n")
+    calls = []
+    real = np.loadtxt
+
+    def counting(*args, **kwargs):
+        calls.append(len(args[0]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", counting)
+    assert_names_the_file(path, f"row {n + 1}: ")
+    assert len(calls) <= math.ceil(math.log2(n)) + 2, len(calls)
 
 
 IDS = st.sampled_from(["0", "1", "2", "-1", " 3"])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from pseudoreplay import (
     save_generator,
 )
 from pseudoreplay.errors import ConfigurationError, DataFormatError
+from pseudoreplay import generator
 from pseudoreplay.generator import _neighbor_table
 
 from _oracles import direct_neighbor_table, knn_bruteforce, on_some_segment, segment_fit
@@ -115,7 +118,8 @@ def test_neighbors_match_exhaustive_scan():
         assert gen.neighbors[j].tolist() == knn_bruteforce(memory, j, 7)
 
 
-def test_gemm_ranked_table_equals_the_direct_ranking():
+@pytest.mark.parametrize("block_rows", [None, 1, 3])
+def test_gemm_ranked_table_equals_the_direct_ranking(block_rows, monkeypatch):
     rng = np.random.default_rng(13)
     normal = rng.normal(size=(200, 100))
     cases = {
@@ -129,11 +133,27 @@ def test_gemm_ranked_table_equals_the_direct_ranking():
         "M = 2": (normal[:2], (1, 5)),
     }
     for name, (memory, ks) in cases.items():
+        if block_rows is not None:  # row blocks of block_rows rows against all M columns
+            monkeypatch.setattr(generator, "_GRAM_BLOCK", block_rows * len(memory))
         for k in ks:
             got = _neighbor_table(memory, k)
             want = direct_neighbor_table(memory, k)
             assert got.shape == want.shape, f"{name}, k={k}"
             assert np.array_equal(got, want), f"{name}, k={k}: tables differ"
+
+
+def test_neighbor_table_memory_stays_bounded_as_the_memory_grows():
+    rng = np.random.default_rng(14)
+    bound = 6 << 20  # bytes; one [M, M] distance matrix at M = 3000 is 72 MB
+    for m in (375, 3000):
+        memory = rng.normal(size=(m, 20))
+        tracemalloc.start()
+        try:
+            _neighbor_table(memory, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, f"M = {m}: peak {peak} bytes"
 
 
 # ------------------------------------------------------------------ generation

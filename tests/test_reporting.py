@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -90,6 +92,23 @@ def test_multi_variant_report_adds_final_task_table(comparison):
         "| Method | cnn Precision | cnn Recall | cnn F-score"
         " | mlp Precision | mlp Recall | mlp F-score |"
     )
+
+
+def test_variant_table_marks_a_strategy_that_failed_under_one_variant(comparison):
+    without_rcl = dataclasses.replace(
+        comparison,
+        strategies=["baseline"],
+        summaries={"baseline": comparison.summaries["baseline"]},
+        runs={"baseline": comparison.runs["baseline"]},
+        failures={"rcl": "training diverged"},
+    )
+    comparisons = {"a_mlp": comparison, "b_cnn": without_rcl}
+    lines = variant_table(comparisons).splitlines()
+    assert [line.split(" |")[0] for line in lines[2:]] == ["| Baseline", "| RCL"]
+    assert "failed" not in lines[2]
+    assert lines[3].endswith(" | failed | failed | failed |")
+    assert lines[3].count("failed") == 3
+    assert "## Final-task comparison across classifiers" in render_report(comparisons)
 
 
 def test_manifest_json_stable_and_failures(comparison):
