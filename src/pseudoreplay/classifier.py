@@ -16,6 +16,7 @@ straight into views of one flat buffer laid out like `parameters`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import NamedTuple, Sequence
@@ -111,10 +112,18 @@ class NetSpec:
             offset += (fan_in + 1) * fan_out
         return tuple(layers)
 
-    @property
+    @cached_property
+    def _views(self) -> tuple[tuple[int, int, int, int, int], ...]:
+        """Each layer's (W start, W end, b end, fan_in, fan_out) in the flat vector."""
+        return tuple(
+            (layer.offset, layer.offset + layer.fan_in * layer.fan_out,
+             layer.offset + (layer.fan_in + 1) * layer.fan_out, layer.fan_in, layer.fan_out)
+            for layer in self._layers
+        )
+
+    @cached_property
     def param_count(self) -> int:
-        last = self._layers[-1]
-        return last.offset + (last.fan_in + 1) * last.fan_out
+        return self._views[-1][2]
 
 
 def conv_output_length(length: int, kernel: int, stride: int) -> int:
@@ -129,12 +138,10 @@ def unpack_parameters(spec: NetSpec, theta: np.ndarray) -> list[tuple[np.ndarray
         raise ConfigurationError(
             f"parameter vector length {theta.size}, expected {spec.param_count}"
         )
-    layers = []
-    for layer in spec._layers:
-        w_end = layer.offset + layer.fan_in * layer.fan_out
-        w = theta[layer.offset : w_end].reshape(layer.fan_in, layer.fan_out)
-        layers.append((w, theta[w_end : w_end + layer.fan_out]))
-    return layers
+    return [
+        (theta[w0:w1].reshape(fan_in, fan_out), theta[w1:b1])
+        for w0, w1, b1, fan_in, fan_out in spec._views
+    ]
 
 
 def pack_parameters(layers: Sequence[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
@@ -203,18 +210,21 @@ def _input_gradient(dz: np.ndarray, w: np.ndarray, n: int, layer: _Layer) -> np.
     return da
 
 
-def _forward_cached(model: NetModel, x: np.ndarray):
+def _forward_cached(model: NetModel, x: np.ndarray, weights=None):
     """Returns (logits, caches); caches[i] is layer i's (input rows, output).
 
+    weights are model's unpacked parameters when the caller already has them.
     Hidden outputs are relu'd in place, so output > 0 is also the mask that
     backprop needs; the last layer emits raw logits.
     """
     spec = model.spec
+    if weights is None:
+        weights = unpack_parameters(spec, model.parameters)
     last = len(spec._layers) - 1
     n = x.shape[0]
     caches = []
     a = x
-    for i, (layer, (w, b)) in enumerate(zip(spec._layers, unpack_parameters(spec, model.parameters))):
+    for i, (layer, (w, b)) in enumerate(zip(spec._layers, weights)):
         rows = _patches(a, n, layer) if layer.kind == "conv" else a.reshape(n, layer.fan_in)
         a = rows @ w
         a += b
@@ -241,7 +251,8 @@ def _check_labels(spec: NetSpec, labels, n_rows: int) -> np.ndarray:
     y = np.asarray(labels, dtype=np.int64).reshape(-1)
     if y.size != n_rows:
         raise ConfigurationError(f"{n_rows} samples but {y.size} labels")
-    if y.size and (y.min() < 0 or y.max() >= spec.n_classes):
+    # the ufunc reductions are what y.min() and y.max() run, minus their wrappers
+    if y.size and (np.minimum.reduce(y) < 0 or np.maximum.reduce(y) >= spec.n_classes):
         raise ConfigurationError(f"labels outside [0, {spec.n_classes})")
     return y
 
@@ -295,24 +306,29 @@ def loss_and_gradient(
         raise ConfigurationError("per_sample_squares takes no penalty")
     spec = model.spec
     x = _as_batch(spec, batch)
-    y = _check_labels(spec, labels, x.shape[0])
-    logits, caches = _forward_cached(model, x)
     n = x.shape[0]
-    rows = np.arange(n)
+    y = _check_labels(spec, labels, n)
+    weights = unpack_parameters(spec, model.parameters)
+    logits, caches = _forward_cached(model, x, weights)
+    # flat index of each row's true-class logit: one 1-D take and one 1-D
+    # fancy update in place of two 2-D (rows, y) indexings
+    pick = np.arange(0, n * spec.n_classes, spec.n_classes)
+    pick += y
 
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    # np.add.reduce and np.maximum.reduce are the loops behind sum, mean and
+    # max; calling them directly skips the Python wrappers, not any arithmetic
+    shifted = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
     e = np.exp(shifted)
-    norm = e.sum(axis=1, keepdims=True)
-    loss = float(np.mean(np.log(norm[:, 0]) - shifted[rows, y]))
+    norm = np.add.reduce(e, axis=1, keepdims=True)
+    loss = float(np.add.reduce(np.log(norm[:, 0]) - shifted.take(pick)) / n)
 
     dz = e / norm
-    dz[rows, y] -= 1.0
+    dz.reshape(-1)[pick] -= 1.0
     if not per_sample_squares:
         dz /= n
 
     grad = np.empty(spec.param_count)
     layers = spec._layers
-    weights = unpack_parameters(spec, model.parameters)
     grads = unpack_parameters(spec, grad)
     for i in range(len(layers) - 1, -1, -1):
         (w, _), (gw, gb) = weights[i], grads[i]
@@ -320,7 +336,7 @@ def loss_and_gradient(
             _squared_gradients(caches[i][0], dz, n, layers[i], gw, gb)
         else:
             np.matmul(caches[i][0].T, dz, out=gw)
-            np.sum(dz, axis=0, out=gb)
+            np.add.reduce(dz, axis=0, out=gb)
         if i == 0:
             break
         if layers[i].kind == "conv":
@@ -336,8 +352,10 @@ def loss_and_gradient(
         if penalty.theta_star.size != theta.size or penalty.fisher.size != theta.size:
             raise ConfigurationError("penalty vectors do not match parameter count")
         delta = theta - penalty.theta_star
-        loss += 0.5 * penalty.lam * float(np.sum(penalty.fisher * delta * delta))
-        grad += penalty.lam * penalty.fisher * delta
+        term = np.multiply(penalty.fisher, delta)
+        term *= delta
+        loss += 0.5 * penalty.lam * float(np.add.reduce(term))
+        grad += np.multiply(penalty.scaled_fisher, delta, out=term)
     return loss, grad
 
 
@@ -357,6 +375,11 @@ class TrainConfig:
         if self.optimizer not in ("sgd", "sgd_momentum"):
             raise ConfigurationError(f"unknown optimizer {self.optimizer!r}", "optimizer")
         require_number("momentum", self.momentum, least=0, below=1)
+
+    @property
+    def beta(self) -> float:
+        """The momentum coefficient of the update: 0 for plain sgd."""
+        return self.momentum if self.optimizer == "sgd_momentum" else 0.0
 
 
 @dataclass(eq=False)
@@ -382,7 +405,8 @@ def train(
     current = NetModel(spec=model.spec, parameters=model.parameters.copy())
     theta = current.parameters  # updated in place, so `current` always holds it
     velocity = np.zeros_like(theta)
-    beta = config.momentum if config.optimizer == "sgd_momentum" else 0.0
+    step = np.empty_like(theta)
+    beta = config.beta
 
     losses: list[float] = []
     n = x.shape[0]
@@ -391,16 +415,18 @@ def train(
         batch_losses = []
         for batch, start in enumerate(range(0, n, config.batch_size)):
             sel = order[start : start + config.batch_size]
-            loss, grad = loss_and_gradient(current, x[sel], y[sel], penalty)
-            if not np.isfinite(loss):
+            loss, grad = loss_and_gradient(current, x.take(sel, axis=0), y[sel], penalty)
+            if not math.isfinite(loss):
                 raise TrainingError(f"non-finite loss at epoch {epoch}, batch {batch}")
             if beta > 0.0:
                 velocity *= beta
                 velocity += grad
             else:
                 velocity = grad
-            theta -= config.learning_rate * velocity
-            if not np.all(np.isfinite(theta)):
+            theta -= np.multiply(config.learning_rate, velocity, out=step)
+            # NaN and inf survive a sum, so a finite sum proves every entry
+            # finite; the exact check runs only when the sum overflowed or is not
+            if not (math.isfinite(np.add.reduce(theta)) or np.all(np.isfinite(theta))):
                 raise TrainingError(f"non-finite parameters at epoch {epoch}, batch {batch}")
             batch_losses.append(loss)
         losses.append(float(np.mean(batch_losses)))
@@ -439,6 +465,11 @@ class EWCPenalty:
             raise ConfigurationError("theta_star must be finite")
         if not np.all(np.isfinite(self.fisher)) or np.any(self.fisher < 0):
             raise ConfigurationError("fisher must be finite and non-negative")
+
+    @cached_property
+    def scaled_fisher(self) -> np.ndarray:
+        """lam * fisher, the anchor's gradient per unit of theta - theta_star."""
+        return self.lam * self.fisher
 
 
 def extend_output(model: NetModel, n_new_classes: int, seed: int) -> NetModel:

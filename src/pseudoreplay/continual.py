@@ -22,6 +22,7 @@ so two strategies given equal seeds share identical streams.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -234,7 +235,15 @@ def _carry_forward(
     snapshot: tuple[list[np.ndarray], list[np.ndarray]] | None,
 ) -> Ensemble:
     """Extend each member's head by one class and continue training on mix,
-    anchored to snapshot's (parameters, Fisher diagonals) when given."""
+    anchored to snapshot's (parameters, Fisher diagonals) when given.
+
+    An anchor at or past the heavy-ball stability limit of its stiffest
+    coordinate, lam * lr * max(fisher) >= 2 * (1 + beta) with beta the
+    momentum (0 for sgd), makes that coordinate oscillate with growing
+    amplitude; it is reported on stderr before the member trains.
+    """
+    cfg = settings.train
+    limit = 2.0 * (1.0 + cfg.beta)
     standardizer = fit_standardizer(mix)
     standardized = apply_standardizer(standardizer, mix)
     members = []
@@ -248,9 +257,15 @@ def _carry_forward(
                 theta_star=pad_parameters(member.spec, extended.spec, anchors[m_idx]),
                 fisher=pad_parameters(member.spec, extended.spec, fishers[m_idx]),
             )
-        member_cfg = replace(
-            settings.train, shuffle_seed=derive_seed(seed, "task", task_index, "shuffle", m_idx)
-        )
+            stiffness = penalty.lam * cfg.learning_rate * float(penalty.fisher.max())
+            if stiffness >= limit:
+                print(
+                    f"warning: task {task_index}, member {m_idx}: ewc lam * lr * max(fisher)"
+                    f" = {stiffness:.6g} >= {limit:g}, the anchored step's stability"
+                    " limit; training may diverge",
+                    file=sys.stderr,
+                )
+        member_cfg = replace(cfg, shuffle_seed=derive_seed(seed, "task", task_index, "shuffle", m_idx))
         members.append(train(extended, standardized, member_cfg, penalty).model)
     return Ensemble(members=members, standardizer=standardizer)
 

@@ -1,20 +1,28 @@
 """Deterministic result files: metrics CSV, markdown report, run manifest.
 
 Output bytes are a pure function of the results: rows are explicitly sorted,
-floats formatted with fixed precision, JSON keys sorted, newlines LF.
+floats formatted with fixed precision, JSON keys sorted, newlines LF. The
+manifest also records the numeric environment that those bytes depend on.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import platform
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 from .continual import ComparisonReport
 from .metrics import format_cell
 
 METRICS_HEADER = "method,task,repetition,class,precision,recall,f"
+BLAS_THREAD_VARS = (
+    "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+    "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS",
+)
 
 
 def atomic_write(path: str | Path, text: str) -> None:
@@ -185,6 +193,19 @@ def render_report(comparisons: dict[str, ComparisonReport]) -> str:
     return "\n".join(parts)
 
 
+def numeric_environment() -> dict:
+    """The Python, numpy and BLAS that computed the floats, and the BLAS
+    thread variables that are set: the bytes of a run hold for these."""
+    config = getattr(np.__config__, "CONFIG", {})  # numpy >= 1.26
+    blas = config.get("Build Dependencies", {}).get("blas", {})
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": f"{blas.get('name', 'unknown')} {blas.get('version', 'unknown')}",
+        "blas_threads": {var: os.environ[var] for var in BLAS_THREAD_VARS if var in os.environ},
+    }
+
+
 def build_manifest(
     config_doc: dict,
     comparisons: dict[str, ComparisonReport],
@@ -200,6 +221,7 @@ def build_manifest(
         "status": "FAILED" if failures else "ok",
         "config": config_doc,
         "data_digest": data_digest,
+        "environment": numeric_environment(),
         "seeds": seeds,
         "outputs": ["metrics.csv", "report.md"],
     }

@@ -165,6 +165,92 @@ def fisher_per_row(model, samples) -> np.ndarray:
     return acc / len(samples)
 
 
+def _unpack_reference(spec, theta) -> list[tuple[np.ndarray, np.ndarray]]:
+    if theta.size != spec.param_count:
+        raise ValueError(f"parameter vector length {theta.size}, expected {spec.param_count}")
+    layers = []
+    for layer in spec._layers:
+        w_end = layer.offset + layer.fan_in * layer.fan_out
+        w = theta[layer.offset : w_end].reshape(layer.fan_in, layer.fan_out)
+        layers.append((w, theta[w_end : w_end + layer.fan_out]))
+    return layers
+
+
+def _forward_cached_reference(model, x):
+    from pseudoreplay.classifier import _patches
+
+    spec = model.spec
+    last = len(spec._layers) - 1
+    n = x.shape[0]
+    caches = []
+    a = x
+    for i, (layer, (w, b)) in enumerate(zip(spec._layers, _unpack_reference(spec, model.parameters))):
+        rows = _patches(a, n, layer) if layer.kind == "conv" else a.reshape(n, layer.fan_in)
+        a = rows @ w
+        a += b
+        if i < last:
+            np.maximum(a, 0.0, out=a)
+        caches.append((rows, a))
+    return a, caches
+
+
+def loss_and_gradient_reference(model, batch, labels, penalty=None, per_sample_squares: bool = False):
+    """The training step as first written: layer views unpacked per use, the
+    reductions through np.sum, np.mean and ndarray.max, and the anchor as
+    out-of-place products. The lean step must match it byte for byte.
+
+    It shares the package's input checks and its conv helpers (_patches,
+    _input_gradient, _squared_gradients), which the lean step left as they were.
+    """
+    from pseudoreplay.classifier import _as_batch, _input_gradient, _squared_gradients
+
+    spec = model.spec
+    x = _as_batch(spec, batch)
+    y = np.asarray(labels, dtype=np.int64).reshape(-1)
+    assert y.size == x.shape[0] and y.min() >= 0 and y.max() < spec.n_classes
+    logits, caches = _forward_cached_reference(model, x)
+    n = x.shape[0]
+    rows = np.arange(n)
+
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    norm = e.sum(axis=1, keepdims=True)
+    loss = float(np.mean(np.log(norm[:, 0]) - shifted[rows, y]))
+
+    dz = e / norm
+    dz[rows, y] -= 1.0
+    if not per_sample_squares:
+        dz /= n
+
+    grad = np.empty(spec.param_count)
+    layers = spec._layers
+    weights = _unpack_reference(spec, model.parameters)
+    grads = _unpack_reference(spec, grad)
+    for i in range(len(layers) - 1, -1, -1):
+        (w, _), (gw, gb) = weights[i], grads[i]
+        if per_sample_squares:
+            _squared_gradients(caches[i][0], dz, n, layers[i], gw, gb)
+        else:
+            np.matmul(caches[i][0].T, dz, out=gw)
+            np.sum(dz, axis=0, out=gb)
+        if i == 0:
+            break
+        if layers[i].kind == "conv":
+            da = _input_gradient(dz, w, n, layers[i])
+        else:
+            da = dz @ w.T
+        a_prev = caches[i - 1][1]
+        dz = da.reshape(a_prev.shape)
+        dz *= a_prev > 0
+
+    if penalty is not None and penalty.lam != 0.0:
+        theta = model.parameters
+        delta = theta - penalty.theta_star
+        loss += 0.5 * penalty.lam * float(np.sum(penalty.fisher * delta * delta))
+        grad += penalty.lam * penalty.fisher * delta
+    return loss, grad
+
+
 def counting_confusion(y_true, y_pred, n_classes: int) -> np.ndarray:
     counts = np.zeros((n_classes, n_classes), dtype=np.int64)
     for t, p in zip(y_true, y_pred, strict=True):

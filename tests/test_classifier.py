@@ -30,7 +30,13 @@ from pseudoreplay.classifier import (
 from pseudoreplay import classifier
 from pseudoreplay.errors import ConfigurationError, TrainingError
 
-from _oracles import fd_gradient, fisher_per_row, relative_error, sgd_reference
+from _oracles import (
+    fd_gradient,
+    fisher_per_row,
+    loss_and_gradient_reference,
+    relative_error,
+    sgd_reference,
+)
 
 
 def dense_spec(**kwargs) -> NetSpec:
@@ -62,6 +68,13 @@ def windows_of(x, labels) -> Windows:
     x = np.asarray(x, dtype=float)
     n = x.shape[0]
     return Windows(x=x, y=labels, source=np.column_stack([np.ones(n), np.arange(n)]))
+
+
+def bench_spec(**kwargs) -> NetSpec:
+    """The dense net of the benchmark workloads: 50 x 2 windows, hidden (64, 32)."""
+    base = dict(kind="dense", input_shape=(50, 2), n_classes=3, hidden=(64, 32), seed=0)
+    base.update(kwargs)
+    return NetSpec(**base)
 
 
 def cluster_samples(n_per_class: int = 20, seed: int = 0) -> Windows:
@@ -297,6 +310,50 @@ def test_zero_weight_penalty_is_bitwise_inert():
     np.testing.assert_array_equal(grad, plain_grad)
 
 
+def _step_case(case: str):
+    """(model, batch, labels, penalty, per_sample_squares) of one step case."""
+    rng = np.random.default_rng(23)
+    rows, penalty, squares = 32, None, case.startswith("squares")
+    if case in ("bench", "bench_tail", "lam_zero", "squares_dense"):
+        spec = bench_spec(seed=24)
+        rows = 7 if case == "bench_tail" else rows
+    elif case in ("conv", "squares_conv"):
+        spec = conv_spec(seed=24, input_shape=(50, 2), hidden=(64, 32), conv=((8, 5, 1), (16, 5, 1)))
+    if case == "anchored":
+        old = init_model(bench_spec(n_classes=2, seed=25))
+        model = extend_output(old, 1, seed=26)
+        spec = model.spec
+        anchor = old.parameters + 0.01 * rng.normal(size=old.spec.param_count)
+        fisher = rng.uniform(0.0, 1.0, size=old.spec.param_count)
+        penalty = EWCPenalty(
+            lam=100.0,
+            theta_star=pad_parameters(old.spec, spec, anchor),
+            fisher=pad_parameters(old.spec, spec, fisher),
+        )
+    else:
+        model = init_model(spec)
+    if case == "lam_zero":
+        penalty = EWCPenalty(
+            lam=0.0, theta_star=rng.normal(size=spec.param_count), fisher=np.ones(spec.param_count)
+        )
+    labels = rng.integers(0, spec.n_classes, size=rows)
+    return model, batch_of(spec, rows, seed=27), labels, penalty, squares
+
+
+@pytest.mark.parametrize(
+    "case", ["bench", "bench_tail", "conv", "anchored", "lam_zero", "squares_dense", "squares_conv"]
+)
+def test_loss_and_gradient_match_the_frozen_reference_bytes(case):
+    # the step reorganises calls, never arithmetic: every float matches the
+    # step as first written, at the real shapes where BLAS takes its own paths
+    model, x, y, penalty, squares = _step_case(case)
+    loss, grad = loss_and_gradient(model, x, y, penalty, per_sample_squares=squares)
+    want_loss, want_grad = loss_and_gradient_reference(model, x, y, penalty, per_sample_squares=squares)
+    assert loss.hex() == want_loss.hex()
+    assert grad.dtype == want_grad.dtype and grad.shape == want_grad.shape
+    assert grad.tobytes() == want_grad.tobytes()
+
+
 def test_penalty_validation():
     with pytest.raises(ConfigurationError):
         EWCPenalty(lam=-1.0, theta_star=np.zeros(3), fisher=np.zeros(3))
@@ -351,6 +408,26 @@ def test_shuffle_seed_matters():
     assert not np.array_equal(a.model.parameters, b.model.parameters)
 
 
+def _first_non_finite_step(model, samples, config, penalty) -> str:
+    """Where plain SGD first meets a non-finite loss or parameter, checking
+    every loss and every parameter after every step."""
+    rng = np.random.default_rng(config.shuffle_seed)
+    theta = model.parameters.copy()
+    for epoch in range(config.epochs):
+        order = rng.permutation(len(samples))
+        for batch, start in enumerate(range(0, len(samples), config.batch_size)):
+            sel = order[start : start + config.batch_size]
+            loss, g = loss_and_gradient(
+                NetModel(spec=model.spec, parameters=theta), samples.x[sel], samples.y[sel], penalty
+            )
+            if not np.isfinite(loss):
+                return f"non-finite loss at epoch {epoch}, batch {batch}"
+            theta = theta - config.learning_rate * g
+            if not np.all(np.isfinite(theta)):
+                return f"non-finite parameters at epoch {epoch}, batch {batch}"
+    raise AssertionError("the run never diverged")
+
+
 def test_divergence_raises_a_located_training_error():
     # an anchor stiff beyond the step-size stability limit oscillates with
     # exponentially growing amplitude until parameters overflow
@@ -363,8 +440,27 @@ def test_divergence_raises_a_located_training_error():
         fisher=np.ones(spec.param_count),
     )
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(TrainingError, match=r"epoch \d+, batch \d+"):
+        where = _first_non_finite_step(init_model(spec), samples, config, penalty)
+        with pytest.raises(TrainingError, match=r"epoch \d+, batch \d+") as caught:
             train(init_model(spec), samples, config, penalty=penalty)
+    assert str(caught.value) == where
+
+
+def test_huge_finite_parameters_whose_sum_overflows_do_not_raise():
+    # zero inputs keep 1e308 first-layer weights out of the loss and give
+    # them a zero gradient, so they stay finite while their sum overflows
+    spec = NetSpec(kind="dense", input_shape=(2, 1), n_classes=2, hidden=(6, 4), seed=3)
+    theta = init_model(spec).parameters.copy()
+    w1, _ = unpack_parameters(spec, theta)[0]
+    w1[...] = 1e308
+    samples = windows_of(np.zeros((8, 2, 1)), np.arange(8) % 2)
+    config = TrainConfig(epochs=2, batch_size=4, learning_rate=0.1)
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(np.sum(theta))
+        result = train(NetModel(spec=spec, parameters=theta), samples, config)
+    assert np.all(np.isfinite(result.model.parameters))
+    np.testing.assert_array_equal(unpack_parameters(spec, result.model.parameters)[0][0], w1)
+    assert all(np.isfinite(result.epoch_losses))
 
 
 def test_train_config_validation():
@@ -396,19 +492,27 @@ def test_train_config_validation():
     TrainConfig(epochs=np.int64(2), batch_size=3, learning_rate=1, momentum=np.float64(0.5))
 
 
-@pytest.mark.parametrize("case", ["plain", "ewc", "sgd"])
+@pytest.mark.parametrize("case", ["plain", "ewc", "sgd", "conv", "bench_ewc"])
 def test_train_matches_the_reference_loop_bit_for_bit(case):
     samples = cluster_samples(11, seed=6)  # 22 samples: the last batch is short
     spec = NetSpec(kind="dense", input_shape=(2, 1), n_classes=2, hidden=(6, 4), seed=2)
+    batch_size = 5
+    if case in ("conv", "bench_ewc"):
+        # the real shapes reach BLAS paths that the tiny net does not;
+        # 70 samples in batches of 32 leave a short last batch
+        spec = conv_spec(seed=2, n_classes=2) if case == "conv" else bench_spec(seed=2, n_classes=2)
+        labels = np.arange(70) % 2
+        samples = windows_of(batch_of(spec, 70, seed=7) + labels[:, None, None], labels)
+        batch_size = 32
     config = TrainConfig(
         epochs=4,
-        batch_size=5,
+        batch_size=batch_size,
         learning_rate=0.05,
         shuffle_seed=3,
         optimizer="sgd" if case == "sgd" else "sgd_momentum",
     )
     penalty = None
-    if case == "ewc":
+    if case in ("ewc", "bench_ewc"):
         rng = np.random.default_rng(5)
         penalty = EWCPenalty(
             lam=0.7,
@@ -425,28 +529,59 @@ def test_train_matches_the_reference_loop_bit_for_bit(case):
 
 
 def test_train_and_fisher_call_loss_and_gradient_per_batch_and_per_sample(monkeypatch):
-    # the benchmark's tracer counts these calls at the module attribute, so
-    # train must make one call per minibatch and fisher_diagonal one call
-    # whose rows are every sample
-    rows = []
+    # perfbench counts these calls: its tracer wraps the module attribute
+    # classifier.loss_and_gradient and reads (model, batch, labels) and the
+    # penalty, positional or by name, to key each call by net kind, anchoring
+    # and rows. So train, reached directly or through continual, makes one
+    # call per member minibatch, and fisher_diagonal one call whose rows are
+    # every sample.
+    from pseudoreplay import continual
+
+    calls = []  # (kind, rows, anchored) per call, read the way the tracer reads them
     real = classifier.loss_and_gradient
 
-    def counting(model, batch, labels, penalty=None, **kwargs):
+    def counting(*args, **kwargs):
+        model, batch, labels = args[:3]
+        penalty = args[3] if len(args) > 3 else kwargs.get("penalty")
         assert batch.shape[0] == len(labels)
-        rows.append(len(labels))
-        return real(model, batch, labels, penalty, **kwargs)
+        calls.append((model.spec.kind, len(labels), penalty is not None and penalty.lam != 0.0))
+        return real(*args, **kwargs)
 
     monkeypatch.setattr(classifier, "loss_and_gradient", counting)
     samples = cluster_samples(11, seed=6)  # 22 rows: the last batch of 5 is short
     n, epochs, batch = len(samples), 3, 5
+    steps = math.ceil(n / batch) * epochs
+    config = TrainConfig(epochs=epochs, batch_size=batch, learning_rate=0.05)
     model = init_model(NetSpec(kind="dense", input_shape=(2, 1), n_classes=2, hidden=(6, 4), seed=2))
-    train(model, samples, TrainConfig(epochs=epochs, batch_size=batch, learning_rate=0.05))
-    assert len(rows) == math.ceil(n / batch) * epochs
-    assert sum(rows) == n * epochs
+    train(model, samples, config)
+    assert len(calls) == steps and sum(c[1] for c in calls) == n * epochs
+    assert all(c[0] == "dense" and not c[2] for c in calls)
 
-    rows.clear()
+    calls.clear()
     fisher_diagonal(model, samples)
-    assert rows == [n]
+    assert calls == [("dense", n, False)]
+
+    # the anchored path, and a conv net
+    penalty = EWCPenalty(lam=0.5, theta_star=model.parameters, fisher=np.ones(model.spec.param_count))
+    calls.clear()
+    train(model, samples, config, penalty)
+    train(model, samples, config, penalty=penalty)
+    assert len(calls) == 2 * steps and all(c[0] == "dense" and c[2] for c in calls)
+    conv_samples = windows_of(batch_of(conv_spec(), n, seed=3), np.arange(n) % 3)
+    calls.clear()
+    train(init_model(conv_spec(seed=4)), conv_samples, config)
+    assert len(calls) == steps and sum(c[1] for c in calls) == n * epochs
+    assert all(c[0] == "conv" and not c[2] for c in calls)
+
+    # through continual: every member's every step reaches the module attribute
+    settings = continual.RunSettings(net=model.spec, train=config, ewc_lambda=0.5, n_members=2)
+    calls.clear()
+    ens = continual.fit_ensemble(model.spec, samples, config, seed=5, n_members=2)
+    assert len(calls) == 2 * steps and not any(c[2] for c in calls)
+    snapshot = ([m.parameters for m in ens.members], [np.ones(model.spec.param_count)] * 2)
+    calls.clear()
+    continual._carry_forward(ens, samples, settings, seed=5, task_index=2, snapshot=snapshot)
+    assert len(calls) == 2 * steps and all(c[2] for c in calls)
 
 
 # ------------------------------------------------------------- fisher diagonal

@@ -165,6 +165,28 @@ def test_run_is_byte_identical_across_invocations(tmp_path):
         assert (first / name).read_bytes() == (second / name).read_bytes(), name
 
 
+def test_manifest_records_the_numeric_environment(tmp_path, monkeypatch):
+    import platform
+
+    import numpy as np
+
+    for var in ("OMP_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    cfg = write_json(tmp_path / "exp.json", run_config_doc(strategies=["baseline"]))
+    envs = []
+    for out in (tmp_path / "r1", tmp_path / "r2"):
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+        envs.append(json.loads((out / "manifest.json").read_text())["environment"])
+    assert envs[0] == envs[1]
+    env = envs[0]
+    assert sorted(env) == ["blas", "blas_threads", "numpy", "python"]
+    assert env["python"] == platform.python_version() and env["numpy"] == np.__version__
+    assert env["blas_threads"] == {"OPENBLAS_NUM_THREADS": "1"}
+    blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
+    assert env["blas"] == f"{blas['name']} {blas['version']}"
+
+
 def test_run_seed_override_changes_results(tmp_path):
     cfg = write_json(tmp_path / "exp.json", run_config_doc())
     base, other = tmp_path / "r1", tmp_path / "r2"

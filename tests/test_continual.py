@@ -30,7 +30,7 @@ from pseudoreplay.data import (
     apply_standardizer,
     fit_standardizer,
 )
-from pseudoreplay.errors import ConfigurationError, DataFormatError
+from pseudoreplay.errors import ConfigurationError, DataFormatError, TrainingError
 from pseudoreplay.metrics import aggregate, confusion
 from pseudoreplay.seeding import derive_seed
 
@@ -344,6 +344,42 @@ def test_huge_anchor_weight_freezes_shared_parameters(small_stream_config):
     lam = 1.0 / (momentum.learning_rate * max(f.max() for f in task1_fishers(free, seq)))
     held = strategy_run("ewc", seq, seed=3, net=net, train=momentum, ewc_lambda=lam, n_members=2)
     assert fisher_weighted_movement(held, seq) < 0.5 * fisher_weighted_movement(free, seq)
+
+
+def _carry_with_anchor(lam: float, config: TrainConfig):
+    """_carry_forward of one 2-class member on 20 clustered windows, anchored
+    with a Fisher diagonal of ones, so lam * lr * max(fisher) = lam * lr."""
+    rng = np.random.default_rng(5)
+    y = np.repeat([0, 1], 10)
+    x = rng.normal(scale=0.4, size=(20, 2, 1)) + np.where(y == 0, -2.0, 2.0)[:, None, None]
+    mix = Windows(x=x, y=y, source=np.column_stack([np.ones(20), np.arange(20)]))
+    member = init_model(NetSpec(kind="dense", input_shape=(2, 1), n_classes=2, hidden=(6, 4), seed=1))
+    ens = Ensemble(members=[member], standardizer=fit_standardizer(mix))
+    settings = RunSettings(net=member.spec, train=config, ewc_lambda=lam, n_members=1)
+    snapshot = ([member.parameters], [np.ones(member.spec.param_count)])
+    continual._carry_forward(ens, mix, settings, seed=3, task_index=2, snapshot=snapshot)
+
+
+def test_stiff_anchor_warns_before_training(capsys):
+    # the divergence test's anchor: lam * lr * max(fisher) = 1e12 under sgd
+    diverging = TrainConfig(epochs=50, batch_size=4, learning_rate=1e6, optimizer="sgd")
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(TrainingError):
+        _carry_with_anchor(1e6, diverging)
+    err = capsys.readouterr().err
+    assert "warning: task 2, member 0: ewc lam * lr * max(fisher) = 1e+12 >= 2," in err
+
+    # the limit is 2 * (1 + beta): 3.0 warns under sgd, not under momentum 0.9
+    for optimizer, warns in (("sgd", True), ("sgd_momentum", False)):
+        config = TrainConfig(epochs=1, batch_size=4, learning_rate=0.1, optimizer=optimizer)
+        _carry_with_anchor(30.0, config)
+        err = capsys.readouterr().err
+        assert ("member 0: ewc lam * lr * max(fisher) = 3 >= 2," in err) is warns, optimizer
+        assert warns or err == ""
+
+    # well below the limit, and a lam of 0, stay silent
+    _carry_with_anchor(0.5, TrainConfig(epochs=2, batch_size=4, learning_rate=0.05))
+    _carry_with_anchor(0.0, TrainConfig(epochs=2, batch_size=4, learning_rate=10.0, optimizer="sgd"))
+    assert capsys.readouterr().err == ""
 
 
 def test_moderate_anchor_weight_trades_plasticity_for_retention():
