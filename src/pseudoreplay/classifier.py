@@ -481,17 +481,13 @@ def extend_output(model: NetModel, n_new_classes: int, seed: int) -> NetModel:
     require_integer("n_new_classes", n_new_classes, least=1)
     spec = model.spec
     new_spec = replace(spec, n_classes=spec.n_classes + n_new_classes)
-    layers = [(w.copy(), b.copy()) for w, b in unpack_parameters(spec, model.parameters)]
-    w_out, b_out = layers[-1]
-    fan_in = w_out.shape[0]
-    rng = np.random.default_rng(seed)
-    limit = np.sqrt(6.0 / fan_in)
-    w_new = np.concatenate(
-        [w_out, rng.uniform(-limit, limit, size=(fan_in, n_new_classes))], axis=1
+    parameters = pad_parameters(spec, new_spec, model.parameters)
+    w_out = unpack_parameters(new_spec, parameters)[-1][0]
+    limit = np.sqrt(6.0 / w_out.shape[0])
+    w_out[:, spec.n_classes:] = np.random.default_rng(seed).uniform(
+        -limit, limit, size=(w_out.shape[0], n_new_classes)
     )
-    b_new = np.concatenate([b_out, np.zeros(n_new_classes)])
-    layers[-1] = (w_new, b_new)
-    return NetModel(spec=new_spec, parameters=pack_parameters(layers))
+    return NetModel(spec=new_spec, parameters=parameters)
 
 
 def pad_parameters(
@@ -510,13 +506,12 @@ def pad_parameters(
     vector = np.asarray(vector, dtype=float).reshape(-1)
     if vector.size != old_spec.param_count:
         raise ConfigurationError("vector length does not match old spec")
-    extra = new_spec.n_classes - old_spec.n_classes
-    layers = [(w.copy(), b.copy()) for w, b in unpack_parameters(old_spec, vector)]
-    w_out, b_out = layers[-1]
-    pad_w = np.full((w_out.shape[0], extra), fill)
-    pad_b = np.full(extra, fill)
-    layers[-1] = (np.concatenate([w_out, pad_w], axis=1), np.concatenate([b_out, pad_b]))
-    return pack_parameters(layers)
+    padded = np.full(new_spec.param_count, fill)
+    old_layers = unpack_parameters(old_spec, vector)
+    for (w, b), (new_w, new_b) in zip(old_layers, unpack_parameters(new_spec, padded)):
+        new_w[:, : w.shape[1]] = w
+        new_b[: b.size] = b
+    return padded
 
 
 @dataclass(eq=False)

@@ -18,14 +18,15 @@ import numpy as np
 
 from .classifier import NetSpec, TrainConfig
 from .continual import (
-    CARRIED,
     STRATEGIES,
     ComparisonReport,
     GeneratorConfig,
     RunSettings,
     TaskSequence,
+    check_carried,
+    check_strategies,
     compare_strategies,
-    switches_architecture,
+    split_problems,
 )
 from .data import (
     SyntheticStreamConfig,
@@ -108,17 +109,7 @@ class ExperimentConfig:
         self.train_trials = require_list("train_trials", self.train_trials, require_integer)
         require_string("out_dir", self.out_dir)
         self.strategies = require_list("strategies", self.strategies)
-        if not self.strategies:
-            raise ConfigurationError("strategies must not be empty", "strategies")
-        for s in self.strategies:
-            if s not in STRATEGIES:
-                raise ConfigurationError(
-                    f"unknown strategy {s!r}; choose from {STRATEGIES}", "strategies"
-                )
-        if len(set(self.strategies)) != len(self.strategies):
-            raise ConfigurationError(
-                f"strategies must not repeat, got {list(self.strategies)}", "strategies"
-            )
+        check_strategies(self.strategies)
         self.ewc_lambda = require_number("ewc_lambda", self.ewc_lambda, least=0)
         names = [v.name for v in self.variants]
         if len(set(names)) != len(names):
@@ -137,11 +128,21 @@ class ExperimentConfig:
         return read_config(cls, doc)
 
 
+def _read_file(path: str, what: str) -> bytes:
+    """The bytes of a file the user named, or a ConfigurationError naming it."""
+    try:
+        return Path(path).read_bytes()
+    except FileNotFoundError:
+        raise ConfigurationError(f"{what} file not found: {path}") from None
+    except OSError as exc:
+        raise ConfigurationError(f"cannot read {what} file {path!r}: {exc.strerror}") from None
+
+
 def _read_json(path: str):
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise ConfigurationError(f"config file not found: {path}") from None
+        return json.loads(_read_file(path, "config").decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"{path}: not UTF-8 text: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"{path}: invalid JSON: {exc}") from None
 
@@ -155,22 +156,6 @@ def _net_template(path: str, net_doc: dict, window: int, channels: int) -> NetSp
     )
 
 
-def _variant_task_nets(
-    cfg: ExperimentConfig, i: int, base: NetSpec, net: NetSpec, n_tasks: int
-) -> list[NetSpec]:
-    """Variant i's net per task: `base` for every task but the last, `net`
-    for the last. A carried strategy that could not follow the switch is
-    rejected here, as run_strategy would reject it only after training."""
-    nets = [base] * (n_tasks - 1) + [net]
-    carried = [s for s in cfg.strategies if s in CARRIED]
-    if carried and switches_architecture(nets):
-        raise ConfigurationError(
-            f"field 'variants[{i}].net': {carried[0]} carries one model across tasks,"
-            " so a variant net must match 'net' apart from the head"
-        )
-    return nets
-
-
 def _load_data(cfg: ExperimentConfig) -> tuple[list[TimeSeriesTrial], str]:
     if cfg.data.synthetic is not None:
         trials = synthesize_stream(cfg.data.synthetic)
@@ -179,15 +164,33 @@ def _load_data(cfg: ExperimentConfig) -> tuple[list[TimeSeriesTrial], str]:
             h.update(f"{t.class_id},{t.trial_id};".encode())
             h.update(np.ascontiguousarray(t.channels).tobytes())
         return trials, h.hexdigest()
-    try:
-        raw = Path(cfg.data.csv).read_bytes()
-    except FileNotFoundError:
-        raise ConfigurationError(f"data file not found: {cfg.data.csv}") from None
-    except OSError as exc:  # a directory, "" among them, or an unreadable file
-        raise ConfigurationError(
-            f"cannot read data file {cfg.data.csv!r}: {exc.strerror}"
-        ) from None
+    raw = _read_file(cfg.data.csv, "data")
     return load_trials(cfg.data.csv), hashlib.sha256(raw).hexdigest()
+
+
+def _plan(cfg: ExperimentConfig, trials: list[TimeSeriesTrial]) -> tuple[dict, list]:
+    """The nets per variant ("" is the primary run) that `run` trains, and every
+    reason it would stop before training: the task split's problems, the nets'
+    build errors, then carried strategies that cannot follow a variant's net."""
+    problems = split_problems(trials, cfg.window, cfg.stride, cfg.train_trials, cfg.classes)
+    n_tasks = len(cfg.classes if cfg.classes is not None else {t.class_id for t in trials}) - 1
+    docs = {"net": cfg.net} | {f"variants[{i}].net": v.net for i, v in enumerate(cfg.variants)}
+    specs = {}
+    for path, doc in docs.items():
+        try:
+            specs[path] = _net_template(path, doc, cfg.window, trials[0].n_channels)
+        except ConfigurationError as exc:
+            problems.append(exc)
+    nets = {} if cfg.variants else {"": specs.get("net")}
+    for i, variant in enumerate(cfg.variants):
+        path = f"variants[{i}].net"
+        if {"net", path} <= specs.keys():  # the variant's net replaces the final task's
+            nets[variant.name] = [specs["net"]] * (n_tasks - 1) + [specs[path]]
+            try:
+                check_carried(cfg.strategies, nets[variant.name])
+            except ConfigurationError as exc:
+                problems.append(ConfigurationError(f"field '{path}': {exc}"))
+    return nets, problems
 
 
 def cmd_synth(config_path: str, out_path: str) -> int:
@@ -195,8 +198,11 @@ def cmd_synth(config_path: str, out_path: str) -> int:
     config = SyntheticStreamConfig.from_dict(_read_json(config_path))
     trials = synthesize_stream(config)
     out = Path(out_path)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    save_trials(out, trials)
+    try:
+        out.parent.mkdir(parents=True, exist_ok=True)
+        save_trials(out, trials)
+    except OSError as exc:  # out is a directory, or a parent of it is a file
+        raise ConfigurationError(f"cannot write {out_path!r}: {exc.strerror}") from None
     print(f"wrote {out}")
     for cid in range(config.n_classes):
         cls_trials = [t for t in trials if t.class_id == cid]
@@ -223,43 +229,25 @@ def cmd_run(
     if repetitions is not None:
         cfg.repetitions = require_integer("--repetitions", repetitions, least=1)
     trials, digest = _load_data(cfg)
-    seq = TaskSequence.from_trials(
-        trials,
-        window=cfg.window,
-        stride=cfg.stride,
-        train_trials=cfg.train_trials,
-        class_order=cfg.classes,
-    )
+    nets, problems = _plan(cfg, trials)
+    if problems:
+        raise problems[0]
+    seq = TaskSequence.from_trials(trials, cfg.window, cfg.stride, cfg.train_trials, cfg.classes)
     del trials  # the windows hold their own copy, so the raw trials can go
-    base_net = _net_template("net", cfg.net, cfg.window, seq.channels)
-
-    # each variant swaps the final task's classifier; "" is the primary run
-    variant_nets: dict[str, object] = {"": base_net}
-    if cfg.variants:
-        variant_nets = {}
-        for i, variant in enumerate(cfg.variants):
-            vnet = _net_template(f"variants[{i}].net", variant.net, cfg.window, seq.channels)
-            variant_nets[variant.name] = _variant_task_nets(cfg, i, base_net, vnet, seq.n_tasks)
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # out or a parent of it is a file
+        raise ConfigurationError(f"cannot create output directory {out}: {exc.strerror}") from None
 
     comparisons: dict[str, ComparisonReport] = {}
     failures: dict[str, str] = {}
-    for vname in sorted(variant_nets):
+    for vname in sorted(nets):
         settings = RunSettings(
-            net=variant_nets[vname],
-            train=cfg.train,
-            generator=cfg.generator,
-            ewc_lambda=cfg.ewc_lambda,
-            n_members=cfg.ensemble_size,
+            net=nets[vname], train=cfg.train, generator=cfg.generator,
+            ewc_lambda=cfg.ewc_lambda, n_members=cfg.ensemble_size,
         )
-        comp = compare_strategies(
-            seq,
-            settings,
-            strategies=cfg.strategies,
-            repetitions=cfg.repetitions,
-            master_seed=cfg.seed,
-        )
+        comp = compare_strategies(seq, settings, cfg.strategies, cfg.repetitions, cfg.seed)
         for strat, message in comp.failures.items():
             failures[strat if not vname else f"{strat}/{vname}"] = message
         if comp.strategies:
@@ -279,54 +267,21 @@ def cmd_run(
 
 
 def cmd_validate(config_path: str) -> int:
-    """Check the config and its data; list violations instead of stopping at
-    the first one where practical."""
-    violations: list[str] = []
+    """Check the config and its data: list every reason `run` would stop
+    before training, from run's own pre-flight, or count the windows."""
     cfg = ExperimentConfig.from_dict(_read_json(config_path))
     try:
         trials, _ = _load_data(cfg)
     except (ConfigurationError, DataFormatError) as exc:
-        print(f"violation: {exc}")
+        problems = [exc]
+    else:
+        problems = _plan(cfg, trials)[1]
+    for problem in problems:
+        print(f"violation: {problem}")
+    if problems:
         return 2
 
-    present = sorted({t.class_id for t in trials})
-    wanted = cfg.classes if cfg.classes is not None else present
-    for c in wanted:
-        if c not in present:
-            violations.append(f"class {c} not present in the data")
-    shortest = min(t.length for t in trials)
-    if cfg.window > shortest:
-        violations.append(f"window {cfg.window} exceeds shortest trial length {shortest}")
-    train_ids = set(cfg.train_trials)
-    for c in wanted:
-        if c not in present:
-            continue
-        ids = {t.trial_id for t in trials if t.class_id == c}
-        if not ids & train_ids:
-            violations.append(f"class {c}: no training trials among {sorted(train_ids)}")
-        if not ids - train_ids:
-            violations.append(f"class {c}: no evaluation trials left")
-    if len(wanted) < 2:
-        violations.append(f"need at least 2 classes, found {len(wanted)}")
-    nets = [("net", cfg.net)] + [(f"variants[{i}].net", v.net) for i, v in enumerate(cfg.variants)]
-    specs = []
-    for path, net_doc in nets:
-        try:
-            specs.append(_net_template(path, net_doc, cfg.window, trials[0].n_channels))
-        except ConfigurationError as exc:
-            violations.append(str(exc))
-    if len(specs) == len(nets) and len(wanted) >= 2:
-        for i, vnet in enumerate(specs[1:]):
-            try:
-                _variant_task_nets(cfg, i, specs[0], vnet, len(wanted) - 1)
-            except ConfigurationError as exc:
-                violations.append(str(exc))
-
-    if violations:
-        for v in violations:
-            print(f"violation: {v}")
-        return 2
-
+    wanted = cfg.classes if cfg.classes is not None else sorted({t.class_id for t in trials})
     stride = cfg.stride if cfg.stride is not None else cfg.window
     print(f"config ok: {len(wanted)} classes, window {cfg.window}, stride {stride}")
     for c in wanted:

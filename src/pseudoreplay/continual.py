@@ -46,6 +46,7 @@ from .data import (
     Windows,
     apply_standardizer,
     fit_standardizer,
+    window_count,
     window_trial,
 )
 from .errors import (
@@ -102,14 +103,10 @@ class TaskSequence:
         class_order: list[int] | None = None,
     ) -> "TaskSequence":
         """Split trials into train (listed trial ids) and test (the rest)."""
-        present = sorted({t.class_id for t in trials})
-        order = present if class_order is None else list(class_order)
-        missing = [c for c in order if c not in present]
-        if missing:
-            raise ConfigurationError(f"classes {missing} not present in the data")
-        if len(set(order)) != len(order):
-            raise ConfigurationError("class_order contains duplicates")
-
+        problems = split_problems(trials, window, stride, train_trials, class_order)
+        if problems:
+            raise problems[0]
+        order = sorted({t.class_id for t in trials}) if class_order is None else list(class_order)
         train_ids = np.asarray(train_trials, dtype=np.int64)
         train: list[Windows] = []
         test: list[Windows] = []
@@ -124,6 +121,45 @@ class TaskSequence:
             test.append(windows.select(~is_train))
         channels = trials[0].n_channels if trials else 0
         return cls(class_ids=order, train=train, test=test, window=window, channels=channels)
+
+
+def split_problems(
+    trials: list[TimeSeriesTrial], window: int, stride: int | None = None,
+    train_trials: tuple[int, ...] = (1,), class_order: list[int] | None = None,
+) -> list[PseudoreplayError]:
+    """Every reason TaskSequence.from_trials refuses these arguments, in the
+    order it checks them. Only trial ids and lengths are read, through
+    window_count. from_trials stops at the first trial shorter than the
+    window, so only that one is listed, and no split is judged after it."""
+    present = sorted({t.class_id for t in trials})
+    order = present if class_order is None else list(class_order)
+    missing = [c for c in order if c not in present]
+    problems = [ConfigurationError(f"classes {missing} not present in the data")] if missing else []
+    if len(set(order)) != len(order):
+        problems.append(ConfigurationError("class_order contains duplicates"))
+    counts = {c: [0, 0] for c in order if c in present}  # class id -> [training, test] windows
+    by_id = sorted(trials, key=lambda t: t.trial_id)  # stable, as from_trials sorts each class
+    ordered = [t for c in counts for t in by_id if t.class_id == c]
+    try:
+        sizes = [window_count(t.length, window, stride) for t in ordered]
+    except ConfigurationError as exc:  # window or stride below 1
+        return problems + [exc]
+    train_ids = set(train_trials)
+    for t, n in zip(ordered, sizes):
+        counts[t.class_id][t.trial_id not in train_ids] += n
+    short = [t for t, n in zip(ordered, sizes) if not n][:1]
+    for t in short:
+        problems.append(DataFormatError(
+            f"trial {t.trial_id} of class {t.class_id}: length {t.length} < window {window}"
+        ))
+    if len(order) < 2:
+        problems.append(ConfigurationError("need at least 2 classes (one task)"))
+    for cid, split in counts.items() if not short else ():
+        problems += [
+            DataFormatError(f"class {cid}: no {kind} windows")
+            for kind, n in zip(("training", "test"), split) if not n
+        ]
+    return problems
 
 
 @dataclass(frozen=True)
@@ -270,11 +306,31 @@ def _carry_forward(
     return Ensemble(members=members, standardizer=standardizer)
 
 
-def switches_architecture(nets: list[NetSpec]) -> bool:
-    """Whether per-task net specs differ beyond the head size and seed, which
-    a carried model cannot follow."""
+def check_strategies(strategies) -> None:
+    """Refuse an empty, unknown or repeated strategy list."""
+    if not strategies:
+        raise ConfigurationError("strategies must not be empty", "strategies")
+    for s in strategies:
+        if s not in STRATEGIES:
+            raise ConfigurationError(
+                f"unknown strategy {s!r}; choose from {STRATEGIES}", "strategies"
+            )
+    if len(set(strategies)) != len(strategies):
+        raise ConfigurationError(
+            f"strategies must not repeat, got {list(strategies)}", "strategies"
+        )
+
+
+def check_carried(strategies, nets: list[NetSpec]) -> None:
+    """Refuse per-task nets that differ beyond the head size and seed when
+    one of `strategies` carries one model across tasks, as it cannot follow."""
+    carried = [s for s in strategies if s in CARRIED]
     first = replace(nets[0], n_classes=2, seed=0)
-    return any(replace(net, n_classes=2, seed=0) != first for net in nets)
+    if carried and any(replace(net, n_classes=2, seed=0) != first for net in nets):
+        raise ConfigurationError(
+            f"{carried[0]} carries one model across tasks and cannot switch architectures;"
+            " every task's net must match the first apart from the head"
+        )
 
 
 def run_strategy(
@@ -288,17 +344,12 @@ def run_strategy(
     takes the snapshots but adds no term to the loss, so its parameter
     trajectory is bit-identical to finetune under the same seed.
     """
-    if strategy not in STRATEGIES:
-        raise ConfigurationError(f"unknown strategy {strategy!r}; choose from {STRATEGIES}")
+    check_strategies((strategy,))
     nets = [settings.net] * seq.n_tasks if isinstance(settings.net, NetSpec) else list(settings.net)
     if len(nets) != seq.n_tasks:
         raise ConfigurationError(f"need one net spec or {seq.n_tasks}, got {len(nets)}")
+    check_carried((strategy,), nets)
     carried = strategy in CARRIED
-    if carried and switches_architecture(nets):
-        raise ConfigurationError(
-            f"{strategy} carries one model across tasks and cannot switch"
-            " architectures; per-task net specs must match"
-        )
     generators: dict[int, ClassGenerator] = {}
     ensembles: list[Ensemble] = []
     tasks: list[TaskResult] = []
@@ -407,13 +458,7 @@ def compare_strategies(
     others still run.
     """
     require_integer("repetitions", repetitions, least=1)
-    if not strategies:
-        raise ConfigurationError("no strategies requested")
-    for s in strategies:
-        if s not in STRATEGIES:
-            raise ConfigurationError(f"unknown strategy {s!r}; choose from {STRATEGIES}")
-    if len(set(strategies)) != len(strategies):
-        raise ConfigurationError(f"strategies must not repeat, got {list(strategies)}")
+    check_strategies(strategies)
 
     runs: dict[str, list[ContinualRun]] = {}
     summaries: dict[str, StrategySummary] = {}

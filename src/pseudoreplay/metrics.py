@@ -30,10 +30,6 @@ class ConfusionMatrix:
     def n_classes(self) -> int:
         return self.counts.shape[0]
 
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
 
 def confusion(y_true, y_pred, n_classes: int) -> ConfusionMatrix:
     y_true = np.asarray(y_true, dtype=np.int64).reshape(-1)
@@ -126,29 +122,19 @@ def aggregate(reports: list[MetricReport]) -> tuple[MetricReport, MetricReport]:
         if len(r.precision) != n:
             raise ValueError("reports disagree on class count")
 
-    def stack(attr):
-        return np.stack([np.asarray(getattr(r, attr), dtype=float) for r in reports])
+    def reduce(op) -> MetricReport:
+        """op over the reports, per class for the vectors, across the macro values."""
+        vectors = {
+            name: op(np.stack([np.asarray(getattr(r, name), dtype=float) for r in reports]), axis=0)
+            for name in ("precision", "recall", "f_score")
+        }
+        macros = {
+            name: float(op(np.array([getattr(r, name) for r in reports], dtype=float)))
+            for name in ("macro_precision", "macro_recall", "macro_f")
+        }
+        return MetricReport(**vectors, **macros)
 
-    def scalars(attr):
-        return np.array([getattr(r, attr) for r in reports], dtype=float)
-
-    mean = MetricReport(
-        precision=stack("precision").mean(axis=0),
-        recall=stack("recall").mean(axis=0),
-        f_score=stack("f_score").mean(axis=0),
-        macro_precision=float(scalars("macro_precision").mean()),
-        macro_recall=float(scalars("macro_recall").mean()),
-        macro_f=float(scalars("macro_f").mean()),
-    )
-    std = MetricReport(
-        precision=stack("precision").std(axis=0),
-        recall=stack("recall").std(axis=0),
-        f_score=stack("f_score").std(axis=0),
-        macro_precision=float(scalars("macro_precision").std()),
-        macro_recall=float(scalars("macro_recall").std()),
-        macro_f=float(scalars("macro_f").std()),
-    )
-    return mean, std
+    return reduce(np.mean), reduce(np.std)
 
 
 def format_cell(mean: float, std: float) -> str:

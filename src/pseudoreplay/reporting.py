@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .continual import ComparisonReport
+from .continual import ComparisonReport, StrategySummary
 from .metrics import format_cell
 
 METRICS_HEADER = "method,task,repetition,class,precision,recall,f"
@@ -76,31 +76,35 @@ def _strategy_label(strategy: str) -> str:
     }.get(strategy, strategy)
 
 
+def _table(header: list[str], rows: list[list[str]]) -> str:
+    """A markdown table: the header, its rule, then one line per row."""
+    lines = ["| " + " | ".join(cells) + " |" for cells in [header] + rows]
+    return "\n".join(lines[:1] + ["|" + "---|" * len(header)] + lines[1:])
+
+
+def _macro_cells(summary: StrategySummary, t: int) -> list[str]:
+    """Task t's macro precision, recall and F-score as 'mean (std)' cells."""
+    mean, std = summary.per_task_mean[t], summary.per_task_std[t]
+    return [
+        format_cell(getattr(mean, name), getattr(std, name))
+        for name in ("macro_precision", "macro_recall", "macro_f")
+    ]
+
+
+def _metric_header(prefixes: list[str]) -> list[str]:
+    return ["Method"] + [f"{p} {m}" for p in prefixes for m in ("Precision", "Recall", "F-score")]
+
+
 def comparison_table(comp: ComparisonReport, variant: str = "") -> str:
     """Strategies x tasks, each cell a macro 'mean (std)' over repetitions."""
     n_tasks = len(next(iter(comp.summaries.values())).per_task_mean)
-    header = ["Method"]
-    for t in range(1, n_tasks + 1):
-        header += [f"Task {t} Precision", f"Task {t} Recall", f"Task {t} F-score"]
-    lines = [
-        "| " + " | ".join(header) + " |",
-        "|" + "---|" * len(header),
+    suffix = f" ({variant})" if variant else ""
+    rows = [
+        [_strategy_label(strat) + suffix]
+        + [cell for t in range(n_tasks) for cell in _macro_cells(comp.summaries[strat], t)]
+        for strat in comp.strategies
     ]
-    for strat in comp.strategies:
-        s = comp.summaries[strat]
-        label = _strategy_label(strat)
-        if variant:
-            label = f"{label} ({variant})"
-        row = [label]
-        for t in range(n_tasks):
-            mean, std = s.per_task_mean[t], s.per_task_std[t]
-            row += [
-                format_cell(mean.macro_precision, std.macro_precision),
-                format_cell(mean.macro_recall, std.macro_recall),
-                format_cell(mean.macro_f, std.macro_f),
-            ]
-        lines.append("| " + " | ".join(row) + " |")
-    return "\n".join(lines)
+    return _table(_metric_header([f"Task {t}" for t in range(1, n_tasks + 1)]), rows)
 
 
 def variant_table(comparisons: dict[str, ComparisonReport]) -> str:
@@ -108,35 +112,18 @@ def variant_table(comparisons: dict[str, ComparisonReport]) -> str:
     A strategy that failed under some variant reads 'failed' there."""
     variants = sorted(v for v in comparisons if v)
     strategies = list(dict.fromkeys(s for v in variants for s in comparisons[v].strategies))
-    header = ["Method"]
-    for v in variants:
-        header += [f"{v} Precision", f"{v} Recall", f"{v} F-score"]
-    lines = [
-        "| " + " | ".join(header) + " |",
-        "|" + "---|" * len(header),
-    ]
+    rows = []
     for strat in strategies:
         row = [_strategy_label(strat)]
         for v in variants:
             s = comparisons[v].summaries.get(strat)
-            if s is None:
-                row += ["failed"] * 3
-                continue
-            mean, std = s.per_task_mean[-1], s.per_task_std[-1]
-            row += [
-                format_cell(mean.macro_precision, std.macro_precision),
-                format_cell(mean.macro_recall, std.macro_recall),
-                format_cell(mean.macro_f, std.macro_f),
-            ]
-        lines.append("| " + " | ".join(row) + " |")
-    return "\n".join(lines)
+            row += ["failed"] * 3 if s is None else _macro_cells(s, -1)
+        rows.append(row)
+    return _table(_metric_header(variants), rows)
 
 
 def storage_section(comp: ComparisonReport) -> str:
-    lines = [
-        "| Method | Raw windows retained | Pseudo samples per task |",
-        "|---|---|---|",
-    ]
+    rows = []
     for strat in comp.strategies:
         s = comp.summaries[strat]
         replay = "; ".join(
@@ -148,22 +135,18 @@ def storage_section(comp: ComparisonReport) -> str:
             )
             for t, counts in enumerate(s.replay_counts)
         )
-        lines.append(f"| {_strategy_label(strat)} | {s.memory_footprint} | {replay} |")
-    return "\n".join(lines)
+        rows.append([_strategy_label(strat), str(s.memory_footprint), replay])
+    return _table(["Method", "Raw windows retained", "Pseudo samples per task"], rows)
 
 
 def spread_section(comp: ComparisonReport) -> str:
     n_tasks = len(next(iter(comp.summaries.values())).per_task_mean)
     header = ["Method"] + [f"Task {t} member F std" for t in range(1, n_tasks + 1)]
-    lines = ["| " + " | ".join(header) + " |", "|" + "---|" * len(header)]
-    for strat in comp.strategies:
-        s = comp.summaries[strat]
-        lines.append(
-            "| "
-            + " | ".join([_strategy_label(strat)] + [f"{v:.3f}" for v in s.member_spread])
-            + " |"
-        )
-    return "\n".join(lines)
+    rows = [
+        [_strategy_label(strat)] + [f"{v:.3f}" for v in comp.summaries[strat].member_spread]
+        for strat in comp.strategies
+    ]
+    return _table(header, rows)
 
 
 def render_report(comparisons: dict[str, ComparisonReport]) -> str:

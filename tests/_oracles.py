@@ -292,3 +292,30 @@ def two_pass_moments(values) -> tuple[float, float]:
     mean = sum(vals) / n
     var = sum((v - mean) ** 2 for v in vals) / n
     return mean, math.sqrt(var)
+
+
+def split_reference(trials, window, stride=None, train_trials=(1,), class_order=None):
+    """TaskSequence.from_trials the long way: check the class order, cut every
+    window of every used trial with window_trial, and let TaskSequence's own
+    checks refuse an empty split."""
+    from pseudoreplay.continual import TaskSequence
+    from pseudoreplay.data import Windows, window_trial
+    from pseudoreplay.errors import ConfigurationError
+
+    present = sorted({t.class_id for t in trials})
+    order = present if class_order is None else list(class_order)
+    missing = [c for c in order if c not in present]
+    if missing:
+        raise ConfigurationError(f"classes {missing} not present in the data")
+    if len(set(order)) != len(order):
+        raise ConfigurationError("class_order contains duplicates")
+    train, test = [], []
+    for pos, cid in enumerate(order):
+        mine = sorted((t for t in trials if t.class_id == cid), key=lambda t: t.trial_id)
+        windows = Windows.concat([window_trial(t, window, stride) for t in mine])
+        windows.y[:] = pos
+        is_train = np.array([trial_id in train_trials for trial_id in windows.source[:, 0]], dtype=bool)
+        train.append(windows.select(is_train))
+        test.append(windows.select(~is_train))
+    channels = trials[0].n_channels if trials else 0
+    return TaskSequence(class_ids=order, train=train, test=test, window=window, channels=channels)

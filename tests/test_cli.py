@@ -14,6 +14,7 @@ from pseudoreplay import (
     GeneratorConfig,
     NetSpec,
     SyntheticStreamConfig,
+    TimeSeriesTrial,
     TrainConfig,
     cli,
     default_synthetic_config,
@@ -452,22 +453,22 @@ def test_validate_counts_windows_without_cutting_them(tmp_path, capsys, monkeypa
 def test_validate_flags_oversized_window(tmp_path, capsys):
     cfg = write_json(tmp_path / "exp.json", run_config_doc(window=451))
     assert main(["validate", "--config", cfg]) == 2
-    assert "violation: window 451 exceeds shortest trial length 450" in capsys.readouterr().out
+    assert "violation: trial 1 of class 0: length 450 < window 451" in capsys.readouterr().out
 
 
 def test_validate_flags_missing_class_and_split_problems(tmp_path, capsys):
     cfg = write_json(tmp_path / "exp.json", run_config_doc(classes=[0, 7]))
     assert main(["validate", "--config", cfg]) == 2
     out = capsys.readouterr().out
-    assert "violation: class 7 not present in the data" in out
+    assert "violation: classes [7] not present in the data" in out
 
     cfg = write_json(tmp_path / "exp.json", run_config_doc(train_trials=[1, 2]))
     assert main(["validate", "--config", cfg]) == 2
-    assert "no evaluation trials left" in capsys.readouterr().out
+    assert "violation: class 0: no test windows" in capsys.readouterr().out
 
     cfg = write_json(tmp_path / "exp.json", run_config_doc(train_trials=[9]))
     assert main(["validate", "--config", cfg]) == 2
-    assert "no training trials" in capsys.readouterr().out
+    assert "violation: class 0: no training windows" in capsys.readouterr().out
 
 
 def test_validate_reports_multiple_violations(tmp_path, capsys):
@@ -562,6 +563,81 @@ def test_validate_needs_two_classes(tmp_path, capsys):
     cfg = write_json(tmp_path / "exp.json", run_config_doc(classes=[1]))
     assert main(["validate", "--config", cfg]) == 2
     assert "need at least 2 classes" in capsys.readouterr().out
+
+
+def test_validate_and_run_accept_a_short_trial_of_an_unused_class(tmp_path, capsys):
+    trials = synthesize_stream(
+        default_synthetic_config(seed=11, trial_length=450, trials_per_class=2)
+    )
+    trials = [
+        TimeSeriesTrial(2, 1, t.channels[:30]) if (t.class_id, t.trial_id) == (2, 1) else t
+        for t in trials
+    ]
+    csv_path = tmp_path / "trials.csv"
+    save_trials(csv_path, trials)
+    doc = run_config_doc(
+        data={"csv": str(csv_path)}, strategies=["baseline"], train={"epochs": 1}
+    )
+    cfg = write_json(tmp_path / "exp.json", {**doc, "classes": [0, 1]})
+    assert main(["validate", "--config", cfg]) == 0
+    assert "config ok: 2 classes, window 50, stride 50" in capsys.readouterr().out
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "r")]) == 0
+    # with class 2 in use both refuse it, with the same message
+    cfg = write_json(tmp_path / "all.json", doc)
+    needle = "trial 1 of class 2: length 30 < window 50"
+    assert main(["validate", "--config", cfg]) == 2
+    assert f"violation: {needle}" in capsys.readouterr().out
+    out = tmp_path / "r2"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {needle}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, fault",
+    [
+        *[
+            (command, fault)
+            for command in ("synth", "validate", "run")
+            for fault in ("config is a directory", "config is not UTF-8")
+        ],
+        ("run", "--out is a file"),
+        ("run", "--out lies under a file"),
+        ("run", "out_dir lies under a file"),
+        ("synth", "--out lies under a file"),
+        ("synth", "--out is a directory"),
+    ],
+)
+def test_unusable_paths_exit_2_naming_the_path(tmp_path, capsys, command, fault):
+    blocker = tmp_path / "blocker.txt"
+    blocker.write_text("x", encoding="utf-8")
+    out = {
+        "--out is a file": blocker,
+        "--out lies under a file": blocker / "r",
+        "out_dir lies under a file": blocker / "r",
+        "--out is a directory": tmp_path / "dir",
+    }.get(fault, tmp_path / "r")
+    doc = small_data_doc()["synthetic"] if command == "synth" else run_config_doc()
+    cfg = tmp_path / "exp.json"
+    argv = [command, "--config", str(cfg)]
+    if fault == "out_dir lies under a file":
+        doc["out_dir"] = str(out)
+    elif command != "validate":
+        argv += ["--out", str(out)]
+    if fault == "config is a directory":
+        cfg.mkdir()
+    elif fault == "config is not UTF-8":
+        cfg.write_bytes(json.dumps(doc).encode() + b" \xe9")
+    else:
+        write_json(cfg, doc)
+    if fault == "--out is a directory":
+        out.mkdir()
+    assert main(argv) == 2
+    named = cfg if fault.startswith("config") else out
+    assert str(named) in capsys.readouterr().err
+    assert blocker.read_text(encoding="utf-8") == "x"
+    assert not (tmp_path / "r").exists()
+    assert not out.is_dir() or not any(out.iterdir())
 
 
 # ------------------------------------------------------------------ config API

@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pseudoreplay import (
     GenerationRequest,
@@ -18,19 +20,21 @@ from pseudoreplay import (
     run_strategy,
     synthesize_stream,
 )
+from _oracles import split_reference
 from conftest import fisher_weighted_movement, task1_fishers
 from pseudoreplay import classifier, continual
 from pseudoreplay.classifier import Ensemble, fit_ensemble, init_model, pad_parameters, predict
-from pseudoreplay.continual import STRATEGIES, TaskSequence
+from pseudoreplay.continual import STRATEGIES, TaskSequence, split_problems
 from pseudoreplay.data import (
     SYNTHETIC_TRIAL_ID,
     ClassSignal,
     SyntheticStreamConfig,
+    TimeSeriesTrial,
     Windows,
     apply_standardizer,
     fit_standardizer,
 )
-from pseudoreplay.errors import ConfigurationError, DataFormatError, TrainingError
+from pseudoreplay.errors import ConfigurationError, DataFormatError, PseudoreplayError, TrainingError
 from pseudoreplay.metrics import aggregate, confusion
 from pseudoreplay.seeding import derive_seed
 
@@ -97,6 +101,55 @@ def test_sequence_window_longer_than_trials_fails(small_stream_config):
     trials = synthesize_stream(small_stream_config)
     with pytest.raises(DataFormatError, match="< window"):
         TaskSequence.from_trials(trials, window=451)
+
+
+@st.composite
+def split_arguments(draw):
+    """from_trials arguments: up to four classes of trials of uneven length
+    (trial ids may repeat within a class), a class order that may skip,
+    repeat or name an absent class, train ids that may match nothing, and
+    small windows and strides, zero included. About half the draws keep to
+    values that split cleanly, so that both outcomes are common."""
+    clean = draw(st.booleans())
+    classes = [[0, 1, 2], [2, 0], [0, 1], [3, 1, 2]] + ([] if clean else [[1], []])
+    ids = [[1, 2], [2, 1, 3], [1, 1, 2]] + ([] if clean else [[2], [1], [3, 3]])
+    trials = [
+        TimeSeriesTrial(class_id=cid, trial_id=trial_id, channels=np.zeros((length, 1)))
+        for cid in draw(st.sampled_from(classes))
+        for trial_id in draw(st.sampled_from(ids))
+        for length in [draw(st.integers(6 if clean else 1, 30))]
+    ]
+    present = sorted({t.class_id for t in trials})
+    return (
+        draw(st.permutations(trials)),
+        draw(st.integers(1 if clean else 0, 6)),
+        draw(st.none() | st.integers(1 if clean else 0, 3)),
+        (1,) if clean else tuple(draw(st.lists(st.integers(0, 4), max_size=3))),
+        draw(st.none() | st.permutations(present))
+        if clean else draw(st.none() | st.lists(st.integers(0, 4), max_size=4)),
+    )
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(args=split_arguments())
+def test_split_problems_are_empty_exactly_when_from_trials_succeeds(args):
+    problems = split_problems(*args)
+    try:
+        want = split_reference(*args)
+    except PseudoreplayError as exc:
+        assert problems, f"split_problems missed {exc!r}"
+        assert (type(problems[0]), str(problems[0])) == (type(exc), str(exc))
+        with pytest.raises(PseudoreplayError) as raised:
+            TaskSequence.from_trials(*args)
+        assert (type(raised.value), str(raised.value)) == (type(exc), str(exc))
+        return
+    assert problems == []
+    seq = TaskSequence.from_trials(*args)
+    assert seq.class_ids == want.class_ids
+    for got, ref in zip(seq.train + seq.test, want.train + want.test, strict=True):
+        np.testing.assert_array_equal(got.x, ref.x)
+        np.testing.assert_array_equal(got.y, ref.y)
+        np.testing.assert_array_equal(got.source, ref.source)
 
 
 # ------------------------------------------------------------------ pseudo replay
