@@ -122,6 +122,15 @@ class NetSpec:
         )
 
     @cached_property
+    def widest(self) -> int:
+        """Elements per window of the largest array a forward pass builds: the
+        input, or a layer's rows or output. A conv layer's rows are its im2col
+        patches, out_len * fan_in; a dense layer has out_len 1."""
+        w, c = self.input_shape
+        sizes = (layer.out_len * max(layer.fan_in, layer.fan_out) for layer in self._layers)
+        return max(w * c, *sizes)
+
+    @cached_property
     def param_count(self) -> int:
         return self._views[-1][2]
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -26,6 +27,7 @@ from .continual import (
     check_carried,
     check_strategies,
     compare_strategies,
+    replay_problems,
     split_problems,
 )
 from .data import (
@@ -168,11 +170,14 @@ def _load_data(cfg: ExperimentConfig) -> tuple[list[TimeSeriesTrial], str]:
     return load_trials(cfg.data.csv), hashlib.sha256(raw).hexdigest()
 
 
-def _plan(cfg: ExperimentConfig, trials: list[TimeSeriesTrial]) -> tuple[dict, list]:
+def _plan(cfg: ExperimentConfig, trials: list[TimeSeriesTrial], out: Path) -> tuple[dict, list]:
     """The nets per variant ("" is the primary run) that `run` trains, and every
-    reason it would stop before training: the task split's problems, the nets'
-    build errors, then carried strategies that cannot follow a variant's net."""
-    problems = split_problems(trials, cfg.window, cfg.stride, cfg.train_trials, cfg.classes)
+    reason it would stop before training: the task split's problems, classes
+    too small for rcl's generators, the nets' build errors, carried strategies
+    that cannot follow a variant's net, then an output directory `out` whose
+    nearest existing path is not a directory."""
+    split = (trials, cfg.window, cfg.stride, cfg.train_trials, cfg.classes)
+    problems = split_problems(*split) or replay_problems(cfg.strategies, *split)
     n_tasks = len(cfg.classes if cfg.classes is not None else {t.class_id for t in trials}) - 1
     docs = {"net": cfg.net} | {f"variants[{i}].net": v.net for i, v in enumerate(cfg.variants)}
     specs = {}
@@ -190,6 +195,11 @@ def _plan(cfg: ExperimentConfig, trials: list[TimeSeriesTrial]) -> tuple[dict, l
                 check_carried(cfg.strategies, nets[variant.name])
             except ConfigurationError as exc:
                 problems.append(ConfigurationError(f"field '{path}': {exc}"))
+    existing = next((p for p in (out, *out.parents) if os.path.exists(p)), Path("."))
+    if not os.path.isdir(existing):  # judged without creating anything
+        problems.append(ConfigurationError(
+            f"cannot create output directory {out}: {existing} is not a directory"
+        ))
     return nets, problems
 
 
@@ -229,15 +239,15 @@ def cmd_run(
     if repetitions is not None:
         cfg.repetitions = require_integer("--repetitions", repetitions, least=1)
     trials, digest = _load_data(cfg)
-    nets, problems = _plan(cfg, trials)
+    out = Path(out_dir if out_dir is not None else cfg.out_dir)
+    nets, problems = _plan(cfg, trials, out)
     if problems:
         raise problems[0]
     seq = TaskSequence.from_trials(trials, cfg.window, cfg.stride, cfg.train_trials, cfg.classes)
     del trials  # the windows hold their own copy, so the raw trials can go
-    out = Path(out_dir if out_dir is not None else cfg.out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:  # out or a parent of it is a file
+    except OSError as exc:  # e.g. no permission, as _plan has refused a file in the way
         raise ConfigurationError(f"cannot create output directory {out}: {exc.strerror}") from None
 
     comparisons: dict[str, ComparisonReport] = {}
@@ -275,7 +285,7 @@ def cmd_validate(config_path: str) -> int:
     except (ConfigurationError, DataFormatError) as exc:
         problems = [exc]
     else:
-        problems = _plan(cfg, trials)[1]
+        problems = _plan(cfg, trials, Path(cfg.out_dir))[1]
     for problem in problems:
         print(f"violation: {problem}")
     if problems:

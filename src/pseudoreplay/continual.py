@@ -162,6 +162,27 @@ def split_problems(
     return problems
 
 
+def replay_problems(
+    strategies, trials: list[TimeSeriesTrial], window: int, stride: int | None = None,
+    train_trials: tuple[int, ...] = (1,), class_order: list[int] | None = None,
+) -> list[DataFormatError]:
+    """With rcl among `strategies`, one error per class with fewer than the 2
+    training windows its generator needs. Meant for a split that
+    split_problems accepts; it counts windows through window_count too."""
+    if "rcl" not in strategies:
+        return []
+    order = sorted({t.class_id for t in trials}) if class_order is None else class_order
+    counts = {
+        cid: sum(window_count(t.length, window, stride)
+                 for t in trials if t.class_id == cid and t.trial_id in train_trials)
+        for cid in order
+    }
+    return [
+        DataFormatError(f"class {cid}: rcl needs 2 training windows to fit a generator, got {n}")
+        for cid, n in counts.items() if n < 2
+    ]
+
+
 @dataclass(frozen=True)
 class GeneratorConfig:
     k: int = 5
@@ -198,21 +219,24 @@ class ContinualRun:
     memory_footprint: int  # raw previous-class windows retained
 
 
-_EVAL_BLOCK = 1 << 16  # elements of test windows standardized and forwarded at once
+# elements of the widest array one forward pass builds over a block of test
+# windows: NetSpec.widest per window, which for a conv net is its patch matrix
+_EVAL_BLOCK = 1 << 16
 
 
 def _evaluate(ensemble: Ensemble, seq: TaskSequence, upto: int) -> tuple[ConfusionMatrix, MetricReport, float]:
     """Walk the test windows of positions 0..upto in even blocks of about
-    _EVAL_BLOCK elements at most, one member_probabilities call each, so
-    every member runs forward once over every window and no full copy of the
-    test set is made. The ensemble prediction is the argmax of the mean
-    member probability, as `predict` computes it, and the member spread
-    comes from the same probabilities."""
+    _EVAL_BLOCK elements of the widest forward array at most, one
+    member_probabilities call each, so every member runs forward once over
+    every window and no full copy of the test set is made. The ensemble
+    prediction is the argmax of the mean member probability, as `predict`
+    computes it, and the member spread comes from the same probabilities."""
     parts = seq.test[: upto + 1]
     starts = np.cumsum([0] + [len(p) for p in parts[:-1]]).tolist()
     y_true = np.concatenate([p.y for p in parts])
     n = len(y_true)
-    blocks = min(n, -(-n * parts[0].x[0].size // _EVAL_BLOCK))  # ceil, one window at least
+    widest = max(m.spec.widest for m in ensemble.members)
+    blocks = min(n, -(-n * widest // _EVAL_BLOCK))  # ceil, one window at least
     y_pred = np.empty(n, dtype=np.int64)
     member_pred = np.empty((len(ensemble.members), n), dtype=np.int64)
     for b in range(blocks):

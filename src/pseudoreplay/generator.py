@@ -148,9 +148,7 @@ def fit_generator(
     """
     n = len(samples)
     if n < 2:
-        raise DataFormatError(
-            f"class {class_id}: need at least 2 samples to fit a generator, got {n}"
-        )
+        raise DataFormatError(f"need at least 2 samples to fit a generator, got {n}")
     wrong = samples.y[samples.y != class_id]
     if wrong.size:
         raise DataFormatError(

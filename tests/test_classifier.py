@@ -111,6 +111,20 @@ def test_conv_parameter_count_at_benchmark_shape():
     assert spec.param_count == expected
 
 
+def test_widest_forward_array_per_window():
+    # the benchmark's dense net: the 100-element input beats every layer output
+    assert NetSpec(kind="dense", input_shape=(50, 2), n_classes=3, hidden=(64, 32)).widest == 100
+    # a hidden layer wider than the input
+    assert NetSpec(kind="dense", input_shape=(50, 2), n_classes=3, hidden=(256, 32)).widest == 256
+    # the default conv net: layer 2's patches, 42 positions of kernel 5 x 8 channels
+    conv = NetSpec(kind="conv", input_shape=(50, 2), n_classes=3, hidden=(64, 32))
+    assert conv.widest == 42 * 5 * 8 == 1680
+    # a conv layer's output: 48 positions x 64 channels, ahead of layer 2's
+    # 24 x 64 patches at stride 2
+    wide = NetSpec(kind="conv", input_shape=(50, 2), n_classes=3, conv=((64, 3, 1), (8, 1, 2)))
+    assert wide.widest == 48 * 64 == 3072
+
+
 def test_conv_output_length_formula():
     assert conv_output_length(50, 5, 1) == 46
     assert conv_output_length(12, 3, 2) == 5

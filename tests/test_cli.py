@@ -5,6 +5,7 @@ import re
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -230,15 +231,17 @@ def test_run_with_classifier_variants(tmp_path):
 
 
 def test_run_strategy_failure_exits_1_with_failed_manifest(tmp_path, capsys):
-    # window == trial length leaves one window per class, too few to fit a
-    # generator, so rcl fails while baseline still completes
-    cfg = write_json(tmp_path / "exp.json", run_config_doc(window=450))
+    # an anchor far past its stability limit makes ewc diverge at task 2,
+    # after training has begun, while baseline still completes
+    doc = run_config_doc(strategies=["baseline", "ewc"], ewc_lambda=1e300)
+    cfg = write_json(tmp_path / "exp.json", doc)
     out = tmp_path / "results"
-    assert main(["run", "--config", cfg, "--out", str(out)]) == 1
-    assert "FAILED rcl:" in capsys.readouterr().err
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 1
+    assert "FAILED ewc: non-finite loss at epoch" in capsys.readouterr().err
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["status"] == "FAILED"
-    assert "rcl" in manifest["failures"]
+    assert "ewc" in manifest["failures"]
     methods = {row.split(",")[0] for row in (out / "metrics.csv").read_text().splitlines()[1:]}
     assert methods == {"baseline"}
 
@@ -593,6 +596,33 @@ def test_validate_and_run_accept_a_short_trial_of_an_unused_class(tmp_path, caps
     assert not out.exists()
 
 
+def test_rcl_with_a_one_window_class_exits_2_before_training(tmp_path, capsys, monkeypatch):
+    trials = synthesize_stream(
+        default_synthetic_config(seed=11, trial_length=450, trials_per_class=2)
+    )
+    trials = [
+        TimeSeriesTrial(2, 1, t.channels[:50]) if (t.class_id, t.trial_id) == (2, 1) else t
+        for t in trials
+    ]
+    csv_path = tmp_path / "trials.csv"
+    save_trials(csv_path, trials)
+    cfg = write_json(tmp_path / "exp.json", run_config_doc(
+        data={"csv": str(csv_path)}, strategies=["rcl"], train={"epochs": 1}
+    ))
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained despite a failed pre-flight")
+
+    monkeypatch.setattr(continual, "fit_ensemble", no_training)
+    needle = "class 2: rcl needs 2 training windows to fit a generator, got 1"
+    assert main(["validate", "--config", cfg]) == 2
+    assert capsys.readouterr().out == f"violation: {needle}\n"
+    out = tmp_path / "r"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {needle}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "command, fault",
     [
@@ -604,6 +634,8 @@ def test_validate_and_run_accept_a_short_trial_of_an_unused_class(tmp_path, caps
         ("run", "--out is a file"),
         ("run", "--out lies under a file"),
         ("run", "out_dir lies under a file"),
+        ("validate", "out_dir is a file"),
+        ("validate", "out_dir lies under a file"),
         ("synth", "--out lies under a file"),
         ("synth", "--out is a directory"),
     ],
@@ -613,6 +645,7 @@ def test_unusable_paths_exit_2_naming_the_path(tmp_path, capsys, command, fault)
     blocker.write_text("x", encoding="utf-8")
     out = {
         "--out is a file": blocker,
+        "out_dir is a file": blocker,
         "--out lies under a file": blocker / "r",
         "out_dir lies under a file": blocker / "r",
         "--out is a directory": tmp_path / "dir",
@@ -620,7 +653,7 @@ def test_unusable_paths_exit_2_naming_the_path(tmp_path, capsys, command, fault)
     doc = small_data_doc()["synthetic"] if command == "synth" else run_config_doc()
     cfg = tmp_path / "exp.json"
     argv = [command, "--config", str(cfg)]
-    if fault == "out_dir lies under a file":
+    if fault.startswith("out_dir"):
         doc["out_dir"] = str(out)
     elif command != "validate":
         argv += ["--out", str(out)]
@@ -634,7 +667,10 @@ def test_unusable_paths_exit_2_naming_the_path(tmp_path, capsys, command, fault)
         out.mkdir()
     assert main(argv) == 2
     named = cfg if fault.startswith("config") else out
-    assert str(named) in capsys.readouterr().err
+    captured = capsys.readouterr()
+    # validate prints a config it could read, but cannot run, as violations on stdout
+    printed = captured.out if command == "validate" and named == out else captured.err
+    assert str(named) in printed
     assert blocker.read_text(encoding="utf-8") == "x"
     assert not (tmp_path / "r").exists()
     assert not out.is_dir() or not any(out.iterdir())

@@ -190,42 +190,59 @@ def test_evaluation_runs_each_member_forward_once(small_seq, monkeypatch):
 
 
 def test_blocked_evaluation_equals_one_block(small_seq, monkeypatch):
-    ens = fit_ensemble(
-        small_net(3), Windows.concat(small_seq.train), TrainConfig(epochs=5), seed=4, n_members=4
-    )
-    per_window = small_seq.window * small_seq.channels
-    cm, report, spread = continual._evaluate(ens, small_seq, 2)
-    for rows in (4, 5, 13):  # block edges fall inside the 9-window class parts
-        monkeypatch.setattr(continual, "_EVAL_BLOCK", rows * per_window)
-        got_cm, got_report, got_spread = continual._evaluate(ens, small_seq, 2)
-        np.testing.assert_array_equal(got_cm.counts, cm.counts)
-        for name in ("precision", "recall", "f_score"):
-            np.testing.assert_array_equal(getattr(got_report, name), getattr(report, name))
-        assert got_report.macro_f == report.macro_f
-        assert got_spread == spread
+    for net in (small_net(3), replace(small_net(3), kind="conv")):
+        ens = fit_ensemble(
+            net, Windows.concat(small_seq.train), TrainConfig(epochs=5), seed=4, n_members=4
+        )
+        monkeypatch.setattr(continual, "_EVAL_BLOCK", 1 << 30)
+        cm, report, spread = continual._evaluate(ens, small_seq, 2)
+        for rows in (4, 5, 13):  # block edges fall inside the 9-window class parts
+            monkeypatch.setattr(continual, "_EVAL_BLOCK", rows * net.widest)
+            got_cm, got_report, got_spread = continual._evaluate(ens, small_seq, 2)
+            np.testing.assert_array_equal(got_cm.counts, cm.counts)
+            for name in ("precision", "recall", "f_score"):
+                np.testing.assert_array_equal(getattr(got_report, name), getattr(report, name))
+            assert got_report.macro_f == report.macro_f
+            assert got_spread == spread
 
 
-def test_evaluation_memory_stays_bounded_as_the_test_set_grows():
+def evaluation_peak(net: NetSpec, per_class: int) -> int:
+    """tracemalloc's peak in bytes while a 3-member ensemble of net evaluates
+    a 3-class test set of per_class windows of shape (50, 2) per class."""
     rng = np.random.default_rng(8)
-    net = NetSpec(kind="dense", input_shape=(50, 2), n_classes=3, hidden=(16, 8))
     ens = Ensemble(
         [init_model(replace(net, seed=s)) for s in range(3)],
         fit_standardizer(Windows(rng.normal(size=(8, 50, 2)), np.zeros(8), np.zeros((8, 2)))),
     )
+    parts = [
+        Windows(rng.normal(p, 1.0, size=(per_class, 50, 2)), np.full(per_class, p),
+                np.zeros((per_class, 2)))
+        for p in range(3)
+    ]
+    seq = TaskSequence([0, 1, 2], parts, parts, window=50, channels=2)
+    tracemalloc.start()
+    try:
+        continual._evaluate(ens, seq, 2)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_evaluation_memory_stays_bounded_as_the_test_set_grows():
+    net = NetSpec(kind="dense", input_shape=(50, 2), n_classes=3, hidden=(16, 8))
     bound = 4 << 20  # bytes; one full copy of the larger test set is 7.7 MB
     for per_class in (400, 3200):
-        parts = [
-            Windows(rng.normal(p, 1.0, size=(per_class, 50, 2)), np.full(per_class, p),
-                    np.zeros((per_class, 2)))
-            for p in range(3)
-        ]
-        seq = TaskSequence([0, 1, 2], parts, parts, window=50, channels=2)
-        tracemalloc.start()
-        try:
-            continual._evaluate(ens, seq, 2)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = evaluation_peak(net, per_class)
+        assert peak < bound, f"{per_class} windows per class: peak {peak} bytes"
+
+
+def test_conv_evaluation_memory_stays_bounded_as_the_test_set_grows():
+    # the second conv layer's patch matrix holds 1,680 elements per window,
+    # 17 times the window itself, so blocks sized by the window overshoot
+    net = NetSpec(kind="conv", input_shape=(50, 2), n_classes=3, hidden=(16, 8))
+    bound = 4 << 20  # bytes; one full copy of the larger test set is 7.7 MB
+    for per_class in (400, 3200):
+        peak = evaluation_peak(net, per_class)
         assert peak < bound, f"{per_class} windows per class: peak {peak} bytes"
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 
@@ -398,6 +399,9 @@ CSV_TEXT = st.lists(
 ).map(lambda rows: HEADER_2 + "\n".join(rows))
 
 
+FUZZ_NAMES = itertools.count()
+
+
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
     raw=st.one_of(
@@ -407,7 +411,8 @@ CSV_TEXT = st.lists(
     )
 )
 def test_any_bytes_load_or_raise_a_data_format_error(tmp_path, raw):
-    path = tmp_path / "fuzz.csv"
+    # a fresh name per example: overwriting a written file costs far more than a new one
+    path = tmp_path / f"fuzz{next(FUZZ_NAMES)}.csv"
     path.write_bytes(raw)
     try:
         trials = load_trials(path)
