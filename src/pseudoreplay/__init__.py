@@ -44,14 +44,7 @@ from .data import (
     window_trial,
 )
 from .errors import ConfigurationError, DataFormatError, PseudoreplayError, TrainingError
-from .generator import (
-    ClassGenerator,
-    GenerationRequest,
-    fit_generator,
-    generate,
-    load_generator,
-    save_generator,
-)
+from .generator import ClassGenerator, fit_generator, generate
 from .metrics import (
     ConfusionMatrix,
     MetricReport,

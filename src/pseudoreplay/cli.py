@@ -20,7 +20,6 @@ import numpy as np
 from .classifier import NetSpec, TrainConfig
 from .continual import (
     STRATEGIES,
-    ComparisonReport,
     GeneratorConfig,
     RunSettings,
     TaskSequence,
@@ -67,13 +66,20 @@ class DataSource:
 
 @dataclass(frozen=True)
 class Variant:
-    """A named net doc that replaces `net` for the final task."""
+    """A named net doc that replaces `net` for the final task. The name goes
+    into method labels ("strategy/name"), CSV rows and markdown tables, so it
+    must be non-empty, without ',', '/', '|' or unprintable characters."""
 
     name: str
     net: dict
 
     def __post_init__(self):
         require_string("name", self.name)
+        if not self.name or any(c in ",/|" or not c.isprintable() for c in self.name):
+            raise ConfigurationError(
+                f"name must be non-empty, without ',', '/', '|' or unprintable characters,"
+                f" got {self.name!r}", "name",
+            )
 
 
 @dataclass(eq=False)
@@ -170,8 +176,10 @@ def _load_data(cfg: ExperimentConfig) -> tuple[list[TimeSeriesTrial], str]:
     return load_trials(cfg.data.csv), hashlib.sha256(raw).hexdigest()
 
 
-def _plan(cfg: ExperimentConfig, trials: list[TimeSeriesTrial], out: Path) -> tuple[dict, list]:
-    """The nets per variant ("" is the primary run) that `run` trains, and every
+def _plan(
+    cfg: ExperimentConfig, trials: list[TimeSeriesTrial], out: Path
+) -> tuple[NetSpec | None, dict[str, list[NetSpec]], list]:
+    """The net `run` trains, the per-task nets of each variant, and every
     reason it would stop before training: the task split's problems, classes
     too small for rcl's generators, the nets' build errors, carried strategies
     that cannot follow a variant's net, then an output directory `out` whose
@@ -186,13 +194,13 @@ def _plan(cfg: ExperimentConfig, trials: list[TimeSeriesTrial], out: Path) -> tu
             specs[path] = _net_template(path, doc, cfg.window, trials[0].n_channels)
         except ConfigurationError as exc:
             problems.append(exc)
-    nets = {} if cfg.variants else {"": specs.get("net")}
+    variants = {}
     for i, variant in enumerate(cfg.variants):
         path = f"variants[{i}].net"
         if {"net", path} <= specs.keys():  # the variant's net replaces the final task's
-            nets[variant.name] = [specs["net"]] * (n_tasks - 1) + [specs[path]]
+            variants[variant.name] = [specs["net"]] * (n_tasks - 1) + [specs[path]]
             try:
-                check_carried(cfg.strategies, nets[variant.name])
+                check_carried(cfg.strategies, variants[variant.name])
             except ConfigurationError as exc:
                 problems.append(ConfigurationError(f"field '{path}': {exc}"))
     existing = next((p for p in (out, *out.parents) if os.path.exists(p)), Path("."))
@@ -200,7 +208,7 @@ def _plan(cfg: ExperimentConfig, trials: list[TimeSeriesTrial], out: Path) -> tu
         problems.append(ConfigurationError(
             f"cannot create output directory {out}: {existing} is not a directory"
         ))
-    return nets, problems
+    return specs.get("net"), variants, problems
 
 
 def cmd_synth(config_path: str, out_path: str) -> int:
@@ -240,7 +248,7 @@ def cmd_run(
         cfg.repetitions = require_integer("--repetitions", repetitions, least=1)
     trials, digest = _load_data(cfg)
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
-    nets, problems = _plan(cfg, trials, out)
+    net, variants, problems = _plan(cfg, trials, out)
     if problems:
         raise problems[0]
     seq = TaskSequence.from_trials(trials, cfg.window, cfg.stride, cfg.train_trials, cfg.classes)
@@ -250,27 +258,18 @@ def cmd_run(
     except OSError as exc:  # e.g. no permission, as _plan has refused a file in the way
         raise ConfigurationError(f"cannot create output directory {out}: {exc.strerror}") from None
 
-    comparisons: dict[str, ComparisonReport] = {}
-    failures: dict[str, str] = {}
-    for vname in sorted(nets):
-        settings = RunSettings(
-            net=nets[vname], train=cfg.train, generator=cfg.generator,
-            ewc_lambda=cfg.ewc_lambda, n_members=cfg.ensemble_size,
-        )
-        comp = compare_strategies(seq, settings, cfg.strategies, cfg.repetitions, cfg.seed)
-        for strat, message in comp.failures.items():
-            failures[strat if not vname else f"{strat}/{vname}"] = message
-        if comp.strategies:
-            comparisons[vname] = comp
-
-    manifest = build_manifest(cfg.to_dict(), comparisons, digest, failures or None)
-    atomic_write(out / "manifest.json", manifest_json(manifest))
-    if comparisons:
-        atomic_write(out / "metrics.csv", metrics_csv(comparisons))
-        atomic_write(out / "report.md", render_report(comparisons))
-    if failures:
-        for label, message in failures.items():
-            print(f"FAILED {label}: {message}", file=sys.stderr)
+    settings = RunSettings(
+        net=net, train=cfg.train, generator=cfg.generator,
+        ewc_lambda=cfg.ewc_lambda, n_members=cfg.ensemble_size,
+    )
+    comp = compare_strategies(seq, settings, cfg.strategies, cfg.repetitions, cfg.seed, variants)
+    atomic_write(out / "manifest.json", manifest_json(build_manifest(cfg.to_dict(), comp, digest)))
+    if comp.runs:
+        atomic_write(out / "metrics.csv", metrics_csv(comp))
+        atomic_write(out / "report.md", render_report(comp))
+    for method, message in comp.failures.items():
+        print(f"FAILED {method}: {message}", file=sys.stderr)
+    if comp.failures:
         return 1
     print(f"wrote {out / 'manifest.json'}, {out / 'metrics.csv'}, {out / 'report.md'}")
     return 0
@@ -285,7 +284,7 @@ def cmd_validate(config_path: str) -> int:
     except (ConfigurationError, DataFormatError) as exc:
         problems = [exc]
     else:
-        problems = _plan(cfg, trials, Path(cfg.out_dir))[1]
+        problems = _plan(cfg, trials, Path(cfg.out_dir))[-1]
     for problem in problems:
         print(f"violation: {problem}")
     if problems:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field, replace
+from itertools import product
 
 import numpy as np
 
@@ -56,7 +57,7 @@ from .errors import (
     require_integer,
     require_number,
 )
-from .generator import ClassGenerator, GenerationRequest, fit_generator, generate
+from .generator import ClassGenerator, fit_generator, generate
 from .metrics import ConfusionMatrix, MetricReport, aggregate, confusion, metrics
 from .seeding import derive_seed
 
@@ -390,9 +391,7 @@ def run_strategy(
             parts = []
             for pos in range(i):
                 parts.append(generate(
-                    generators[pos],
-                    GenerationRequest(pseudo_count),
-                    seed=derive_seed(seed, "replay", i, pos),
+                    generators[pos], pseudo_count, seed=derive_seed(seed, "replay", i, pos)
                 ))
                 replay[seq.class_ids[pos]] = pseudo_count
             mix = Windows.concat(parts + [seq.train[i]])
@@ -450,6 +449,7 @@ def run_strategy(
 @dataclass(eq=False)
 class StrategySummary:
     strategy: str
+    variant: str  # "" without variants
     per_task_mean: list[MetricReport]
     per_task_std: list[MetricReport]
     member_spread: list[float]  # mean member macro-F std per task
@@ -459,12 +459,13 @@ class StrategySummary:
 
 @dataclass(eq=False)
 class ComparisonReport:
+    """Results keyed by method label: "strategy", or "strategy/variant"."""
+
     class_ids: list[int]
     repetitions: int
-    strategies: list[str]
     summaries: dict[str, StrategySummary]
     runs: dict[str, list[ContinualRun]]
-    failures: dict[str, str] = field(default_factory=dict)  # strategy -> message
+    failures: dict[str, str] = field(default_factory=dict)  # method -> message
 
 
 def compare_strategies(
@@ -473,13 +474,17 @@ def compare_strategies(
     strategies: tuple[str, ...] = STRATEGIES,
     repetitions: int = 5,
     master_seed: int = 0,
+    variants: dict[str, object] | None = None,
 ) -> ComparisonReport:
     """Run each strategy `repetitions` times on seeds derived per (strategy,
     repetition) and aggregate per-task metrics across repetitions.
 
-    A strategy whose run raises PseudoreplayError is recorded in failures
-    with the message and left out of strategies, summaries and runs; the
-    others still run.
+    `variants` maps a name to a net (a NetSpec or one per task) that replaces
+    settings.net. Each variant, in name order, runs every strategy, and its
+    methods are labelled "strategy/variant"; without variants a method is
+    labelled by its strategy. A method whose run raises PseudoreplayError is
+    recorded in failures with the message and left out of summaries and
+    runs; the others still run.
     """
     require_integer("repetitions", repetitions, least=1)
     check_strategies(strategies)
@@ -487,16 +492,18 @@ def compare_strategies(
     runs: dict[str, list[ContinualRun]] = {}
     summaries: dict[str, StrategySummary] = {}
     failures: dict[str, str] = {}
-    for strat in strategies:
+    nets = sorted((variants or {"": settings.net}).items())
+    for (variant, net), strat in product(nets, strategies):
+        method = f"{strat}/{variant}" if variant else strat
         strat_runs = []
         try:
             for r in range(repetitions):
                 seed = derive_seed(master_seed, "strategy", strat, "rep", r)
-                strat_runs.append(run_strategy(strat, seq, settings, seed))
+                strat_runs.append(run_strategy(strat, seq, replace(settings, net=net), seed))
         except PseudoreplayError as exc:
-            failures[strat] = str(exc)
+            failures[method] = str(exc)
             continue
-        runs[strat] = strat_runs
+        runs[method] = strat_runs
 
         per_task_mean, per_task_std, spread = [], [], []
         for t in range(seq.n_tasks):
@@ -504,8 +511,9 @@ def compare_strategies(
             per_task_mean.append(mean)
             per_task_std.append(std)
             spread.append(float(np.mean([run.tasks[t].member_f_std for run in strat_runs])))
-        summaries[strat] = StrategySummary(
+        summaries[method] = StrategySummary(
             strategy=strat,
+            variant=variant,
             per_task_mean=per_task_mean,
             per_task_std=per_task_std,
             member_spread=spread,
@@ -515,7 +523,6 @@ def compare_strategies(
     return ComparisonReport(
         class_ids=seq.class_ids,
         repetitions=repetitions,
-        strategies=list(runs),
         summaries=summaries,
         runs=runs,
         failures=failures,

@@ -16,9 +16,7 @@ direct ranking of all pairs. Fitting takes a `Windows` of one class and
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -58,14 +56,6 @@ class ClassGenerator:
     @property
     def k_effective(self) -> int:
         return self.neighbors.shape[1]
-
-
-@dataclass(frozen=True)
-class GenerationRequest:
-    count: int
-
-    def __post_init__(self):
-        require_integer("count", self.count, least=1)
 
 
 _GRAM_BLOCK = 1 << 18  # elements of one [rows, M] block of distances, and of a difference temporary
@@ -172,10 +162,8 @@ def fit_generator(
     )
 
 
-def generate(
-    gen: ClassGenerator, request: GenerationRequest, seed: int | None = None
-) -> Windows:
-    """Draw exactly request.count samples, deterministic in (memory, k, seed).
+def generate(gen: ClassGenerator, count: int, seed: int | None = None) -> Windows:
+    """Draw exactly `count` samples, deterministic in (memory, k, seed).
 
     The count is split across stored samples: floor(S / M) each, with the
     first S mod M samples (index order) taking one extra. A sample with quota
@@ -184,11 +172,11 @@ def generate(
     uniformly with replacement and a fresh u. Rows come out in stored-sample
     order, and row i carries source (SYNTHETIC_TRIAL_ID, i).
     """
+    s_total = require_integer("count", count, least=1)
     rng = np.random.default_rng(gen.rng_seed if seed is None else seed)
     mem = gen.memory
     m = gen.memory_size
     k_eff = gen.k_effective
-    s_total = request.count
     base, extra = divmod(s_total, m)
 
     out = np.empty((s_total, mem.shape[1]))
@@ -215,29 +203,3 @@ def generate(
         source=np.column_stack([np.full(s_total, SYNTHETIC_TRIAL_ID, dtype=np.int64), draws]),
     )
 
-
-def save_generator(path: str | Path, gen: ClassGenerator) -> None:
-    doc = {
-        "class_id": gen.class_id,
-        "k": gen.k,
-        "seed": gen.rng_seed,
-        "feature_shape": list(gen.feature_shape),
-        "memory": [[float(v) for v in row] for row in gen.memory],
-    }
-    Path(path).write_text(json.dumps(doc), encoding="utf-8")
-
-
-def load_generator(path: str | Path) -> ClassGenerator:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        return ClassGenerator(
-            class_id=int(doc["class_id"]),
-            memory=np.array(doc["memory"], dtype=float),
-            k=int(doc["k"]),
-            rng_seed=int(doc["seed"]),
-            feature_shape=(int(doc["feature_shape"][0]), int(doc["feature_shape"][1])),
-        )
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
-        if isinstance(exc, (ConfigurationError, DataFormatError)):
-            raise
-        raise DataFormatError(f"{path}: bad generator file: {exc}") from None

@@ -43,27 +43,19 @@ def _fmt(v: float) -> str:
     return format(float(v), ".17g")
 
 
-def metrics_csv(comparisons: dict[str, ComparisonReport]) -> str:
-    """One row per (method, task, repetition, class).
-
-    `comparisons` maps a method label prefix ("" for the primary run, a
-    variant name otherwise) to its comparison; labels become
-    "strategy" or "strategy/variant".
-    """
+def metrics_csv(comp: ComparisonReport) -> str:
+    """One row per (method, task, repetition, class)."""
     lines = [METRICS_HEADER]
-    for variant in sorted(comparisons):
-        comp = comparisons[variant]
-        for strat in comp.strategies:
-            method = strat if not variant else f"{strat}/{variant}"
-            for r, run in enumerate(comp.runs[strat]):
-                for task in run.tasks:
-                    rep = task.report
-                    for idx, cid in enumerate(task.class_ids):
-                        lines.append(
-                            f"{method},{task.task_index},{r},{cid},"
-                            f"{_fmt(rep.precision[idx])},{_fmt(rep.recall[idx])},"
-                            f"{_fmt(rep.f_score[idx])}"
-                        )
+    for method, runs in comp.runs.items():
+        for r, run in enumerate(runs):
+            for task in run.tasks:
+                rep = task.report
+                for idx, cid in enumerate(task.class_ids):
+                    lines.append(
+                        f"{method},{task.task_index},{r},{cid},"
+                        f"{_fmt(rep.precision[idx])},{_fmt(rep.recall[idx])},"
+                        f"{_fmt(rep.f_score[idx])}"
+                    )
     return "\n".join(lines) + "\n"
 
 
@@ -95,37 +87,42 @@ def _metric_header(prefixes: list[str]) -> list[str]:
     return ["Method"] + [f"{p} {m}" for p in prefixes for m in ("Precision", "Recall", "F-score")]
 
 
-def comparison_table(comp: ComparisonReport, variant: str = "") -> str:
+def _of(comp: ComparisonReport, variant: str) -> list[StrategySummary]:
+    """The completed methods of one variant, in run order."""
+    return [s for s in comp.summaries.values() if s.variant == variant]
+
+
+def comparison_table(comp: ComparisonReport, variant: str) -> str:
     """Strategies x tasks, each cell a macro 'mean (std)' over repetitions."""
-    n_tasks = len(next(iter(comp.summaries.values())).per_task_mean)
+    summaries = _of(comp, variant)
+    n_tasks = len(summaries[0].per_task_mean)
     suffix = f" ({variant})" if variant else ""
     rows = [
-        [_strategy_label(strat) + suffix]
-        + [cell for t in range(n_tasks) for cell in _macro_cells(comp.summaries[strat], t)]
-        for strat in comp.strategies
+        [_strategy_label(s.strategy) + suffix]
+        + [cell for t in range(n_tasks) for cell in _macro_cells(s, t)]
+        for s in summaries
     ]
     return _table(_metric_header([f"Task {t}" for t in range(1, n_tasks + 1)]), rows)
 
 
-def variant_table(comparisons: dict[str, ComparisonReport]) -> str:
+def variant_table(comp: ComparisonReport) -> str:
     """Strategies x classifier variants on the final task, macro metrics.
     A strategy that failed under some variant reads 'failed' there."""
-    variants = sorted(v for v in comparisons if v)
-    strategies = list(dict.fromkeys(s for v in variants for s in comparisons[v].strategies))
+    by_key = {(s.strategy, s.variant): s for s in comp.summaries.values()}
+    variants = list(dict.fromkeys(v for _, v in by_key))
     rows = []
-    for strat in strategies:
+    for strat in dict.fromkeys(s for s, _ in by_key):
         row = [_strategy_label(strat)]
         for v in variants:
-            s = comparisons[v].summaries.get(strat)
+            s = by_key.get((strat, v))
             row += ["failed"] * 3 if s is None else _macro_cells(s, -1)
         rows.append(row)
     return _table(_metric_header(variants), rows)
 
 
-def storage_section(comp: ComparisonReport) -> str:
+def storage_section(comp: ComparisonReport, variant: str) -> str:
     rows = []
-    for strat in comp.strategies:
-        s = comp.summaries[strat]
+    for s in _of(comp, variant):
         replay = "; ".join(
             f"task {t + 1}: "
             + (
@@ -135,44 +132,45 @@ def storage_section(comp: ComparisonReport) -> str:
             )
             for t, counts in enumerate(s.replay_counts)
         )
-        rows.append([_strategy_label(strat), str(s.memory_footprint), replay])
+        rows.append([_strategy_label(s.strategy), str(s.memory_footprint), replay])
     return _table(["Method", "Raw windows retained", "Pseudo samples per task"], rows)
 
 
-def spread_section(comp: ComparisonReport) -> str:
-    n_tasks = len(next(iter(comp.summaries.values())).per_task_mean)
+def spread_section(comp: ComparisonReport, variant: str) -> str:
+    summaries = _of(comp, variant)
+    n_tasks = len(summaries[0].per_task_mean)
     header = ["Method"] + [f"Task {t} member F std" for t in range(1, n_tasks + 1)]
     rows = [
-        [_strategy_label(strat)] + [f"{v:.3f}" for v in comp.summaries[strat].member_spread]
-        for strat in comp.strategies
+        [_strategy_label(s.strategy)] + [f"{v:.3f}" for v in s.member_spread]
+        for s in summaries
     ]
     return _table(header, rows)
 
 
-def render_report(comparisons: dict[str, ComparisonReport]) -> str:
+def render_report(comp: ComparisonReport) -> str:
     """Full markdown report; one strategy/task table per variant plus the
-    final-task variant comparison when multiple classifiers were run."""
-    primary = comparisons.get("", next(iter(comparisons.values())))
+    final-task variant comparison when multiple classifiers were run. Storage
+    and member spread are those of the first variant with a completed method."""
+    variants = list(dict.fromkeys(s.variant for s in comp.summaries.values()))
+    primary = variants[0]
     parts = ["# Continual learning benchmark", ""]
     parts.append(
-        f"Classes (task order): {', '.join(str(c) for c in primary.class_ids)}. "
-        f"Repetitions per strategy: {primary.repetitions}. "
+        f"Classes (task order): {', '.join(str(c) for c in comp.class_ids)}. "
+        f"Repetitions per strategy: {comp.repetitions}. "
         "Cells are macro averages over classes as 'mean (std)' across repetitions."
     )
-    for variant in sorted(comparisons):
-        comp = comparisons[variant]
+    for variant in variants:
         title = "## Strategy comparison" + (f" - classifier: {variant}" if variant else "")
         parts += ["", title, "", comparison_table(comp, variant)]
-    variants = [v for v in comparisons if v]
     if len(variants) >= 2:
         parts += [
             "",
             "## Final-task comparison across classifiers",
             "",
-            variant_table(comparisons),
+            variant_table(comp),
         ]
-    parts += ["", "## Storage", "", storage_section(primary)]
-    parts += ["", "## Ensemble member spread", "", spread_section(primary), ""]
+    parts += ["", "## Storage", "", storage_section(comp, primary)]
+    parts += ["", "## Ensemble member spread", "", spread_section(comp, primary), ""]
     return "\n".join(parts)
 
 
@@ -189,27 +187,17 @@ def numeric_environment() -> dict:
     }
 
 
-def build_manifest(
-    config_doc: dict,
-    comparisons: dict[str, ComparisonReport],
-    data_digest: str,
-    failures: dict[str, str] | None = None,
-) -> dict:
-    seeds = {}
-    for variant, comp in comparisons.items():
-        for strat, runs in comp.runs.items():
-            method = strat if not variant else f"{strat}/{variant}"
-            seeds[method] = [run.seed for run in runs]
+def build_manifest(config_doc: dict, comp: ComparisonReport, data_digest: str) -> dict:
     manifest = {
-        "status": "FAILED" if failures else "ok",
+        "status": "FAILED" if comp.failures else "ok",
         "config": config_doc,
         "data_digest": data_digest,
         "environment": numeric_environment(),
-        "seeds": seeds,
+        "seeds": {method: [run.seed for run in runs] for method, runs in comp.runs.items()},
         "outputs": ["metrics.csv", "report.md"],
     }
-    if failures:
-        manifest["failures"] = failures
+    if comp.failures:
+        manifest["failures"] = comp.failures
     return manifest
 
 

@@ -25,7 +25,6 @@ from conftest import fisher_weighted_movement, make_samples, task1_fishers
 from pseudoreplay import (
     ConfusionMatrix,
     EWCPenalty,
-    GenerationRequest,
     GeneratorConfig,
     NetModel,
     NetSpec,
@@ -141,7 +140,7 @@ def test_gate_1_generator_interpolation_sweep(capsys):
             count = m * k_eff + int(rng.integers(1, m + 1))  # forces replacement draws
         else:
             count = int(rng.integers(1, 2 * m + 1))
-        out = generate(gen, GenerationRequest(count), seed=int(rng.integers(2**32)))
+        out = generate(gen, count, seed=int(rng.integers(2**32)))
         if len(out) != count:
             problems.append(f"fit {i}: drew {len(out)} of {count}")
             continue

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import hashlib
 import json
 import re
 import tempfile
@@ -26,6 +27,7 @@ from pseudoreplay import (
 from pseudoreplay.cli import DataSource, ExperimentConfig, Variant, main
 from pseudoreplay import continual, data
 from pseudoreplay.errors import ConfigurationError, TrainingError
+from pseudoreplay.reporting import numeric_environment
 
 pytestmark = pytest.mark.filterwarnings("ignore::pseudoreplay.metrics.MetricWarning")
 
@@ -230,6 +232,32 @@ def test_run_with_classifier_variants(tmp_path):
     assert methods == {"baseline/cnn", "baseline/mlp", "rcl/cnn", "rcl/mlp"}
 
 
+# sha256 of the pinned run's files, and the numeric environment that made them
+PINNED_ENVIRONMENT = {"python": "3.11.7", "numpy": "2.4.6", "blas": "scipy-openblas 0.3.31.188.0"}
+PINNED_DIGESTS = {
+    "metrics.csv": "87ac797322e76a563374d4c60e1e4f2cb16a4bd2e9b2eb4eb2569cc9e53b02a8",
+    "report.md": "cff545f2f8a3e1615077203d1f936a2e3a20670b9c4bacca5ae4760a8f55f6b0",
+}
+
+
+def test_a_small_variant_run_writes_pinned_bytes(tmp_path):
+    env = {key: numeric_environment()[key] for key in PINNED_ENVIRONMENT}
+    if env != PINNED_ENVIRONMENT:
+        pytest.skip(f"digests pinned under {PINNED_ENVIRONMENT}, this is {env}")
+    # finetune and ewc cannot follow a net that switches, so both variants keep
+    # the base architecture; they are listed out of name order on purpose
+    doc = run_config_doc(
+        strategies=["rcl", "ewc", "finetune", "baseline"], repetitions=2, ensemble_size=1,
+        train={"epochs": 2, "batch_size": 16, "learning_rate": 0.01},
+        variants=[{"name": name, "net": {"kind": "dense", "hidden": [8, 4]}} for name in "ba"],
+    )
+    cfg = write_json(tmp_path / "exp.json", doc)
+    out = tmp_path / "r"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in PINNED_DIGESTS}
+    assert digests == PINNED_DIGESTS
+
+
 def test_run_strategy_failure_exits_1_with_failed_manifest(tmp_path, capsys):
     # an anchor far past its stability limit makes ewc diverge at task 2,
     # after training has begun, while baseline still completes
@@ -359,6 +387,10 @@ def test_run_rejects_bad_generator_values_before_training(tmp_path, capsys, gen_
         ({"strategies": "rcl"}, "strategies"),
         ({"out_dir": 5}, "out_dir"),
         ({"variants": [{"name": 3, "net": {"kind": "dense"}}]}, "variants[0].name"),
+        *[
+            ({"variants": [{"name": name, "net": {"kind": "dense"}}]}, "variants[0].name")
+            for name in ("", "a,b", "a/b", "a|b", "a\nb", "a\tb", "\x85")
+        ],
         (synthetic_override(trial_length=300.7), "data.synthetic.trial_length"),
         (synthetic_override(channels="2"), "data.synthetic.channels"),
         (synthetic_override(trials_per_class=True), "data.synthetic.trials_per_class"),
@@ -772,6 +804,65 @@ def test_fuzzed_configs_exit_0_or_2_and_run_agrees_with_validate(monkeypatch, do
         else:
             with pytest.raises(ReachedTraining):
                 main(run)
+
+
+SHORT_STREAM = synthesize_stream(default_synthetic_config(seed=11, trial_length=40, trials_per_class=3))
+
+
+@st.composite
+def small_runs(draw):
+    """Uneven short trials of three classes, at most one of them shorter than
+    the window, and a config over them with a random window, stride,
+    train_trials, classes and strategies. One epoch of one small member
+    keeps every run to milliseconds."""
+    window = draw(st.integers(2, 8))
+    stride = draw(st.none() | st.integers(1, 2 * window))
+    short = draw(st.sampled_from(range(-2 * len(SHORT_STREAM), len(SHORT_STREAM))))  # < 0: none
+    trials = [
+        TimeSeriesTrial(t.class_id, t.trial_id, t.channels[: window - 1 if i == short else length])
+        for i, t in enumerate(SHORT_STREAM)
+        for length in [draw(st.integers(window, 4 * window))]
+    ]
+    doc = run_config_doc(
+        window=window, stride=stride,
+        train_trials=draw(st.lists(st.integers(1, 3), min_size=1, max_size=2, unique=True)),
+        classes=draw(st.none() | st.lists(st.integers(0, 3), min_size=2, max_size=3, unique=True)),
+        strategies=draw(st.lists(st.sampled_from(continual.STRATEGIES), min_size=1, max_size=4, unique=True)),
+        ensemble_size=1, net={"kind": "dense", "hidden": [4, 4]}, train={"epochs": 1, "batch_size": 8},
+    )
+    return trials, doc
+
+
+@settings(
+    max_examples=150, deadline=None, derandomize=True, database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(case=small_runs())
+def test_a_run_that_validates_never_stops_on_a_config_or_data_error(monkeypatch, case):
+    trials, doc = case
+    raised = []
+    real = continual.run_strategy
+
+    def recording(*args):
+        try:
+            return real(*args)
+        except Exception as exc:
+            raised.append(exc)
+            raise
+
+    monkeypatch.setattr(continual, "run_strategy", recording)
+    with tempfile.TemporaryDirectory() as tmp:
+        save_trials(Path(tmp) / "trials.csv", trials)
+        cfg = write_json(Path(tmp) / "exp.json", {**doc, "data": {"csv": str(Path(tmp) / "trials.csv")}})
+        out = Path(tmp) / "r"
+        status = main(["validate", "--config", cfg])
+        assert status in (0, 2)
+        ran = main(["run", "--config", cfg, "--out", str(out)])
+    if status == 2:
+        assert ran == 2 and not raised
+    else:
+        assert ran == (1 if raised else 0)
+        assert all(isinstance(exc, TrainingError) for exc in raised), raised
 
 
 def test_config_rejects_duplicate_variant_names():

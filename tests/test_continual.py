@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pseudoreplay import (
-    GenerationRequest,
     GeneratorConfig,
     NetSpec,
     RunSettings,
@@ -316,8 +315,8 @@ def test_replay_draws_differ_across_tasks(small_seq):
     # the same generator is asked for fresh draws at every task
     run = strategy_run("rcl", small_seq, seed=5, n_members=2)
     gen = run.generators[0]
-    first = generate(gen, GenerationRequest(9), seed=derive_seed(5, "replay", 1, 0))
-    second = generate(gen, GenerationRequest(9), seed=derive_seed(5, "replay", 2, 0))
+    first = generate(gen, 9, seed=derive_seed(5, "replay", 1, 0))
+    second = generate(gen, 9, seed=derive_seed(5, "replay", 2, 0))
     assert not np.array_equal(first.x, second.x)
 
 
@@ -554,7 +553,7 @@ def test_forced_equal_seeds_zero_out_the_spread(small_seq):
 def test_comparison_shapes_and_run_retention(small_seq):
     settings = RunSettings(net=small_net(), train=FAST, n_members=2)
     comp = compare_strategies(small_seq, settings, strategies=STRATEGIES, repetitions=2, master_seed=3)
-    assert comp.strategies == list(STRATEGIES)
+    assert list(comp.runs) == list(STRATEGIES)
     assert comp.repetitions == 2
     for strat in STRATEGIES:
         assert len(comp.runs[strat]) == 2
@@ -582,9 +581,39 @@ def test_failing_strategy_is_recorded_and_the_rest_still_run(small_stream_config
     comp = compare_strategies(seq, settings, strategies=("rcl", "baseline"), repetitions=1)
     assert list(comp.failures) == ["rcl"]
     assert "task 1: generator for class 0" in comp.failures["rcl"]
-    assert comp.strategies == ["baseline"]
     assert list(comp.summaries) == list(comp.runs) == ["baseline"]
     assert len(comp.summaries["baseline"].per_task_mean) == seq.n_tasks
+
+
+def test_variants_run_every_strategy_per_variant_under_method_labels(small_seq, monkeypatch):
+    conv = NetSpec(
+        kind="conv", input_shape=(50, 2), n_classes=2, hidden=(8, 4), conv=((4, 5, 2), (8, 5, 2))
+    )
+    variants = {"mlp": small_net(), "cnn": [small_net(), conv]}
+    settings = RunSettings(net=None, train=replace(FAST, epochs=2), n_members=1)
+    real = continual.run_strategy
+
+    def diverging_conv_rcl(strategy, seq, run_settings, seed):
+        if strategy == "rcl" and not isinstance(run_settings.net, NetSpec):
+            raise TrainingError("loss diverged")
+        return real(strategy, seq, run_settings, seed)
+
+    monkeypatch.setattr(continual, "run_strategy", diverging_conv_rcl)
+    comp = compare_strategies(small_seq, settings, ("rcl", "baseline"), 1, 6, variants)
+    assert comp.failures == {"rcl/cnn": "loss diverged"}
+    assert list(comp.runs) == list(comp.summaries) == ["baseline/cnn", "rcl/mlp", "baseline/mlp"]
+    assert [(s.strategy, s.variant) for s in comp.summaries.values()] == [
+        ("baseline", "cnn"), ("rcl", "mlp"), ("baseline", "mlp"),
+    ]
+    # each variant's methods are the runs of that variant's nets alone
+    for name, net in variants.items():
+        alone = compare_strategies(small_seq, replace(settings, net=net), ("baseline",), 1, 6)
+        ours, theirs = comp.runs[f"baseline/{name}"][0], alone.runs["baseline"][0]
+        assert ours.seed == theirs.seed
+        for a, b in zip(ours.tasks, theirs.tasks):
+            np.testing.assert_array_equal(a.report.f_score, b.report.f_score)
+    plain = compare_strategies(small_seq, replace(settings, net=small_net()), ("baseline",), 1, 6)
+    assert [(s.strategy, s.variant) for s in plain.summaries.values()] == [("baseline", "")]
 
 
 # -------------------------------------------------- mixed classifier variants

@@ -8,11 +8,8 @@ from hypothesis import strategies as st
 from pseudoreplay import (
     SYNTHETIC_TRIAL_ID,
     ClassGenerator,
-    GenerationRequest,
     fit_generator,
     generate,
-    load_generator,
-    save_generator,
 )
 from pseudoreplay.errors import ConfigurationError, DataFormatError
 from pseudoreplay import generator
@@ -161,7 +158,7 @@ def test_neighbor_table_memory_stays_bounded_as_the_memory_grows():
 
 def test_two_point_memory_yields_points_on_the_diagonal():
     gen = fit_generator(0, make_samples(np.array([[0.0, 0.0], [1.0, 1.0]])), k=1)
-    out = generate(gen, GenerationRequest(2), seed=5)
+    out = generate(gen, 2, seed=5)
     assert len(out) == 2
     for x, y in flat_rows(out):
         assert x == pytest.approx(y, abs=1e-12)
@@ -170,7 +167,7 @@ def test_two_point_memory_yields_points_on_the_diagonal():
 
 def test_identical_memory_collapses_to_that_vector():
     gen = generator_from_rows(np.full((4, 3), 2.5), k=2)
-    out = generate(gen, GenerationRequest(9), seed=1)
+    out = generate(gen, 9, seed=1)
     for flat in flat_rows(out):
         np.testing.assert_array_equal(flat, [2.5, 2.5, 2.5])
 
@@ -181,7 +178,7 @@ def test_quota_equal_k_uses_each_neighbor_segment_once():
     rng = np.random.default_rng(6)
     memory = rng.normal(size=(4, 5))
     gen = fit_generator(0, make_samples(memory), k=3)
-    out = generate(gen, GenerationRequest(12), seed=2)
+    out = generate(gen, 12, seed=2)
     assert len(out) == 12
     for j in range(4):
         segment_hits = set()
@@ -199,24 +196,27 @@ def test_quota_equal_k_uses_each_neighbor_segment_once():
 def test_count_exactness_when_not_divisible():
     gen = generator_from_rows(np.random.default_rng(7).normal(size=(5, 3)), k=2)
     for s_total in (1, 2, 3, 4, 5, 7, 11, 12, 13):
-        out = generate(gen, GenerationRequest(s_total), seed=3)
+        out = generate(gen, s_total, seed=3)
         assert len(out) == s_total
+    for bad in (0, 2.5, True):
+        with pytest.raises(ConfigurationError, match="count"):
+            generate(gen, bad)
 
 
 def test_generation_is_deterministic():
     rows = np.random.default_rng(8).normal(size=(10, 4))
     a = fit_generator(0, make_samples(rows), k=3, seed=21)
     b = fit_generator(0, make_samples(rows), k=3, seed=21)
-    out_a = generate(a, GenerationRequest(25))
-    out_b = generate(b, GenerationRequest(25))
+    out_a = generate(a, 25)
+    out_b = generate(b, 25)
     np.testing.assert_array_equal(out_a.x, out_b.x)
     np.testing.assert_array_equal(out_a.source, out_b.source)
 
 
 def test_different_seeds_give_different_draws():
     gen = generator_from_rows(np.random.default_rng(9).normal(size=(8, 4)), k=3)
-    a = generate(gen, GenerationRequest(16), seed=1).x
-    b = generate(gen, GenerationRequest(16), seed=2).x
+    a = generate(gen, 16, seed=1).x
+    b = generate(gen, 16, seed=2).x
     assert not np.array_equal(a, b)
 
 
@@ -225,16 +225,16 @@ def test_membership_and_envelope_both_quota_regimes():
     memory = rng.normal(size=(6, 8))
     gen = fit_generator(0, make_samples(memory), k=3)
     # quota 2 <= k_eff 3
-    check_samples(gen, generate(gen, GenerationRequest(12), seed=4), 12)
+    check_samples(gen, generate(gen, 12, seed=4), 12)
     # quota 10 > k_eff 3, with-replacement regime
-    check_samples(gen, generate(gen, GenerationRequest(60), seed=4), 60)
+    check_samples(gen, generate(gen, 60, seed=4), 60)
 
 
 def test_synthetic_spread_contracts_toward_the_memory():
     rng = np.random.default_rng(11)
     memory = rng.normal(loc=3.0, scale=2.0, size=(60, 5))
     gen = fit_generator(0, make_samples(memory), k=4)
-    out = flat_rows(generate(gen, GenerationRequest(600), seed=6))
+    out = flat_rows(generate(gen, 600, seed=6))
     mem_mean = memory.mean(axis=0)
     mem_var = memory.var(axis=0)
     # interpolation keeps the mean (up to memory and draw noise) and shrinks spread
@@ -255,33 +255,5 @@ def test_generation_properties_hold_across_shapes(m, d, k, s_total, seed):
     rng = np.random.default_rng(seed)
     memory = rng.normal(size=(m, d))
     gen = fit_generator(0, make_samples(memory), k=k, seed=seed)
-    check_samples(gen, generate(gen, GenerationRequest(s_total)), s_total)
+    check_samples(gen, generate(gen, s_total), s_total)
 
-
-# --------------------------------------------------------------- persistence
-
-
-def test_save_load_round_trip(tmp_path):
-    rows = np.random.default_rng(12).normal(size=(9, 6))
-    gen = fit_generator(3, make_samples(rows, class_id=3), k=2, seed=44)
-    path = tmp_path / "gen.json"
-    save_generator(path, gen)
-    loaded = load_generator(path)
-    assert loaded.class_id == 3
-    assert loaded.k == 2
-    assert loaded.feature_shape == gen.feature_shape
-    np.testing.assert_array_equal(loaded.memory, gen.memory)
-    np.testing.assert_array_equal(loaded.neighbors, gen.neighbors)
-    a = generate(gen, GenerationRequest(18), seed=7)
-    b = generate(loaded, GenerationRequest(18), seed=7)
-    np.testing.assert_array_equal(a.x, b.x)
-
-
-def test_load_rejects_malformed_documents(tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_text("{\"class_id\": 0}")
-    with pytest.raises(DataFormatError):
-        load_generator(path)
-    path.write_text("not json at all")
-    with pytest.raises(DataFormatError):
-        load_generator(path)

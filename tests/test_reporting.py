@@ -18,20 +18,28 @@ from pseudoreplay.reporting import (
 )
 
 
+NET = NetSpec(kind="dense", input_shape=(50, 2), n_classes=2, hidden=(16, 8))
+SETTINGS = RunSettings(
+    net=NET, train=TrainConfig(epochs=15, batch_size=16, learning_rate=0.01), n_members=2
+)
+
+
 @pytest.fixture(scope="module")
 def comparison(small_seq):
-    settings = RunSettings(
-        net=NetSpec(kind="dense", input_shape=(50, 2), n_classes=2, hidden=(16, 8)),
-        train=TrainConfig(epochs=15, batch_size=16, learning_rate=0.01),
-        n_members=2,
-    )
     return compare_strategies(
-        small_seq, settings, strategies=("baseline", "rcl"), repetitions=2, master_seed=3
+        small_seq, SETTINGS, strategies=("baseline", "rcl"), repetitions=2, master_seed=3
+    )
+
+
+@pytest.fixture(scope="module")
+def variant_comparison(small_seq):
+    return compare_strategies(
+        small_seq, SETTINGS, ("baseline", "rcl"), 1, 3, variants={"mlp": NET, "cnn": NET}
     )
 
 
 def test_metrics_csv_layout(comparison):
-    text = metrics_csv({"": comparison})
+    text = metrics_csv(comparison)
     lines = text.splitlines()
     assert lines[0] == METRICS_HEADER
     # 2 strategies x 2 reps x (2 + 3 classes over the two tasks)
@@ -47,19 +55,19 @@ def test_metrics_csv_layout(comparison):
 
 
 def test_metrics_csv_is_deterministic_text(comparison):
-    assert metrics_csv({"": comparison}) == metrics_csv({"": comparison})
+    assert metrics_csv(comparison) == metrics_csv(comparison)
 
 
-def test_variant_labels_in_csv_and_seeds(comparison):
-    text = metrics_csv({"mlp": comparison})
-    assert text.splitlines()[1].startswith("baseline/mlp,")
-    manifest = build_manifest({}, {"mlp": comparison}, "d" * 64)
-    assert sorted(manifest["seeds"]) == ["baseline/mlp", "rcl/mlp"]
-    assert all(len(v) == 2 for v in manifest["seeds"].values())
+def test_variant_labels_in_csv_and_seeds(variant_comparison):
+    text = metrics_csv(variant_comparison)
+    assert text.splitlines()[1].startswith("baseline/cnn,")
+    manifest = build_manifest({}, variant_comparison, "d" * 64)
+    assert sorted(manifest["seeds"]) == ["baseline/cnn", "baseline/mlp", "rcl/cnn", "rcl/mlp"]
+    assert all(len(v) == 1 for v in manifest["seeds"].values())
 
 
 def test_comparison_table_shape(comparison):
-    table = comparison_table(comparison)
+    table = comparison_table(comparison, "")
     lines = table.splitlines()
     assert len(lines) == 2 + 2  # header, rule, one row per strategy
     assert lines[0].startswith("| Method | Task 1 Precision |")
@@ -70,52 +78,52 @@ def test_comparison_table_shape(comparison):
 
 
 def test_report_sections(comparison):
-    text = render_report({"": comparison})
+    text = render_report(comparison)
     assert text.startswith("# Continual learning benchmark")
     assert "## Strategy comparison" in text
     assert "## Storage" in text
     assert "## Ensemble member spread" in text
     assert "Final-task comparison" not in text  # single classifier
-    storage = storage_section(comparison)
+    storage = storage_section(comparison, "")
     assert "| Baseline |" in storage and "Raw windows retained" in storage
-    spread = spread_section(comparison)
+    spread = spread_section(comparison, "")
     assert "member F std" in spread
 
 
-def test_multi_variant_report_adds_final_task_table(comparison):
-    text = render_report({"mlp": comparison, "cnn": comparison})
+def test_multi_variant_report_adds_final_task_table(variant_comparison):
+    text = render_report(variant_comparison)
     assert "## Strategy comparison - classifier: cnn" in text
     assert "## Strategy comparison - classifier: mlp" in text
     assert "## Final-task comparison across classifiers" in text
-    table = variant_table({"mlp": comparison, "cnn": comparison})
+    table = variant_table(variant_comparison)
     assert table.splitlines()[0] == (
         "| Method | cnn Precision | cnn Recall | cnn F-score"
         " | mlp Precision | mlp Recall | mlp F-score |"
     )
 
 
-def test_variant_table_marks_a_strategy_that_failed_under_one_variant(comparison):
-    without_rcl = dataclasses.replace(
-        comparison,
-        strategies=["baseline"],
-        summaries={"baseline": comparison.summaries["baseline"]},
-        runs={"baseline": comparison.runs["baseline"]},
-        failures={"rcl": "training diverged"},
+def test_variant_table_marks_a_strategy_that_failed_under_one_variant(variant_comparison):
+    kept = [m for m in variant_comparison.runs if m != "rcl/mlp"]
+    comp = dataclasses.replace(
+        variant_comparison,
+        summaries={m: variant_comparison.summaries[m] for m in kept},
+        runs={m: variant_comparison.runs[m] for m in kept},
+        failures={"rcl/mlp": "training diverged"},
     )
-    comparisons = {"a_mlp": comparison, "b_cnn": without_rcl}
-    lines = variant_table(comparisons).splitlines()
+    lines = variant_table(comp).splitlines()
     assert [line.split(" |")[0] for line in lines[2:]] == ["| Baseline", "| RCL"]
     assert "failed" not in lines[2]
     assert lines[3].endswith(" | failed | failed | failed |")
     assert lines[3].count("failed") == 3
-    assert "## Final-task comparison across classifiers" in render_report(comparisons)
+    assert "## Final-task comparison across classifiers" in render_report(comp)
 
 
 def test_manifest_json_stable_and_failures(comparison):
-    ok = build_manifest({"seed": 1}, {"": comparison}, "a" * 64)
+    ok = build_manifest({"seed": 1}, comparison, "a" * 64)
     assert ok["status"] == "ok"
     assert manifest_json(ok) == manifest_json(ok)
-    bad = build_manifest({"seed": 1}, {}, "a" * 64, failures={"rcl": "boom"})
+    failed = dataclasses.replace(comparison, summaries={}, runs={}, failures={"rcl": "boom"})
+    bad = build_manifest({"seed": 1}, failed, "a" * 64)
     assert bad["status"] == "FAILED"
     assert bad["failures"] == {"rcl": "boom"}
 
@@ -129,7 +137,7 @@ def test_atomic_write_replaces_and_leaves_no_droppings(tmp_path):
 
 
 def test_csv_floats_round_trip_exactly(comparison):
-    text = metrics_csv({"": comparison})
+    text = metrics_csv(comparison)
     run = comparison.runs["baseline"][0]
     want = run.tasks[0].report.precision[0]
     got = float(text.splitlines()[1].split(",")[4])
