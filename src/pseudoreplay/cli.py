@@ -25,6 +25,7 @@ from .continual import (
     TaskSequence,
     check_carried,
     check_strategies,
+    check_variant_name,
     compare_strategies,
     replay_problems,
     split_problems,
@@ -66,20 +67,14 @@ class DataSource:
 
 @dataclass(frozen=True)
 class Variant:
-    """A named net doc that replaces `net` for the final task. The name goes
-    into method labels ("strategy/name"), CSV rows and markdown tables, so it
-    must be non-empty, without ',', '/', '|' or unprintable characters."""
+    """A named net doc that replaces `net` for the final task. The name
+    labels methods, so check_variant_name must accept it."""
 
     name: str
     net: dict
 
     def __post_init__(self):
-        require_string("name", self.name)
-        if not self.name or any(c in ",/|" or not c.isprintable() for c in self.name):
-            raise ConfigurationError(
-                f"name must be non-empty, without ',', '/', '|' or unprintable characters,"
-                f" got {self.name!r}", "name",
-            )
+        check_variant_name(self.name)
 
 
 @dataclass(eq=False)
@@ -136,10 +131,12 @@ class ExperimentConfig:
         return read_config(cls, doc)
 
 
-def _read_file(path: str, what: str) -> bytes:
-    """The bytes of a file the user named, or a ConfigurationError naming it."""
+def _read_file(path: str, what: str, size: int = -1):
+    """A file the user named, in blocks of `size` bytes, or a ConfigurationError naming it."""
     try:
-        return Path(path).read_bytes()
+        with Path(path).open("rb") as fh:
+            while block := fh.read(size):
+                yield block
     except FileNotFoundError:
         raise ConfigurationError(f"{what} file not found: {path}") from None
     except OSError as exc:
@@ -148,7 +145,7 @@ def _read_file(path: str, what: str) -> bytes:
 
 def _read_json(path: str):
     try:
-        return json.loads(_read_file(path, "config").decode("utf-8"))
+        return json.loads(b"".join(_read_file(path, "config")).decode("utf-8"))
     except UnicodeDecodeError as exc:
         raise ConfigurationError(f"{path}: not UTF-8 text: {exc}") from None
     except json.JSONDecodeError as exc:
@@ -172,8 +169,10 @@ def _load_data(cfg: ExperimentConfig) -> tuple[list[TimeSeriesTrial], str]:
             h.update(f"{t.class_id},{t.trial_id};".encode())
             h.update(np.ascontiguousarray(t.channels).tobytes())
         return trials, h.hexdigest()
-    raw = _read_file(cfg.data.csv, "data")
-    return load_trials(cfg.data.csv), hashlib.sha256(raw).hexdigest()
+    h = hashlib.sha256()
+    for block in _read_file(cfg.data.csv, "data", 1 << 20):
+        h.update(block)
+    return load_trials(cfg.data.csv), h.hexdigest()
 
 
 def _plan(
@@ -252,7 +251,7 @@ def cmd_run(
     if problems:
         raise problems[0]
     seq = TaskSequence.from_trials(trials, cfg.window, cfg.stride, cfg.train_trials, cfg.classes)
-    del trials  # the windows hold their own copy, so the raw trials can go
+    del trials  # the test windows are views of the trials, so this frees no channels
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:  # e.g. no permission, as _plan has refused a file in the way

@@ -69,13 +69,13 @@ CARRIED = ("ewc", "finetune")  # the strategies that carry one model across task
 class TaskSequence:
     """Windowed train/test splits per class position.
 
-    train[p] and test[p] hold windows relabeled to position p; class_ids[p]
-    is the original class id. Train and test never share a trial id.
+    train[p] holds windows relabeled to position p, test[p] one such view per
+    test trial in trial id order; class_ids[p] is the original id. No trial is in both.
     """
 
     class_ids: list[int]
     train: list[Windows]
-    test: list[Windows]
+    test: list[list[Windows]]
     window: int
     channels: int
 
@@ -87,7 +87,7 @@ class TaskSequence:
         for p in range(len(self.class_ids)):
             if len(self.train[p]) == 0:
                 raise DataFormatError(f"class {self.class_ids[p]}: no training windows")
-            if len(self.test[p]) == 0:
+            if not sum(map(len, self.test[p])):
                 raise DataFormatError(f"class {self.class_ids[p]}: no test windows")
 
     @property
@@ -108,18 +108,14 @@ class TaskSequence:
         if problems:
             raise problems[0]
         order = sorted({t.class_id for t in trials}) if class_order is None else list(class_order)
-        train_ids = np.asarray(train_trials, dtype=np.int64)
-        train: list[Windows] = []
-        test: list[Windows] = []
+        train, test = [], []
         for pos, cid in enumerate(order):
-            windows = Windows.concat([
-                window_trial(trial, window, stride)
-                for trial in sorted((t for t in trials if t.class_id == cid), key=lambda t: t.trial_id)
-            ])
-            windows.y[:] = pos
-            is_train = np.isin(windows.source[:, 0], train_ids)
-            train.append(windows.select(is_train))
-            test.append(windows.select(~is_train))
+            mine = sorted((t for t in trials if t.class_id == cid), key=lambda t: t.trial_id)
+            parts = [(t.trial_id in train_trials, window_trial(t, window, stride)) for t in mine]
+            for _, part in parts:
+                part.y[:] = pos
+            train.append(Windows.concat([part for is_train, part in parts if is_train]))
+            test.append([part for is_train, part in parts if not is_train])
         channels = trials[0].n_channels if trials else 0
         return cls(class_ids=order, train=train, test=test, window=window, channels=channels)
 
@@ -232,7 +228,7 @@ def _evaluate(ensemble: Ensemble, seq: TaskSequence, upto: int) -> tuple[Confusi
     every window and no full copy of the test set is made. The ensemble
     prediction is the argmax of the mean member probability, as `predict`
     computes it, and the member spread comes from the same probabilities."""
-    parts = seq.test[: upto + 1]
+    parts = [part for trial_parts in seq.test[: upto + 1] for part in trial_parts]
     starts = np.cumsum([0] + [len(p) for p in parts[:-1]]).tolist()
     y_true = np.concatenate([p.y for p in parts])
     n = len(y_true)
@@ -285,6 +281,10 @@ class RunSettings:
 
     def __post_init__(self):
         require_number("ewc_lambda", self.ewc_lambda, least=0)
+        nets = self.net if isinstance(self.net, (list, tuple)) else [self.net]
+        if not all(isinstance(net, NetSpec) for net in nets or [None]):
+            message = f"net must be a NetSpec or a non-empty list of them, got {self.net!r}"
+            raise ConfigurationError(message, "net")
 
 
 def _carry_forward(
@@ -343,6 +343,15 @@ def check_strategies(strategies) -> None:
     if len(set(strategies)) != len(strategies):
         raise ConfigurationError(
             f"strategies must not repeat, got {list(strategies)}", "strategies"
+        )
+
+
+def check_variant_name(name) -> None:
+    """Refuse a name that cannot label methods ("strategy/name") in CSV rows and markdown tables."""
+    if not (isinstance(name, str) and name) or any(c in ",/|" or not c.isprintable() for c in name):
+        raise ConfigurationError(
+            f"name must be a non-empty string without ',', '/', '|' or unprintable characters,"
+            f" got {name!r}", "name",
         )
 
 
@@ -479,15 +488,17 @@ def compare_strategies(
     """Run each strategy `repetitions` times on seeds derived per (strategy,
     repetition) and aggregate per-task metrics across repetitions.
 
-    `variants` maps a name to a net (a NetSpec or one per task) that replaces
-    settings.net. Each variant, in name order, runs every strategy, and its
-    methods are labelled "strategy/variant"; without variants a method is
-    labelled by its strategy. A method whose run raises PseudoreplayError is
-    recorded in failures with the message and left out of summaries and
-    runs; the others still run.
+    `variants` maps a name that check_variant_name accepts to a net (a NetSpec
+    or one per task) that replaces settings.net. Each variant, in name order,
+    runs every strategy, and its methods are labelled "strategy/variant";
+    without variants a method is labelled by its strategy. A method whose run
+    raises PseudoreplayError is recorded in failures with the message and left
+    out of summaries and runs; the others still run.
     """
     require_integer("repetitions", repetitions, least=1)
     check_strategies(strategies)
+    for name in variants or ():
+        check_variant_name(name)
 
     runs: dict[str, list[ContinualRun]] = {}
     summaries: dict[str, StrategySummary] = {}

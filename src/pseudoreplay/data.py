@@ -8,13 +8,14 @@ act on a whole `Windows` at once. A window flattens row-major over
 (timestep, channel), i.e. feature index = t * C + c, and every consumer of
 flat vectors in this package uses that same ordering.
 
-`load_trials` parses a trial CSV in one np.loadtxt call and checks the whole
-table with array operations; its errors name the file and the first bad row.
+`load_trials` parses a trial CSV in blocks of lines, one np.loadtxt call each,
+and checks them with array operations; its errors name the file and first bad row.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -32,6 +33,7 @@ from .errors import (
 
 # trial_id used to tag generator output in Windows.source
 SYNTHETIC_TRIAL_ID = -1
+_READ_BLOCK = 1 << 18  # bytes of trial CSV that load_trials reads, decodes and parses at a time
 
 
 @dataclass(eq=False)
@@ -75,8 +77,9 @@ class TimeSeriesTrial:
 class Windows:
     """N classifier inputs of one shape, as a struct of arrays.
 
-    x is float64 [N, W, C] and C-contiguous, y is int64 [N] (the class of each
-    row) and source is int64 [N, 2] holding (trial_id, start index).
+    x is float64 [N, W, C], y is int64 [N] (the class of each row) and source
+    is int64 [N, 2] holding (trial_id, start index). x is a view of the trial,
+    read-only, after window_trial (and select with a slice of it); concat copies.
     Generator output carries trial_id == SYNTHETIC_TRIAL_ID with start = draw
     index, which is what the replay-purity audit keys on.
     """
@@ -86,7 +89,7 @@ class Windows:
     source: np.ndarray
 
     def __post_init__(self):
-        self.x = np.ascontiguousarray(self.x, dtype=float)
+        self.x = np.asarray(self.x, dtype=float)
         self.y = np.asarray(self.y, dtype=np.int64)
         self.source = np.asarray(self.source, dtype=np.int64)
         if self.x.ndim != 3:
@@ -155,7 +158,7 @@ def window_trial(trial: TimeSeriesTrial, window: int, stride: int | None = None)
         raise DataFormatError(
             f"trial {trial.trial_id} of class {trial.class_id}: length {t} < window {window}"
         )
-    # [T - window + 1, C, window] view; Windows makes the one [n, window, C] copy
+    # [T - window + 1, C, window] view; its [n, window, C] transpose copies nothing
     views = sliding_window_view(trial.channels, window, axis=0)[::stride]
     starts = np.arange(n, dtype=np.int64) * stride
     return Windows(
@@ -236,50 +239,73 @@ def save_trials(path: str | Path, trials: list[TimeSeriesTrial]) -> None:
 def load_trials(path: str | Path) -> list[TimeSeriesTrial]:
     """Parse a trial CSV; errors name the file and the first bad 1-based row.
 
-    Every data line is parsed in one np.loadtxt call: three int64 ids and
-    one float64 per channel, unquoted and comma-separated. The table is then
-    checked as a whole: finite values, class_id >= 0, trial_id >= 1,
-    contiguous (class_id, trial_id) groups in strictly increasing order and
-    steps strictly increasing from >= 0 within a group. If the parse fails,
-    the first failing line is found by bisection, and the table checks run on
-    the rows before it, so of several problems the one on the earliest row
-    is reported.
+    Each block of whole lines is parsed in one np.loadtxt call: three int64
+    ids and one float64 per channel, unquoted and comma-separated. It is then
+    checked as a whole, after the row before it: finite values, class_id >= 0,
+    trial_id >= 1, contiguous (class_id, trial_id) groups in strictly
+    increasing order and steps strictly increasing from >= 0 within a group.
+    If the parse fails, the first failing line is found by bisection, and the
+    checks run on the rows before it, so of several problems (bytes that are
+    not UTF-8 included) the earliest is reported, whatever the block size.
     """
     path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise DataFormatError(f"{path}: not UTF-8 text: {exc}") from None
-    header, _, body = text.partition("\n")
-    names = header.split(",")
-    n_chan = len(names) - 3
-    if n_chan < 1 or names != ["class_id", "trial_id", "step"] + [
-        f"ch{i + 1}" for i in range(n_chan)
-    ]:
-        raise DataFormatError(f"{path} row 1: header must be class_id,trial_id,step,ch1..chN")
-    rows = body.split("\n")
-    if rows[-1] == "":
-        rows.pop()  # the final line end
-    if not rows:
+    # rows so far, the key of the last one, channel blocks, and each trial's first row and ids
+    done, prev, chs, firsts, ids = 0, np.full(3, -1, dtype=np.int64), [], [], []
+    with path.open("rb") as fh:
+        blocks = _line_blocks(fh, path)
+        rows = next(filter(None, blocks), [])  # the first block holds the whole first line
+        names = (rows.pop(0) if rows else "").split(",")
+        n_chan = len(names) - 3
+        if n_chan < 1 or names != ["class_id", "trial_id", "step"] + [
+            f"ch{i + 1}" for i in range(n_chan)
+        ]:
+            raise DataFormatError(f"{path} row 1: header must be class_id,trial_id,step,ch1..chN")
+        for rows in itertools.chain([rows], blocks):
+            table, bad_line = _parse_until_bad(rows, n_chan)
+            key = np.concatenate([prev[None], table["key"]])  # each row after the row before it
+            prev, key, before = key[-1], key[1:], key[:-1]
+            starts = np.any(key[:, :2] != before[:, :2], axis=1)  # the first row of each trial
+            problem = _first_table_problem(key, table["ch"], before, starts, ids)
+            if problem is None and bad_line is not None:
+                problem = bad_line, _line_problem(rows[bad_line], n_chan)
+            if problem is not None:
+                raise DataFormatError(f"{path} row {done + problem[0] + 2}: {problem[1]}")
+            chs.append(np.ascontiguousarray(table["ch"]))
+            firsts += (done + np.flatnonzero(starts)).tolist()
+            ids += key[starts, :2].tolist()
+            done += len(key)
+    if not done:
         raise DataFormatError(f"{path}: no data rows")
-    table, bad_line = _parse_until_bad(rows, n_chan)
-    key = table["key"]
-    starts = np.ones(len(key), dtype=bool)  # the first row of each trial
-    starts[1:] = np.any(key[1:, :2] != key[:-1, :2], axis=1)
-    problem = _first_table_problem(key, table["ch"], starts)
-    if problem is None and bad_line is not None:
-        problem = bad_line, _line_problem(rows[bad_line], n_chan)
-    if problem is not None:
-        raise DataFormatError(f"{path} row {problem[0] + 2}: {problem[1]}")
-    bounds = np.append(np.flatnonzero(starts), len(table)).tolist()
     return [
-        TimeSeriesTrial(
-            class_id=int(key[a, 0]),
-            trial_id=int(key[a, 1]),
-            channels=np.ascontiguousarray(table["ch"][a:b]),
-        )
-        for a, b in zip(bounds[:-1], bounds[1:])
+        TimeSeriesTrial(class_id=c, trial_id=t, channels=part)
+        for (c, t), part in zip(ids, np.split(np.concatenate(chs), firsts[1:]))
     ]
+
+
+def _line_blocks(fh, path: Path):
+    """Lists of the whole lines in about _READ_BLOCK bytes of the binary file
+    fh, read as UTF-8 in text mode; a byte that is not UTF-8 raises a
+    DataFormatError naming its place in the file once the lines before it are yielded."""
+    buf, offset, more = bytearray(), 0, True  # offset: where buf starts in the file
+    while more:
+        more = fh.read(_READ_BLOCK)
+        buf += more
+        new = -len(more) - 1  # a line end is in `more`, or a \r held back as maybe half a \r\n
+        cut = max(buf.rfind(b"\n", new), buf.rfind(b"\r", new, -1)) + 1 if more else len(buf)
+        chunk = buf[:cut]
+        del buf[:cut]
+        try:
+            text, error = chunk.decode("utf-8"), None
+        except UnicodeDecodeError as exc:
+            good = chunk[: exc.start]
+            text = good[: max(good.rfind(b"\n"), good.rfind(b"\r")) + 1].decode()
+            error = UnicodeDecodeError(exc.encoding, bytes(offset) + chunk, offset + exc.start,
+                                       offset + exc.end, exc.reason)  # placed in the file
+        lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+        yield lines[:-1] if lines[-1] == "" else lines  # a final line end adds no line
+        if error is not None:
+            raise DataFormatError(f"{path}: not UTF-8 text: {error}")
+        offset += cut
 
 
 def _parse_rows(rows: list[str], n_chan: int) -> np.ndarray:
@@ -327,11 +353,10 @@ def _line_problem(row: str, n_chan: int) -> str | None:
     return None
 
 
-def _first_table_problem(
-    key: np.ndarray, ch: np.ndarray, starts: np.ndarray
-) -> tuple[int, str] | None:
-    """(row index, reason) of the earliest row the table checks reject."""
-    prev_key = np.concatenate([key[:1], key[:-1]])
+def _first_table_problem(key, ch, prev_key, starts, earlier: list) -> tuple[int, str] | None:
+    """(row index, reason) of the earliest row the table checks reject, given the
+    key and channel rows, each row's predecessor key, which rows start a trial,
+    and the [class_id, trial_id] of the trials before the table."""
     decreasing = starts & (
         (key[:, 0] < prev_key[:, 0])
         | ((key[:, 0] == prev_key[:, 0]) & (key[:, 1] < prev_key[:, 1]))
@@ -340,7 +365,7 @@ def _first_table_problem(
 
     def unordered(i: int) -> str:
         c, t = key[i, :2].tolist()
-        if np.all(key[:i, :2] == (c, t), axis=1).any():
+        if [c, t] in earlier or np.all(key[:i, :2] == (c, t), axis=1).any():
             return f"rows of class {c} trial {t} are not contiguous"
         return "rows not sorted by (class_id, trial_id)"
 

@@ -316,6 +316,6 @@ def split_reference(trials, window, stride=None, train_trials=(1,), class_order=
         windows.y[:] = pos
         is_train = np.array([trial_id in train_trials for trial_id in windows.source[:, 0]], dtype=bool)
         train.append(windows.select(is_train))
-        test.append(windows.select(~is_train))
+        test.append([windows.select(~is_train)])
     channels = trials[0].n_channels if trials else 0
     return TaskSequence(class_ids=order, train=train, test=test, window=window, channels=channels)

@@ -74,10 +74,10 @@ def test_sequence_relabels_classes_by_position(small_stream_config):
     assert seq.n_tasks == 2
     for pos in range(3):
         assert np.all(seq.train[pos].y == pos)
-        assert np.all(seq.test[pos].y == pos)
+        assert all(np.all(part.y == pos) for part in seq.test[pos])
     # trial 1 trains, trial 2 tests, 9 windows each at width 50
     assert [len(t) for t in seq.train] == [9, 9, 9]
-    assert [len(t) for t in seq.test] == [9, 9, 9]
+    assert [sum(map(len, t)) for t in seq.test] == [9, 9, 9]
 
 
 def test_sequence_rejects_bad_class_orders(small_stream_config):
@@ -145,10 +145,38 @@ def test_split_problems_are_empty_exactly_when_from_trials_succeeds(args):
     assert problems == []
     seq = TaskSequence.from_trials(*args)
     assert seq.class_ids == want.class_ids
-    for got, ref in zip(seq.train + seq.test, want.train + want.test, strict=True):
+    tests = [Windows.concat(parts) for parts in seq.test + want.test]
+    for got, ref in zip(seq.train + tests[: len(seq.test)], want.train + tests[len(seq.test):], strict=True):
         np.testing.assert_array_equal(got.x, ref.x)
         np.testing.assert_array_equal(got.y, ref.y)
         np.testing.assert_array_equal(got.source, ref.source)
+
+
+def split_memory(test_trials: int) -> tuple[int, int]:
+    """tracemalloc's peak and retained bytes of from_trials over two classes
+    of one training trial and `test_trials` test trials each, every trial 400
+    steps of 2 channels cut at stride 1 into 351 windows of 50."""
+    rng = np.random.default_rng(2)
+    trials = [
+        TimeSeriesTrial(class_id=c, trial_id=t, channels=rng.normal(size=(400, 2)))
+        for c in (0, 1) for t in range(1, 2 + test_trials)
+    ]
+    tracemalloc.start()
+    try:
+        seq = TaskSequence.from_trials(trials, window=50, stride=1)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [sum(map(len, parts)) for parts in seq.test] == [351 * test_trials] * 2
+    return peak, retained
+
+
+def test_splitting_copies_no_test_window():
+    (peak_2, kept_2), (peak_4, kept_4) = split_memory(2), split_memory(4)
+    added = 2 * 2 * 351  # test windows; a copy of each would take 800 bytes
+    # y and source take 24 bytes per window; the windows themselves are views
+    assert kept_4 - kept_2 < 48 * added, (kept_2, kept_4)
+    assert peak_4 - peak_2 < 48 * added, (peak_2, peak_4)
 
 
 # ------------------------------------------------------------------ pseudo replay
@@ -179,7 +207,7 @@ def test_evaluation_runs_each_member_forward_once(small_seq, monkeypatch):
 
     monkeypatch.setattr(classifier, "forward", recording)
     cm, _, _ = continual._evaluate(ens, small_seq, 2)
-    batch = Windows.concat(small_seq.test)
+    batch = Windows.concat([part for parts in small_seq.test for part in parts])
     standardized = apply_standardizer(ens.standardizer, batch).x
     for batches in seen.values():  # every window once per member, in order
         assert len(batches) > 1
@@ -218,7 +246,7 @@ def evaluation_peak(net: NetSpec, per_class: int) -> int:
                 np.zeros((per_class, 2)))
         for p in range(3)
     ]
-    seq = TaskSequence([0, 1, 2], parts, parts, window=50, channels=2)
+    seq = TaskSequence([0, 1, 2], parts, [[p] for p in parts], window=50, channels=2)
     tracemalloc.start()
     try:
         continual._evaluate(ens, seq, 2)
@@ -590,7 +618,8 @@ def test_variants_run_every_strategy_per_variant_under_method_labels(small_seq, 
         kind="conv", input_shape=(50, 2), n_classes=2, hidden=(8, 4), conv=((4, 5, 2), (8, 5, 2))
     )
     variants = {"mlp": small_net(), "cnn": [small_net(), conv]}
-    settings = RunSettings(net=None, train=replace(FAST, epochs=2), n_members=1)
+    # every variant replaces settings.net, so it only needs to be a valid net
+    settings = RunSettings(net=small_net(), train=replace(FAST, epochs=2), n_members=1)
     real = continual.run_strategy
 
     def diverging_conv_rcl(strategy, seq, run_settings, seed):
@@ -614,6 +643,25 @@ def test_variants_run_every_strategy_per_variant_under_method_labels(small_seq, 
             np.testing.assert_array_equal(a.report.f_score, b.report.f_score)
     plain = compare_strategies(small_seq, replace(settings, net=small_net()), ("baseline",), 1, 6)
     assert [(s.strategy, s.variant) for s in plain.summaries.values()] == [("baseline", "")]
+
+
+@pytest.mark.parametrize("net", [None, [], (), "dense", [small_net(), None], {"kind": "dense"}])
+def test_run_settings_take_only_net_specs(net):
+    with pytest.raises(ConfigurationError, match="net must be a NetSpec") as err:
+        RunSettings(net=net)
+    assert err.value.field == "net"
+
+
+@pytest.mark.parametrize("name", ["", "a,b", "a/b", "a|b", "tab\t", 3])
+def test_compare_strategies_refuses_a_variant_name_before_training(small_seq, monkeypatch, name):
+    def no_training(*args):
+        raise AssertionError("trained before judging the variant names")
+
+    monkeypatch.setattr(continual, "run_strategy", no_training)
+    settings = RunSettings(net=small_net(), train=FAST, n_members=1)
+    with pytest.raises(ConfigurationError) as err:
+        compare_strategies(small_seq, settings, ("baseline",), 1, 0, {"ok": small_net(), name: small_net()})
+    assert err.value.field == "name"
 
 
 # -------------------------------------------------- mixed classifier variants

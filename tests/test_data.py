@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from pseudoreplay import (
     synthesize_stream,
     window_trial,
 )
+from pseudoreplay import data
 from pseudoreplay.data import window_count
 from pseudoreplay.errors import ConfigurationError, DataFormatError
 
@@ -317,9 +319,7 @@ def test_every_line_end_loads_as_written(tmp_path, line_end, final):
     assert_loads_as_written(path, written)
 
 
-@pytest.mark.parametrize(
-    "body, needle",
-    [
+MALFORMED = [
         ("0,1,0,1.5,2.5\n0,1,1,3.5\n", "row 3: expected 5 columns, got 4"),
         ("0,1,0,1.5,2.5\n\n0,1,1,3.5,4.5\n", "row 3: expected 5 columns, got 0"),
         ("0,1,0,1.5,2.5\n0,1,1,abc,4.5\n", "row 3"),
@@ -332,8 +332,10 @@ def test_every_line_end_loads_as_written(tmp_path, line_end, final):
         ("-1,1,0,1.5,2.5\n", "row 2: class_id must be >= 0, got -1"),
         ("0,1,0,1.5,2.5\n1,0,0,3.5,4.5\n", "row 3: trial_id must be >= 1, got 0"),
         ("", ": no data rows"),
-    ],
-)
+]
+
+
+@pytest.mark.parametrize("body, needle", MALFORMED)
 def test_malformed_files_name_the_first_bad_row(tmp_path, body, needle):
     path = tmp_path / "bad.csv"
     path.write_text(HEADER_2 + body)
@@ -399,17 +401,16 @@ CSV_TEXT = st.lists(
 ).map(lambda rows: HEADER_2 + "\n".join(rows))
 
 
+ANY_BYTES = st.one_of(
+    CSV_TEXT.map(str.encode),
+    st.tuples(CSV_TEXT, st.binary(max_size=12)).map(lambda p: p[0].encode() + p[1]),
+    st.binary(max_size=60),
+)
 FUZZ_NAMES = itertools.count()
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(
-    raw=st.one_of(
-        CSV_TEXT.map(str.encode),
-        st.tuples(CSV_TEXT, st.binary(max_size=12)).map(lambda p: p[0].encode() + p[1]),
-        st.binary(max_size=60),
-    )
-)
+@given(raw=ANY_BYTES)
 def test_any_bytes_load_or_raise_a_data_format_error(tmp_path, raw):
     # a fresh name per example: overwriting a written file costs far more than a new one
     path = tmp_path / f"fuzz{next(FUZZ_NAMES)}.csv"
@@ -420,6 +421,75 @@ def test_any_bytes_load_or_raise_a_data_format_error(tmp_path, raw):
         assert re.match(rf"{re.escape(str(path))}( row [1-9][0-9]*)?: ", str(exc)), str(exc)
         return
     assert trials and all(isinstance(t, TimeSeriesTrial) for t in trials)
+
+
+def load_outcome(path):
+    """The loaded trials' ids and channel bytes, or the DataFormatError's message."""
+    try:
+        return [(t.class_id, t.trial_id, t.channels.shape, t.channels.tobytes()) for t in load_trials(path)]
+    except DataFormatError as exc:
+        return str(exc)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    raw=ANY_BYTES | st.tuples(CSV_TEXT, st.sampled_from(["\r\n", "\r"]), st.binary(max_size=6)).map(
+        lambda p: p[0].replace("\n", p[1]).encode() + p[2]
+    )
+)
+def test_block_boundaries_change_no_trial_and_no_message(tmp_path, monkeypatch, raw):
+    path = tmp_path / f"fuzz{next(FUZZ_NAMES)}.csv"
+    path.write_bytes(raw)
+    one_block = load_outcome(path)  # every input here is far below one block
+    for size in (1, 7, 64):
+        monkeypatch.setattr(data, "_READ_BLOCK", size)
+        assert load_outcome(path) == one_block, size
+
+
+@pytest.mark.parametrize("line_end", ["\n", "\r\n", "\r"])
+def test_a_line_end_split_across_blocks_ends_one_line(tmp_path, monkeypatch, line_end):
+    rows = [HEADER_2.strip()] + [f"0,1,{step},{step}.5,1" for step in range(40)]
+    path = tmp_path / "ends.csv"
+    path.write_bytes((line_end.join(rows) + line_end).encode())
+    one_block = load_outcome(path)
+    assert isinstance(one_block, list)
+    # a block of len(HEADER_2) bytes ends inside the header's \r\n
+    for size in (1, 2, 7, len(HEADER_2) - 1, len(HEADER_2)):
+        monkeypatch.setattr(data, "_READ_BLOCK", size)
+        assert load_outcome(path) == one_block, size
+
+
+@pytest.mark.parametrize("size", [1, 7, 20])
+def test_small_blocks_name_the_same_first_bad_row(tmp_path, monkeypatch, size):
+    monkeypatch.setattr(data, "_READ_BLOCK", size)
+    for i, (body, needle) in enumerate(MALFORMED):
+        path = tmp_path / f"bad{i}.csv"
+        path.write_text(HEADER_2 + body)
+        assert_names_the_file(path, needle)
+
+
+@pytest.mark.parametrize("size", [1, 7, 64, 1 << 18])
+def test_a_byte_that_is_not_utf8_is_placed_in_the_file(tmp_path, monkeypatch, size):
+    rows = [f"0,1,{step},{step}.5,1" for step in range(20)]
+    raw = (HEADER_2 + "\n".join(rows) + "\n").encode() + b"0,1,20,\xe2\x82,1\n"
+    path = tmp_path / "latin.csv"
+    path.write_bytes(raw)
+    monkeypatch.setattr(data, "_READ_BLOCK", size)
+    at = raw.index(b"\xe2")
+    assert_names_the_file(path, f"not UTF-8 text: 'utf-8' codec can't decode bytes in position {at}-{at + 1}")
+
+
+def test_loading_holds_a_small_multiple_of_the_returned_channels(tmp_path):
+    path = tmp_path / "big.csv"
+    save_trials(path, synthesize_stream(default_synthetic_config(seed=3)))  # 4.4 MB
+    tracemalloc.start()
+    try:
+        trials = load_trials(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    channels = sum(t.channels.nbytes for t in trials)  # 1.5 MB
+    assert peak < 4 * channels, f"peak {peak} bytes for {channels} bytes of channels"
 
 
 # ------------------------------------------------------------ synthetic data
