@@ -24,7 +24,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .data import StandardizationParams, Windows, apply_standardizer, fit_standardizer
+from .data import StandardizationParams, Windows, apply_standardizer
 from .errors import (
     ConfigurationError,
     TrainingError,
@@ -546,16 +546,16 @@ class Ensemble:
 
 def fit_ensemble(
     spec: NetSpec,
-    samples: Windows,
+    standardized: Windows,
+    standardizer: StandardizationParams,
     config: TrainConfig,
     seed: int,
     n_members: int = 5,
 ) -> Ensemble:
-    """Standardize on the given mix, then train n_members nets that differ
-    only in derived init and shuffle seeds."""
+    """Train n_members nets that differ only in derived init and shuffle
+    seeds on a mix already standardized by `standardizer`, which the
+    ensemble keeps for prediction."""
     require_integer("n_members", n_members, least=1)
-    standardizer = fit_standardizer(samples)
-    standardized = apply_standardizer(standardizer, samples)
     members = []
     for m in range(n_members):
         member_spec = replace(spec, seed=derive_seed(seed, "init", m))

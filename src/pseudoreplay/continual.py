@@ -43,6 +43,7 @@ from .classifier import (
 )
 from .data import (
     SYNTHETIC_TRIAL_ID,
+    StandardizationParams,
     TimeSeriesTrial,
     Windows,
     apply_standardizer,
@@ -69,8 +70,11 @@ CARRIED = ("ewc", "finetune")  # the strategies that carry one model across task
 class TaskSequence:
     """Windowed train/test splits per class position.
 
-    train[p] holds windows relabeled to position p, test[p] one such view per
-    test trial in trial id order; class_ids[p] is the original id. No trial is in both.
+    train[p] holds windows relabeled to position p: the read-only window_trial
+    view of a class's one training trial, or a copy of the windows of its
+    several training trials in trial id order. test[p] holds one such view
+    per test trial in trial id order; class_ids[p] is the original id. No
+    trial is in both.
     """
 
     class_ids: list[int]
@@ -114,7 +118,8 @@ class TaskSequence:
             parts = [(t.trial_id in train_trials, window_trial(t, window, stride)) for t in mine]
             for _, part in parts:
                 part.y[:] = pos
-            train.append(Windows.concat([part for is_train, part in parts if is_train]))
+            train_parts = [part for is_train, part in parts if is_train]
+            train.append(train_parts[0] if len(train_parts) == 1 else Windows.concat(train_parts))
             test.append([part for is_train, part in parts if not is_train])
         channels = trials[0].n_channels if trials else 0
         return cls(class_ids=order, train=train, test=test, window=window, channels=channels)
@@ -290,13 +295,15 @@ class RunSettings:
 def _carry_forward(
     ens: Ensemble,
     mix: Windows,
+    standardizer: StandardizationParams,
     settings: RunSettings,
     seed: int,
     task_index: int,
     snapshot: tuple[list[np.ndarray], list[np.ndarray]] | None,
 ) -> Ensemble:
     """Extend each member's head by one class and continue training on mix,
-    anchored to snapshot's (parameters, Fisher diagonals) when given.
+    already standardized by `standardizer`, anchored to snapshot's
+    (parameters, Fisher diagonals) when given.
 
     An anchor at or past the heavy-ball stability limit of its stiffest
     coordinate, lam * lr * max(fisher) >= 2 * (1 + beta) with beta the
@@ -305,8 +312,6 @@ def _carry_forward(
     """
     cfg = settings.train
     limit = 2.0 * (1.0 + cfg.beta)
-    standardizer = fit_standardizer(mix)
-    standardized = apply_standardizer(standardizer, mix)
     members = []
     for m_idx, member in enumerate(ens.members):
         extended = extend_output(member, 1, derive_seed(seed, "head", task_index, m_idx))
@@ -327,8 +332,17 @@ def _carry_forward(
                     file=sys.stderr,
                 )
         member_cfg = replace(cfg, shuffle_seed=derive_seed(seed, "task", task_index, "shuffle", m_idx))
-        members.append(train(extended, standardized, member_cfg, penalty).model)
+        members.append(train(extended, mix, member_cfg, penalty).model)
     return Ensemble(members=members, standardizer=standardizer)
+
+
+def _task_nets(settings: RunSettings, n_tasks: int) -> list[NetSpec]:
+    """settings.net once per task: the one NetSpec repeated, or the per-task list."""
+    net = settings.net
+    nets = [net] * n_tasks if isinstance(net, NetSpec) else list(net)
+    if len(nets) != n_tasks:
+        raise ConfigurationError(f"need one net spec or {n_tasks}, got {len(nets)}", "net")
+    return nets
 
 
 def check_strategies(strategies) -> None:
@@ -379,9 +393,7 @@ def run_strategy(
     trajectory is bit-identical to finetune under the same seed.
     """
     check_strategies((strategy,))
-    nets = [settings.net] * seq.n_tasks if isinstance(settings.net, NetSpec) else list(settings.net)
-    if len(nets) != seq.n_tasks:
-        raise ConfigurationError(f"need one net spec or {seq.n_tasks}, got {len(nets)}")
+    nets = _task_nets(settings, seq.n_tasks)
     check_carried((strategy,), nets)
     carried = strategy in CARRIED
     generators: dict[int, ClassGenerator] = {}
@@ -397,35 +409,36 @@ def run_strategy(
                 if pos not in generators:
                     generators[pos] = _fit_class_generator(seq, pos, settings.generator, seed, i)
             pseudo_count = settings.generator.pseudo_per_class or len(seq.train[i])
-            parts = []
-            for pos in range(i):
-                parts.append(generate(
-                    generators[pos], pseudo_count, seed=derive_seed(seed, "replay", i, pos)
-                ))
-                replay[seq.class_ids[pos]] = pseudo_count
-            mix = Windows.concat(parts + [seq.train[i]])
+            replay = {seq.class_ids[pos]: pseudo_count for pos in range(i)}
+            mix = Windows.concat([
+                generate(generators[pos], pseudo_count, seed=derive_seed(seed, "replay", i, pos))
+                for pos in range(i)
+            ] + [seq.train[i]])
         elif carry:
             # the carried model sees only raw normal data plus the newest class
             mix = Windows.concat([seq.train[0], seq.train[i]])
         else:
             mix = Windows.concat(seq.train[: i + 1])
+        # the mix is this task's own copy, so it is standardized in place
+        standardizer = fit_standardizer(mix)
+        apply_standardizer(standardizer, mix, out=mix.x)
 
         if carry:
-            ens = _carry_forward(ensembles[-1], mix, settings, seed, i, snapshot)
+            ens = _carry_forward(ensembles[-1], mix, standardizer, settings, seed, i, snapshot)
         else:
             ens = fit_ensemble(
                 replace(nets[i - 1], input_shape=(seq.window, seq.channels), n_classes=i + 1),
                 mix,
+                standardizer,
                 settings.train,
                 seed=derive_seed(seed, "task", i),
                 n_members=settings.n_members,
             )
         ensembles.append(ens)
         if strategy == "ewc" and i < seq.n_tasks:
-            standardized = apply_standardizer(ens.standardizer, mix)
             snapshot = (
                 [m.parameters.copy() for m in ens.members],
-                [fisher_diagonal(m, standardized) for m in ens.members],
+                [fisher_diagonal(m, mix) for m in ens.members],
             )
         cm, report, spread = _evaluate(ens, seq, i)
         tasks.append(TaskResult(
@@ -499,18 +512,25 @@ def compare_strategies(
     check_strategies(strategies)
     for name in variants or ():
         check_variant_name(name)
+    variant_settings = {}  # every variant's settings, judged before any training
+    for variant, net in sorted((variants or {"": settings.net}).items()):
+        try:
+            variant_settings[variant] = replace(settings, net=net)
+            _task_nets(variant_settings[variant], seq.n_tasks)
+        except ConfigurationError as exc:
+            prefix = f"variant {variant!r}: " if variant else ""
+            raise ConfigurationError(f"{prefix}{exc}", exc.field) from exc
 
     runs: dict[str, list[ContinualRun]] = {}
     summaries: dict[str, StrategySummary] = {}
     failures: dict[str, str] = {}
-    nets = sorted((variants or {"": settings.net}).items())
-    for (variant, net), strat in product(nets, strategies):
+    for (variant, run_settings), strat in product(variant_settings.items(), strategies):
         method = f"{strat}/{variant}" if variant else strat
         strat_runs = []
         try:
             for r in range(repetitions):
                 seed = derive_seed(master_seed, "strategy", strat, "rep", r)
-                strat_runs.append(run_strategy(strat, seq, replace(settings, net=net), seed))
+                strat_runs.append(run_strategy(strat, seq, run_settings, seed))
         except PseudoreplayError as exc:
             failures[method] = str(exc)
             continue

@@ -34,6 +34,7 @@ from .errors import (
 # trial_id used to tag generator output in Windows.source
 SYNTHETIC_TRIAL_ID = -1
 _READ_BLOCK = 1 << 18  # bytes of trial CSV that load_trials reads, decodes and parses at a time
+_STANDARDIZE_BLOCK = 1 << 15  # elements of squared deviations that fit_standardizer holds at a time
 
 
 @dataclass(eq=False)
@@ -191,26 +192,48 @@ def fit_standardizer(windows: Windows) -> StandardizationParams:
 
     Features with std below 1e-12 get std 1.0 so constant channels pass
     through centered instead of dividing by ~0.
+
+    The squared deviations are summed over blocks of _STANDARDIZE_BLOCK
+    elements, never over a full-size copy. Each block is reduced with the
+    running sum as its first row, the row order of numpy's own axis-0 sum,
+    so mean and std equal x.mean(axis=0) and x.std(axis=0) bit for bit.
+    numpy sums a single feature pairwise, not row by row, so one feature
+    takes one block: its copy is one float per window.
     """
-    if not len(windows):
+    n = len(windows)
+    if not n:
         raise ConfigurationError("cannot fit standardizer on no windows")
-    x = windows.x.reshape(len(windows), -1)
+    x = windows.x.reshape(n, -1)
+    d = x.shape[1]
     mean = x.mean(axis=0)
-    sd = x.std(axis=0)
+    step = n if d == 1 else max(1, _STANDARDIZE_BLOCK // d)
+    block = np.empty((min(n, step) + 1, d))  # row 0 holds the running sum
+    for lo in range(0, n, step):
+        rows = min(step, n - lo)
+        dev = np.subtract(x[lo : lo + rows], mean, out=block[1 : rows + 1])
+        np.square(dev, out=dev)
+        if lo:
+            block[0] = total
+            dev = block[: rows + 1]
+        total = dev.sum(axis=0)
+    sd = np.sqrt(total / n)
     sd = np.where(sd < 1e-12, 1.0, sd)
     return StandardizationParams(mean=mean, std=sd)
 
 
-def apply_standardizer(params: StandardizationParams, windows: Windows) -> Windows:
-    """Standardized copy, (x - mean) / std per feature; y and source are kept."""
+def apply_standardizer(
+    params: StandardizationParams, windows: Windows, out: np.ndarray | None = None
+) -> Windows:
+    """(x - mean) / std per feature; y and source are kept. The result is a
+    new array, or `out` when given, which may be windows.x itself."""
     n, w, c = windows.x.shape
     if w * c != params.mean.shape[0]:
         raise ConfigurationError(
             f"standardizer expects {params.mean.shape[0]} features, window has {w * c}"
         )
-    flat = windows.x.reshape(n, w * c) - params.mean
-    flat /= params.std
-    return Windows(flat.reshape(windows.x.shape), windows.y, windows.source)
+    x = np.subtract(windows.x, params.mean.reshape(w, c), out=out)
+    x /= params.std.reshape(w, c)
+    return Windows(x, windows.y, windows.source)
 
 
 # ---------------------------------------------------------------------------

@@ -58,7 +58,9 @@ class ClassGenerator:
         return self.neighbors.shape[1]
 
 
-_GRAM_BLOCK = 1 << 18  # elements of one [rows, M] block of distances, and of a difference temporary
+# elements of one [rows, M] block of distances (and of its partitioned copy),
+# and of a difference temporary; the table does not depend on it
+_GRAM_BLOCK = 1 << 16
 
 
 def _neighbor_table(memory: np.ndarray, k: int) -> np.ndarray:

@@ -9,6 +9,7 @@ from pseudoreplay import (
     Windows,
     apply_standardizer,
     fisher_diagonal,
+    fit_standardizer,
     synthesize_stream,
 )
 from pseudoreplay.classifier import pad_parameters
@@ -24,6 +25,13 @@ def make_samples(rows: np.ndarray, class_id: int = 0) -> Windows:
         y=np.full(n, class_id),
         source=np.column_stack([np.ones(n, dtype=int), np.arange(n)]),
     )
+
+
+def standardized_mix(samples: Windows):
+    """(standardized copy, params) of samples, the mix and standardizer
+    that fit_ensemble and _carry_forward take."""
+    params = fit_standardizer(samples)
+    return apply_standardizer(params, samples), params
 
 
 def task1_fishers(run, seq: TaskSequence) -> list[np.ndarray]:

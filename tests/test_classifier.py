@@ -37,6 +37,7 @@ from _oracles import (
     relative_error,
     sgd_reference,
 )
+from conftest import standardized_mix
 
 
 def dense_spec(**kwargs) -> NetSpec:
@@ -590,11 +591,11 @@ def test_train_and_fisher_call_loss_and_gradient_per_batch_and_per_sample(monkey
     # through continual: every member's every step reaches the module attribute
     settings = continual.RunSettings(net=model.spec, train=config, ewc_lambda=0.5, n_members=2)
     calls.clear()
-    ens = continual.fit_ensemble(model.spec, samples, config, seed=5, n_members=2)
+    ens = continual.fit_ensemble(model.spec, *standardized_mix(samples), config, seed=5, n_members=2)
     assert len(calls) == 2 * steps and not any(c[2] for c in calls)
     snapshot = ([m.parameters for m in ens.members], [np.ones(model.spec.param_count)] * 2)
     calls.clear()
-    continual._carry_forward(ens, samples, settings, seed=5, task_index=2, snapshot=snapshot)
+    continual._carry_forward(ens, *standardized_mix(samples), settings, seed=5, task_index=2, snapshot=snapshot)
     assert len(calls) == 2 * steps and all(c[2] for c in calls)
 
 
@@ -749,7 +750,9 @@ def ensemble_batch(samples):
 def test_identical_members_match_a_single_member():
     samples = cluster_samples(8, seed=6)
     spec = NetSpec(kind="dense", input_shape=(2, 1), n_classes=2, hidden=(4, 3), seed=2)
-    single = fit_ensemble(spec, samples, TrainConfig(epochs=5, batch_size=4, learning_rate=0.01), seed=0, n_members=1)
+    single = fit_ensemble(
+        spec, *standardized_mix(samples), TrainConfig(epochs=5, batch_size=4, learning_rate=0.01), seed=0, n_members=1
+    )
     member = single.members[0]
     tripled = Ensemble(members=[member, member, member], standardizer=single.standardizer)
     np.testing.assert_array_equal(predict(tripled, samples), predict(single, samples))
@@ -799,7 +802,8 @@ def test_ensemble_accuracy_at_least_median_member_minus_margin():
     held_out = cluster_samples(30, seed=8)
     spec = NetSpec(kind="dense", input_shape=(2, 1), n_classes=2, hidden=(8, 4))
     ens = fit_ensemble(
-        spec, train_samples, TrainConfig(epochs=30, batch_size=8, learning_rate=0.02), seed=4, n_members=5
+        spec, *standardized_mix(train_samples), TrainConfig(epochs=30, batch_size=8, learning_rate=0.02), seed=4,
+        n_members=5,
     )
     labels = held_out.y
     ens_acc = float(np.mean(predict(ens, held_out) == labels))
@@ -815,8 +819,8 @@ def test_fit_ensemble_members_differ_and_are_deterministic():
     samples = cluster_samples(10, seed=9)
     spec = NetSpec(kind="dense", input_shape=(2, 1), n_classes=2, hidden=(4, 3))
     config = TrainConfig(epochs=5, batch_size=4, learning_rate=0.01)
-    a = fit_ensemble(spec, samples, config, seed=5, n_members=3)
-    b = fit_ensemble(spec, samples, config, seed=5, n_members=3)
+    a = fit_ensemble(spec, *standardized_mix(samples), config, seed=5, n_members=3)
+    b = fit_ensemble(spec, *standardized_mix(samples), config, seed=5, n_members=3)
     assert not np.array_equal(a.members[0].parameters, a.members[1].parameters)
     for ma, mb in zip(a.members, b.members, strict=True):
         np.testing.assert_array_equal(ma.parameters, mb.parameters)

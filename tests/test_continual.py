@@ -20,7 +20,7 @@ from pseudoreplay import (
     synthesize_stream,
 )
 from _oracles import split_reference
-from conftest import fisher_weighted_movement, task1_fishers
+from conftest import fisher_weighted_movement, standardized_mix, task1_fishers
 from pseudoreplay import classifier, continual
 from pseudoreplay.classifier import Ensemble, fit_ensemble, init_model, pad_parameters, predict
 from pseudoreplay.continual import STRATEGIES, TaskSequence, split_problems
@@ -179,6 +179,66 @@ def test_splitting_copies_no_test_window():
     assert peak_4 - peak_2 < 48 * added, (peak_2, peak_4)
 
 
+def training_split(stride: int, train_trials: tuple[int, ...]):
+    """from_trials over two classes of three 400-step trials of 2 channels,
+    windows of 50: the sequence, its trials and the bytes it retains."""
+    rng = np.random.default_rng(3)
+    trials = [
+        TimeSeriesTrial(class_id=c, trial_id=t, channels=rng.normal(size=(400, 2)))
+        for c in (0, 1) for t in (1, 2, 3)
+    ]
+    tracemalloc.start()
+    try:
+        seq = TaskSequence.from_trials(trials, window=50, stride=stride, train_trials=train_trials)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    return seq, trials, retained
+
+
+def test_a_one_trial_training_split_is_a_view_of_its_trial():
+    (coarse, _, kept_50), (fine, trials, kept_5) = training_split(50, (1,)), training_split(5, (1,))
+    for p in (0, 1):
+        assert np.shares_memory(fine.train[p].x, trials[3 * p].channels)  # trial 1 of class p
+        assert not fine.train[p].x.flags.writeable
+    added = sum(len(fine.train[p]) + sum(map(len, fine.test[p])) for p in (0, 1))
+    added -= sum(len(coarse.train[p]) + sum(map(len, coarse.test[p])) for p in (0, 1))
+    # y and source take 24 bytes per window; a copy of a training window would take 800
+    assert kept_5 - kept_50 < 32 * added, (kept_50, kept_5)
+
+    both, trials, _ = training_split(5, (1, 2))
+    for p in (0, 1):
+        assert len(both.train[p]) == 2 * 71
+        assert not any(np.shares_memory(both.train[p].x, t.channels) for t in trials)
+
+
+def ewc_peak_in_mix_bytes() -> float:
+    """tracemalloc's peak while a 2-member ewc run trains and evaluates two
+    tasks, in bytes of its task-1 training mix (4,002 windows of (50, 2))."""
+    rng = np.random.default_rng(9)
+    trials = [
+        TimeSeriesTrial(class_id=c, trial_id=t, channels=rng.normal(3.0 * c, 1.0, size=(10050, 2)))
+        for c in range(3) for t in (1, 2)
+    ]
+    seq = TaskSequence.from_trials(trials, window=50, stride=5)
+    net = NetSpec(kind="dense", input_shape=(50, 2), n_classes=2, hidden=(4, 4))
+    settings = RunSettings(net=net, train=TrainConfig(epochs=1, batch_size=256), n_members=2)
+    mix_bytes = (len(seq.train[0]) + len(seq.train[1])) * seq.window * seq.channels * 8
+    tracemalloc.start()
+    try:
+        run_strategy("ewc", seq, settings, seed=1)
+        return tracemalloc.get_traced_memory()[1] / mix_bytes
+    finally:
+        tracemalloc.stop()
+
+
+def test_an_ewc_task_holds_its_training_mix_once():
+    # the mix itself, the Fisher's squared input rows and narrow activations;
+    # one more standardized copy of the mix would take the peak past 3
+    peak = ewc_peak_in_mix_bytes()
+    assert peak < 2.75, f"peak {peak:.2f} x the training mix"
+
+
 # ------------------------------------------------------------------ pseudo replay
 
 
@@ -196,7 +256,8 @@ def test_evaluation_runs_each_member_forward_once(small_seq, monkeypatch):
     # blocks of 4 windows split the 9-window class parts unevenly
     monkeypatch.setattr(continual, "_EVAL_BLOCK", 4 * 50 * 2)
     ens = fit_ensemble(
-        small_net(3), Windows.concat(small_seq.train), TrainConfig(epochs=2), seed=3, n_members=3
+        small_net(3), *standardized_mix(Windows.concat(small_seq.train)), TrainConfig(epochs=2), seed=3,
+        n_members=3,
     )
     seen = {id(m): [] for m in ens.members}
     real = classifier.forward
@@ -219,7 +280,8 @@ def test_evaluation_runs_each_member_forward_once(small_seq, monkeypatch):
 def test_blocked_evaluation_equals_one_block(small_seq, monkeypatch):
     for net in (small_net(3), replace(small_net(3), kind="conv")):
         ens = fit_ensemble(
-            net, Windows.concat(small_seq.train), TrainConfig(epochs=5), seed=4, n_members=4
+            net, *standardized_mix(Windows.concat(small_seq.train)), TrainConfig(epochs=5), seed=4,
+            n_members=4,
         )
         monkeypatch.setattr(continual, "_EVAL_BLOCK", 1 << 30)
         cm, report, spread = continual._evaluate(ens, small_seq, 2)
@@ -380,7 +442,7 @@ def test_finetune_task1_equals_a_plain_ensemble(small_seq):
     mix = Windows.concat([small_seq.train[0], small_seq.train[1]])
     plain = fit_ensemble(
         NetSpec(kind="dense", input_shape=(50, 2), n_classes=2, hidden=(16, 8)),
-        mix,
+        *standardized_mix(mix),
         FAST,
         seed=derive_seed(5, "task", 1),
         n_members=3,
@@ -454,7 +516,7 @@ def _carry_with_anchor(lam: float, config: TrainConfig):
     ens = Ensemble(members=[member], standardizer=fit_standardizer(mix))
     settings = RunSettings(net=member.spec, train=config, ewc_lambda=lam, n_members=1)
     snapshot = ([member.parameters], [np.ones(member.spec.param_count)])
-    continual._carry_forward(ens, mix, settings, seed=3, task_index=2, snapshot=snapshot)
+    continual._carry_forward(ens, *standardized_mix(mix), settings, seed=3, task_index=2, snapshot=snapshot)
 
 
 def test_stiff_anchor_warns_before_training(capsys):
@@ -662,6 +724,27 @@ def test_compare_strategies_refuses_a_variant_name_before_training(small_seq, mo
     with pytest.raises(ConfigurationError) as err:
         compare_strategies(small_seq, settings, ("baseline",), 1, 0, {"ok": small_net(), name: small_net()})
     assert err.value.field == "name"
+
+
+@pytest.mark.parametrize("net, message", [
+    (None, "net must be a NetSpec or a non-empty list of them, got None"),
+    ([small_net()], "need one net spec or 2, got 1"),
+])
+def test_compare_strategies_judges_every_variant_net_before_training(small_seq, monkeypatch, net, message):
+    real = continual.fit_ensemble
+    fits = []
+
+    def counting(*args, **kwargs):
+        fits.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(continual, "fit_ensemble", counting)
+    settings = RunSettings(net=small_net(), train=FAST, n_members=1)
+    with pytest.raises(ConfigurationError) as err:
+        compare_strategies(small_seq, settings, ("baseline", "rcl"), 1, 0, {"a": small_net(), "b": net})
+    assert str(err.value) == f"variant 'b': {message}"
+    assert err.value.field == "net"
+    assert fits == []
 
 
 # -------------------------------------------------- mixed classifier variants

@@ -185,6 +185,51 @@ def test_standardize_round_trip():
     np.testing.assert_allclose(back.reshape(samples.x.shape), samples.x, atol=1e-9)
 
 
+def test_fit_standardizer_is_bit_equal_to_numpy():
+    rows = data._STANDARDIZE_BLOCK // 100  # rows of one block at 100 features
+    rng = np.random.default_rng(12)
+    shapes = [(rows - 1, 100), (rows, 100), (rows + 1, 100), (3 * rows + 7, 100)]
+    shapes.append((3 * data._STANDARDIZE_BLOCK + 5, 1))  # one feature: numpy sums it pairwise
+    for n, d in shapes:
+        x = rng.normal(3.0, 2.0, size=(n, d)) * rng.uniform(0.1, 10.0, size=d)
+        if d > 1:
+            x[:, 7] = 0.1  # a constant feature, whose std falls back to 1.0
+        params = fit_standardizer(Windows(x.reshape(n, -1, 1), np.zeros(n), np.zeros((n, 2))))
+        sd = x.std(axis=0)
+        for name, got, want in (
+            ("mean", params.mean, x.mean(axis=0)),
+            ("std", params.std, np.where(sd < 1e-12, 1.0, sd)),
+        ):
+            assert got.tobytes() == want.tobytes(), (
+                f"[{n}, {d}]: fit_standardizer's {name} differs from numpy's x.{name}(axis=0)."
+                " This numpy does not sum axis 0 row by row, so the blocked sum no longer"
+                " reproduces it and a run's floats would change"
+            )
+
+
+def test_fit_standardizer_holds_no_full_size_temporary():
+    n = 3723  # rows of rcl's task-2 mix in the window_flood benchmark
+    samples = Windows(np.random.default_rng(13).normal(size=(n, 50, 2)), np.zeros(n), np.zeros((n, 2)))
+    tracemalloc.start()
+    try:
+        fit_standardizer(samples)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, f"peak {peak} bytes; one full-size temporary is {samples.x.nbytes}"
+
+
+def test_standardizing_in_place_equals_the_copy():
+    rng = np.random.default_rng(14)
+    samples = samples_from_rows(rng.normal(3.0, 2.5, size=(40, 6)))
+    params = fit_standardizer(samples)
+    copy = apply_standardizer(params, samples)
+    x = samples.x
+    in_place = apply_standardizer(params, samples, out=samples.x)
+    assert in_place.x is x and copy.x is not x
+    assert in_place.x.tobytes() == copy.x.tobytes()
+
+
 def test_standardizer_rejects_mixed_shapes():
     # windows of two shapes can only meet in a concat, which refuses them
     a = samples_from_rows([[0.0, 0.0]])

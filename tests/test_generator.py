@@ -8,8 +8,11 @@ from hypothesis import strategies as st
 from pseudoreplay import (
     SYNTHETIC_TRIAL_ID,
     ClassGenerator,
+    TimeSeriesTrial,
+    Windows,
     fit_generator,
     generate,
+    window_trial,
 )
 from pseudoreplay.errors import ConfigurationError, DataFormatError
 from pseudoreplay import generator
@@ -137,6 +140,24 @@ def test_gemm_ranked_table_equals_the_direct_ranking(block_rows, monkeypatch):
             want = direct_neighbor_table(memory, k)
             assert got.shape == want.shape, f"{name}, k={k}"
             assert np.array_equal(got, want), f"{name}, k={k}: tables differ"
+
+
+@pytest.mark.parametrize("block_rows", [None, 1, 7])
+def test_a_generator_on_an_overlapping_view_matches_one_on_a_copy(block_rows, monkeypatch):
+    # a class's one training trial reaches fit_generator as window_trial's
+    # read-only view, whose rows overlap at a stride below the window
+    trial = TimeSeriesTrial(class_id=0, trial_id=1, channels=np.random.default_rng(15).normal(size=(600, 2)))
+    view = window_trial(trial, 50, stride=5)
+    copy = Windows(view.x.copy(), view.y, view.source)
+    if block_rows is not None:
+        monkeypatch.setattr(generator, "_GRAM_BLOCK", block_rows * len(view))
+    on_view, on_copy = fit_generator(0, view, k=5, seed=2), fit_generator(0, copy, k=5, seed=2)
+    assert np.shares_memory(on_view.memory, trial.channels)  # the flattening copies nothing
+    np.testing.assert_array_equal(on_view.neighbors, on_copy.neighbors)
+    np.testing.assert_array_equal(on_view.neighbors, direct_neighbor_table(on_copy.memory, 5))
+    for count in (30, 400):
+        drawn_view, drawn_copy = generate(on_view, count, seed=4), generate(on_copy, count, seed=4)
+        assert drawn_view.x.tobytes() == drawn_copy.x.tobytes()
 
 
 def test_neighbor_table_memory_stays_bounded_as_the_memory_grows():
