@@ -34,7 +34,6 @@ from .errors import (
 # trial_id used to tag generator output in Windows.source
 SYNTHETIC_TRIAL_ID = -1
 _READ_BLOCK = 1 << 18  # bytes of trial CSV that load_trials reads, decodes and parses at a time
-_STANDARDIZE_BLOCK = 1 << 15  # elements of squared deviations that fit_standardizer holds at a time
 
 
 @dataclass(eq=False)
@@ -192,33 +191,13 @@ def fit_standardizer(windows: Windows) -> StandardizationParams:
 
     Features with std below 1e-12 get std 1.0 so constant channels pass
     through centered instead of dividing by ~0.
-
-    The squared deviations are summed over blocks of _STANDARDIZE_BLOCK
-    elements, never over a full-size copy. Each block is reduced with the
-    running sum as its first row, the row order of numpy's own axis-0 sum,
-    so mean and std equal x.mean(axis=0) and x.std(axis=0) bit for bit.
-    numpy sums a single feature pairwise, not row by row, so one feature
-    takes one block: its copy is one float per window.
     """
     n = len(windows)
     if not n:
         raise ConfigurationError("cannot fit standardizer on no windows")
     x = windows.x.reshape(n, -1)
-    d = x.shape[1]
-    mean = x.mean(axis=0)
-    step = n if d == 1 else max(1, _STANDARDIZE_BLOCK // d)
-    block = np.empty((min(n, step) + 1, d))  # row 0 holds the running sum
-    for lo in range(0, n, step):
-        rows = min(step, n - lo)
-        dev = np.subtract(x[lo : lo + rows], mean, out=block[1 : rows + 1])
-        np.square(dev, out=dev)
-        if lo:
-            block[0] = total
-            dev = block[: rows + 1]
-        total = dev.sum(axis=0)
-    sd = np.sqrt(total / n)
-    sd = np.where(sd < 1e-12, 1.0, sd)
-    return StandardizationParams(mean=mean, std=sd)
+    sd = x.std(axis=0)
+    return StandardizationParams(mean=x.mean(axis=0), std=np.where(sd < 1e-12, 1.0, sd))
 
 
 def apply_standardizer(

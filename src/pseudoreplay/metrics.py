@@ -72,28 +72,12 @@ def metrics(cm: ConfusionMatrix) -> MetricReport:
     pred_totals = counts.sum(axis=0)
     true_totals = counts.sum(axis=1)
 
-    degenerate: list[int] = []
-    n = cm.n_classes
-    precision = np.zeros(n)
-    recall = np.zeros(n)
-    f_score = np.zeros(n)
-    for c in range(n):
-        hit_zero = False
-        if pred_totals[c] > 0:
-            precision[c] = tp[c] / pred_totals[c]
-        else:
-            hit_zero = True
-        if true_totals[c] > 0:
-            recall[c] = tp[c] / true_totals[c]
-        else:
-            hit_zero = True
-        denom = precision[c] + recall[c]
-        if denom > 0:
-            f_score[c] = 2.0 * precision[c] * recall[c] / denom
-        else:
-            hit_zero = True
-        if hit_zero:
-            degenerate.append(c)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        precision = np.where(pred_totals > 0, tp / pred_totals, 0.0)
+        recall = np.where(true_totals > 0, tp / true_totals, 0.0)
+        denom = precision + recall
+        f_score = np.where(denom > 0, 2.0 * precision * recall / denom, 0.0)
+    degenerate = np.flatnonzero((pred_totals == 0) | (true_totals == 0) | (denom == 0)).tolist()
     if degenerate:
         warnings.warn(
             f"0/0 in metrics for classes {degenerate}, reported as 0.0", MetricWarning

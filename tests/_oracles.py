@@ -261,10 +261,11 @@ def counting_confusion(y_true, y_pred, n_classes: int) -> np.ndarray:
 def metric_oracle(cm: np.ndarray) -> dict:
     """Per-class precision/recall/F and macro averages, pure Python loops.
 
-    0/0 cases are defined as 0, matching the package's guard.
+    0/0 cases are defined as 0, matching the package's guard; "zero_division"
+    lists the classes where one was hit.
     """
     n = cm.shape[0]
-    precision, recall, f_score = [], [], []
+    precision, recall, f_score, zero_division = [], [], [], []
     for c in range(n):
         tp = float(cm[c, c])
         col = float(sum(cm[r, c] for r in range(n)))
@@ -272,6 +273,8 @@ def metric_oracle(cm: np.ndarray) -> dict:
         p = tp / col if col > 0 else 0.0
         r = tp / row if row > 0 else 0.0
         f = 2.0 * p * r / (p + r) if (p + r) > 0 else 0.0
+        if not (col > 0 and row > 0 and p + r > 0):
+            zero_division.append(c)
         precision.append(p)
         recall.append(r)
         f_score.append(f)
@@ -279,6 +282,7 @@ def metric_oracle(cm: np.ndarray) -> dict:
         "precision": precision,
         "recall": recall,
         "f": f_score,
+        "zero_division": tuple(zero_division),
         "macro_precision": sum(precision) / n,
         "macro_recall": sum(recall) / n,
         "macro_f": sum(f_score) / n,

@@ -232,30 +232,51 @@ def test_run_with_classifier_variants(tmp_path):
     assert methods == {"baseline/cnn", "baseline/mlp", "rcl/cnn", "rcl/mlp"}
 
 
-# sha256 of the pinned run's files, and the numeric environment that made them
+# sha256 of the pinned runs' files, and the numeric environment that made them
 PINNED_ENVIRONMENT = {"python": "3.11.7", "numpy": "2.4.6", "blas": "scipy-openblas 0.3.31.188.0"}
 PINNED_DIGESTS = {
-    "metrics.csv": "87ac797322e76a563374d4c60e1e4f2cb16a4bd2e9b2eb4eb2569cc9e53b02a8",
-    "report.md": "cff545f2f8a3e1615077203d1f936a2e3a20670b9c4bacca5ae4760a8f55f6b0",
+    "variants": {
+        "metrics.csv": "87ac797322e76a563374d4c60e1e4f2cb16a4bd2e9b2eb4eb2569cc9e53b02a8",
+        "report.md": "cff545f2f8a3e1615077203d1f936a2e3a20670b9c4bacca5ae4760a8f55f6b0",
+    },
+    "csv": {
+        "metrics.csv": "2df9cd791c9d1f0d22d3480473a9b1a5f82875c5a81512b3d0f605ae27b6d15b",
+        "report.md": "eec3a3ba5044c04d705ba119a09633c77e823ee10555fb1d90f5447c9fdc2c70",
+    },
 }
 
 
-def test_a_small_variant_run_writes_pinned_bytes(tmp_path):
+def pinned_run_doc(case: str, tmp_path) -> dict:
+    if case == "variants":
+        # finetune and ewc cannot follow a net that switches, so both variants
+        # keep the base architecture; they are listed out of name order on purpose
+        return run_config_doc(
+            strategies=["rcl", "ewc", "finetune", "baseline"], repetitions=2, ensemble_size=1,
+            train={"epochs": 2, "batch_size": 16, "learning_rate": 0.01},
+            variants=[{"name": name, "net": {"kind": "dense", "hidden": [8, 4]}} for name in "ba"],
+        )
+    # a trial CSV at stride 5: the loader, the standardizer, ewc's Fisher and
+    # rcl's generator all see overlapping windows
+    csv_path = tmp_path / "trials.csv"
+    stream = default_synthetic_config(seed=11, trial_length=450, trials_per_class=2)
+    save_trials(csv_path, synthesize_stream(stream))
+    return run_config_doc(
+        data={"csv": str(csv_path)}, stride=5, strategies=["ewc", "rcl"], ensemble_size=1,
+        train={"epochs": 2, "batch_size": 16, "learning_rate": 0.01},
+    )
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_DIGESTS))
+def test_a_small_variant_run_writes_pinned_bytes(tmp_path, case):
     env = {key: numeric_environment()[key] for key in PINNED_ENVIRONMENT}
     if env != PINNED_ENVIRONMENT:
         pytest.skip(f"digests pinned under {PINNED_ENVIRONMENT}, this is {env}")
-    # finetune and ewc cannot follow a net that switches, so both variants keep
-    # the base architecture; they are listed out of name order on purpose
-    doc = run_config_doc(
-        strategies=["rcl", "ewc", "finetune", "baseline"], repetitions=2, ensemble_size=1,
-        train={"epochs": 2, "batch_size": 16, "learning_rate": 0.01},
-        variants=[{"name": name, "net": {"kind": "dense", "hidden": [8, 4]}} for name in "ba"],
-    )
-    cfg = write_json(tmp_path / "exp.json", doc)
+    cfg = write_json(tmp_path / "exp.json", pinned_run_doc(case, tmp_path))
     out = tmp_path / "r"
     assert main(["run", "--config", cfg, "--out", str(out)]) == 0
-    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in PINNED_DIGESTS}
-    assert digests == PINNED_DIGESTS
+    want = PINNED_DIGESTS[case]
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in want}
+    assert digests == want
 
 
 def test_run_strategy_failure_exits_1_with_failed_manifest(tmp_path, capsys):
