@@ -202,12 +202,16 @@ def _plan(
                 check_carried(cfg.strategies, variants[variant.name])
             except ConfigurationError as exc:
                 problems.append(ConfigurationError(f"field '{path}': {exc}"))
+    return specs.get("net"), variants, problems + _out_dir_problems(out)
+
+
+def _out_dir_problems(out: Path) -> list[ConfigurationError]:
+    """Why `out` cannot be made an output directory: its nearest existing
+    path is not a directory, judged without creating anything."""
     existing = next((p for p in (out, *out.parents) if os.path.exists(p)), Path("."))
-    if not os.path.isdir(existing):  # judged without creating anything
-        problems.append(ConfigurationError(
-            f"cannot create output directory {out}: {existing} is not a directory"
-        ))
-    return specs.get("net"), variants, problems
+    if os.path.isdir(existing):
+        return []
+    return [ConfigurationError(f"cannot create output directory {out}: {existing} is not a directory")]
 
 
 def cmd_synth(config_path: str, out_path: str) -> int:
@@ -245,8 +249,10 @@ def cmd_run(
         cfg.seed = seed
     if repetitions is not None:
         cfg.repetitions = require_integer("--repetitions", repetitions, least=1)
-    trials, digest = _load_data(cfg)
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
+    if bad_out := _out_dir_problems(out):  # judged before the data, which can take long to read
+        raise bad_out[0]
+    trials, digest = _load_data(cfg)
     net, variants, problems = _plan(cfg, trials, out)
     if problems:
         raise problems[0]

@@ -8,8 +8,9 @@ act on a whole `Windows` at once. A window flattens row-major over
 (timestep, channel), i.e. feature index = t * C + c, and every consumer of
 flat vectors in this package uses that same ordering.
 
-`load_trials` parses a trial CSV in blocks of lines, one np.loadtxt call each,
-and checks them with array operations; its errors name the file and first bad row.
+`load_trials` parses a trial CSV in one pass, one np.loadtxt call, and checks
+it with array operations; the file is re-read whole only to name an error, and
+its errors name the file and first bad row.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .errors import (
 
 # trial_id used to tag generator output in Windows.source
 SYNTHETIC_TRIAL_ID = -1
-_READ_BLOCK = 1 << 18  # bytes of trial CSV that load_trials reads, decodes and parses at a time
 
 
 @dataclass(eq=False)
@@ -241,83 +241,81 @@ def save_trials(path: str | Path, trials: list[TimeSeriesTrial]) -> None:
 def load_trials(path: str | Path) -> list[TimeSeriesTrial]:
     """Parse a trial CSV; errors name the file and the first bad 1-based row.
 
-    Each block of whole lines is parsed in one np.loadtxt call: three int64
-    ids and one float64 per channel, unquoted and comma-separated. It is then
-    checked as a whole, after the row before it: finite values, class_id >= 0,
-    trial_id >= 1, contiguous (class_id, trial_id) groups in strictly
-    increasing order and steps strictly increasing from >= 0 within a group.
-    If the parse fails, the first failing line is found by bisection, and the
-    checks run on the rows before it, so of several problems (bytes that are
-    not UTF-8 included) the earliest is reported, whatever the block size.
+    The data lines are parsed in one pass, by one np.loadtxt call: three int64
+    ids and one float64 per channel, unquoted and comma-separated. The table is
+    then checked as a whole: finite values, class_id >= 0, trial_id >= 1,
+    contiguous (class_id, trial_id) groups in strictly increasing order and
+    steps strictly increasing from >= 0 within a group. If the pass fails, the
+    file is re-read whole to name the problem: the first failing line is found
+    by bisection, and the checks run on the rows before it, so of several
+    problems (bytes that are not UTF-8 included) the earliest is reported.
     """
     path = Path(path)
-    # rows so far, the key of the last one, channel blocks, and each trial's first row and ids
-    done, prev, chs, firsts, ids = 0, np.full(3, -1, dtype=np.int64), [], [], []
-    with path.open("rb") as fh:
-        blocks = _line_blocks(fh, path)
-        rows = next(filter(None, blocks), [])  # the first block holds the whole first line
-        names = (rows.pop(0) if rows else "").split(",")
-        n_chan = len(names) - 3
-        if n_chan < 1 or names != ["class_id", "trial_id", "step"] + [
-            f"ch{i + 1}" for i in range(n_chan)
-        ]:
-            raise DataFormatError(f"{path} row 1: header must be class_id,trial_id,step,ch1..chN")
-        for rows in itertools.chain([rows], blocks):
-            table, bad_line = _parse_until_bad(rows, n_chan)
-            key = np.concatenate([prev[None], table["key"]])  # each row after the row before it
-            prev, key, before = key[-1], key[1:], key[:-1]
-            starts = np.any(key[:, :2] != before[:, :2], axis=1)  # the first row of each trial
-            problem = _first_table_problem(key, table["ch"], before, starts, ids)
-            if problem is None and bad_line is not None:
-                problem = bad_line, _line_problem(rows[bad_line], n_chan)
-            if problem is not None:
-                raise DataFormatError(f"{path} row {done + problem[0] + 2}: {problem[1]}")
-            chs.append(np.ascontiguousarray(table["ch"]))
-            firsts += (done + np.flatnonzero(starts)).tolist()
-            ids += key[starts, :2].tolist()
-            done += len(key)
-    if not done:
-        raise DataFormatError(f"{path}: no data rows")
-    return [
-        TimeSeriesTrial(class_id=c, trial_id=t, channels=part)
-        for (c, t), part in zip(ids, np.split(np.concatenate(chs), firsts[1:]))
-    ]
+    try:
+        with path.open(encoding="utf-8") as fh:  # universal newlines: each line ends in \n
+            n_chan = _channel_count(path, fh.readline().removesuffix("\n"))
+            table, problem = _parse_rows(fh, n_chan), None
+    except ValueError:  # a bad header, a line that does not parse, or bytes that are not UTF-8
+        table, problem = _parse_to_first_problem(path)
+    key = table["key"]
+    starts = np.ones(len(key), dtype=bool)  # the first row of each trial
+    starts[1:] = np.any(key[1:, :2] != key[:-1, :2], axis=1)
+    problem = _first_table_problem(key, table["ch"], starts) or problem
+    if problem or not len(key):
+        raise DataFormatError(f"{path}{problem or ': no data rows'}")
+    parts = np.split(np.ascontiguousarray(table["ch"]), np.flatnonzero(starts)[1:])
+    return [TimeSeriesTrial(c, t, part) for (c, t), part in zip(key[starts, :2].tolist(), parts)]
 
 
-def _line_blocks(fh, path: Path):
-    """Lists of the whole lines in about _READ_BLOCK bytes of the binary file
-    fh, read as UTF-8 in text mode; a byte that is not UTF-8 raises a
-    DataFormatError naming its place in the file once the lines before it are yielded."""
-    buf, offset, more = bytearray(), 0, True  # offset: where buf starts in the file
-    while more:
-        more = fh.read(_READ_BLOCK)
-        buf += more
-        new = -len(more) - 1  # a line end is in `more`, or a \r held back as maybe half a \r\n
-        cut = max(buf.rfind(b"\n", new), buf.rfind(b"\r", new, -1)) + 1 if more else len(buf)
-        chunk = buf[:cut]
-        del buf[:cut]
-        try:
-            text, error = chunk.decode("utf-8"), None
-        except UnicodeDecodeError as exc:
-            good = chunk[: exc.start]
-            text = good[: max(good.rfind(b"\n"), good.rfind(b"\r")) + 1].decode()
-            error = UnicodeDecodeError(exc.encoding, bytes(offset) + chunk, offset + exc.start,
-                                       offset + exc.end, exc.reason)  # placed in the file
-        lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-        yield lines[:-1] if lines[-1] == "" else lines  # a final line end adds no line
-        if error is not None:
-            raise DataFormatError(f"{path}: not UTF-8 text: {error}")
-        offset += cut
+def _parse_to_first_problem(path: Path) -> tuple[np.ndarray, str | None]:
+    """The parsed rows of a trial CSV before its first data line that does not
+    parse, and that line's problem or, if it comes first, the first bytes that
+    are not UTF-8; a bad header raises. The file is decoded whole, so a decode
+    error's position is its offset in the file."""
+    raw = path.read_bytes()
+    try:
+        text, problem = raw.decode("utf-8"), None
+    except UnicodeDecodeError as exc:
+        good = raw[: exc.start]
+        text = good[: max(good.rfind(b"\n"), good.rfind(b"\r")) + 1].decode()  # its whole lines
+        problem = f": not UTF-8 text: {exc}"
+    if problem and not text:
+        raise DataFormatError(f"{path}{problem}")
+    # a final line end adds no line
+    rows = text.replace("\r\n", "\n").replace("\r", "\n").removesuffix("\n").split("\n")
+    n_chan = _channel_count(path, rows[0])
+    table, bad = _parse_until_bad(rows[1:], n_chan)
+    if bad is not None:
+        problem = f" row {bad + 2}: {_line_problem(rows[bad + 1], n_chan)}"
+    return table, problem
 
 
-def _parse_rows(rows: list[str], n_chan: int) -> np.ndarray:
-    """One record per line: int64 key (class_id, trial_id, step), float64 ch."""
+def _channel_count(path: Path, header: str) -> int:
+    """C for the header line class_id,trial_id,step,ch1..chC; any other line raises."""
+    names = header.split(",")
+    n_chan = len(names) - 3
+    if n_chan < 1 or names != ["class_id", "trial_id", "step"] + [f"ch{i + 1}" for i in range(n_chan)]:
+        raise DataFormatError(f"{path} row 1: header must be class_id,trial_id,step,ch1..chN")
+    return n_chan
+
+
+def _parse_rows(lines, n_chan: int) -> np.ndarray:
+    """One record per line: int64 key (class_id, trial_id, step), float64 ch.
+    A blank line, which np.loadtxt would skip, raises a ValueError as a line
+    that does not parse does."""
     dtype = np.dtype([("key", np.int64, (3,)), ("ch", np.float64, (n_chan,))])
-    if not rows:
+    lines = iter(lines)
+    first = next(lines, None)
+    if first is None:
         return np.zeros(0, dtype=dtype)
-    if "" in rows:  # np.loadtxt would skip it
+    if first in ("", "\n"):  # np.loadtxt would also warn of no data if every line were blank
         raise ValueError("blank line")
-    return np.loadtxt(rows, dtype=dtype, delimiter=",", comments=None, quotechar=None, ndmin=1)
+    handed = itertools.count()  # zip takes a line, then a count, so next(handed) is the lines taken
+    lines = (line for line, _ in zip(itertools.chain([first], lines), handed))
+    table = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, quotechar=None, ndmin=1)
+    if len(table) != next(handed):
+        raise ValueError("blank line")
+    return table
 
 
 def _parse_until_bad(rows: list[str], n_chan: int) -> tuple[np.ndarray, int | None]:
@@ -328,19 +326,15 @@ def _parse_until_bad(rows: list[str], n_chan: int) -> tuple[np.ndarray, int | No
     known to hold the first bad line finds it in O(log n) parse calls that
     read about 2n lines in all.
     """
-    try:
-        return _parse_rows(rows, n_chan), None
-    except ValueError:
-        pass
-    parsed, lo, hi = [_parse_rows([], n_chan)], 0, len(rows)
-    while hi - lo > 1:  # rows[:lo] parse; the first bad line is in [lo, hi)
+    parsed, lo, hi = [_parse_rows([], n_chan)], 0, len(rows) + 1
+    while hi - lo > 1:  # rows[:lo] parse; the first bad line is in [lo, hi), len(rows) for none
         mid = (lo + hi) // 2
         try:
             parsed.append(_parse_rows(rows[lo:mid], n_chan))
             lo = mid
         except ValueError:
             hi = mid
-    return np.concatenate(parsed), lo
+    return np.concatenate(parsed), lo if lo < len(rows) else None
 
 
 def _line_problem(row: str, n_chan: int) -> str | None:
@@ -355,34 +349,33 @@ def _line_problem(row: str, n_chan: int) -> str | None:
     return None
 
 
-def _first_table_problem(key, ch, prev_key, starts, earlier: list) -> tuple[int, str] | None:
-    """(row index, reason) of the earliest row the table checks reject, given the
-    key and channel rows, each row's predecessor key, which rows start a trial,
-    and the [class_id, trial_id] of the trials before the table."""
-    decreasing = starts & (
-        (key[:, 0] < prev_key[:, 0])
-        | ((key[:, 0] == prev_key[:, 0]) & (key[:, 1] < prev_key[:, 1]))
-    )
-    prev_step = np.where(starts, -1, prev_key[:, 2])
+def _first_table_problem(key, ch, starts) -> str | None:
+    """The message ' row N: reason' for the earliest row the table checks
+    reject, given the key and channel rows and which rows start a trial."""
+    cls, trial, step = key.T
+    decreasing, step_back = np.zeros(len(key), dtype=bool), np.zeros(len(key), dtype=bool)
+    decreasing[1:] = (cls[1:] < cls[:-1]) | ((cls[1:] == cls[:-1]) & (trial[1:] < trial[:-1]))
+    step_back[1:] = step[1:] <= step[:-1]
 
     def unordered(i: int) -> str:
         c, t = key[i, :2].tolist()
-        if [c, t] in earlier or np.all(key[:i, :2] == (c, t), axis=1).any():
+        if np.all(key[:i, :2] == (c, t), axis=1).any():
             return f"rows of class {c} trial {t} are not contiguous"
         return "rows not sorted by (class_id, trial_id)"
 
     checks = [
         (~np.isfinite(ch).all(axis=1), lambda i: "non-finite value"),
-        (key[:, 0] < 0, lambda i: f"class_id must be >= 0, got {key[i, 0]}"),
-        (key[:, 1] < 1, lambda i: f"trial_id must be >= 1, got {key[i, 1]}"),
+        (cls < 0, lambda i: f"class_id must be >= 0, got {cls[i]}"),
+        (trial < 1, lambda i: f"trial_id must be >= 1, got {trial[i]}"),
         (decreasing, unordered),
-        (key[:, 2] <= prev_step, lambda i: f"step {key[i, 2]} not increasing within trial {key[i, 1]}"),
+        (np.where(starts, step < 0, step_back),
+         lambda i: f"step {step[i]} not increasing within trial {trial[i]}"),
     ]
     found = [(int(np.flatnonzero(bad)[0]), say) for bad, say in checks if bad.any()]
     if not found:
         return None
     i, say = min(found, key=lambda f: f[0])
-    return i, say(i)
+    return f" row {i + 2}: {say(i)}"  # file row 1 is the header
 
 
 # ---------------------------------------------------------------------------

@@ -17,15 +17,10 @@ def knn_bruteforce(memory: np.ndarray, index: int, k: int) -> list[int]:
 
     Euclidean distance, ties broken toward the lower index.
     """
-    query = memory[index]
-    scored = []
-    for j in range(memory.shape[0]):
-        if j == index:
-            continue
-        d = math.sqrt(float(np.sum((memory[j] - query) ** 2)))
-        scored.append((d, j))
-    scored.sort()  # (distance, index) lexicographic: lower index wins ties
-    return [j for _, j in scored[:k]]
+    distance = np.sqrt(np.sum((memory - memory[index]) ** 2, axis=1))
+    others = np.flatnonzero(np.arange(memory.shape[0]) != index)
+    order = np.lexsort((others, distance[others]))  # by distance, then lower index
+    return others[order[:k]].tolist()
 
 
 def direct_neighbor_table(memory: np.ndarray, k: int) -> np.ndarray:

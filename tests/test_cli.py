@@ -685,6 +685,7 @@ def test_rcl_with_a_one_window_class_exits_2_before_training(tmp_path, capsys, m
             for fault in ("config is a directory", "config is not UTF-8")
         ],
         ("run", "--out is a file"),
+        ("run", "--out is a file and the data CSV is bad"),
         ("run", "--out lies under a file"),
         ("run", "out_dir lies under a file"),
         ("validate", "out_dir is a file"),
@@ -698,12 +699,16 @@ def test_unusable_paths_exit_2_naming_the_path(tmp_path, capsys, command, fault)
     blocker.write_text("x", encoding="utf-8")
     out = {
         "--out is a file": blocker,
+        "--out is a file and the data CSV is bad": blocker,
         "out_dir is a file": blocker,
         "--out lies under a file": blocker / "r",
         "out_dir lies under a file": blocker / "r",
         "--out is a directory": tmp_path / "dir",
     }.get(fault, tmp_path / "r")
     doc = small_data_doc()["synthetic"] if command == "synth" else run_config_doc()
+    if fault.endswith("the data CSV is bad"):  # the path is judged before the data is read
+        (tmp_path / "data.csv").write_text("not a trial CSV\n", encoding="utf-8")
+        doc["data"] = {"csv": str(tmp_path / "data.csv")}
     cfg = tmp_path / "exp.json"
     argv = [command, "--config", str(cfg)]
     if fault.startswith("out_dir"):
