@@ -23,6 +23,7 @@ from pseudoreplay import (
     synthesize_stream,
     window_trial,
 )
+from pseudoreplay import data
 from pseudoreplay.data import window_count
 from pseudoreplay.errors import ConfigurationError, DataFormatError
 
@@ -466,12 +467,66 @@ def test_any_bytes_load_or_raise_a_data_format_error(tmp_path, raw):
     assert trials and all(isinstance(t, TimeSeriesTrial) for t in trials)
 
 
-def test_a_byte_that_is_not_utf8_is_placed_in_the_file(tmp_path):
-    rows = [f"0,1,{step},{step}.5,1" for step in range(20)]
-    raw = (HEADER_2 + "\n".join(rows) + "\n").encode() + b"0,1,20,\xe2\x82,1\n"
+def load_outcome(path):
+    """The loaded trials' ids and channel bytes, or the DataFormatError's message."""
+    try:
+        return [(t.class_id, t.trial_id, t.channels.shape, t.channels.tobytes()) for t in load_trials(path)]
+    except DataFormatError as exc:
+        return str(exc)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(raw=ANY_BYTES)
+def test_the_error_path_changes_no_trial_and_no_message(tmp_path, monkeypatch, raw):
+    path = tmp_path / f"fuzz{next(FUZZ_NAMES)}.csv"
+    path.write_bytes(raw)
+    one_pass = load_outcome(path)
+    real = data._parse_rows
+
+    def lists_only(lines, n_chan):  # the one pass hands over the open file, the error path lists
+        if not isinstance(lines, list):
+            raise ValueError("one pass refused")
+        return real(lines, n_chan)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(data, "_parse_rows", lists_only)
+        assert load_outcome(path) == one_pass
+
+
+# A text-mode reader decodes the file about 8 KB at a time.
+CHUNK = 8192
+
+
+@pytest.mark.parametrize("line_end", ["\n", "\r\n", "\r"])
+def test_a_line_end_across_a_decode_chunk_ends_one_line(tmp_path, line_end):
+    n = 1200  # about 20 KB, so two chunk ends
+    expected = np.column_stack([np.arange(n) + 0.5, np.ones(n)])
+    for pad in range(20):  # longer than a row: some line end meets each byte of a chunk end
+        rows = [f"0,1,0,0.5{'0' * pad},1"] + [f"0,1,{step},{step}.5,1" for step in range(1, n)]
+        path = tmp_path / f"ends{pad}.csv"
+        path.write_bytes((HEADER_2.strip() + line_end + line_end.join(rows) + line_end).encode())
+        (trial,) = load_trials(path)
+        assert (trial.class_id, trial.trial_id) == (0, 1)
+        assert np.array_equal(trial.channels, expected), pad
+
+
+def rows_of_length(n_bytes: int) -> bytes:
+    """A header and rows of trial (0, 1), n_bytes long in all."""
+    raw, step = HEADER_2.encode(), 0
+    while n_bytes - len(raw) > 64:
+        raw += f"0,1,{step},{step}.5,1\n".encode()
+        step += 1
+    pad = n_bytes - len(raw) - len(f"0,1,{step},{step}.5,1\n")
+    return raw + f"0,1,{step},{step}.5{'0' * pad},1\n".encode()
+
+
+# a cut 3-byte sequence early, across the first chunk end, at its start, across the third
+@pytest.mark.parametrize("at", [100, CHUNK - 1, CHUNK, 3 * CHUNK - 1])
+def test_a_byte_that_is_not_utf8_is_placed_in_the_file(tmp_path, at):
+    raw = rows_of_length(at - len("0,1,")) + b"0,1,\xe2\x82,1,1\n" + b"0,1,0,1,1\n" * 10
+    assert raw.index(b"\xe2") == at
     path = tmp_path / "latin.csv"
     path.write_bytes(raw)
-    at = raw.index(b"\xe2")
     assert_names_the_file(path, f"not UTF-8 text: 'utf-8' codec can't decode bytes in position {at}-{at + 1}")
 
 
