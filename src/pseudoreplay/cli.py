@@ -287,7 +287,7 @@ def cmd_validate(config_path: str) -> int:
     try:
         trials, _ = _load_data(cfg)
     except (ConfigurationError, DataFormatError) as exc:
-        problems = [exc]
+        problems = [exc, *_out_dir_problems(Path(cfg.out_dir))]
     else:
         problems = _plan(cfg, trials, Path(cfg.out_dir))[-1]
     for problem in problems:

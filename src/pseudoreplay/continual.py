@@ -217,7 +217,7 @@ class ContinualRun:
     class_ids: list[int]
     tasks: list[TaskResult]
     generators: dict[int, ClassGenerator]  # position -> generator (rcl only)
-    ensembles: list[Ensemble]  # one per task
+    ensembles: list[Ensemble]  # one per task from run_strategy; empty in a ComparisonReport
     memory_footprint: int  # raw previous-class windows retained
 
 
@@ -450,6 +450,7 @@ def run_strategy(
             replay_counts=replay,
             train_provenance=np.column_stack([mix.y, mix.source]),
         ))
+        del mix  # the next task builds its mix, pseudo samples and standardizer without it
 
     if strategy == "rcl":
         footprint = sum(g.memory_size for g in generators.values())
@@ -481,7 +482,10 @@ class StrategySummary:
 
 @dataclass(eq=False)
 class ComparisonReport:
-    """Results keyed by method label: "strategy", or "strategy/variant"."""
+    """Results keyed by method label: "strategy", or "strategy/variant".
+
+    Each kept run holds its seed, task results, generators and footprint but
+    no ensembles; run_strategy returns a run with its models."""
 
     class_ids: list[int]
     repetitions: int
@@ -530,7 +534,9 @@ def compare_strategies(
         try:
             for r in range(repetitions):
                 seed = derive_seed(master_seed, "strategy", strat, "rep", r)
-                strat_runs.append(run_strategy(strat, seq, run_settings, seed))
+                run = run_strategy(strat, seq, run_settings, seed)
+                run.ensembles.clear()  # the report reads no model, so none is kept
+                strat_runs.append(run)
         except PseudoreplayError as exc:
             failures[method] = str(exc)
             continue

@@ -690,6 +690,7 @@ def test_rcl_with_a_one_window_class_exits_2_before_training(tmp_path, capsys, m
         ("run", "out_dir lies under a file"),
         ("validate", "out_dir is a file"),
         ("validate", "out_dir lies under a file"),
+        ("validate", "out_dir lies under a file and the data CSV is bad"),
         ("synth", "--out lies under a file"),
         ("synth", "--out is a directory"),
     ],
@@ -703,10 +704,11 @@ def test_unusable_paths_exit_2_naming_the_path(tmp_path, capsys, command, fault)
         "out_dir is a file": blocker,
         "--out lies under a file": blocker / "r",
         "out_dir lies under a file": blocker / "r",
+        "out_dir lies under a file and the data CSV is bad": blocker / "r",
         "--out is a directory": tmp_path / "dir",
     }.get(fault, tmp_path / "r")
     doc = small_data_doc()["synthetic"] if command == "synth" else run_config_doc()
-    if fault.endswith("the data CSV is bad"):  # the path is judged before the data is read
+    if fault.endswith("the data CSV is bad"):  # run judges the path first; validate lists both
         (tmp_path / "data.csv").write_text("not a trial CSV\n", encoding="utf-8")
         doc["data"] = {"csv": str(tmp_path / "data.csv")}
     cfg = tmp_path / "exp.json"
@@ -729,6 +731,8 @@ def test_unusable_paths_exit_2_naming_the_path(tmp_path, capsys, command, fault)
     # validate prints a config it could read, but cannot run, as violations on stdout
     printed = captured.out if command == "validate" and named == out else captured.err
     assert str(named) in printed
+    if command == "validate" and fault.endswith("the data CSV is bad"):
+        assert "header must be" in printed
     assert blocker.read_text(encoding="utf-8") == "x"
     assert not (tmp_path / "r").exists()
     assert not out.is_dir() or not any(out.iterdir())

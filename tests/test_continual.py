@@ -1,3 +1,4 @@
+import gc
 import tracemalloc
 from dataclasses import replace
 
@@ -651,6 +652,35 @@ def test_comparison_shapes_and_run_retention(small_seq):
         assert comp.runs[strat][0].seed != comp.runs[strat][1].seed
     # identical seeds across strategies would break independence; spot-check
     assert comp.runs["rcl"][0].seed != comp.runs["baseline"][0].seed
+
+
+def kept_by_comparison(seq, settings, repetitions: int):
+    """baseline and rcl compared over `repetitions`, and the bytes tracemalloc
+    still counts once the report is returned and garbage is collected."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        comp = compare_strategies(seq, settings, ("baseline", "rcl"), repetitions, master_seed=5)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    return comp, kept
+
+
+def test_a_comparison_keeps_no_model_per_repetition():
+    seq = TaskSequence.from_trials(
+        synthesize_stream(default_synthetic_config(trial_length=1000, trials_per_class=2)), window=50
+    )
+    net = NetSpec(kind="dense", input_shape=(50, 2), n_classes=3, hidden=(64, 32))
+    settings = RunSettings(net=net, train=TrainConfig(epochs=1, batch_size=32), n_members=5)
+    _, kept_1 = kept_by_comparison(seq, settings, 1)
+    comp, kept_3 = kept_by_comparison(seq, settings, 3)
+    ensemble_bytes = settings.n_members * net.param_count * 8  # the task-2 ensemble
+    assert (kept_3 - kept_1) / 2 < ensemble_bytes, (kept_1, kept_3, ensemble_bytes)
+    assert all(not run.ensembles for runs in comp.runs.values() for run in runs)
+    run = run_strategy("baseline", seq, settings, seed=comp.runs["baseline"][0].seed)
+    assert [ens.n_classes for ens in run.ensembles] == [2, 3]
 
 
 def test_comparison_is_reproducible(small_seq):
