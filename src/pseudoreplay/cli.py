@@ -28,7 +28,7 @@ from .continual import (
     check_variant_name,
     compare_strategies,
     replay_problems,
-    split_problems,
+    split_trials,
 )
 from .data import (
     SyntheticStreamConfig,
@@ -36,7 +36,6 @@ from .data import (
     load_trials,
     save_trials,
     synthesize_stream,
-    window_count,
 )
 from .errors import (
     ConfigurationError,
@@ -176,15 +175,14 @@ def _load_data(cfg: ExperimentConfig) -> tuple[list[TimeSeriesTrial], str]:
 
 
 def _plan(
-    cfg: ExperimentConfig, trials: list[TimeSeriesTrial], out: Path
-) -> tuple[NetSpec | None, dict[str, list[NetSpec]], list]:
-    """The net `run` trains, the per-task nets of each variant, and every
-    reason it would stop before training: the task split's problems, classes
-    too small for rcl's generators, the nets' build errors, carried strategies
-    that cannot follow a variant's net, then an output directory `out` whose
-    nearest existing path is not a directory."""
-    split = (trials, cfg.window, cfg.stride, cfg.train_trials, cfg.classes)
-    problems = split_problems(*split) or replay_problems(cfg.strategies, *split)
+    cfg: ExperimentConfig, trials: list[TimeSeriesTrial]
+) -> tuple[TaskSequence | None, NetSpec | None, dict[str, list[NetSpec]], list]:
+    """The task sequence and net `run` trains, the per-task nets of each
+    variant, and every reason it would stop before training: the task split's
+    problems, classes too small for rcl's generators, the nets' build errors,
+    then carried strategies that cannot follow a variant's net."""
+    seq, problems = split_trials(trials, cfg.window, cfg.stride, cfg.train_trials, cfg.classes)
+    problems = problems or replay_problems(cfg.strategies, seq)
     n_tasks = len(cfg.classes if cfg.classes is not None else {t.class_id for t in trials}) - 1
     docs = {"net": cfg.net} | {f"variants[{i}].net": v.net for i, v in enumerate(cfg.variants)}
     specs = {}
@@ -202,16 +200,23 @@ def _plan(
                 check_carried(cfg.strategies, variants[variant.name])
             except ConfigurationError as exc:
                 problems.append(ConfigurationError(f"field '{path}': {exc}"))
-    return specs.get("net"), variants, problems + _out_dir_problems(out)
+    return seq, specs.get("net"), variants, problems
+
+
+RESULT_FILES = ("manifest.json", "metrics.csv", "report.md")  # what `run` writes, in order
 
 
 def _out_dir_problems(out: Path) -> list[ConfigurationError]:
-    """Why `out` cannot be made an output directory: its nearest existing
-    path is not a directory, judged without creating anything."""
+    """Why `out` cannot be made an output directory, or a result file written
+    in it: its nearest existing path is not a directory, or a directory holds
+    a result file's name. Judged without creating anything."""
     existing = next((p for p in (out, *out.parents) if os.path.exists(p)), Path("."))
-    if os.path.isdir(existing):
-        return []
-    return [ConfigurationError(f"cannot create output directory {out}: {existing} is not a directory")]
+    if not os.path.isdir(existing):
+        return [ConfigurationError(f"cannot create output directory {out}: {existing} is not a directory")]
+    return [
+        ConfigurationError(f"cannot write {out / name}: Is a directory")
+        for name in RESULT_FILES if os.path.isdir(out / name)
+    ]
 
 
 def cmd_synth(config_path: str, out_path: str) -> int:
@@ -253,10 +258,9 @@ def cmd_run(
     if bad_out := _out_dir_problems(out):  # judged before the data, which can take long to read
         raise bad_out[0]
     trials, digest = _load_data(cfg)
-    net, variants, problems = _plan(cfg, trials, out)
+    seq, net, variants, problems = _plan(cfg, trials)
     if problems:
         raise problems[0]
-    seq = TaskSequence.from_trials(trials, cfg.window, cfg.stride, cfg.train_trials, cfg.classes)
     del trials  # the test windows are views of the trials, so this frees no channels
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -268,40 +272,44 @@ def cmd_run(
         ewc_lambda=cfg.ewc_lambda, n_members=cfg.ensemble_size,
     )
     comp = compare_strategies(seq, settings, cfg.strategies, cfg.repetitions, cfg.seed, variants)
-    atomic_write(out / "manifest.json", manifest_json(build_manifest(cfg.to_dict(), comp, digest)))
+    texts = [manifest_json(build_manifest(cfg.to_dict(), comp, digest))]
     if comp.runs:
-        atomic_write(out / "metrics.csv", metrics_csv(comp))
-        atomic_write(out / "report.md", render_report(comp))
+        texts += [metrics_csv(comp), render_report(comp)]
+    for name, text in zip(RESULT_FILES, texts):
+        try:
+            atomic_write(out / name, text)
+        except OSError as exc:  # e.g. a full disk, after training: a runtime failure
+            raise PseudoreplayError(f"cannot write {out / name}: {exc.strerror}") from None
     for method, message in comp.failures.items():
         print(f"FAILED {method}: {message}", file=sys.stderr)
     if comp.failures:
         return 1
-    print(f"wrote {out / 'manifest.json'}, {out / 'metrics.csv'}, {out / 'report.md'}")
+    print("wrote " + ", ".join(str(out / name) for name in RESULT_FILES))
     return 0
 
 
 def cmd_validate(config_path: str) -> int:
     """Check the config and its data: list every reason `run` would stop
-    before training, from run's own pre-flight, or count the windows."""
+    before training, from run's own pre-flight, or count the windows of the
+    split it would train on."""
     cfg = ExperimentConfig.from_dict(_read_json(config_path))
     try:
         trials, _ = _load_data(cfg)
     except (ConfigurationError, DataFormatError) as exc:
-        problems = [exc, *_out_dir_problems(Path(cfg.out_dir))]
+        problems = [exc]
     else:
-        problems = _plan(cfg, trials, Path(cfg.out_dir))[-1]
+        seq, *_, problems = _plan(cfg, trials)
+    problems += _out_dir_problems(Path(cfg.out_dir))
     for problem in problems:
         print(f"violation: {problem}")
     if problems:
         return 2
 
-    wanted = cfg.classes if cfg.classes is not None else sorted({t.class_id for t in trials})
     stride = cfg.stride if cfg.stride is not None else cfg.window
-    print(f"config ok: {len(wanted)} classes, window {cfg.window}, stride {stride}")
-    for c in wanted:
-        cls_trials = [t for t in trials if t.class_id == c]
-        windows = sum(window_count(t.length, cfg.window, cfg.stride) for t in cls_trials)
-        print(f"class {c}: {len(cls_trials)} trials, {windows} windows")
+    print(f"config ok: {len(seq.class_ids)} classes, window {cfg.window}, stride {stride}")
+    for c, train, test in zip(seq.class_ids, seq.train, seq.test):
+        windows = len(train) + sum(map(len, test))
+        print(f"class {c}: {sum(t.class_id == c for t in trials)} trials, {windows} windows")
     return 0
 
 

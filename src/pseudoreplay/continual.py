@@ -48,7 +48,6 @@ from .data import (
     Windows,
     apply_standardizer,
     fit_standardizer,
-    window_count,
     window_trial,
 )
 from .errors import (
@@ -107,81 +106,64 @@ class TaskSequence:
         train_trials: tuple[int, ...] = (1,),
         class_order: list[int] | None = None,
     ) -> "TaskSequence":
-        """Split trials into train (listed trial ids) and test (the rest)."""
-        problems = split_problems(trials, window, stride, train_trials, class_order)
+        """Split trials into train (listed trial ids) and test (the rest), or
+        raise the first of split_trials' problems."""
+        seq, problems = split_trials(trials, window, stride, train_trials, class_order)
         if problems:
             raise problems[0]
-        order = sorted({t.class_id for t in trials}) if class_order is None else list(class_order)
-        train, test = [], []
-        for pos, cid in enumerate(order):
-            mine = sorted((t for t in trials if t.class_id == cid), key=lambda t: t.trial_id)
-            parts = [(t.trial_id in train_trials, window_trial(t, window, stride)) for t in mine]
-            for _, part in parts:
-                part.y[:] = pos
-            train_parts = [part for is_train, part in parts if is_train]
-            train.append(train_parts[0] if len(train_parts) == 1 else Windows.concat(train_parts))
-            test.append([part for is_train, part in parts if not is_train])
-        channels = trials[0].n_channels if trials else 0
-        return cls(class_ids=order, train=train, test=test, window=window, channels=channels)
+        return seq
 
 
-def split_problems(
+def split_trials(
     trials: list[TimeSeriesTrial], window: int, stride: int | None = None,
     train_trials: tuple[int, ...] = (1,), class_order: list[int] | None = None,
-) -> list[PseudoreplayError]:
-    """Every reason TaskSequence.from_trials refuses these arguments, in the
-    order it checks them. Only trial ids and lengths are read, through
-    window_count. from_trials stops at the first trial shorter than the
-    window, so only that one is listed, and no split is judged after it."""
+) -> tuple[TaskSequence | None, list[PseudoreplayError]]:
+    """The task sequence these arguments split into, or None with every
+    reason they do not, in the order they are found. The trials of each class
+    in use are cut by window_trial in trial id order, and cutting stops at the
+    first trial shorter than the window, so only that one is listed, and no
+    split is judged after it."""
     present = sorted({t.class_id for t in trials})
     order = present if class_order is None else list(class_order)
     missing = [c for c in order if c not in present]
     problems = [ConfigurationError(f"classes {missing} not present in the data")] if missing else []
     if len(set(order)) != len(order):
         problems.append(ConfigurationError("class_order contains duplicates"))
-    counts = {c: [0, 0] for c in order if c in present}  # class id -> [training, test] windows
-    by_id = sorted(trials, key=lambda t: t.trial_id)  # stable, as from_trials sorts each class
-    ordered = [t for c in counts for t in by_id if t.class_id == c]
+    parts = {c: ([], []) for c in order if c in present}  # class id -> (training, test) windows
+    by_id = sorted(trials, key=lambda t: t.trial_id)  # stable, so equal ids keep their order
     try:
-        sizes = [window_count(t.length, window, stride) for t in ordered]
+        for t in (t for c in parts for t in by_id if t.class_id == c):
+            parts[t.class_id][t.trial_id not in train_trials].append(window_trial(t, window, stride))
     except ConfigurationError as exc:  # window or stride below 1
-        return problems + [exc]
-    train_ids = set(train_trials)
-    for t, n in zip(ordered, sizes):
-        counts[t.class_id][t.trial_id not in train_ids] += n
-    short = [t for t, n in zip(ordered, sizes) if not n][:1]
-    for t in short:
-        problems.append(DataFormatError(
-            f"trial {t.trial_id} of class {t.class_id}: length {t.length} < window {window}"
-        ))
+        return None, problems + [exc]
+    except DataFormatError as exc:  # a trial shorter than the window: no split is judged after it
+        problems.append(exc)
+        parts = {}
     if len(order) < 2:
         problems.append(ConfigurationError("need at least 2 classes (one task)"))
-    for cid, split in counts.items() if not short else ():
+    for cid, split in parts.items():
         problems += [
             DataFormatError(f"class {cid}: no {kind} windows")
-            for kind, n in zip(("training", "test"), split) if not n
+            for kind, windows in zip(("training", "test"), split) if not windows
         ]
-    return problems
+    if problems:
+        return None, problems
+    for pos, (train, test) in enumerate(parts.values()):
+        for part in train + test:
+            part.y[:] = pos
+    train = [p[0] if len(p) == 1 else Windows.concat(p) for p, _ in parts.values()]
+    test = [test for _, test in parts.values()]
+    return TaskSequence(order, train, test, window, channels=trials[0].n_channels), []
 
 
-def replay_problems(
-    strategies, trials: list[TimeSeriesTrial], window: int, stride: int | None = None,
-    train_trials: tuple[int, ...] = (1,), class_order: list[int] | None = None,
-) -> list[DataFormatError]:
-    """With rcl among `strategies`, one error per class with fewer than the 2
-    training windows its generator needs. Meant for a split that
-    split_problems accepts; it counts windows through window_count too."""
+def replay_problems(strategies, seq: TaskSequence) -> list[DataFormatError]:
+    """With rcl among `strategies`, one error per class of seq with fewer than
+    the 2 training windows its generator needs."""
     if "rcl" not in strategies:
         return []
-    order = sorted({t.class_id for t in trials}) if class_order is None else class_order
-    counts = {
-        cid: sum(window_count(t.length, window, stride)
-                 for t in trials if t.class_id == cid and t.trial_id in train_trials)
-        for cid in order
-    }
     return [
-        DataFormatError(f"class {cid}: rcl needs 2 training windows to fit a generator, got {n}")
-        for cid, n in counts.items() if n < 2
+        DataFormatError(f"class {cid}: rcl needs 2 training windows to fit a generator, got {len(train)}")
+        for cid, train in zip(seq.class_ids, seq.train) if len(train) < 2
     ]
 
 

@@ -1,7 +1,9 @@
 import copy
 import dataclasses
+import errno
 import hashlib
 import json
+import os
 import re
 import tempfile
 from pathlib import Path
@@ -295,6 +297,25 @@ def test_run_strategy_failure_exits_1_with_failed_manifest(tmp_path, capsys):
     assert methods == {"baseline"}
 
 
+@pytest.mark.parametrize("failing", cli.RESULT_FILES)
+def test_a_write_error_after_training_exits_1_naming_the_path(tmp_path, capsys, monkeypatch, failing):
+    real = cli.atomic_write
+
+    def full_disk(path, text):
+        if path.name == failing:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        real(path, text)
+
+    monkeypatch.setattr(cli, "atomic_write", full_disk)
+    doc = run_config_doc(strategies=["baseline"], train={"epochs": 1})
+    cfg = write_json(tmp_path / "exp.json", doc)
+    out = tmp_path / "results"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: cannot write {out / failing}: {os.strerror(errno.ENOSPC)}\n"
+    written = cli.RESULT_FILES[: cli.RESULT_FILES.index(failing)]
+    assert sorted(p.name for p in out.iterdir()) == sorted(written)
+
+
 MLP_AND_CNN = [
     {"name": "a_mlp", "net": {"kind": "dense"}},
     {"name": "b_cnn", "net": {"kind": "conv"}},
@@ -487,23 +508,26 @@ def test_validate_ok_prints_counts(tmp_path, capsys):
     assert "class 0: 2 trials, 18 windows" in out
 
 
-def test_validate_counts_windows_without_cutting_them(tmp_path, capsys, monkeypatch):
-    doc = run_config_doc(stride=7)
+@pytest.mark.parametrize(
+    "override, n_trials",
+    [
+        ({}, 2),
+        # two training trials a class: the training windows are a copy, not a view
+        ({"train_trials": [1, 2], **synthetic_override(trials_per_class=3)}, 3),
+    ],
+    ids=["one-training-trial", "two-training-trials"],
+)
+def test_validate_counts_the_windows_run_cuts(tmp_path, capsys, override, n_trials):
+    doc = run_config_doc(stride=7, **override)
     trials = synthesize_stream(SyntheticStreamConfig.from_dict(doc["data"]["synthetic"]))
     want = {
         c: sum(len(data.window_trial(t, 50, 7)) for t in trials if t.class_id == c)
         for c in (0, 1, 2)
     }
-
-    def cut(*args, **kwargs):
-        raise AssertionError("validate cut a trial into windows")
-
-    monkeypatch.setattr(data, "window_trial", cut)
-    monkeypatch.setattr(cli, "window_trial", cut, raising=False)
     assert main(["validate", "--config", write_json(tmp_path / "exp.json", doc)]) == 0
     out = capsys.readouterr().out
     for c, windows in want.items():
-        assert f"class {c}: 2 trials, {windows} windows" in out
+        assert f"class {c}: {n_trials} trials, {windows} windows" in out
 
 
 def test_validate_flags_oversized_window(tmp_path, capsys):
@@ -691,6 +715,8 @@ def test_rcl_with_a_one_window_class_exits_2_before_training(tmp_path, capsys, m
         ("validate", "out_dir is a file"),
         ("validate", "out_dir lies under a file"),
         ("validate", "out_dir lies under a file and the data CSV is bad"),
+        ("validate", "out_dir holds a directory named metrics.csv"),
+        ("run", "--out holds a directory named metrics.csv"),
         ("synth", "--out lies under a file"),
         ("synth", "--out is a directory"),
     ],
@@ -706,6 +732,8 @@ def test_unusable_paths_exit_2_naming_the_path(tmp_path, capsys, command, fault)
         "out_dir lies under a file": blocker / "r",
         "out_dir lies under a file and the data CSV is bad": blocker / "r",
         "--out is a directory": tmp_path / "dir",
+        "out_dir holds a directory named metrics.csv": tmp_path / "dir",
+        "--out holds a directory named metrics.csv": tmp_path / "dir",
     }.get(fault, tmp_path / "r")
     doc = small_data_doc()["synthetic"] if command == "synth" else run_config_doc()
     if fault.endswith("the data CSV is bad"):  # run judges the path first; validate lists both
@@ -723,19 +751,22 @@ def test_unusable_paths_exit_2_naming_the_path(tmp_path, capsys, command, fault)
         cfg.write_bytes(json.dumps(doc).encode() + b" \xe9")
     else:
         write_json(cfg, doc)
+    left = ["metrics.csv"] if fault.endswith("named metrics.csv") else []
     if fault == "--out is a directory":
         out.mkdir()
+    for name in left:
+        (out / name).mkdir(parents=True)
     assert main(argv) == 2
-    named = cfg if fault.startswith("config") else out
+    named = cfg if fault.startswith("config") else out / left[0] if left else out
     captured = capsys.readouterr()
     # validate prints a config it could read, but cannot run, as violations on stdout
-    printed = captured.out if command == "validate" and named == out else captured.err
+    printed = captured.out if command == "validate" and named != cfg else captured.err
     assert str(named) in printed
     if command == "validate" and fault.endswith("the data CSV is bad"):
         assert "header must be" in printed
     assert blocker.read_text(encoding="utf-8") == "x"
     assert not (tmp_path / "r").exists()
-    assert not out.is_dir() or not any(out.iterdir())
+    assert not out.is_dir() or sorted(p.name for p in out.iterdir()) == left
 
 
 # ------------------------------------------------------------------ config API

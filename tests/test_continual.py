@@ -24,7 +24,7 @@ from _oracles import split_reference
 from conftest import fisher_weighted_movement, standardized_mix, task1_fishers
 from pseudoreplay import classifier, continual
 from pseudoreplay.classifier import Ensemble, fit_ensemble, init_model, pad_parameters, predict
-from pseudoreplay.continual import STRATEGIES, TaskSequence, split_problems
+from pseudoreplay.continual import STRATEGIES, TaskSequence, split_trials
 from pseudoreplay.data import (
     SYNTHETIC_TRIAL_ID,
     ClassSignal,
@@ -132,25 +132,25 @@ def split_arguments(draw):
 
 @settings(max_examples=600, deadline=None, derandomize=True, database=None)
 @given(args=split_arguments())
-def test_split_problems_are_empty_exactly_when_from_trials_succeeds(args):
-    problems = split_problems(*args)
+def test_split_trials_matches_from_trials_and_the_reference(args):
+    seq, problems = split_trials(*args)
     try:
         want = split_reference(*args)
     except PseudoreplayError as exc:
-        assert problems, f"split_problems missed {exc!r}"
+        assert seq is None and problems, f"split_trials missed {exc!r}"
         assert (type(problems[0]), str(problems[0])) == (type(exc), str(exc))
         with pytest.raises(PseudoreplayError) as raised:
             TaskSequence.from_trials(*args)
         assert (type(raised.value), str(raised.value)) == (type(exc), str(exc))
         return
     assert problems == []
-    seq = TaskSequence.from_trials(*args)
-    assert seq.class_ids == want.class_ids
-    tests = [Windows.concat(parts) for parts in seq.test + want.test]
-    for got, ref in zip(seq.train + tests[: len(seq.test)], want.train + tests[len(seq.test):], strict=True):
-        np.testing.assert_array_equal(got.x, ref.x)
-        np.testing.assert_array_equal(got.y, ref.y)
-        np.testing.assert_array_equal(got.source, ref.source)
+    for got in (seq, TaskSequence.from_trials(*args)):
+        assert got.class_ids == want.class_ids
+        for mine, ref in zip(got.train + got.test, want.train + want.test, strict=True):
+            mine, ref = (Windows.concat(w) if isinstance(w, list) else w for w in (mine, ref))
+            for name in ("x", "y", "source"):
+                a, b = getattr(mine, name), getattr(ref, name)
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
 
 
 def split_memory(test_trials: int) -> tuple[int, int]:
