@@ -7,11 +7,12 @@ its weight matrix is [kernel * in_channels, out_channels] with the patch
 flattened row-major over (kernel offset, channel). Dense nets flatten the
 input window row-major over (timestep, channel), matching the standardizer.
 
-A conv layer builds its patches as a sliding-window view of its input, copied
-once into a [batch * positions, kernel * in_channels] matrix. Its forward pass
-and its weight gradient are then one 2-D GEMM each, and the input gradient is
-one GEMM plus one strided add per kernel offset. The gradient is written
-straight into views of one flat buffer laid out like `parameters`.
+A conv layer builds its patches as one strided view of its input, copied
+once, a whole patch row at a time, into a [batch * positions, kernel *
+in_channels] matrix. Its forward pass and its weight gradient are then one
+2-D GEMM each, and the input gradient is one GEMM plus one strided add per
+kernel offset. The gradient is written straight into views of one flat
+buffer laid out like `parameters`.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .data import StandardizationParams, Windows, apply_standardizer
 from .errors import (
@@ -197,10 +198,18 @@ def _as_batch(spec: NetSpec, batch: np.ndarray) -> np.ndarray:
 
 
 def _patches(a: np.ndarray, n: int, layer: _Layer) -> np.ndarray:
-    """im2col: [N * out_len, kernel * in_ch], row-major over (offset, channel)."""
-    windows = sliding_window_view(a.reshape(n, layer.in_len, layer.in_ch), layer.kernel, axis=1)
-    # windows is [N, in_len - kernel + 1, in_ch, kernel]; reshape makes the one copy
-    return windows[:, :: layer.stride].transpose(0, 1, 3, 2).reshape(n * layer.out_len, layer.fan_in)
+    """im2col: [N * out_len, kernel * in_ch], row-major over (offset, channel).
+
+    In a C-contiguous input, patch j is the kernel * in_ch elements from
+    (j * stride, 0) on, so one read-only strided view holds every patch, and
+    reshape copies them a whole patch at a time (or, where the patches tile
+    the input exactly, returns a view).
+    """
+    a = np.ascontiguousarray(a)
+    step = layer.in_ch * a.itemsize  # bytes per input position
+    strides = (layer.in_len * step, layer.stride * step, a.itemsize)
+    view = as_strided(a, (n, layer.out_len, layer.fan_in), strides, writeable=False)
+    return view.reshape(n * layer.out_len, layer.fan_in)
 
 
 def _input_gradient(dz: np.ndarray, w: np.ndarray, n: int, layer: _Layer) -> np.ndarray:
@@ -236,7 +245,11 @@ def _forward_cached(model: NetModel, x: np.ndarray, weights=None):
     for i, (layer, (w, b)) in enumerate(zip(spec._layers, weights)):
         rows = _patches(a, n, layer) if layer.kind == "conv" else a.reshape(n, layer.fan_in)
         a = rows @ w
-        a += b
+        if layer.kind == "conv":  # a tiled row adds the broadcast's bits in longer runs
+            flat = a.reshape(n, -1)  # a view of a
+            flat += np.tile(b, layer.out_len)
+        else:
+            a += b
         if i < last:
             np.maximum(a, 0.0, out=a)
         caches.append((rows, a))
@@ -345,7 +358,12 @@ def loss_and_gradient(
             _squared_gradients(caches[i][0], dz, n, layers[i], gw, gb)
         else:
             np.matmul(caches[i][0].T, dz, out=gw)
-            np.add.reduce(dz, axis=0, out=gb)
+            if layers[i].kind == "conv" and layers[i].fan_out > 1:
+                # sums rows in order, as the reduce does over 2+ columns, and is
+                # faster at conv shapes; the reduce sums 1 column pairwise
+                np.einsum("ij->j", dz, out=gb)
+            else:
+                np.add.reduce(dz, axis=0, out=gb)
         if i == 0:
             break
         if layers[i].kind == "conv":

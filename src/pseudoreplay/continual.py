@@ -83,15 +83,13 @@ class TaskSequence:
     channels: int
 
     def __post_init__(self):
-        if len(self.class_ids) < 2:
-            raise ConfigurationError("need at least 2 classes (one task)")
-        if not (len(self.train) == len(self.test) == len(self.class_ids)):
+        # too few classes is reported ahead of misaligned lists
+        if len(self.class_ids) >= 2 and not (len(self.train) == len(self.test) == len(self.class_ids)):
             raise ConfigurationError("class_ids, train and test must align")
-        for p in range(len(self.class_ids)):
-            if len(self.train[p]) == 0:
-                raise DataFormatError(f"class {self.class_ids[p]}: no training windows")
-            if not sum(map(len, self.test[p])):
-                raise DataFormatError(f"class {self.class_ids[p]}: no test windows")
+        counts = zip(self.class_ids, map(len, self.train), (sum(map(len, t)) for t in self.test))
+        problems = _split_rule_problems(len(self.class_ids), counts)
+        if problems:
+            raise problems[0]
 
     @property
     def n_tasks(self) -> int:
@@ -114,15 +112,31 @@ class TaskSequence:
         return seq
 
 
+def _split_rule_problems(n_classes: int, counts) -> list[PseudoreplayError]:
+    """The rules of every task split, broken in this order: at least 2
+    classes, then, for each (class id, training count, test count) in
+    `counts`, some training and some test windows."""
+    problems = [ConfigurationError("need at least 2 classes (one task)")] if n_classes < 2 else []
+    for cid, *sizes in counts:
+        problems += [
+            DataFormatError(f"class {cid}: no {kind} windows")
+            for kind, size in zip(("training", "test"), sizes) if not size
+        ]
+    return problems
+
+
 def split_trials(
     trials: list[TimeSeriesTrial], window: int, stride: int | None = None,
     train_trials: tuple[int, ...] = (1,), class_order: list[int] | None = None,
 ) -> tuple[TaskSequence | None, list[PseudoreplayError]]:
     """The task sequence these arguments split into, or None with every
-    reason they do not, in the order they are found. The trials of each class
-    in use are cut by window_trial in trial id order, and cutting stops at the
-    first trial shorter than the window, so only that one is listed, and no
-    split is judged after it."""
+    reason they do not, in the order they are found: classes in class_order
+    absent from the data, a repeated class, then the cut, then the split
+    rules. The trials of each class in use are cut by window_trial in class
+    order, then trial id order. A window or stride below 1 ends the list.
+    Cutting stops at the first trial shorter than the window, so only that
+    one is listed, and no class's split is judged after it; fewer than 2
+    classes still is."""
     present = sorted({t.class_id for t in trials})
     order = present if class_order is None else list(class_order)
     missing = [c for c in order if c not in present]
@@ -139,13 +153,8 @@ def split_trials(
     except DataFormatError as exc:  # a trial shorter than the window: no split is judged after it
         problems.append(exc)
         parts = {}
-    if len(order) < 2:
-        problems.append(ConfigurationError("need at least 2 classes (one task)"))
-    for cid, split in parts.items():
-        problems += [
-            DataFormatError(f"class {cid}: no {kind} windows")
-            for kind, windows in zip(("training", "test"), split) if not windows
-        ]
+    # a class's list of cut trials is empty exactly when it has no windows
+    problems += _split_rule_problems(len(order), ((cid, *map(len, split)) for cid, split in parts.items()))
     if problems:
         return None, problems
     for pos, (train, test) in enumerate(parts.values()):

@@ -2,7 +2,9 @@
 
 Everything here is written straight from the mathematical definitions with
 deliberately naive algorithms (loops, exhaustive scans, finite differences)
-so that agreement with the package is meaningful.
+so that agreement with the package is meaningful, or is a frozen copy of
+package code as first written (the conv helpers and the training step),
+which a rewrite must match byte for byte.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 def knn_bruteforce(memory: np.ndarray, index: int, k: int) -> list[int]:
@@ -171,9 +174,59 @@ def _unpack_reference(spec, theta) -> list[tuple[np.ndarray, np.ndarray]]:
     return layers
 
 
-def _forward_cached_reference(model, x):
-    from pseudoreplay.classifier import _patches
+# frozen copies of the package's conv helpers as first written; the
+# reference step below uses these, never the package's own
+_SQUARES_BLOCK = 1 << 20  # elements of the [chunk, fan_in, fan_out] per-sample block
 
+
+def _patches(a: np.ndarray, n: int, layer) -> np.ndarray:
+    """im2col: [N * out_len, kernel * in_ch], row-major over (offset, channel)."""
+    windows = sliding_window_view(a.reshape(n, layer.in_len, layer.in_ch), layer.kernel, axis=1)
+    # windows is [N, in_len - kernel + 1, in_ch, kernel]; reshape makes the one copy
+    return windows[:, :: layer.stride].transpose(0, 1, 3, 2).reshape(n * layer.out_len, layer.fan_in)
+
+
+def _input_gradient(dz: np.ndarray, w: np.ndarray, n: int, layer) -> np.ndarray:
+    """Gradient at a conv layer's input [N, in_len, in_ch] from dz [N * out_len, fan_out].
+
+    The gradient of the patch rows at kernel offset k is dz @ W_k.T, and it
+    lands on input positions k, k + stride, ...: one GEMM and one strided add
+    per offset.
+    """
+    da = np.zeros((n, layer.in_len, layer.in_ch))
+    w_by_offset = w.reshape(layer.kernel, layer.in_ch, layer.fan_out)
+    span = layer.stride * (layer.out_len - 1) + 1
+    for k in range(layer.kernel):
+        dpatch = dz @ w_by_offset[k].T
+        da[:, k : k + span : layer.stride] += dpatch.reshape(n, layer.out_len, layer.in_ch)
+    return da
+
+
+def _squared_gradients(rows: np.ndarray, dz: np.ndarray, n: int, layer, gw, gb) -> None:
+    """Write sum_i g_i * g_i of one layer's per-sample gradients into gw, gb.
+
+    dz holds each sample's own delta rows, not divided by n. A dense sample's
+    weight gradient is the outer product a_i delta_i, so the squared sum is
+    (A*A).T (D*D). A conv sample's weight gradient P_i.T D_i sums over its
+    out_len positions, so it is formed per sample as one batched matmul in
+    chunks of _SQUARES_BLOCK elements, then squared and summed.
+    """
+    if layer.kind == "dense":
+        dz2 = np.square(dz)
+        np.matmul(np.square(rows).T, dz2, out=gw)
+        np.sum(dz2, axis=0, out=gb)
+        return
+    patches = rows.reshape(n, layer.out_len, layer.fan_in).transpose(0, 2, 1)
+    deltas = dz.reshape(n, layer.out_len, layer.fan_out)
+    chunk = max(1, _SQUARES_BLOCK // (layer.fan_in * layer.fan_out))
+    gw[...] = 0.0
+    for lo in range(0, n, chunk):
+        per_sample = np.matmul(patches[lo : lo + chunk], deltas[lo : lo + chunk])
+        gw += np.square(per_sample, out=per_sample).sum(axis=0)
+    np.sum(np.square(deltas.sum(axis=1)), axis=0, out=gb)
+
+
+def _forward_cached_reference(model, x):
     spec = model.spec
     last = len(spec._layers) - 1
     n = x.shape[0]
@@ -189,15 +242,28 @@ def _forward_cached_reference(model, x):
     return a, caches
 
 
+def forward_reference(model, batch) -> np.ndarray:
+    """Class probabilities from the reference forward pass and a max-shifted softmax."""
+    from pseudoreplay.classifier import _as_batch
+
+    logits, _ = _forward_cached_reference(model, _as_batch(model.spec, batch))
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=1, keepdims=True)
+
+
 def loss_and_gradient_reference(model, batch, labels, penalty=None, per_sample_squares: bool = False):
     """The training step as first written: layer views unpacked per use, the
-    reductions through np.sum, np.mean and ndarray.max, and the anchor as
-    out-of-place products. The lean step must match it byte for byte.
+    reductions through np.sum, np.mean and ndarray.max, the conv helpers above
+    (a transposed sliding-window im2col, a broadcast bias add, and bias
+    gradients through np.sum), and the anchor as out-of-place products. The
+    lean step must match it byte for byte.
 
-    It shares the package's input checks and its conv helpers (_patches,
-    _input_gradient, _squared_gradients), which the lean step left as they were.
+    It shares only the package's input checks (_as_batch). The conv helpers
+    are frozen copies, so a change to the package's conv kernels is checked
+    against them and cannot pass by changing both sides at once.
     """
-    from pseudoreplay.classifier import _as_batch, _input_gradient, _squared_gradients
+    from pseudoreplay.classifier import _as_batch
 
     spec = model.spec
     x = _as_batch(spec, batch)
@@ -318,3 +384,52 @@ def split_reference(trials, window, stride=None, train_trials=(1,), class_order=
         test.append([windows.select(~is_train)])
     channels = trials[0].n_channels if trials else 0
     return TaskSequence(class_ids=order, train=train, test=test, window=window, channels=channels)
+
+
+def split_problems_reference(trials, window, stride=None, train_trials=(1,), class_order=None):
+    """Every problem split_trials lists, as (type, message) pairs in order,
+    written from its docstring: absent classes, a repeated class, the cut
+    (a bad window or stride ends the list; a short trial is listed and ends
+    the cut, and no class's split is judged), fewer than 2 classes, and each
+    class without training or test windows."""
+    from pseudoreplay.data import window_trial
+    from pseudoreplay.errors import ConfigurationError, DataFormatError
+
+    present = sorted({t.class_id for t in trials})
+    order = present if class_order is None else list(class_order)
+    problems = []
+    missing = [c for c in order if c not in present]
+    if missing:
+        problems.append((ConfigurationError, f"classes {missing} not present in the data"))
+    if len(set(order)) != len(order):
+        problems.append((ConfigurationError, "class_order contains duplicates"))
+    used = [c for i, c in enumerate(order) if c in present and c not in order[:i]]
+    counts = []  # (class id, training windows, test windows) per used class
+    short = False
+    for cid in used:
+        n_train = n_test = 0
+        for t in sorted((t for t in trials if t.class_id == cid), key=lambda t: t.trial_id):
+            try:
+                n = len(window_trial(t, window, stride))
+            except ConfigurationError as exc:
+                return problems + [(ConfigurationError, str(exc))]
+            except DataFormatError as exc:
+                problems.append((DataFormatError, str(exc)))
+                short = True
+                break
+            if t.trial_id in train_trials:
+                n_train += n
+            else:
+                n_test += n
+        if short:
+            counts = []
+            break
+        counts.append((cid, n_train, n_test))
+    if len(order) < 2:
+        problems.append((ConfigurationError, "need at least 2 classes (one task)"))
+    for cid, n_train, n_test in counts:
+        if n_train == 0:
+            problems.append((DataFormatError, f"class {cid}: no training windows"))
+        if n_test == 0:
+            problems.append((DataFormatError, f"class {cid}: no test windows"))
+    return problems

@@ -33,6 +33,7 @@ from pseudoreplay.errors import ConfigurationError, TrainingError
 from _oracles import (
     fd_gradient,
     fisher_per_row,
+    forward_reference,
     loss_and_gradient_reference,
     relative_error,
     sgd_reference,
@@ -325,6 +326,20 @@ def test_zero_weight_penalty_is_bitwise_inert():
     np.testing.assert_array_equal(grad, plain_grad)
 
 
+# the conv stages of each conv step case: the benchmark's, one filter a
+# stage, stride 2 (gate 2's), a second kernel as long as its input, and
+# patches that tile their input exactly
+_STEP_CONV = {
+    "conv": ((8, 5, 1), (16, 5, 1)),
+    "conv_one_filter": ((1, 3, 1), (1, 4, 3)),
+    "conv_stride2": ((4, 5, 2), (8, 5, 2)),
+    "conv_full_kernel": ((4, 5, 1), (8, 46, 1)),
+    "conv_tiled": ((4, 5, 5), (8, 2, 2)),
+}
+_STEP_CONV.update(conv_n1=_STEP_CONV["conv"], conv_n7=_STEP_CONV["conv"])
+_STEP_CONV.update({f"squares_{c}": _STEP_CONV[c] for c in ("conv", "conv_one_filter", "conv_stride2")})
+
+
 def _step_case(case: str):
     """(model, batch, labels, penalty, per_sample_squares) of one step case."""
     rng = np.random.default_rng(23)
@@ -332,8 +347,9 @@ def _step_case(case: str):
     if case in ("bench", "bench_tail", "lam_zero", "squares_dense"):
         spec = bench_spec(seed=24)
         rows = 7 if case == "bench_tail" else rows
-    elif case in ("conv", "squares_conv"):
-        spec = conv_spec(seed=24, input_shape=(50, 2), hidden=(64, 32), conv=((8, 5, 1), (16, 5, 1)))
+    elif case in _STEP_CONV:
+        spec = conv_spec(seed=24, input_shape=(50, 2), hidden=(64, 32), conv=_STEP_CONV[case])
+        rows = {"conv_n1": 1, "conv_n7": 7}.get(case, rows)
     if case == "anchored":
         old = init_model(bench_spec(n_classes=2, seed=25))
         model = extend_output(old, 1, seed=26)
@@ -356,7 +372,7 @@ def _step_case(case: str):
 
 
 @pytest.mark.parametrize(
-    "case", ["bench", "bench_tail", "conv", "anchored", "lam_zero", "squares_dense", "squares_conv"]
+    "case", ["bench", "bench_tail", "anchored", "lam_zero", "squares_dense", *_STEP_CONV]
 )
 def test_loss_and_gradient_match_the_frozen_reference_bytes(case):
     # the step reorganises calls, never arithmetic: every float matches the
@@ -367,6 +383,17 @@ def test_loss_and_gradient_match_the_frozen_reference_bytes(case):
     assert loss.hex() == want_loss.hex()
     assert grad.dtype == want_grad.dtype and grad.shape == want_grad.shape
     assert grad.tobytes() == want_grad.tobytes()
+    if squares:  # the Fisher diagonal is this sum over its rows
+        fisher = fisher_diagonal(model, windows_of(x, y))
+        assert fisher.tobytes() == (want_grad / len(y)).tobytes()
+
+
+@pytest.mark.parametrize("case", [c for c in _STEP_CONV if not c.startswith("squares")])
+def test_conv_forward_matches_the_frozen_reference_bytes(case):
+    # evaluation reads these probabilities, so they keep every bit too
+    model, x, _, _, _ = _step_case(case)
+    got, want = forward(model, x), forward_reference(model, x)
+    assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
 
 
 def test_penalty_validation():

@@ -20,7 +20,7 @@ from pseudoreplay import (
     run_strategy,
     synthesize_stream,
 )
-from _oracles import split_reference
+from _oracles import split_problems_reference, split_reference
 from conftest import fisher_weighted_movement, standardized_mix, task1_fishers
 from pseudoreplay import classifier, continual
 from pseudoreplay.classifier import Ensemble, fit_ensemble, init_model, pad_parameters, predict
@@ -134,6 +134,7 @@ def split_arguments(draw):
 @given(args=split_arguments())
 def test_split_trials_matches_from_trials_and_the_reference(args):
     seq, problems = split_trials(*args)
+    assert [(type(p), str(p)) for p in problems] == split_problems_reference(*args)
     try:
         want = split_reference(*args)
     except PseudoreplayError as exc:
