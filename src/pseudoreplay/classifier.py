@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -171,6 +171,24 @@ class NetModel:
             )
         if not np.all(np.isfinite(self.parameters)):
             raise ConfigurationError("model parameters must be finite")
+        self._weight_cache = None  # (parameters array, its views), see `_weights`
+
+    @property
+    def _weights(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """unpack_parameters(spec, parameters), built once per parameters array.
+
+        The views see in-place updates; rebinding `parameters` builds them
+        anew, as the cache holds the array it was built from.
+        """
+        cache = self._weight_cache
+        if cache is None or cache[0] is not self.parameters:
+            cache = self._weight_cache = (self.parameters, unpack_parameters(self.spec, self.parameters))
+        return cache[1]
+
+    def __getstate__(self):
+        # a copy or a pickle copies the views apart from the parameters they
+        # viewed, and keeps the pair's identity, so the cache never travels
+        return {**self.__dict__, "_weight_cache": None}
 
 
 def init_model(spec: NetSpec) -> NetModel:
@@ -228,21 +246,22 @@ def _input_gradient(dz: np.ndarray, w: np.ndarray, n: int, layer: _Layer) -> np.
     return da
 
 
-def _forward_cached(model: NetModel, x: np.ndarray, weights=None):
+_ZERO = np.zeros(())  # a 0-d operand skips converting a Python 0.0 on every call
+_ZERO.flags.writeable = False
+
+
+def _forward_cached(model: NetModel, x: np.ndarray):
     """Returns (logits, caches); caches[i] is layer i's (input rows, output).
 
-    weights are model's unpacked parameters when the caller already has them.
     Hidden outputs are relu'd in place, so output > 0 is also the mask that
     backprop needs; the last layer emits raw logits.
     """
     spec = model.spec
-    if weights is None:
-        weights = unpack_parameters(spec, model.parameters)
     last = len(spec._layers) - 1
     n = x.shape[0]
     caches = []
     a = x
-    for i, (layer, (w, b)) in enumerate(zip(spec._layers, weights)):
+    for i, (layer, (w, b)) in enumerate(zip(spec._layers, model._weights)):
         rows = _patches(a, n, layer) if layer.kind == "conv" else a.reshape(n, layer.fan_in)
         a = rows @ w
         if layer.kind == "conv":  # a tiled row adds the broadcast's bits in longer runs
@@ -251,7 +270,7 @@ def _forward_cached(model: NetModel, x: np.ndarray, weights=None):
         else:
             a += b
         if i < last:
-            np.maximum(a, 0.0, out=a)
+            np.maximum(a, _ZERO, out=a)
         caches.append((rows, a))
     return a, caches
 
@@ -273,10 +292,19 @@ def _check_labels(spec: NetSpec, labels, n_rows: int) -> np.ndarray:
     y = np.asarray(labels, dtype=np.int64).reshape(-1)
     if y.size != n_rows:
         raise ConfigurationError(f"{n_rows} samples but {y.size} labels")
-    # the ufunc reductions are what y.min() and y.max() run, minus their wrappers
-    if y.size and (np.minimum.reduce(y) < 0 or np.maximum.reduce(y) >= spec.n_classes):
+    # as unsigned, a negative label wraps above any class count, so one
+    # reduction checks both ends
+    if y.size and np.maximum.reduce(y.view(np.uint64)) >= spec.n_classes:
         raise ConfigurationError(f"labels outside [0, {spec.n_classes})")
     return y
+
+
+@lru_cache(maxsize=16)
+def _row_starts(n: int, width: int) -> np.ndarray:
+    """0, width, 2 * width, ...: the flat index of each row of an [n, width] array."""
+    starts = np.arange(0, n * width, width)
+    starts.flags.writeable = False
+    return starts
 
 
 _SQUARES_BLOCK = 1 << 20  # elements of the [chunk, fan_in, fan_out] per-sample block
@@ -330,12 +358,11 @@ def loss_and_gradient(
     x = _as_batch(spec, batch)
     n = x.shape[0]
     y = _check_labels(spec, labels, n)
-    weights = unpack_parameters(spec, model.parameters)
-    logits, caches = _forward_cached(model, x, weights)
+    weights = model._weights
+    logits, caches = _forward_cached(model, x)
     # flat index of each row's true-class logit: one 1-D take and one 1-D
     # fancy update in place of two 2-D (rows, y) indexings
-    pick = np.arange(0, n * spec.n_classes, spec.n_classes)
-    pick += y
+    pick = _row_starts(n, spec.n_classes) + y
 
     # np.add.reduce and np.maximum.reduce are the loops behind sum, mean and
     # max; calling them directly skips the Python wrappers, not any arithmetic
@@ -372,7 +399,7 @@ def loss_and_gradient(
             da = dz @ w.T
         a_prev = caches[i - 1][1]
         dz = da.reshape(a_prev.shape)
-        dz *= a_prev > 0
+        dz *= a_prev > _ZERO
 
     if penalty is not None and penalty.lam != 0.0:
         theta = model.parameters
@@ -451,9 +478,10 @@ def train(
             else:
                 velocity = grad
             theta -= np.multiply(config.learning_rate, velocity, out=step)
-            # NaN and inf survive a sum, so a finite sum proves every entry
-            # finite; the exact check runs only when the sum overflowed or is not
-            if not (math.isfinite(np.add.reduce(theta)) or np.all(np.isfinite(theta))):
+            # NaN and inf survive a sum of squares, so a finite one proves every
+            # entry finite; squares overflow from about 1e154, so the exact
+            # check runs when the dot product is not finite
+            if not (math.isfinite(theta @ theta) or np.all(np.isfinite(theta))):
                 raise TrainingError(f"non-finite parameters at epoch {epoch}, batch {batch}")
             batch_losses.append(loss)
         losses.append(float(np.mean(batch_losses)))

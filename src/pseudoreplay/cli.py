@@ -219,6 +219,17 @@ def _out_dir_problems(out: Path) -> list[ConfigurationError]:
     ]
 
 
+def _read_run_config(
+    config_path: str, out_dir: str | None, repetitions: int | None
+) -> tuple[ExperimentConfig, Path]:
+    """The config with --repetitions applied, and the output directory:
+    --out, else the config's out_dir."""
+    cfg = ExperimentConfig.from_dict(_read_json(config_path))
+    if repetitions is not None:
+        cfg.repetitions = require_integer("--repetitions", repetitions, least=1)
+    return cfg, Path(out_dir if out_dir is not None else cfg.out_dir)
+
+
 def cmd_synth(config_path: str, out_path: str) -> int:
     """Generate a trial CSV from a SyntheticStreamConfig JSON document."""
     config = SyntheticStreamConfig.from_dict(_read_json(config_path))
@@ -249,12 +260,9 @@ def cmd_run(
     repetitions: int | None = None,
 ) -> int:
     """Run the configured strategies and write manifest, metrics and report."""
-    cfg = ExperimentConfig.from_dict(_read_json(config_path))
+    cfg, out = _read_run_config(config_path, out_dir, repetitions)
     if seed is not None:
         cfg.seed = seed
-    if repetitions is not None:
-        cfg.repetitions = require_integer("--repetitions", repetitions, least=1)
-    out = Path(out_dir if out_dir is not None else cfg.out_dir)
     if bad_out := _out_dir_problems(out):  # judged before the data, which can take long to read
         raise bad_out[0]
     trials, digest = _load_data(cfg)
@@ -288,18 +296,18 @@ def cmd_run(
     return 0
 
 
-def cmd_validate(config_path: str) -> int:
-    """Check the config and its data: list every reason `run` would stop
-    before training, from run's own pre-flight, or count the windows of the
-    split it would train on."""
-    cfg = ExperimentConfig.from_dict(_read_json(config_path))
+def cmd_validate(config_path: str, out_dir: str | None = None, repetitions: int | None = None) -> int:
+    """Check the config, its data and run's --out and --repetitions: list
+    every reason `run` would stop before training, from run's own pre-flight,
+    or count the windows of the split it would train on."""
+    cfg, out = _read_run_config(config_path, out_dir, repetitions)
     try:
         trials, _ = _load_data(cfg)
     except (ConfigurationError, DataFormatError) as exc:
         problems = [exc]
     else:
         seq, *_, problems = _plan(cfg, trials)
-    problems += _out_dir_problems(Path(cfg.out_dir))
+    problems += _out_dir_problems(out)
     for problem in problems:
         print(f"violation: {problem}")
     if problems:
@@ -332,6 +340,8 @@ def main(argv: list[str] | None = None) -> int:
 
     p_val = sub.add_parser("validate", help="check a config and its data")
     p_val.add_argument("--config", required=True, help="experiment config JSON")
+    p_val.add_argument("--out", default=None, help="output directory, as for run")
+    p_val.add_argument("--repetitions", type=int, default=None, help="repetition override, as for run")
 
     args = parser.parse_args(argv)
     try:
@@ -339,7 +349,7 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_synth(args.config, args.out)
         if args.command == "run":
             return cmd_run(args.config, args.out, args.seed, args.repetitions)
-        return cmd_validate(args.config)
+        return cmd_validate(args.config, args.out, args.repetitions)
     except (ConfigurationError, DataFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

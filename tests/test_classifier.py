@@ -1,4 +1,7 @@
+import copy
 import math
+import pickle
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -244,6 +247,41 @@ def test_batch_shape_mismatch_rejected():
         forward(model, np.zeros((2, 5, 1)))
 
 
+_BAD_LABELS = {  # for 3 rows of a 3-class net: (labels, message)
+    "minus_one": ([0, -1, 2], "labels outside [0, 3)"),
+    "int64_min": ([0, np.iinfo(np.int64).min, 1], "labels outside [0, 3)"),
+    "n_classes": ([0, 3, 1], "labels outside [0, 3)"),
+    "count": ([0, 1], "3 samples but 2 labels"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_LABELS))
+def test_loss_and_gradient_and_train_refuse_bad_labels(case):
+    # the range check reads the labels as unsigned, so a negative one must
+    # wrap above the class count, the most negative int64 included
+    labels, message = _BAD_LABELS[case]
+    spec = dense_spec()
+    x = batch_of(spec, 3, seed=1)
+    with pytest.raises(ConfigurationError) as caught:
+        loss_and_gradient(init_model(spec), x, labels)
+    assert str(caught.value) == message
+    samples = SimpleNamespace(x=x, y=np.asarray(labels))  # Windows would refuse a short y
+    with pytest.raises(ConfigurationError) as caught:
+        train(init_model(spec), samples, TrainConfig(epochs=1, batch_size=2))
+    assert str(caught.value) == message
+
+
+def test_a_plain_list_of_valid_labels_passes():
+    spec = dense_spec()
+    x = batch_of(spec, 3, seed=1)
+    loss, grad = loss_and_gradient(init_model(spec), x, [0, 2, 1])
+    want_loss, want_grad = loss_and_gradient(init_model(spec), x, np.array([0, 2, 1]))
+    assert (loss.hex(), grad.tobytes()) == (want_loss.hex(), want_grad.tobytes())
+    samples = SimpleNamespace(x=x, y=[0, 2, 1])
+    result = train(init_model(spec), samples, TrainConfig(epochs=2, batch_size=2))
+    assert len(result.epoch_losses) == 2
+
+
 # ------------------------------------------------------------------ gradients
 
 
@@ -396,6 +434,35 @@ def test_conv_forward_matches_the_frozen_reference_bytes(case):
     assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
 
 
+def _step_bytes(model, x, y) -> tuple[str, bytes, bytes]:
+    loss, grad = loss_and_gradient(model, x, y)
+    return loss.hex(), grad.tobytes(), forward(model, x).tobytes()
+
+
+@pytest.mark.parametrize("how", ["in_place", "rebind", "deepcopy", "pickle"])
+def test_cached_weight_views_follow_the_parameters(how):
+    # a model's weight views are built once per parameters array; after each
+    # change the step must match a freshly built model's bytes
+    spec = bench_spec(seed=4)
+    x, y = batch_of(spec, 32, seed=5), np.arange(32) % 3
+    nudge = 0.1 * np.random.default_rng(6).normal(size=spec.param_count)
+    model = init_model(spec)
+    before = _step_bytes(model, x, y)  # builds the views
+    original = model
+    if how == "deepcopy":
+        model = copy.deepcopy(model)
+    elif how == "pickle":
+        model = pickle.loads(pickle.dumps(model))
+    if how == "rebind":
+        model.parameters = model.parameters + nudge
+    else:
+        model.parameters += nudge
+    fresh = NetModel(spec=spec, parameters=model.parameters.copy())
+    assert _step_bytes(model, x, y) == _step_bytes(fresh, x, y) != before
+    if model is not original:  # the copy's update leaves its source alone
+        assert _step_bytes(original, x, y) == before
+
+
 def test_penalty_validation():
     with pytest.raises(ConfigurationError):
         EWCPenalty(lam=-1.0, theta_star=np.zeros(3), fisher=np.zeros(3))
@@ -488,21 +555,37 @@ def test_divergence_raises_a_located_training_error():
     assert str(caught.value) == where
 
 
-def test_huge_finite_parameters_whose_sum_overflows_do_not_raise():
-    # zero inputs keep 1e308 first-layer weights out of the loss and give
-    # them a zero gradient, so they stay finite while their sum overflows
+def _train_with_huge_first_layer(value: float) -> np.ndarray:
+    """Trains a net whose first-layer weights are all `value` on zero inputs,
+    which keep them out of the loss and give them a zero gradient, so they
+    stay finite; returns the parameters it started from."""
     spec = NetSpec(kind="dense", input_shape=(2, 1), n_classes=2, hidden=(6, 4), seed=3)
     theta = init_model(spec).parameters.copy()
     w1, _ = unpack_parameters(spec, theta)[0]
-    w1[...] = 1e308
+    w1[...] = value
     samples = windows_of(np.zeros((8, 2, 1)), np.arange(8) % 2)
     config = TrainConfig(epochs=2, batch_size=4, learning_rate=0.1)
     with np.errstate(over="ignore"):
-        assert not np.isfinite(np.sum(theta))
         result = train(NetModel(spec=spec, parameters=theta), samples, config)
     assert np.all(np.isfinite(result.model.parameters))
     np.testing.assert_array_equal(unpack_parameters(spec, result.model.parameters)[0][0], w1)
     assert all(np.isfinite(result.epoch_losses))
+    return theta
+
+
+def test_huge_finite_parameters_whose_sum_overflows_do_not_raise():
+    theta = _train_with_huge_first_layer(1e308)
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(np.sum(theta))
+
+
+def test_huge_finite_parameters_whose_squares_overflow_do_not_raise():
+    # squares overflow from about 1e154, so the dot-product guard fails here
+    # and only the exact check can pass these parameters
+    theta = _train_with_huge_first_layer(1e200)
+    assert np.isfinite(np.sum(theta))
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(theta @ theta)
 
 
 def test_train_config_validation():

@@ -873,9 +873,10 @@ SHORT_STREAM = synthesize_stream(default_synthetic_config(seed=11, trial_length=
 @st.composite
 def small_runs(draw):
     """Uneven short trials of three classes, at most one of them shorter than
-    the window, and a config over them with a random window, stride,
-    train_trials, classes and strategies. One epoch of one small member
-    keeps every run to milliseconds."""
+    the window, a config over them with a random window, stride,
+    train_trials, classes and strategies, and the --out (by kind) and
+    --repetitions that validate and run both take. One epoch of one small
+    member keeps every run to milliseconds."""
     window = draw(st.integers(2, 8))
     stride = draw(st.none() | st.integers(1, 2 * window))
     short = draw(st.sampled_from(range(-2 * len(SHORT_STREAM), len(SHORT_STREAM))))  # < 0: none
@@ -891,7 +892,8 @@ def small_runs(draw):
         strategies=draw(st.lists(st.sampled_from(continual.STRATEGIES), min_size=1, max_size=4, unique=True)),
         ensemble_size=1, net={"kind": "dense", "hidden": [4, 4]}, train={"epochs": 1, "batch_size": 8},
     )
-    return trials, doc
+    out = draw(st.sampled_from(["fresh", "under_a_file", "holding_metrics_csv"]))
+    return trials, doc, out, draw(st.sampled_from([None, -1, 0, 1, 2]))
 
 
 @settings(
@@ -900,7 +902,7 @@ def small_runs(draw):
 )
 @given(case=small_runs())
 def test_a_run_that_validates_never_stops_on_a_config_or_data_error(monkeypatch, case):
-    trials, doc = case
+    trials, doc, out_kind, repetitions = case
     raised = []
     real = continual.run_strategy
 
@@ -915,10 +917,14 @@ def test_a_run_that_validates_never_stops_on_a_config_or_data_error(monkeypatch,
     with tempfile.TemporaryDirectory() as tmp:
         save_trials(Path(tmp) / "trials.csv", trials)
         cfg = write_json(Path(tmp) / "exp.json", {**doc, "data": {"csv": str(Path(tmp) / "trials.csv")}})
-        out = Path(tmp) / "r"
-        status = main(["validate", "--config", cfg])
+        (Path(tmp) / "blocker").write_text("x", encoding="utf-8")
+        out = Path(tmp) / ("blocker/r" if out_kind == "under_a_file" else "r")
+        if out_kind == "holding_metrics_csv":
+            (out / "metrics.csv").mkdir(parents=True)
+        flags = ["--out", str(out)] + ([] if repetitions is None else ["--repetitions", str(repetitions)])
+        status = main(["validate", "--config", cfg, *flags])
         assert status in (0, 2)
-        ran = main(["run", "--config", cfg, "--out", str(out)])
+        ran = main(["run", "--config", cfg, *flags])
     if status == 2:
         assert ran == 2 and not raised
     else:
