@@ -208,11 +208,13 @@ RESULT_FILES = ("manifest.json", "metrics.csv", "report.md")  # what `run` write
 
 def _out_dir_problems(out: Path) -> list[ConfigurationError]:
     """Why `out` cannot be made an output directory, or a result file written
-    in it: its nearest existing path is not a directory, or a directory holds
-    a result file's name. Judged without creating anything."""
+    in it: its nearest existing path is not a directory or not writable, or
+    a directory holds a result file's name. Judged without creating anything."""
     existing = next((p for p in (out, *out.parents) if os.path.exists(p)), Path("."))
     if not os.path.isdir(existing):
         return [ConfigurationError(f"cannot create output directory {out}: {existing} is not a directory")]
+    if not os.access(existing, os.W_OK | os.X_OK):
+        return [ConfigurationError(f"cannot write in output directory {out}: {existing} is not writable")]
     return [
         ConfigurationError(f"cannot write {out / name}: Is a directory")
         for name in RESULT_FILES if os.path.isdir(out / name)

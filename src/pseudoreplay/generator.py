@@ -10,8 +10,8 @@ The neighbour table is ranked in two passes over fixed-size row blocks: a
 GEMM gives the block's pairwise distances in Gram form, and the few columns
 per row that can still be among the k nearest, within a forward-error
 margin, are re-ranked by the direct difference distance. The table equals a
-direct ranking of all pairs. Fitting takes a `Windows` of one class and
-`generate` returns a `Windows` whose rows are tagged as synthetic.
+direct ranking of all pairs. Fitting takes a `Windows` of one class, and
+`generate(gen, count, seed)` returns one whose rows are tagged as synthetic.
 """
 
 from __future__ import annotations
@@ -27,10 +27,11 @@ from .seeding import derive_seed
 
 @dataclass(eq=False)
 class ClassGenerator:
+    """One class's stored windows and their k-NN table; each `generate` call brings its own seed."""
+
     class_id: int
     memory: np.ndarray  # [M, D] flattened windows
     k: int
-    rng_seed: int
     feature_shape: tuple[int, int]
     neighbors: np.ndarray = field(init=False, repr=False)  # [M, k_eff]
 
@@ -159,49 +160,45 @@ def fit_generator(
         class_id=class_id,
         memory=vectors,
         k=k,
-        rng_seed=seed,
         feature_shape=(int(w), int(c)),
     )
 
 
-def generate(gen: ClassGenerator, count: int, seed: int | None = None) -> Windows:
+def generate(gen: ClassGenerator, count: int, seed: int) -> Windows:
     """Draw exactly `count` samples, deterministic in (memory, k, seed).
 
     The count is split across stored samples: floor(S / M) each, with the
     first S mod M samples (index order) taking one extra. A sample with quota
-    q <= k_eff draws one candidate per neighbour segment (fresh u each) and
-    keeps a uniform subset of q; with q > k_eff every draw picks a segment
-    uniformly with replacement and a fresh u. Rows come out in stored-sample
-    order, and row i carries source (SYNTHETIC_TRIAL_ID, i).
+    q <= k_eff draws a u per neighbour segment and keeps a uniform subset of
+    q segments in neighbour order; with q > k_eff every draw picks a segment
+    uniformly with replacement and a fresh u. The loop over stored samples
+    only draws; one pass after it interpolates every row. Rows come out in
+    stored-sample order, and row i carries source (SYNTHETIC_TRIAL_ID, i).
     """
     s_total = require_integer("count", count, least=1)
-    rng = np.random.default_rng(gen.rng_seed if seed is None else seed)
-    mem = gen.memory
-    m = gen.memory_size
-    k_eff = gen.k_effective
+    rng = np.random.default_rng(seed)
+    m, k_eff = gen.memory_size, gen.k_effective
     base, extra = divmod(s_total, m)
-
-    out = np.empty((s_total, mem.shape[1]))
-    filled = 0
-    for j in range(m):
-        quota = base + (1 if j < extra else 0)
-        if quota == 0:
-            continue
-        nbr = gen.neighbors[j]
+    quotas = base + (np.arange(min(m, s_total)) < extra)
+    segments, u = [], []
+    for quota in quotas.tolist():
         if quota <= k_eff:
-            u = rng.uniform(size=k_eff)
-            candidates = mem[j] + u[:, None] * (mem[nbr] - mem[j])
-            pick = np.sort(rng.choice(k_eff, size=quota, replace=False))
-            out[filled : filled + quota] = candidates[pick]
+            per_segment = rng.uniform(size=k_eff)
+            segments.append(np.sort(rng.choice(k_eff, size=quota, replace=False)))
+            u.append(per_segment[segments[-1]])
         else:
-            segments = rng.integers(0, k_eff, size=quota)
-            u = rng.uniform(size=quota)
-            out[filled : filled + quota] = mem[j] + u[:, None] * (mem[nbr[segments]] - mem[j])
-        filled += quota
+            segments.append(rng.integers(0, k_eff, size=quota))
+            u.append(rng.uniform(size=quota))
+    stored = np.repeat(np.arange(quotas.size), quotas)
+    start = gen.memory[stored]
+    # x_l - x_j, times u, plus x_j: each element rounds as x_j + u * (x_l - x_j)
+    out = gen.memory[gen.neighbors[stored, np.concatenate(segments)]]
+    out -= start
+    out *= np.concatenate(u)[:, None]
+    out += start
     draws = np.arange(s_total, dtype=np.int64)
     return Windows(
         x=out.reshape((s_total,) + gen.feature_shape),
         y=np.full(s_total, gen.class_id, dtype=np.int64),
         source=np.column_stack([np.full(s_total, SYNTHETIC_TRIAL_ID, dtype=np.int64), draws]),
     )
-

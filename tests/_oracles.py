@@ -73,6 +73,39 @@ def on_some_segment(
     return False
 
 
+def generate_reference(gen, count: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(x, y, source) of `generate(gen, count, seed)`: a frozen copy of its
+    first per-stored-window loop, which interpolates each window's rows
+    inside the loop (all k_eff segments, then the sorted pick, where the
+    quota is at most k_eff)."""
+    rng = np.random.default_rng(seed)
+    mem = gen.memory
+    m = gen.memory_size
+    k_eff = gen.k_effective
+    base, extra = divmod(count, m)
+
+    out = np.empty((count, mem.shape[1]))
+    filled = 0
+    for j in range(m):
+        quota = base + (1 if j < extra else 0)
+        if quota == 0:
+            continue
+        nbr = gen.neighbors[j]
+        if quota <= k_eff:
+            u = rng.uniform(size=k_eff)
+            candidates = mem[j] + u[:, None] * (mem[nbr] - mem[j])
+            pick = np.sort(rng.choice(k_eff, size=quota, replace=False))
+            out[filled : filled + quota] = candidates[pick]
+        else:
+            segments = rng.integers(0, k_eff, size=quota)
+            u = rng.uniform(size=quota)
+            out[filled : filled + quota] = mem[j] + u[:, None] * (mem[nbr[segments]] - mem[j])
+        filled += quota
+    synthetic = np.full(count, -1, dtype=np.int64)  # SYNTHETIC_TRIAL_ID
+    source = np.column_stack([synthetic, np.arange(count, dtype=np.int64)])
+    return out.reshape((count,) + gen.feature_shape), np.full(count, gen.class_id, dtype=np.int64), source
+
+
 def fd_gradient(f, theta: np.ndarray, h: float = 1e-5) -> np.ndarray:
     """Central finite differences of a scalar function, every coordinate.
 

@@ -719,12 +719,33 @@ def test_rcl_with_a_one_window_class_exits_2_before_training(tmp_path, capsys, m
         ("run", "--out holds a directory named metrics.csv"),
         ("synth", "--out lies under a file"),
         ("synth", "--out is a directory"),
+        ("run", "--out is read-only"),
+        ("run", "--out lies under a read-only directory"),
+        ("validate", "out_dir is read-only"),
+        ("validate", "out_dir lies under a read-only directory"),
+        ("run", "--out lies under a directory os.access denies"),
+        ("validate", "out_dir lies under a directory os.access denies"),
     ],
 )
-def test_unusable_paths_exit_2_naming_the_path(tmp_path, capsys, command, fault):
+def test_unusable_paths_exit_2_naming_the_path(tmp_path, capsys, monkeypatch, command, fault):
     blocker = tmp_path / "blocker.txt"
     blocker.write_text("x", encoding="utf-8")
+    locked = tmp_path / "locked"
+    if "read-only" in fault:
+        if os.geteuid() == 0:
+            pytest.skip("root writes anywhere, so os.access allows a read-only directory")
+        locked.mkdir(mode=0o555)
+    elif "os.access denies" in fault:
+        locked.mkdir()
+        real_access = os.access
+        monkeypatch.setattr(os, "access", lambda path, mode: Path(path) != locked and real_access(path, mode))
     out = {
+        "--out is read-only": locked,
+        "out_dir is read-only": locked,
+        "--out lies under a read-only directory": locked / "r",
+        "out_dir lies under a read-only directory": locked / "r",
+        "--out lies under a directory os.access denies": locked / "r",
+        "out_dir lies under a directory os.access denies": locked / "r",
         "--out is a file": blocker,
         "--out is a file and the data CSV is bad": blocker,
         "out_dir is a file": blocker,

@@ -20,7 +20,13 @@ from pseudoreplay import (
     run_strategy,
     synthesize_stream,
 )
-from _oracles import split_problems_reference, split_reference
+from _oracles import (
+    counting_confusion,
+    metric_oracle,
+    split_problems_reference,
+    split_reference,
+    two_pass_moments,
+)
 from conftest import fisher_weighted_movement, standardized_mix, task1_fishers
 from pseudoreplay import classifier, continual
 from pseudoreplay.classifier import Ensemble, fit_ensemble, init_model, pad_parameters, predict
@@ -297,6 +303,20 @@ def test_blocked_evaluation_equals_one_block(small_seq, monkeypatch):
             assert got_spread == spread
 
 
+def test_member_spread_is_the_population_std_of_member_macro_f(small_seq):
+    # untrained members with different init seeds disagree on the test windows
+    members = [init_model(replace(small_net(3), seed=s)) for s in range(4)]
+    standardizer = fit_standardizer(Windows.concat(small_seq.train))
+    _, _, spread = continual._evaluate(Ensemble(members, standardizer), small_seq, 2)
+    batch = Windows.concat([part for parts in small_seq.test for part in parts])
+    member_f = [
+        metric_oracle(counting_confusion(batch.y, predict(Ensemble([m], standardizer), batch), 3))["macro_f"]
+        for m in members
+    ]
+    assert len(set(member_f)) > 1, member_f
+    assert spread == pytest.approx(two_pass_moments(member_f)[1], rel=1e-12, abs=0.0)
+
+
 def evaluation_peak(net: NetSpec, per_class: int) -> int:
     """tracemalloc's peak in bytes while a 3-member ensemble of net evaluates
     a 3-class test set of per_class windows of shape (50, 2) per class."""
@@ -412,6 +432,23 @@ def test_replay_draws_differ_across_tasks(small_seq):
     assert not np.array_equal(first.x, second.x)
 
 
+def test_rcl_asks_every_previous_generator_for_its_task_seeded_draws(small_seq, monkeypatch):
+    calls = []
+    real = continual.generate
+
+    def recording(gen, count, seed):
+        calls.append((gen.class_id, count, seed))
+        return real(gen, count, seed)
+
+    monkeypatch.setattr(continual, "generate", recording)
+    strategy_run("rcl", small_seq, seed=5, train=TrainConfig(epochs=1), n_members=1)
+    assert calls == [
+        (pos, len(small_seq.train[i]), derive_seed(5, "replay", i, pos))
+        for i in range(1, small_seq.n_tasks + 1)
+        for pos in range(i)
+    ]
+
+
 def test_rcl_task1_tracks_baseline_on_separable_data(small_seq):
     rcl = strategy_run("rcl", small_seq, seed=5, n_members=3)
     base = strategy_run("baseline", small_seq, seed=5, n_members=3)
@@ -464,8 +501,9 @@ def test_finetune_forgets_the_middle_class(small_seq):
 
 def test_finetune_trains_on_normal_plus_newest_only(small_seq):
     ft = strategy_run("finetune", small_seq, seed=5, n_members=2)
-    positions = {p[0] for p in ft.tasks[1].train_provenance}
-    assert positions == {0, 2}
+    # every normal row, then every row of the newest class
+    rows = [len(small_seq.train[0]), len(small_seq.train[2])]
+    np.testing.assert_array_equal(ft.tasks[1].train_provenance[:, 0], np.repeat([0, 2], rows))
     assert all(p[1] != SYNTHETIC_TRIAL_ID for p in ft.tasks[1].train_provenance)
     assert ft.ensembles[1].n_classes == 3
 

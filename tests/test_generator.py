@@ -18,7 +18,13 @@ from pseudoreplay.errors import ConfigurationError, DataFormatError
 from pseudoreplay import generator
 from pseudoreplay.generator import _neighbor_table
 
-from _oracles import direct_neighbor_table, knn_bruteforce, on_some_segment, segment_fit
+from _oracles import (
+    direct_neighbor_table,
+    generate_reference,
+    knn_bruteforce,
+    on_some_segment,
+    segment_fit,
+)
 from conftest import make_samples
 
 
@@ -221,17 +227,51 @@ def test_count_exactness_when_not_divisible():
         assert len(out) == s_total
     for bad in (0, 2.5, True):
         with pytest.raises(ConfigurationError, match="count"):
-            generate(gen, bad)
+            generate(gen, bad, seed=3)
 
 
 def test_generation_is_deterministic():
     rows = np.random.default_rng(8).normal(size=(10, 4))
     a = fit_generator(0, make_samples(rows), k=3, seed=21)
     b = fit_generator(0, make_samples(rows), k=3, seed=21)
-    out_a = generate(a, 25)
-    out_b = generate(b, 25)
-    np.testing.assert_array_equal(out_a.x, out_b.x)
-    np.testing.assert_array_equal(out_a.source, out_b.source)
+    out_a = generate(a, 25, seed=21)
+    out_b = generate(b, 25, seed=21)
+    assert out_a.x.tobytes() == out_b.x.tobytes()
+    assert out_a.source.tobytes() == out_b.source.tobytes()
+
+
+def reference_cases():
+    """(generator, count) pairs that reach every quota regime of `generate`."""
+    rng = np.random.default_rng(16)
+    six = fit_generator(0, make_samples(rng.normal(size=(6, 5))), k=3)  # k_eff 3
+    trial = TimeSeriesTrial(class_id=0, trial_id=1, channels=rng.normal(size=(120, 2)))
+    view = fit_generator(0, window_trial(trial, 20, stride=5), k=4)  # 21 read-only rows
+    return {
+        "count 1": (six, 1),
+        "count < M": (six, 4),
+        "count = M, quota 1": (six, 6),
+        "quota 2": (six, 12),
+        "quotas 3 and 2": (six, 15),
+        "quota 3 = k_eff": (six, 18),
+        "quotas 4 and 3, both regimes": (six, 21),
+        "quota 10 > k_eff": (six, 60),
+        "k = M - 1": (fit_generator(0, make_samples(rng.normal(size=(6, 5))), k=5), 17),
+        "k > M - 1": (fit_generator(0, make_samples(rng.normal(size=(4, 3))), k=8), 9),
+        "k > M - 1, quota > k_eff": (fit_generator(0, make_samples(rng.normal(size=(4, 3))), k=8), 23),
+        "read-only window_trial view": (view, 70),
+        "read-only view, count < M": (view, 8),
+    }
+
+
+@pytest.mark.parametrize("case", list(reference_cases()))
+def test_generate_equals_the_reference_loop_byte_for_byte(case):
+    gen, count = reference_cases()[case]
+    for seed in (0, 7):
+        got = generate(gen, count, seed=seed)
+        x, y, source = generate_reference(gen, count, seed=seed)
+        assert got.x.shape == x.shape and got.x.tobytes() == x.tobytes(), f"{case}, seed {seed}: x"
+        assert got.y.tobytes() == y.tobytes(), f"{case}, seed {seed}: y"
+        assert got.source.tobytes() == source.tobytes(), f"{case}, seed {seed}: source"
 
 
 def test_different_seeds_give_different_draws():
@@ -276,5 +316,5 @@ def test_generation_properties_hold_across_shapes(m, d, k, s_total, seed):
     rng = np.random.default_rng(seed)
     memory = rng.normal(size=(m, d))
     gen = fit_generator(0, make_samples(memory), k=k, seed=seed)
-    check_samples(gen, generate(gen, s_total), s_total)
+    check_samples(gen, generate(gen, s_total, seed=seed), s_total)
 
