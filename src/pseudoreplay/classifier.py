@@ -18,7 +18,7 @@ buffer laid out like `parameters`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from typing import NamedTuple, Sequence
 
@@ -70,7 +70,6 @@ class NetSpec:
     n_classes: int
     hidden: tuple[int, int] = (64, 32)
     conv: tuple[tuple[int, int, int], tuple[int, int, int]] = ((8, 5, 1), (16, 5, 1))
-    seed: int = 0
 
     def __post_init__(self):
         for name in ("input_shape", "hidden"):
@@ -84,7 +83,6 @@ class NetSpec:
         if self.kind not in ("dense", "conv"):
             raise ConfigurationError(f"kind must be 'dense' or 'conv', got {self.kind!r}", "kind")
         require_integer("n_classes", self.n_classes, least=2)
-        require_integer("seed", self.seed)
         if self.kind == "conv" and ([len(c) for c in conv] != [3, 3] or min(map(min, conv)) < 1):
             raise ConfigurationError(
                 f"conv must be 2 layers of positive (filters, kernel, stride), got {conv}", "conv"
@@ -191,9 +189,9 @@ class NetModel:
         return {**self.__dict__, "_weight_cache": None}
 
 
-def init_model(spec: NetSpec) -> NetModel:
-    """Seeded uniform init scaled by fan-in (relu-friendly); biases zero."""
-    rng = np.random.default_rng(spec.seed)
+def init_model(spec: NetSpec, seed: int) -> NetModel:
+    """Uniform init from `seed`, scaled by fan-in (relu-friendly); biases zero."""
+    rng = np.random.default_rng(seed)
     layers = []
     for layer in spec._layers:
         limit = np.sqrt(6.0 / layer.fan_in)
@@ -420,7 +418,6 @@ class TrainConfig:
     learning_rate: float = 0.01
     optimizer: str = "sgd_momentum"
     momentum: float = 0.9
-    shuffle_seed: int = field(default=0, metadata={"config": False})  # set per member
 
     def __post_init__(self):
         require_integer("epochs", self.epochs, least=1)
@@ -446,16 +443,17 @@ def train(
     model: NetModel,
     samples: Windows,
     config: TrainConfig,
+    seed: int,
     penalty=None,
 ) -> TrainResult:
-    """Minibatch SGD over seeded shuffles; deterministic given inputs.
+    """Minibatch SGD over shuffles drawn from `seed`; deterministic given inputs.
 
     Labels come from samples.y. Records the mean minibatch loss per epoch and
     raises TrainingError the moment a loss stops being finite.
     """
     x = _as_batch(model.spec, samples.x)
     y = _check_labels(model.spec, samples.y, x.shape[0])
-    rng = np.random.default_rng(config.shuffle_seed)
+    rng = np.random.default_rng(seed)
     current = NetModel(spec=model.spec, parameters=model.parameters.copy())
     theta = current.parameters  # updated in place, so `current` always holds it
     velocity = np.zeros_like(theta)
@@ -550,11 +548,11 @@ def pad_parameters(
 ) -> np.ndarray:
     """Re-layout a flat vector of old_spec into new_spec's layout.
 
-    Only output-head growth is supported; coordinates that exist in new_spec
-    but not in old_spec (appended output columns and biases) take `fill`.
-    Used to carry anchor and fisher vectors across a head extension.
+    Only n_classes may grow; every other field of the specs must be equal.
+    Coordinates that new_spec adds (appended output columns and biases) take
+    `fill`. Used to carry anchor and fisher vectors across a head extension.
     """
-    if replace(old_spec, n_classes=new_spec.n_classes, seed=new_spec.seed) != new_spec:
+    if replace(old_spec, n_classes=new_spec.n_classes) != new_spec:
         raise ConfigurationError("specs differ beyond the output head")
     if new_spec.n_classes < old_spec.n_classes:
         raise ConfigurationError("new spec must not shrink the output head")
@@ -598,16 +596,14 @@ def fit_ensemble(
     seed: int,
     n_members: int = 5,
 ) -> Ensemble:
-    """Train n_members nets that differ only in derived init and shuffle
-    seeds on a mix already standardized by `standardizer`, which the
-    ensemble keeps for prediction."""
+    """Train n_members nets of the one `spec` that differ only in their
+    init and shuffle seeds, derived from `seed` per member, on a mix already
+    standardized by `standardizer`, which the ensemble keeps for prediction."""
     require_integer("n_members", n_members, least=1)
     members = []
     for m in range(n_members):
-        member_spec = replace(spec, seed=derive_seed(seed, "init", m))
-        member_cfg = replace(config, shuffle_seed=derive_seed(seed, "shuffle", m))
-        result = train(init_model(member_spec), standardized, member_cfg)
-        members.append(result.model)
+        model = init_model(spec, derive_seed(seed, "init", m))
+        members.append(train(model, standardized, config, derive_seed(seed, "shuffle", m)).model)
     return Ensemble(members=members, standardizer=standardizer)
 
 

@@ -120,7 +120,6 @@ class ExperimentConfig:
     def to_dict(self) -> dict:
         doc = asdict(self)
         doc["data"] = {key: value for key, value in doc["data"].items() if value is not None}
-        del doc["train"]["shuffle_seed"]
         if not self.variants:
             del doc["variants"]
         return doc
@@ -152,11 +151,10 @@ def _read_json(path: str):
 
 
 def _net_template(path: str, net_doc: dict, window: int, channels: int) -> NetSpec:
-    """The spec a net doc describes. The run sets the input shape, replaces
-    n_classes per task and derives each member's seed."""
+    """The architecture a net doc describes; the run sets the input shape and
+    n_classes per task, and init_model and train take each member's seeds."""
     return read_config(
-        NetSpec, {"kind": "dense", **net_doc}, path,
-        input_shape=(window, channels), n_classes=2, seed=0,
+        NetSpec, {"kind": "dense", **net_doc}, path, input_shape=(window, channels), n_classes=2
     )
 
 

@@ -322,8 +322,8 @@ def _carry_forward(
                     " limit; training may diverge",
                     file=sys.stderr,
                 )
-        member_cfg = replace(cfg, shuffle_seed=derive_seed(seed, "task", task_index, "shuffle", m_idx))
-        members.append(train(extended, mix, member_cfg, penalty).model)
+        shuffle_seed = derive_seed(seed, "task", task_index, "shuffle", m_idx)
+        members.append(train(extended, mix, cfg, shuffle_seed, penalty).model)
     return Ensemble(members=members, standardizer=standardizer)
 
 
@@ -361,11 +361,11 @@ def check_variant_name(name) -> None:
 
 
 def check_carried(strategies, nets: list[NetSpec]) -> None:
-    """Refuse per-task nets that differ beyond the head size and seed when
-    one of `strategies` carries one model across tasks, as it cannot follow."""
+    """Refuse per-task nets that differ beyond the head size when one of
+    `strategies` carries one model across tasks, as it cannot follow."""
     carried = [s for s in strategies if s in CARRIED]
-    first = replace(nets[0], n_classes=2, seed=0)
-    if carried and any(replace(net, n_classes=2, seed=0) != first for net in nets):
+    first = replace(nets[0], n_classes=2)
+    if carried and any(replace(net, n_classes=2) != first for net in nets):
         raise ConfigurationError(
             f"{carried[0]} carries one model across tasks and cannot switch architectures;"
             " every task's net must match the first apart from the head"

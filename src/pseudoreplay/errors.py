@@ -81,9 +81,9 @@ def read_config(cls, doc, path: str = "", **fixed):
     """Build the config dataclass `cls` from the JSON object `doc`.
 
     Every key of `doc` must be an init field of `cls` that `fixed` does not
-    set and whose metadata does not say `config=False`; every field without a
-    default must be given. A field holding a config dataclass, alone, optional
-    or as a list, is read recursively; a field typed dict takes any object.
+    set; every field without a default must be given. A field holding a
+    config dataclass, alone, optional or as a list, is read recursively; a
+    field typed dict takes any object.
     The checks themselves live in each class's __post_init__; a
     ConfigurationError they raise comes out as "field '<path>.<field>':
     <reason>", where `path` names where `doc` sits.
@@ -91,7 +91,7 @@ def read_config(cls, doc, path: str = "", **fixed):
     if not isinstance(doc, dict):
         raise _at(path, f"must be an object, got {doc!r}")
     fields = {f.name: f for f in dataclasses.fields(cls) if f.init}
-    known = [n for n, f in fields.items() if n not in fixed and f.metadata.get("config", True)]
+    known = [n for n in fields if n not in fixed]
     hints = typing.get_type_hints(cls)
     kwargs = dict(fixed)
     for key, value in doc.items():

@@ -155,17 +155,17 @@ def relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float(np.max(relative_errors(analytic, numeric)))
 
 
-def sgd_reference(model, samples, config, penalty=None) -> tuple[np.ndarray, list[float]]:
+def sgd_reference(model, samples, config, seed, penalty=None) -> tuple[np.ndarray, list[float]]:
     """Minibatch SGD as a plain loop: the parameters and per-epoch mean losses.
 
-    Each epoch draws the seeded permutation, each minibatch calls the public
+    Each epoch draws the next permutation from `seed`, each minibatch calls the public
     loss_and_gradient on a freshly built model, and the update is out of
     place: v = beta*v + g; theta = theta - lr*v, with beta = 0 for plain sgd.
     """
     from pseudoreplay import NetModel, loss_and_gradient
 
     x, y = samples.x, samples.y
-    rng = np.random.default_rng(config.shuffle_seed)
+    rng = np.random.default_rng(seed)
     beta = config.momentum if config.optimizer == "sgd_momentum" else 0.0
     theta = model.parameters.copy()
     v = np.zeros_like(theta)

@@ -78,9 +78,7 @@ def small_seq(small_stream_config) -> TaskSequence:
 
 @pytest.fixture()
 def small_net() -> NetSpec:
-    return NetSpec(
-        kind="dense", input_shape=(50, 2), n_classes=2, hidden=(16, 8), seed=0
-    )
+    return NetSpec(kind="dense", input_shape=(50, 2), n_classes=2, hidden=(16, 8))
 
 
 @pytest.fixture()

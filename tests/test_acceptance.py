@@ -198,7 +198,7 @@ def test_gate_2_gradient_check_both_net_kinds(capsys):
             problems.append(f"{label}: {spec.param_count} parameters exceeds desk scale")
             continue
         rng = np.random.default_rng(spec.param_count)
-        theta = init_model(spec).parameters + 0.05 * rng.normal(size=spec.param_count)
+        theta = init_model(spec, 0).parameters + 0.05 * rng.normal(size=spec.param_count)
         x = rng.normal(size=(6,) + spec.input_shape)
         y = np.arange(6) % spec.n_classes
         anchored = EWCPenalty(

@@ -32,6 +32,7 @@ from pseudoreplay.classifier import (
 )
 from pseudoreplay import classifier
 from pseudoreplay.errors import ConfigurationError, TrainingError
+from pseudoreplay.seeding import derive_seed
 
 from _oracles import (
     fd_gradient,
@@ -45,7 +46,7 @@ from conftest import standardized_mix
 
 
 def dense_spec(**kwargs) -> NetSpec:
-    base = dict(kind="dense", input_shape=(4, 1), n_classes=3, hidden=(5, 4), seed=0)
+    base = dict(kind="dense", input_shape=(4, 1), n_classes=3, hidden=(5, 4))
     base.update(kwargs)
     return NetSpec(**base)
 
@@ -57,7 +58,6 @@ def conv_spec(**kwargs) -> NetSpec:
         n_classes=3,
         hidden=(6, 4),
         conv=((3, 3, 2), (4, 2, 1)),
-        seed=0,
     )
     base.update(kwargs)
     return NetSpec(**base)
@@ -77,7 +77,7 @@ def windows_of(x, labels) -> Windows:
 
 def bench_spec(**kwargs) -> NetSpec:
     """The dense net of the benchmark workloads: 50 x 2 windows, hidden (64, 32)."""
-    base = dict(kind="dense", input_shape=(50, 2), n_classes=3, hidden=(64, 32), seed=0)
+    base = dict(kind="dense", input_shape=(50, 2), n_classes=3, hidden=(64, 32))
     base.update(kwargs)
     return NetSpec(**base)
 
@@ -172,16 +172,17 @@ def test_unpack_rejects_wrong_length():
 
 
 def test_init_is_deterministic_given_seed():
-    a = init_model(dense_spec(seed=5))
-    b = init_model(dense_spec(seed=5))
+    spec = dense_spec()
+    a = init_model(spec, 5)
+    b = init_model(spec, 5)
     np.testing.assert_array_equal(a.parameters, b.parameters)
-    c = init_model(dense_spec(seed=6))
+    c = init_model(spec, 6)
     assert not np.array_equal(a.parameters, c.parameters)
 
 
 def test_init_biases_zero_and_weights_bounded():
-    for spec in (dense_spec(seed=1), conv_spec(seed=1)):
-        model = init_model(spec)
+    for spec in (dense_spec(), conv_spec()):
+        model = init_model(spec, 1)
         for (w, b), (fan_in, _) in zip(
             unpack_parameters(spec, model.parameters),
             [(wt.shape[0], wt.shape[1]) for wt, _ in unpack_parameters(spec, model.parameters)],
@@ -205,8 +206,8 @@ def test_model_must_be_finite_and_sized():
 
 
 def test_probability_rows_sum_to_one():
-    for spec in (dense_spec(seed=2), conv_spec(seed=2)):
-        model = init_model(spec)
+    for spec in (dense_spec(), conv_spec()):
+        model = init_model(spec, 2)
         probs = forward(model, batch_of(spec, 17, seed=3))
         assert probs.shape == (17, 3)
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-9)
@@ -215,7 +216,7 @@ def test_probability_rows_sum_to_one():
 
 def test_zeroed_output_layer_gives_uniform_probabilities():
     spec = dense_spec()
-    model = init_model(spec)
+    model = init_model(spec, 0)
     layers = [(w.copy(), b.copy()) for w, b in unpack_parameters(spec, model.parameters)]
     layers[-1] = (np.zeros_like(layers[-1][0]), np.zeros_like(layers[-1][1]))
     model = NetModel(spec=spec, parameters=pack_parameters(layers))
@@ -233,7 +234,7 @@ def test_uniform_prediction_loss_is_log_n_classes():
 
 def test_confident_correct_predictions_drive_loss_to_zero():
     spec = dense_spec(n_classes=2)
-    model = init_model(spec)
+    model = init_model(spec, 0)
     layers = [(np.zeros_like(w), np.zeros_like(b)) for w, b in unpack_parameters(spec, model.parameters)]
     layers[-1] = (layers[-1][0], np.array([30.0, -30.0]))  # logit gap 60 for class 0
     model = NetModel(spec=spec, parameters=pack_parameters(layers))
@@ -242,7 +243,7 @@ def test_confident_correct_predictions_drive_loss_to_zero():
 
 
 def test_batch_shape_mismatch_rejected():
-    model = init_model(dense_spec())
+    model = init_model(dense_spec(), 0)
     with pytest.raises(ConfigurationError):
         forward(model, np.zeros((2, 5, 1)))
 
@@ -263,31 +264,31 @@ def test_loss_and_gradient_and_train_refuse_bad_labels(case):
     spec = dense_spec()
     x = batch_of(spec, 3, seed=1)
     with pytest.raises(ConfigurationError) as caught:
-        loss_and_gradient(init_model(spec), x, labels)
+        loss_and_gradient(init_model(spec, 0), x, labels)
     assert str(caught.value) == message
     samples = SimpleNamespace(x=x, y=np.asarray(labels))  # Windows would refuse a short y
     with pytest.raises(ConfigurationError) as caught:
-        train(init_model(spec), samples, TrainConfig(epochs=1, batch_size=2))
+        train(init_model(spec, 0), samples, TrainConfig(epochs=1, batch_size=2), 0)
     assert str(caught.value) == message
 
 
 def test_a_plain_list_of_valid_labels_passes():
     spec = dense_spec()
     x = batch_of(spec, 3, seed=1)
-    loss, grad = loss_and_gradient(init_model(spec), x, [0, 2, 1])
-    want_loss, want_grad = loss_and_gradient(init_model(spec), x, np.array([0, 2, 1]))
+    loss, grad = loss_and_gradient(init_model(spec, 0), x, [0, 2, 1])
+    want_loss, want_grad = loss_and_gradient(init_model(spec, 0), x, np.array([0, 2, 1]))
     assert (loss.hex(), grad.tobytes()) == (want_loss.hex(), want_grad.tobytes())
     samples = SimpleNamespace(x=x, y=[0, 2, 1])
-    result = train(init_model(spec), samples, TrainConfig(epochs=2, batch_size=2))
+    result = train(init_model(spec, 0), samples, TrainConfig(epochs=2, batch_size=2), 0)
     assert len(result.epoch_losses) == 2
 
 
 # ------------------------------------------------------------------ gradients
 
 
-def _fd_case(spec, penalty=None, batch_seed=0):
+def _fd_case(spec, seed, penalty=None, batch_seed=0):
     rng = np.random.default_rng(41)
-    model = init_model(spec)
+    model = init_model(spec, seed)
     # move off the init point so relu patterns are generic
     theta = model.parameters + 0.05 * rng.normal(size=spec.param_count)
     model = NetModel(spec=spec, parameters=theta)
@@ -303,36 +304,36 @@ def _fd_case(spec, penalty=None, batch_seed=0):
 
 
 def test_dense_gradient_matches_finite_differences():
-    assert _fd_case(dense_spec(seed=8)) < 1e-4
+    assert _fd_case(dense_spec(), 8) < 1e-4
 
 
 def test_conv_gradient_matches_finite_differences():
     # every (kernel, stride) regime the input-gradient scatter handles: patches
     # that overlap, that tile the input exactly, and that leave gaps whose
     # positions get no gradient
-    specs = {"default": conv_spec(seed=8)}
+    specs = {"default": conv_spec()}
     for name, (kernel, stride) in {"overlap": (5, 1), "tiling": (2, 2), "gaps": (2, 3)}.items():
         conv = ((3, kernel, stride), (4, kernel, stride))
-        specs[f"{name} {(kernel, stride)}"] = conv_spec(seed=8, input_shape=(20, 2), conv=conv)
+        specs[f"{name} {(kernel, stride)}"] = conv_spec(input_shape=(20, 2), conv=conv)
     for name, spec in specs.items():
-        err = _fd_case(spec)
+        err = _fd_case(spec, 8)
         assert err < 1e-4, f"{name}: max relative error {err:.2e}"
 
 
 def test_gradient_with_penalty_matches_finite_differences():
-    for spec in (dense_spec(seed=9), conv_spec(seed=9)):
+    for spec in (dense_spec(), conv_spec()):
         rng = np.random.default_rng(1)
         penalty = EWCPenalty(
             lam=3.7,
             theta_star=rng.normal(size=spec.param_count),
             fisher=rng.uniform(0.0, 2.0, size=spec.param_count),
         )
-        assert _fd_case(spec, penalty=penalty) < 1e-4
+        assert _fd_case(spec, 9, penalty=penalty) < 1e-4
 
 
 def test_penalty_adds_the_expected_quadratic_term():
-    spec = dense_spec(seed=10)
-    model = init_model(spec)
+    spec = dense_spec()
+    model = init_model(spec, 10)
     x = batch_of(spec, 3)
     y = [0, 1, 2]
     theta_star = np.zeros(spec.param_count)
@@ -349,8 +350,8 @@ def test_penalty_adds_the_expected_quadratic_term():
 
 
 def test_zero_weight_penalty_is_bitwise_inert():
-    spec = dense_spec(seed=11)
-    model = init_model(spec)
+    spec = dense_spec()
+    model = init_model(spec, 11)
     x = batch_of(spec, 5)
     y = [0, 1, 2, 0, 1]
     penalty = EWCPenalty(
@@ -383,13 +384,13 @@ def _step_case(case: str):
     rng = np.random.default_rng(23)
     rows, penalty, squares = 32, None, case.startswith("squares")
     if case in ("bench", "bench_tail", "lam_zero", "squares_dense"):
-        spec = bench_spec(seed=24)
+        spec = bench_spec()
         rows = 7 if case == "bench_tail" else rows
     elif case in _STEP_CONV:
-        spec = conv_spec(seed=24, input_shape=(50, 2), hidden=(64, 32), conv=_STEP_CONV[case])
+        spec = conv_spec(input_shape=(50, 2), hidden=(64, 32), conv=_STEP_CONV[case])
         rows = {"conv_n1": 1, "conv_n7": 7}.get(case, rows)
     if case == "anchored":
-        old = init_model(bench_spec(n_classes=2, seed=25))
+        old = init_model(bench_spec(n_classes=2), 25)
         model = extend_output(old, 1, seed=26)
         spec = model.spec
         anchor = old.parameters + 0.01 * rng.normal(size=old.spec.param_count)
@@ -400,7 +401,7 @@ def _step_case(case: str):
             fisher=pad_parameters(old.spec, spec, fisher),
         )
     else:
-        model = init_model(spec)
+        model = init_model(spec, 24)
     if case == "lam_zero":
         penalty = EWCPenalty(
             lam=0.0, theta_star=rng.normal(size=spec.param_count), fisher=np.ones(spec.param_count)
@@ -443,10 +444,10 @@ def _step_bytes(model, x, y) -> tuple[str, bytes, bytes]:
 def test_cached_weight_views_follow_the_parameters(how):
     # a model's weight views are built once per parameters array; after each
     # change the step must match a freshly built model's bytes
-    spec = bench_spec(seed=4)
+    spec = bench_spec()
     x, y = batch_of(spec, 32, seed=5), np.arange(32) % 3
     nudge = 0.1 * np.random.default_rng(6).normal(size=spec.param_count)
-    model = init_model(spec)
+    model = init_model(spec, 4)
     before = _step_bytes(model, x, y)  # builds the views
     original = model
     if how == "deepcopy":
@@ -480,9 +481,9 @@ def test_penalty_validation():
 
 def test_separable_clusters_reach_full_training_accuracy():
     samples = cluster_samples(20, seed=1)
-    spec = NetSpec(kind="dense", input_shape=(2, 1), n_classes=2, hidden=(8, 4), seed=3)
+    spec = NetSpec(kind="dense", input_shape=(2, 1), n_classes=2, hidden=(8, 4))
     config = TrainConfig(epochs=200, batch_size=8, learning_rate=0.05)
-    result = train(init_model(spec), samples, config)
+    result = train(init_model(spec, 3), samples, config, 0)
     preds = np.argmax(forward(result.model, samples.x), axis=1)
     assert np.all(preds == samples.y)
     assert len(result.epoch_losses) == 200
@@ -491,36 +492,37 @@ def test_separable_clusters_reach_full_training_accuracy():
 
 def test_zero_learning_rate_changes_nothing():
     samples = cluster_samples(5, seed=2)
-    spec = NetSpec(kind="dense", input_shape=(2, 1), n_classes=2, hidden=(4, 3), seed=0)
-    model = init_model(spec)
+    spec = NetSpec(kind="dense", input_shape=(2, 1), n_classes=2, hidden=(4, 3))
+    model = init_model(spec, 0)
     before = model.parameters.copy()
-    result = train(model, samples, TrainConfig(epochs=3, batch_size=4, learning_rate=0.0))
+    result = train(model, samples, TrainConfig(epochs=3, batch_size=4, learning_rate=0.0), 0)
     np.testing.assert_array_equal(result.model.parameters, before)
     np.testing.assert_array_equal(model.parameters, before)  # input untouched
 
 
 def test_training_is_deterministic():
     samples = cluster_samples(10, seed=3)
-    spec = NetSpec(kind="dense", input_shape=(2, 1), n_classes=2, hidden=(6, 4), seed=1)
-    config = TrainConfig(epochs=15, batch_size=4, learning_rate=0.02, shuffle_seed=7)
-    a = train(init_model(spec), samples, config)
-    b = train(init_model(spec), samples, config)
+    spec = NetSpec(kind="dense", input_shape=(2, 1), n_classes=2, hidden=(6, 4))
+    config = TrainConfig(epochs=15, batch_size=4, learning_rate=0.02)
+    a = train(init_model(spec, 1), samples, config, 7)
+    b = train(init_model(spec, 1), samples, config, 7)
     np.testing.assert_array_equal(a.model.parameters, b.model.parameters)
     assert a.epoch_losses == b.epoch_losses
 
 
 def test_shuffle_seed_matters():
     samples = cluster_samples(10, seed=4)
-    spec = NetSpec(kind="dense", input_shape=(2, 1), n_classes=2, hidden=(6, 4), seed=1)
-    a = train(init_model(spec), samples, TrainConfig(epochs=5, batch_size=4, learning_rate=0.02, shuffle_seed=1))
-    b = train(init_model(spec), samples, TrainConfig(epochs=5, batch_size=4, learning_rate=0.02, shuffle_seed=2))
+    spec = NetSpec(kind="dense", input_shape=(2, 1), n_classes=2, hidden=(6, 4))
+    config = TrainConfig(epochs=5, batch_size=4, learning_rate=0.02)
+    a = train(init_model(spec, 1), samples, config, 1)
+    b = train(init_model(spec, 1), samples, config, 2)
     assert not np.array_equal(a.model.parameters, b.model.parameters)
 
 
-def _first_non_finite_step(model, samples, config, penalty) -> str:
-    """Where plain SGD first meets a non-finite loss or parameter, checking
-    every loss and every parameter after every step."""
-    rng = np.random.default_rng(config.shuffle_seed)
+def _first_non_finite_step(model, samples, config, seed, penalty) -> str:
+    """Where plain SGD, shuffled by `seed`, first meets a non-finite loss or
+    parameter, checking every loss and every parameter after every step."""
+    rng = np.random.default_rng(seed)
     theta = model.parameters.copy()
     for epoch in range(config.epochs):
         order = rng.permutation(len(samples))
@@ -541,7 +543,7 @@ def test_divergence_raises_a_located_training_error():
     # an anchor stiff beyond the step-size stability limit oscillates with
     # exponentially growing amplitude until parameters overflow
     samples = cluster_samples(10, seed=5)
-    spec = NetSpec(kind="dense", input_shape=(2, 1), n_classes=2, hidden=(6, 4), seed=1)
+    spec = NetSpec(kind="dense", input_shape=(2, 1), n_classes=2, hidden=(6, 4))
     config = TrainConfig(epochs=50, batch_size=4, learning_rate=1e6, optimizer="sgd")
     penalty = EWCPenalty(
         lam=1e6,
@@ -549,9 +551,9 @@ def test_divergence_raises_a_located_training_error():
         fisher=np.ones(spec.param_count),
     )
     with np.errstate(over="ignore", invalid="ignore"):
-        where = _first_non_finite_step(init_model(spec), samples, config, penalty)
+        where = _first_non_finite_step(init_model(spec, 1), samples, config, 0, penalty)
         with pytest.raises(TrainingError, match=r"epoch \d+, batch \d+") as caught:
-            train(init_model(spec), samples, config, penalty=penalty)
+            train(init_model(spec, 1), samples, config, 0, penalty=penalty)
     assert str(caught.value) == where
 
 
@@ -559,14 +561,14 @@ def _train_with_huge_first_layer(value: float) -> np.ndarray:
     """Trains a net whose first-layer weights are all `value` on zero inputs,
     which keep them out of the loss and give them a zero gradient, so they
     stay finite; returns the parameters it started from."""
-    spec = NetSpec(kind="dense", input_shape=(2, 1), n_classes=2, hidden=(6, 4), seed=3)
-    theta = init_model(spec).parameters.copy()
+    spec = NetSpec(kind="dense", input_shape=(2, 1), n_classes=2, hidden=(6, 4))
+    theta = init_model(spec, 3).parameters.copy()
     w1, _ = unpack_parameters(spec, theta)[0]
     w1[...] = value
     samples = windows_of(np.zeros((8, 2, 1)), np.arange(8) % 2)
     config = TrainConfig(epochs=2, batch_size=4, learning_rate=0.1)
     with np.errstate(over="ignore"):
-        result = train(NetModel(spec=spec, parameters=theta), samples, config)
+        result = train(NetModel(spec=spec, parameters=theta), samples, config, 0)
     assert np.all(np.isfinite(result.model.parameters))
     np.testing.assert_array_equal(unpack_parameters(spec, result.model.parameters)[0][0], w1)
     assert all(np.isfinite(result.epoch_losses))
@@ -620,12 +622,12 @@ def test_train_config_validation():
 @pytest.mark.parametrize("case", ["plain", "ewc", "sgd", "conv", "bench_ewc"])
 def test_train_matches_the_reference_loop_bit_for_bit(case):
     samples = cluster_samples(11, seed=6)  # 22 samples: the last batch is short
-    spec = NetSpec(kind="dense", input_shape=(2, 1), n_classes=2, hidden=(6, 4), seed=2)
+    spec = NetSpec(kind="dense", input_shape=(2, 1), n_classes=2, hidden=(6, 4))
     batch_size = 5
     if case in ("conv", "bench_ewc"):
         # the real shapes reach BLAS paths that the tiny net does not;
         # 70 samples in batches of 32 leave a short last batch
-        spec = conv_spec(seed=2, n_classes=2) if case == "conv" else bench_spec(seed=2, n_classes=2)
+        spec = conv_spec(n_classes=2) if case == "conv" else bench_spec(n_classes=2)
         labels = np.arange(70) % 2
         samples = windows_of(batch_of(spec, 70, seed=7) + labels[:, None, None], labels)
         batch_size = 32
@@ -633,7 +635,6 @@ def test_train_matches_the_reference_loop_bit_for_bit(case):
         epochs=4,
         batch_size=batch_size,
         learning_rate=0.05,
-        shuffle_seed=3,
         optimizer="sgd" if case == "sgd" else "sgd_momentum",
     )
     penalty = None
@@ -644,10 +645,10 @@ def test_train_matches_the_reference_loop_bit_for_bit(case):
             theta_star=rng.normal(size=spec.param_count),
             fisher=rng.uniform(0.0, 1.0, size=spec.param_count),
         )
-    model = init_model(spec)
+    model = init_model(spec, 2)
     before = model.parameters.copy()
-    result = train(model, samples, config, penalty=penalty)
-    theta, losses = sgd_reference(model, samples, config, penalty)
+    result = train(model, samples, config, 3, penalty=penalty)
+    theta, losses = sgd_reference(model, samples, config, 3, penalty)
     np.testing.assert_array_equal(result.model.parameters, theta)
     assert result.epoch_losses == losses
     np.testing.assert_array_equal(model.parameters, before)  # input untouched
@@ -677,8 +678,8 @@ def test_train_and_fisher_call_loss_and_gradient_per_batch_and_per_sample(monkey
     n, epochs, batch = len(samples), 3, 5
     steps = math.ceil(n / batch) * epochs
     config = TrainConfig(epochs=epochs, batch_size=batch, learning_rate=0.05)
-    model = init_model(NetSpec(kind="dense", input_shape=(2, 1), n_classes=2, hidden=(6, 4), seed=2))
-    train(model, samples, config)
+    model = init_model(NetSpec(kind="dense", input_shape=(2, 1), n_classes=2, hidden=(6, 4)), 2)
+    train(model, samples, config, 0)
     assert len(calls) == steps and sum(c[1] for c in calls) == n * epochs
     assert all(c[0] == "dense" and not c[2] for c in calls)
 
@@ -689,12 +690,12 @@ def test_train_and_fisher_call_loss_and_gradient_per_batch_and_per_sample(monkey
     # the anchored path, and a conv net
     penalty = EWCPenalty(lam=0.5, theta_star=model.parameters, fisher=np.ones(model.spec.param_count))
     calls.clear()
-    train(model, samples, config, penalty)
-    train(model, samples, config, penalty=penalty)
+    train(model, samples, config, 0, penalty)
+    train(model, samples, config, 0, penalty=penalty)
     assert len(calls) == 2 * steps and all(c[0] == "dense" and c[2] for c in calls)
     conv_samples = windows_of(batch_of(conv_spec(), n, seed=3), np.arange(n) % 3)
     calls.clear()
-    train(init_model(conv_spec(seed=4)), conv_samples, config)
+    train(init_model(conv_spec(), 4), conv_samples, config, 0)
     assert len(calls) == steps and sum(c[1] for c in calls) == n * epochs
     assert all(c[0] == "conv" and not c[2] for c in calls)
 
@@ -715,11 +716,11 @@ def test_train_and_fisher_call_loss_and_gradient_per_batch_and_per_sample(monkey
 def _fisher_case(case: str) -> tuple[NetModel, Windows]:
     """(model, samples) of one batched-Fisher case, named "<kind>_<rows>"."""
     if case == "grown_head":
-        model = extend_output(init_model(dense_spec(n_classes=2, seed=16)), 2, seed=3)
+        model = extend_output(init_model(dense_spec(n_classes=2), 16), 2, seed=3)
         n, labels = 12, np.arange(12) % 4
     else:
         kind, rows = case.split("_", 1)
-        model = init_model(conv_spec(seed=17) if kind == "conv" else dense_spec(seed=18))
+        model = init_model(conv_spec(), 17) if kind == "conv" else init_model(dense_spec(), 18)
         n = {"mixed": 13, "n1": 1, "one_class": 10, "chunks": 23}[rows]
         labels = np.full(n, 2) if rows == "one_class" else np.arange(n) % 3
     return model, windows_of(batch_of(model.spec, n, seed=10), labels)
@@ -743,8 +744,8 @@ def test_batched_fisher_matches_the_per_row_loop(monkeypatch, case):
 
 
 def test_per_sample_squares_take_no_penalty():
-    spec = dense_spec(seed=19)
-    model = init_model(spec)
+    spec = dense_spec()
+    model = init_model(spec, 19)
     penalty = EWCPenalty(
         lam=0.0, theta_star=model.parameters.copy(), fisher=np.ones(spec.param_count)
     )
@@ -753,8 +754,8 @@ def test_per_sample_squares_take_no_penalty():
 
 
 def test_fisher_is_nonnegative():
-    spec = dense_spec(seed=12)
-    model = init_model(spec)
+    spec = dense_spec()
+    model = init_model(spec, 12)
     samples = windows_of(batch_of(spec, 6, seed=6), np.arange(6) % 3)
     fisher = fisher_diagonal(model, samples)
     assert fisher.shape == model.parameters.shape
@@ -764,8 +765,8 @@ def test_fisher_is_nonnegative():
 def test_fisher_is_zero_where_logits_cannot_move():
     # zero output weights: logits equal the output bias regardless of the
     # earlier layers, so every coordinate below the head has zero gradient
-    spec = dense_spec(seed=13)
-    model = init_model(spec)
+    spec = dense_spec()
+    model = init_model(spec, 13)
     layers = [(w.copy(), b.copy()) for w, b in unpack_parameters(spec, model.parameters)]
     layers[-1] = (np.zeros_like(layers[-1][0]), layers[-1][1])
     model = NetModel(spec=spec, parameters=pack_parameters(layers))
@@ -778,7 +779,7 @@ def test_fisher_is_zero_where_logits_cannot_move():
 
 def test_fisher_matches_per_sample_finite_differences():
     # 10-parameter model: 3x1 window, hidden (1, 1), 2 classes
-    spec = NetSpec(kind="dense", input_shape=(3, 1), n_classes=2, hidden=(1, 1), seed=14)
+    spec = NetSpec(kind="dense", input_shape=(3, 1), n_classes=2, hidden=(1, 1))
     assert spec.param_count == 10
     rng = np.random.default_rng(2)
     model = NetModel(spec=spec, parameters=rng.normal(size=10))
@@ -803,8 +804,8 @@ def test_fisher_matches_per_sample_finite_differences():
 
 
 def test_extend_output_preserves_old_logits():
-    spec = dense_spec(n_classes=2, seed=15)
-    model = init_model(spec)
+    spec = dense_spec(n_classes=2)
+    model = init_model(spec, 15)
     x = batch_of(spec, 9, seed=8)
     from pseudoreplay.classifier import _forward_cached
 
@@ -816,7 +817,7 @@ def test_extend_output_preserves_old_logits():
 
 
 def test_extend_output_is_deterministic_and_seed_sensitive():
-    model = init_model(dense_spec(n_classes=2, seed=16))
+    model = init_model(dense_spec(n_classes=2), 16)
     a = extend_output(model, 2, seed=1)
     b = extend_output(model, 2, seed=1)
     c = extend_output(model, 2, seed=2)
@@ -825,8 +826,8 @@ def test_extend_output_is_deterministic_and_seed_sensitive():
 
 
 def test_pad_parameters_layout_and_fill():
-    old = dense_spec(n_classes=2, seed=17)
-    new = dense_spec(n_classes=4, seed=17)
+    old = dense_spec(n_classes=2)
+    new = dense_spec(n_classes=4)
     vec = np.arange(float(old.param_count))
     padded = pad_parameters(old, new, vec, fill=-1.0)
     assert padded.size == new.param_count
@@ -859,7 +860,7 @@ def ensemble_batch(samples):
 
 def test_identical_members_match_a_single_member():
     samples = cluster_samples(8, seed=6)
-    spec = NetSpec(kind="dense", input_shape=(2, 1), n_classes=2, hidden=(4, 3), seed=2)
+    spec = NetSpec(kind="dense", input_shape=(2, 1), n_classes=2, hidden=(4, 3))
     single = fit_ensemble(
         spec, *standardized_mix(samples), TrainConfig(epochs=5, batch_size=4, learning_rate=0.01), seed=0, n_members=1
     )
@@ -870,12 +871,12 @@ def test_identical_members_match_a_single_member():
 
 def test_averaged_probabilities_decide_the_prediction():
     # member A is mildly sure of class 0, member B is emphatic about class 1
-    spec = NetSpec(kind="dense", input_shape=(2, 1), n_classes=3, hidden=(4, 3), seed=0)
+    spec = NetSpec(kind="dense", input_shape=(2, 1), n_classes=3, hidden=(4, 3))
 
     def biased_model(bias):
         layers = [
             (np.zeros_like(w), np.zeros_like(b))
-            for w, b in unpack_parameters(spec, init_model(spec).parameters)
+            for w, b in unpack_parameters(spec, init_model(spec, 0).parameters)
         ]
         layers[-1] = (layers[-1][0], np.asarray(bias, dtype=float))
         return NetModel(spec=spec, parameters=pack_parameters(layers))
@@ -891,10 +892,10 @@ def test_averaged_probabilities_decide_the_prediction():
 
 
 def test_prediction_ties_break_toward_the_lower_class():
-    spec = NetSpec(kind="dense", input_shape=(2, 1), n_classes=2, hidden=(4, 3), seed=0)
+    spec = NetSpec(kind="dense", input_shape=(2, 1), n_classes=2, hidden=(4, 3))
     layers = [
         (np.zeros_like(w), np.zeros_like(b))
-        for w, b in unpack_parameters(spec, init_model(spec).parameters)
+        for w, b in unpack_parameters(spec, init_model(spec, 0).parameters)
     ]
     model = NetModel(spec=spec, parameters=pack_parameters(layers))
     from pseudoreplay.data import StandardizationParams
@@ -935,3 +936,17 @@ def test_fit_ensemble_members_differ_and_are_deterministic():
     for ma, mb in zip(a.members, b.members, strict=True):
         np.testing.assert_array_equal(ma.parameters, mb.parameters)
 
+
+
+def test_fit_ensemble_members_share_the_spec_and_train_on_their_derived_seeds():
+    # member m is init_model on ("init", m) trained with shuffles from
+    # ("shuffle", m), bit for bit; the members hold the one spec they were given
+    samples = cluster_samples(10, seed=9)
+    spec = NetSpec(kind="dense", input_shape=(2, 1), n_classes=2, hidden=(4, 3))
+    config = TrainConfig(epochs=3, batch_size=4, learning_rate=0.05)
+    mix, standardizer = standardized_mix(samples)
+    ens = fit_ensemble(spec, mix, standardizer, config, seed=5, n_members=3)
+    assert all(member.spec is spec for member in ens.members)
+    for m, member in enumerate(ens.members):
+        want = train(init_model(spec, derive_seed(5, "init", m)), mix, config, derive_seed(5, "shuffle", m))
+        assert member.parameters.tobytes() == want.model.parameters.tobytes(), f"member {m}"

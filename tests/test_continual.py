@@ -29,7 +29,17 @@ from _oracles import (
 )
 from conftest import fisher_weighted_movement, standardized_mix, task1_fishers
 from pseudoreplay import classifier, continual
-from pseudoreplay.classifier import Ensemble, fit_ensemble, init_model, pad_parameters, predict
+from pseudoreplay.classifier import (
+    Ensemble,
+    EWCPenalty,
+    extend_output,
+    fisher_diagonal,
+    fit_ensemble,
+    init_model,
+    pad_parameters,
+    predict,
+    train,
+)
 from pseudoreplay.continual import STRATEGIES, TaskSequence, split_trials
 from pseudoreplay.data import (
     SYNTHETIC_TRIAL_ID,
@@ -305,7 +315,7 @@ def test_blocked_evaluation_equals_one_block(small_seq, monkeypatch):
 
 def test_member_spread_is_the_population_std_of_member_macro_f(small_seq):
     # untrained members with different init seeds disagree on the test windows
-    members = [init_model(replace(small_net(3), seed=s)) for s in range(4)]
+    members = [init_model(small_net(3), s) for s in range(4)]
     standardizer = fit_standardizer(Windows.concat(small_seq.train))
     _, _, spread = continual._evaluate(Ensemble(members, standardizer), small_seq, 2)
     batch = Windows.concat([part for parts in small_seq.test for part in parts])
@@ -322,7 +332,7 @@ def evaluation_peak(net: NetSpec, per_class: int) -> int:
     a 3-class test set of per_class windows of shape (50, 2) per class."""
     rng = np.random.default_rng(8)
     ens = Ensemble(
-        [init_model(replace(net, seed=s)) for s in range(3)],
+        [init_model(net, s) for s in range(3)],
         fit_standardizer(Windows(rng.normal(size=(8, 50, 2)), np.zeros(8), np.zeros((8, 2)))),
     )
     parts = [
@@ -518,6 +528,53 @@ def test_zero_weight_anchor_is_bitwise_finetune(small_seq):
         np.testing.assert_array_equal(ta.cm.counts, tb.cm.counts)
 
 
+@pytest.mark.parametrize("anchored", [False, True])
+def test_carry_forward_trains_each_member_on_its_own_head_and_shuffle_seeds(small_seq, anchored):
+    # member m of task i grows its head from ("head", i, m) and shuffles with
+    # ("task", i, "shuffle", m), bit for bit, with and without the EWC anchor
+    config = TrainConfig(epochs=2, batch_size=16, learning_rate=0.01)
+    settings = RunSettings(net=small_net(), train=config, ewc_lambda=3.0, n_members=2)
+    old_mix, old_standardizer = standardized_mix(Windows.concat(small_seq.train[:2]))
+    ens = fit_ensemble(small_net(), old_mix, old_standardizer, config, seed=8, n_members=2)
+    snapshot = None
+    if anchored:
+        snapshot = (
+            [m.parameters.copy() for m in ens.members],
+            [fisher_diagonal(m, old_mix) for m in ens.members],
+        )
+    mix, standardizer = standardized_mix(Windows.concat([small_seq.train[0], small_seq.train[2]]))
+    carried = continual._carry_forward(ens, mix, standardizer, settings, 7, 2, snapshot)
+    assert carried.standardizer is standardizer
+    for m, (member, got) in enumerate(zip(ens.members, carried.members, strict=True)):
+        extended = extend_output(member, 1, derive_seed(7, "head", 2, m))
+        penalty = None
+        if anchored:
+            penalty = EWCPenalty(
+                lam=3.0,
+                theta_star=pad_parameters(member.spec, extended.spec, snapshot[0][m]),
+                fisher=pad_parameters(member.spec, extended.spec, snapshot[1][m]),
+            )
+        want = train(extended, mix, config, derive_seed(7, "task", 2, "shuffle", m), penalty)
+        assert got.parameters.tobytes() == want.model.parameters.tobytes(), f"member {m}"
+
+
+@pytest.mark.parametrize("strategy", ["baseline", "rcl", "finetune"])
+def test_every_fresh_ensemble_gets_its_task_seed(small_seq, monkeypatch, strategy):
+    # a strategy that trains a fresh ensemble at task i seeds it with
+    # ("task", i); a carried strategy trains one only at task 1
+    seeds = []
+    real = continual.fit_ensemble
+
+    def recording(spec, standardized, standardizer, config, seed, n_members=5):
+        seeds.append(seed)
+        return real(spec, standardized, standardizer, config, seed, n_members)
+
+    monkeypatch.setattr(continual, "fit_ensemble", recording)
+    strategy_run(strategy, small_seq, seed=5, train=TrainConfig(epochs=1), n_members=1)
+    fresh = range(1, 2 if strategy == "finetune" else small_seq.n_tasks + 1)
+    assert seeds == [derive_seed(5, "task", i) for i in fresh]
+
+
 def test_huge_anchor_weight_freezes_shared_parameters(small_stream_config):
     # plain SGD needs lr * lam * fisher < 2 to stay stable, so the freezing
     # regime is probed at a tiny step size; the contrast run shows normal
@@ -552,7 +609,7 @@ def _carry_with_anchor(lam: float, config: TrainConfig):
     y = np.repeat([0, 1], 10)
     x = rng.normal(scale=0.4, size=(20, 2, 1)) + np.where(y == 0, -2.0, 2.0)[:, None, None]
     mix = Windows(x=x, y=y, source=np.column_stack([np.ones(20), np.arange(20)]))
-    member = init_model(NetSpec(kind="dense", input_shape=(2, 1), n_classes=2, hidden=(6, 4), seed=1))
+    member = init_model(NetSpec(kind="dense", input_shape=(2, 1), n_classes=2, hidden=(6, 4)), 1)
     ens = Ensemble(members=[member], standardizer=fit_standardizer(mix))
     settings = RunSettings(net=member.spec, train=config, ewc_lambda=lam, n_members=1)
     snapshot = ([member.parameters], [np.ones(member.spec.param_count)])
