@@ -937,7 +937,6 @@ def test_fit_ensemble_members_differ_and_are_deterministic():
         np.testing.assert_array_equal(ma.parameters, mb.parameters)
 
 
-
 def test_fit_ensemble_members_share_the_spec_and_train_on_their_derived_seeds():
     # member m is init_model on ("init", m) trained with shuffles from
     # ("shuffle", m), bit for bit; the members hold the one spec they were given
