@@ -462,27 +462,28 @@ def train(
 
     losses: list[float] = []
     n = x.shape[0]
-    for epoch in range(config.epochs):
-        order = rng.permutation(n)
-        batch_losses = []
-        for batch, start in enumerate(range(0, n, config.batch_size)):
-            sel = order[start : start + config.batch_size]
-            loss, grad = loss_and_gradient(current, x.take(sel, axis=0), y[sel], penalty)
-            if not math.isfinite(loss):
-                raise TrainingError(f"non-finite loss at epoch {epoch}, batch {batch}")
-            if beta > 0.0:
-                velocity *= beta
-                velocity += grad
-            else:
-                velocity = grad
-            theta -= np.multiply(config.learning_rate, velocity, out=step)
-            # NaN and inf survive a sum of squares, so a finite one proves every
-            # entry finite; squares overflow from about 1e154, so the exact
-            # check runs when the dot product is not finite
-            if not (math.isfinite(theta @ theta) or np.all(np.isfinite(theta))):
-                raise TrainingError(f"non-finite parameters at epoch {epoch}, batch {batch}")
-            batch_losses.append(loss)
-        losses.append(float(np.mean(batch_losses)))
+    with np.errstate(over="ignore"):  # for the guard's dot product, once per call, not per step
+        for epoch in range(config.epochs):
+            order = rng.permutation(n)
+            batch_losses = []
+            for batch, start in enumerate(range(0, n, config.batch_size)):
+                sel = order[start : start + config.batch_size]
+                loss, grad = loss_and_gradient(current, x.take(sel, axis=0), y[sel], penalty)
+                if not math.isfinite(loss):
+                    raise TrainingError(f"non-finite loss at epoch {epoch}, batch {batch}")
+                if beta > 0.0:
+                    velocity *= beta
+                    velocity += grad
+                else:
+                    velocity = grad
+                theta -= np.multiply(config.learning_rate, velocity, out=step)
+                # NaN and inf survive a sum of squares, so a finite one proves every
+                # entry finite; squares overflow from about 1e154, so the exact
+                # check runs when the dot product is not finite
+                if not (math.isfinite(theta @ theta) or np.all(np.isfinite(theta))):
+                    raise TrainingError(f"non-finite parameters at epoch {epoch}, batch {batch}")
+                batch_losses.append(loss)
+            losses.append(float(np.mean(batch_losses)))
     return TrainResult(model=current, epoch_losses=losses)
 
 

@@ -1,8 +1,9 @@
 """Class-incremental task orchestration and strategy benchmarks.
 
 Task 0's class is the normal regime; task i (1-based) introduces the i-th
-class. One loop, run_strategy, serves every strategy: each task builds its
-training mix, trains, then evaluates on every class seen so far. The
+class. run_strategy folds _task_step over the tasks: each step builds its
+training mix, trains, evaluates on every class seen so far, and hands the next
+a RunState of the generators, the last ensemble and ewc's anchor snapshot. The
 strategies differ only in the mix and in whether the model is fresh:
 
 - rcl: per-class generators produce pseudo data for every previous class; a
@@ -372,79 +373,92 @@ def check_carried(strategies, nets: list[NetSpec]) -> None:
         )
 
 
+@dataclass(frozen=True)
+class RunState:
+    """What one task hands the next; ewc's snapshot is (parameters, Fisher diagonals)."""
+
+    generators: dict[int, ClassGenerator]
+    ensemble: Ensemble | None = None
+    snapshot: tuple[list[np.ndarray], list[np.ndarray]] | None = None
+
+
+def _task_step(
+    strategy: str, seq: TaskSequence, net: NetSpec, settings: RunSettings, seed: int, state: RunState, i: int
+) -> tuple[RunState, TaskResult]:
+    """Task i from the state task i - 1 left, which it does not change, so two
+    steps may start from one state."""
+    carry = strategy in CARRIED and state.ensemble is not None
+    generators = dict(state.generators)
+    replay: dict[int, int] = {}
+    if strategy == "rcl":
+        # pseudo data for every previous class, plus the raw new class
+        for pos in range(i + 1):
+            if pos not in generators:
+                generators[pos] = _fit_class_generator(seq, pos, settings.generator, seed, i)
+        pseudo_count = settings.generator.pseudo_per_class or len(seq.train[i])
+        replay = {seq.class_ids[pos]: pseudo_count for pos in range(i)}
+        mix = Windows.concat([
+            generate(generators[pos], pseudo_count, seed=derive_seed(seed, "replay", i, pos))
+            for pos in range(i)
+        ] + [seq.train[i]])
+    elif carry:
+        # the carried model sees only raw normal data plus the newest class
+        mix = Windows.concat([seq.train[0], seq.train[i]])
+    else:
+        mix = Windows.concat(seq.train[: i + 1])
+    # the mix is this task's own copy, so it is standardized in place
+    standardizer = fit_standardizer(mix)
+    apply_standardizer(standardizer, mix, out=mix.x)
+
+    if carry:
+        ens = _carry_forward(state.ensemble, mix, standardizer, settings, seed, i, state.snapshot)
+    else:
+        ens = fit_ensemble(
+            replace(net, input_shape=(seq.window, seq.channels), n_classes=i + 1),
+            mix,
+            standardizer,
+            settings.train,
+            seed=derive_seed(seed, "task", i),
+            n_members=settings.n_members,
+        )
+    snapshot = None
+    if strategy == "ewc" and i < seq.n_tasks:
+        snapshot = (
+            [m.parameters.copy() for m in ens.members],
+            [fisher_diagonal(m, mix) for m in ens.members],
+        )
+    cm, report, spread = _evaluate(ens, seq, i)
+    return RunState(generators, ens, snapshot), TaskResult(
+        task_index=i,
+        class_ids=seq.class_ids[: i + 1],
+        cm=cm,
+        report=report,
+        member_f_std=spread,
+        replay_counts=replay,
+        train_provenance=np.column_stack([mix.y, mix.source]),
+    )
+
+
 def run_strategy(
     strategy: str, seq: TaskSequence, settings: RunSettings, seed: int
 ) -> ContinualRun:
-    """Run one strategy over every task of seq.
+    """Run one strategy over every task of seq, a fold of _task_step.
 
-    Each task builds its training mix, trains, then evaluates on every class
-    seen so far. finetune and ewc carry task 1's ensemble forward; ewc
-    anchors it to a Fisher snapshot of the task before. A lam of 0.0 still
-    takes the snapshots but adds no term to the loss, so its parameter
-    trajectory is bit-identical to finetune under the same seed.
+    finetune and ewc carry task 1's ensemble forward; ewc anchors it to a
+    Fisher snapshot of the task before. A lam of 0.0 still takes the snapshots
+    but adds no term to the loss, so its parameters match finetune's bit for bit.
     """
     check_strategies((strategy,))
     nets = _task_nets(settings, seq.n_tasks)
     check_carried((strategy,), nets)
-    carried = strategy in CARRIED
-    generators: dict[int, ClassGenerator] = {}
-    ensembles: list[Ensemble] = []
-    tasks: list[TaskResult] = []
-    snapshot = None
-    for i in range(1, seq.n_tasks + 1):
-        carry = carried and i > 1
-        replay: dict[int, int] = {}
-        if strategy == "rcl":
-            # pseudo data for every previous class, plus the raw new class
-            for pos in range(i + 1):
-                if pos not in generators:
-                    generators[pos] = _fit_class_generator(seq, pos, settings.generator, seed, i)
-            pseudo_count = settings.generator.pseudo_per_class or len(seq.train[i])
-            replay = {seq.class_ids[pos]: pseudo_count for pos in range(i)}
-            mix = Windows.concat([
-                generate(generators[pos], pseudo_count, seed=derive_seed(seed, "replay", i, pos))
-                for pos in range(i)
-            ] + [seq.train[i]])
-        elif carry:
-            # the carried model sees only raw normal data plus the newest class
-            mix = Windows.concat([seq.train[0], seq.train[i]])
-        else:
-            mix = Windows.concat(seq.train[: i + 1])
-        # the mix is this task's own copy, so it is standardized in place
-        standardizer = fit_standardizer(mix)
-        apply_standardizer(standardizer, mix, out=mix.x)
-
-        if carry:
-            ens = _carry_forward(ensembles[-1], mix, standardizer, settings, seed, i, snapshot)
-        else:
-            ens = fit_ensemble(
-                replace(nets[i - 1], input_shape=(seq.window, seq.channels), n_classes=i + 1),
-                mix,
-                standardizer,
-                settings.train,
-                seed=derive_seed(seed, "task", i),
-                n_members=settings.n_members,
-            )
-        ensembles.append(ens)
-        if strategy == "ewc" and i < seq.n_tasks:
-            snapshot = (
-                [m.parameters.copy() for m in ens.members],
-                [fisher_diagonal(m, mix) for m in ens.members],
-            )
-        cm, report, spread = _evaluate(ens, seq, i)
-        tasks.append(TaskResult(
-            task_index=i,
-            class_ids=seq.class_ids[: i + 1],
-            cm=cm,
-            report=report,
-            member_f_std=spread,
-            replay_counts=replay,
-            train_provenance=np.column_stack([mix.y, mix.source]),
-        ))
-        del mix  # the next task builds its mix, pseudo samples and standardizer without it
+    state, tasks, ensembles = RunState({}), [], []
+    for i, net in enumerate(nets, 1):
+        state, task = _task_step(strategy, seq, net, settings, seed, state, i)
+        tasks.append(task)
+        ensembles.append(state.ensemble)
 
     if strategy == "rcl":
-        footprint = sum(g.memory_size for g in generators.values())
+        footprint = sum(g.memory_size for g in state.generators.values())
     elif strategy == "baseline":
         footprint = sum(len(t) for t in seq.train)
     else:
@@ -454,7 +468,7 @@ def run_strategy(
         seed=seed,
         class_ids=seq.class_ids,
         tasks=tasks,
-        generators=generators,
+        generators=state.generators,
         ensembles=ensembles,
         memory_footprint=footprint,
     )

@@ -28,8 +28,8 @@ def make_samples(rows: np.ndarray, class_id: int = 0) -> Windows:
 
 
 def standardized_mix(samples: Windows):
-    """(standardized copy, params) of samples, the mix and standardizer
-    that fit_ensemble and _carry_forward take."""
+    """(standardized copy, params) of samples: the mix and standardizer
+    that continual._task_step hands fit_ensemble or _carry_forward."""
     params = fit_standardizer(samples)
     return apply_standardizer(params, samples), params
 

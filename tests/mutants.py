@@ -9,11 +9,15 @@ script copies the repository (README.md included, as a test reads it) to a
 temporary directory, applies the edit there, never in the working tree, and
 runs tier-1 with `-x -p no:cacheprovider` twice: once whole, and once without
 the environment-bound pinned-bytes test, which skips under any other Python,
-numpy or BLAS. It reports each mutant as killed, naming the first failing
-test, or as surviving. An unmutated copy runs first, both ways, and must pass
-without the pin, or no kill would mean anything; if it fails only with the pin
-(the pinned digests belong to one platform), the with-pin verdicts are
-reported as unavailable rather than as kills.
+numpy or BLAS. Each run lists the test files with tests/test_acceptance.py
+last, so a mutant that a quicker test kills stops before the slow gates, and
+leaves out tests/test_mutants.py, which tier-1 runs on the unmutated tree to
+check that every old text below is still found once. It reports each mutant
+as killed, naming the first failing test, or as surviving. An unmutated copy
+runs first, both ways, and must pass without the pin, or no kill would mean
+anything; if it fails only with the pin (the pinned digests belong to one
+platform), the with-pin verdicts are reported as unavailable rather than as
+kills.
 
 Exit status: 0 when every must-die mutant is killed without the pin, 1 when
 one survives or the unmutated copy fails, 2 when a mutant's old text is not
@@ -35,6 +39,8 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
 PINNED = "tests/test_cli.py::test_a_small_variant_run_writes_pinned_bytes"
+ACCEPTANCE = "test_acceptance.py"
+STALENESS = "test_mutants.py"
 IGNORED = shutil.ignore_patterns(
     ".git", "__pycache__", ".pytest_cache", ".hypothesis", ".perfbench_work", ".perfbench_out",
     ".benchmarks", "results",
@@ -121,6 +127,10 @@ def _tier1(tree: Path, pinned: bool) -> str:
            "--continue-on-collection-errors"]
     if not pinned:
         cmd += ["--deselect", PINNED]
+    # the acceptance gates run last, as they take most of a pass; the
+    # staleness test is left out, as a mutated copy fails it by design
+    files = sorted(tree.glob("tests/test_*.py"), key=lambda p: (p.name == ACCEPTANCE, p.name))
+    cmd += [str(p.relative_to(tree)) for p in files if p.name != STALENESS]
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     env.setdefault("OPENBLAS_NUM_THREADS", "1")
     try:

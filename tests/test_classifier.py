@@ -1,6 +1,7 @@
 import copy
 import math
 import pickle
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -567,7 +568,8 @@ def _train_with_huge_first_layer(value: float) -> np.ndarray:
     w1[...] = value
     samples = windows_of(np.zeros((8, 2, 1)), np.arange(8) % 2)
     config = TrainConfig(epochs=2, batch_size=4, learning_rate=0.1)
-    with np.errstate(over="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # train's guard must not warn on finite parameters
         result = train(NetModel(spec=spec, parameters=theta), samples, config, 0)
     assert np.all(np.isfinite(result.model.parameters))
     np.testing.assert_array_equal(unpack_parameters(spec, result.model.parameters)[0][0], w1)

@@ -1,4 +1,5 @@
 import gc
+import pickle
 import tracemalloc
 from dataclasses import replace
 
@@ -888,6 +889,42 @@ def test_dense_then_conv_run_completes(small_seq):
         assert run.ensembles[1].members[0].spec.kind == "conv"
         assert run.ensembles[1].n_classes == 3
         assert run.tasks[1].report.macro_f > 0.5
+
+
+def step_bytes(task, ensemble) -> list[bytes]:
+    """What one task step produced, as bytes: confusion counts, per-class
+    P/R/F, member spread, training provenance and each member's parameters."""
+    r = task.report
+    return [
+        task.cm.counts.tobytes(), r.precision.tobytes(), r.recall.tobytes(), r.f_score.tobytes(),
+        np.float64(task.member_f_std).tobytes(), task.train_provenance.tobytes(),
+        *(m.parameters.tobytes() for m in ensemble.members),
+    ]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_final_tasks_forked_from_one_state_equal_whole_runs(small_seq, strategy, seed):
+    # tasks 1..n-1 folded once, then the final task once per net from that
+    # state; a carried strategy cannot switch nets, so it forks one net twice
+    conv = NetSpec(
+        kind="conv", input_shape=(50, 2), n_classes=2, hidden=(8, 4), conv=((4, 5, 2), (8, 5, 2))
+    )
+    finals = [small_net(), small_net() if strategy in continual.CARRIED else conv]
+    config = TrainConfig(epochs=2, batch_size=16, learning_rate=0.01)
+    settings = RunSettings(net=small_net(), train=config, n_members=2)
+    n = small_seq.n_tasks
+    state, prefix = continual.RunState({}), []
+    for i in range(1, n):
+        state, task = continual._task_step(strategy, small_seq, small_net(), settings, seed, state, i)
+        prefix.append(step_bytes(task, state.ensemble))
+    before = pickle.dumps(state)
+    for final in finals:
+        fork, task = continual._task_step(strategy, small_seq, final, settings, seed, state, n)
+        run = run_strategy(strategy, small_seq, replace(settings, net=[small_net()] * (n - 1) + [final]), seed)
+        want = [step_bytes(t, e) for t, e in zip(run.tasks, run.ensembles, strict=True)]
+        assert prefix + [step_bytes(task, fork.ensemble)] == want, final.kind
+    assert pickle.dumps(state) == before
 
 
 def test_net_template_list_length_checked(small_seq):
