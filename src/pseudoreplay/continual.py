@@ -249,23 +249,6 @@ def _evaluate(ensemble: Ensemble, seq: TaskSequence, upto: int) -> tuple[Confusi
     return cm, report, float(np.std(member_f))
 
 
-def _fit_class_generator(
-    seq: TaskSequence, pos: int, gen_config: GeneratorConfig, seed: int, task_index: int
-) -> ClassGenerator:
-    try:
-        return fit_generator(
-            class_id=pos,
-            samples=seq.train[pos],
-            k=gen_config.k,
-            memory_budget=gen_config.memory_budget,
-            seed=derive_seed(seed, "generator", pos),
-        )
-    except (ConfigurationError, DataFormatError) as exc:
-        raise type(exc)(
-            f"task {task_index}: generator for class {seq.class_ids[pos]}: {exc}"
-        ) from exc
-
-
 @dataclass(frozen=True)
 class RunSettings:
     """Everything a strategy run needs besides the sequence and seed."""
@@ -394,7 +377,10 @@ def _task_step(
         # pseudo data for every previous class, plus the raw new class
         for pos in range(i + 1):
             if pos not in generators:
-                generators[pos] = _fit_class_generator(seq, pos, settings.generator, seed, i)
+                generators[pos] = fit_generator(
+                    pos, seq.train[pos], settings.generator.k, settings.generator.memory_budget,
+                    derive_seed(seed, "generator", pos),
+                )
         pseudo_count = settings.generator.pseudo_per_class or len(seq.train[i])
         replay = {seq.class_ids[pos]: pseudo_count for pos in range(i)}
         mix = Windows.concat([
@@ -447,10 +433,14 @@ def run_strategy(
     finetune and ewc carry task 1's ensemble forward; ewc anchors it to a
     Fisher snapshot of the task before. A lam of 0.0 still takes the snapshots
     but adds no term to the loss, so its parameters match finetune's bit for bit.
+    What check_carried or replay_problems refuses is raised before task 1.
     """
     check_strategies((strategy,))
     nets = _task_nets(settings, seq.n_tasks)
     check_carried((strategy,), nets)
+    problems = replay_problems((strategy,), seq)
+    if problems:
+        raise problems[0]
     state, tasks, ensembles = RunState({}), [], []
     for i, net in enumerate(nets, 1):
         state, task = _task_step(strategy, seq, net, settings, seed, state, i)

@@ -9,8 +9,9 @@ output therefore stays inside the per-feature envelope of the memory.
 The neighbour table is ranked in two passes over fixed-size row blocks: a
 GEMM gives the block's pairwise distances in Gram form, and the few columns
 per row that can still be among the k nearest, within a forward-error
-margin, are re-ranked by the direct difference distance. The table equals a
-direct ranking of all pairs. Fitting takes a `Windows` of one class, and
+margin, are re-ranked by the direct difference distance in one lexsort of
+the block's candidates: by row, then distance, then column. The table equals
+a direct ranking of all pairs. Fitting takes a `Windows` of one class, and
 `generate(gen, count, seed)` returns one whose rows are tagged as synthetic.
 """
 
@@ -115,16 +116,12 @@ def _neighbor_rows(
         diff -= memory.take(cols[lo : lo + chunk], axis=0)
         exact[lo : lo + chunk] = np.einsum("ij,ij->i", diff, diff)
 
-    # each row's candidates, in column order, then inf padding; a stable sort
-    # breaks distance ties toward the lower column and never reaches the padding
-    counts = np.bincount(block_rows, minlength=n)
-    slot = np.arange(block_rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    distance = np.full((n, counts.max()), np.inf)
-    distance[block_rows, slot] = exact
-    column = np.zeros((n, counts.max()), dtype=cols.dtype)
-    column[block_rows, slot] = cols
-    order = np.argsort(distance, axis=1, kind="stable")[:, :k_eff]
-    return np.take_along_axis(column, order, axis=1)
+    # by row, then exact distance, ties to the lower column; np.nonzero lists
+    # the rows in order and each has at least k_eff candidates, so row r's
+    # nearest k_eff start at its first position
+    order = np.lexsort((cols, exact, block_rows))
+    first = np.searchsorted(block_rows, np.arange(n))
+    return cols[order][first[:, None] + np.arange(k_eff)]
 
 
 def fit_generator(

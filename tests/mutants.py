@@ -13,11 +13,11 @@ numpy or BLAS. Each run lists the test files with tests/test_acceptance.py
 last, so a mutant that a quicker test kills stops before the slow gates, and
 leaves out tests/test_mutants.py, which tier-1 runs on the unmutated tree to
 check that every old text below is still found once. It reports each mutant
-as killed, naming the first failing test, or as surviving. An unmutated copy
-runs first, both ways, and must pass without the pin, or no kill would mean
-anything; if it fails only with the pin (the pinned digests belong to one
-platform), the with-pin verdicts are reported as unavailable rather than as
-kills.
+as killed, naming the first failing test (or the test file that fails to
+collect), or as surviving. An unmutated copy runs first, both ways, and must
+pass without the pin, or no kill would mean anything; if it fails only with
+the pin (the pinned digests belong to one platform), the with-pin verdicts
+are reported as unavailable rather than as kills.
 
 Exit status: 0 when every must-die mutant is killed without the pin, 1 when
 one survives or the unmutated copy fails, 2 when a mutant's old text is not
@@ -118,6 +118,42 @@ MUTANTS = [
         'seed=derive_seed(seed, "task", i - 1),',
         "a fresh ensemble takes the previous task's seed",
     ),
+    Mutant(
+        "I1", "src/pseudoreplay/classifier.py",
+        "grad += np.multiply(penalty.scaled_fisher, delta, out=term)",
+        "np.multiply(penalty.scaled_fisher, delta, out=term)",
+        "the EWC anchor's gradient term is dropped, its loss term kept",
+    ),
+    Mutant(
+        "I2", "src/pseudoreplay/continual.py",
+        "standardizer = fit_standardizer(mix)",
+        "standardizer = fit_standardizer(seq.train[i])",
+        "a task's standardizer is fitted on the raw new class, not on its mix",
+    ),
+    Mutant(
+        "I3", "src/pseudoreplay/continual.py",
+        "] + [seq.train[i]])",
+        "] + [seq.train[i - 1].select(slice(0, 1)), seq.train[i]])",
+        "an rcl mix also takes one raw window of the previous class",
+    ),
+    Mutant(
+        "I4", "src/pseudoreplay/classifier.py",
+        "np.random.default_rng(seed).uniform(",
+        "np.random.default_rng(seed + 1).uniform(",
+        "extend_output draws the new head units from the wrong seed",
+    ),
+    Mutant(
+        "I5", "src/pseudoreplay/continual.py",
+        "y_pred[lo:hi] = np.argmax(probs.mean(axis=0), axis=1)",
+        "y_pred[lo:hi] = upto - np.argmax(probs.mean(axis=0)[:, ::-1], axis=1)",
+        "evaluation breaks an ensemble's argmax tie toward the higher class",
+    ),
+    Mutant(
+        "I6", "src/pseudoreplay/data.py",
+        "(length - window) // stride + 1)",
+        "(length - window) // stride)",
+        "a trial's window count drops its last window",
+    ),
 ]
 
 
@@ -139,8 +175,9 @@ def _tier1(tree: Path, pinned: bool) -> str:
         return f"(timed out after {TIMEOUT_S} s)"
     if proc.returncode == 0:
         return ""
-    # a node id, whose parameter part may hold spaces and " - ", then the message
-    failed = re.search(r"^(?:FAILED|ERROR) (\S+::\w+(?:\[.*?\])?)(?: - |$)", proc.stdout, re.MULTILINE)
+    # a node id, whose parameter part may hold spaces and " - ", or the path
+    # of a file that fails to collect, then the message
+    failed = re.search(r"^(?:FAILED|ERROR) (\S+?(?:::\w+(?:\[.*?\])?)?)(?: - |$)", proc.stdout, re.MULTILINE)
     return failed.group(1) if failed else f"(pytest exited {proc.returncode})"
 
 

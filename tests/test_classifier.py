@@ -827,6 +827,17 @@ def test_extend_output_is_deterministic_and_seed_sensitive():
     assert not np.array_equal(a.parameters, c.parameters)
 
 
+def test_extend_output_draws_the_new_units_from_its_seed():
+    # like init_model's output layer: uniform on +-sqrt(6 / fan_in), biases zero
+    model = init_model(dense_spec(n_classes=2), 16)
+    grown = extend_output(model, 2, seed=7)
+    w, b = unpack_parameters(grown.spec, grown.parameters)[-1]
+    limit = np.sqrt(6.0 / w.shape[0])
+    want = np.random.default_rng(7).uniform(-limit, limit, size=(w.shape[0], 2))
+    np.testing.assert_array_equal(w[:, 2:], want)
+    np.testing.assert_array_equal(b[2:], 0.0)
+
+
 def test_pad_parameters_layout_and_fill():
     old = dense_spec(n_classes=2)
     new = dense_spec(n_classes=4)

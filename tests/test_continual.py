@@ -33,6 +33,7 @@ from pseudoreplay import classifier, continual
 from pseudoreplay.classifier import (
     Ensemble,
     EWCPenalty,
+    NetModel,
     extend_output,
     fisher_diagonal,
     fit_ensemble,
@@ -40,6 +41,7 @@ from pseudoreplay.classifier import (
     pad_parameters,
     predict,
     train,
+    unpack_parameters,
 )
 from pseudoreplay.continual import STRATEGIES, TaskSequence, split_trials
 from pseudoreplay.data import (
@@ -328,6 +330,18 @@ def test_member_spread_is_the_population_std_of_member_macro_f(small_seq):
     assert spread == pytest.approx(two_pass_moments(member_f)[1], rel=1e-12, abs=0.0)
 
 
+def test_evaluation_breaks_ties_toward_the_lower_class(small_seq):
+    # a zero output layer gives every class one probability, so each
+    # window's prediction is the tie rule's alone, as it is for predict
+    parameters = init_model(small_net(3), 0).parameters
+    for array in unpack_parameters(small_net(3), parameters)[-1]:
+        array[:] = 0.0
+    ens = Ensemble([NetModel(small_net(3), parameters)], fit_standardizer(Windows.concat(small_seq.train)))
+    cm, _, _ = continual._evaluate(ens, small_seq, 2)
+    assert cm.counts[:, 1:].sum() == 0
+    assert cm.counts[:, 0].sum() == sum(len(part) for parts in small_seq.test for part in parts)
+
+
 def evaluation_peak(net: NetSpec, per_class: int) -> int:
     """tracemalloc's peak in bytes while a 3-member ensemble of net evaluates
     a 3-class test set of per_class windows of shape (50, 2) per class."""
@@ -480,8 +494,42 @@ def test_generator_failure_names_task_and_class(small_stream_config):
     trials = synthesize_stream(small_stream_config)
     seq = TaskSequence.from_trials(trials, window=450)  # 1 window per trial
     net = NetSpec(kind="dense", input_shape=(450, 2), n_classes=2, hidden=(4, 3))
-    with pytest.raises(DataFormatError, match=r"task 1: generator for class 0"):
+    message = "class 0: rcl needs 2 training windows to fit a generator, got 1"
+    with pytest.raises(DataFormatError, match=message):
         strategy_run("rcl", seq, seed=0, net=net, n_members=1)
+
+
+def test_rcl_refuses_a_too_small_last_class_before_it_trains(small_stream_config, monkeypatch):
+    # only the last class's training trial is cut to one window, so a check
+    # made when its generator is fitted would come after tasks 1 and 2 train
+    trials = [
+        replace(t, channels=t.channels[:50]) if (t.class_id, t.trial_id) == (2, 1) else t
+        for t in synthesize_stream(small_stream_config)
+    ]
+    seq = TaskSequence.from_trials(trials, window=50)
+    assert [len(t) for t in seq.train] == [9, 9, 1]
+    calls = []
+
+    def counting(name):
+        real = getattr(continual, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("fit_ensemble", "train"):
+        monkeypatch.setattr(continual, name, counting(name))
+    message = "class 2: rcl needs 2 training windows to fit a generator, got 1"
+    with pytest.raises(DataFormatError, match=message):
+        strategy_run("rcl", seq, seed=0)
+    assert calls == []
+    settings = RunSettings(net=small_net(), train=TrainConfig(epochs=1), n_members=1)
+    comp = compare_strategies(seq, settings, strategies=("rcl", "baseline"), repetitions=1)
+    assert comp.failures == {"rcl": message}
+    assert list(comp.summaries) == list(comp.runs) == ["baseline"]
+    assert calls == ["fit_ensemble"] * seq.n_tasks
 
 
 # ------------------------------------------------------- sequential strategies
@@ -574,6 +622,24 @@ def test_every_fresh_ensemble_gets_its_task_seed(small_seq, monkeypatch, strateg
     strategy_run(strategy, small_seq, seed=5, train=TrainConfig(epochs=1), n_members=1)
     fresh = range(1, 2 if strategy == "finetune" else small_seq.n_tasks + 1)
     assert seeds == [derive_seed(5, "task", i) for i in fresh]
+
+
+@pytest.mark.parametrize("strategy", ["baseline", "rcl"])
+def test_every_fresh_ensemble_trains_on_its_mix_standardized_by_the_mix(small_seq, monkeypatch, strategy):
+    # a standardizer fitted on the mix leaves every feature of it with mean 0 and std 1
+    mixes = []
+    real = continual.fit_ensemble
+
+    def recording(spec, standardized, standardizer, config, seed, n_members=5):
+        mixes.append(standardized.x.reshape(len(standardized), -1).copy())
+        return real(spec, standardized, standardizer, config, seed, n_members)
+
+    monkeypatch.setattr(continual, "fit_ensemble", recording)
+    strategy_run(strategy, small_seq, seed=5, train=TrainConfig(epochs=1), n_members=1)
+    assert len(mixes) == small_seq.n_tasks
+    for x in mixes:
+        np.testing.assert_allclose(x.mean(axis=0), 0.0, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(x.std(axis=0), 1.0, rtol=1e-12, atol=0.0)
 
 
 def test_huge_anchor_weight_freezes_shared_parameters(small_stream_config):
@@ -790,14 +856,14 @@ def test_comparison_is_reproducible(small_seq):
 
 
 def test_failing_strategy_is_recorded_and_the_rest_still_run(small_stream_config):
-    # one window per trial is too few to fit a generator, so rcl fails at
-    # task 1 while baseline completes
+    # one window per trial is too few to fit a generator, so rcl fails
+    # before task 1 while baseline completes
     seq = TaskSequence.from_trials(synthesize_stream(small_stream_config), window=450)
     net = NetSpec(kind="dense", input_shape=(450, 2), n_classes=2, hidden=(4, 3))
     settings = RunSettings(net=net, train=FAST, n_members=1)
     comp = compare_strategies(seq, settings, strategies=("rcl", "baseline"), repetitions=1)
     assert list(comp.failures) == ["rcl"]
-    assert "task 1: generator for class 0" in comp.failures["rcl"]
+    assert comp.failures["rcl"] == "class 0: rcl needs 2 training windows to fit a generator, got 1"
     assert list(comp.summaries) == list(comp.runs) == ["baseline"]
     assert len(comp.summaries["baseline"].per_task_mean) == seq.n_tasks
 
