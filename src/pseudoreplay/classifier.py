@@ -601,10 +601,17 @@ def fit_ensemble(
     init and shuffle seeds, derived from `seed` per member, on a mix already
     standardized by `standardizer`, which the ensemble keeps for prediction."""
     require_integer("n_members", n_members, least=1)
-    members = []
-    for m in range(n_members):
-        model = init_model(spec, derive_seed(seed, "init", m))
-        members.append(train(model, standardized, config, derive_seed(seed, "shuffle", m)).model)
+    # a generator, so each member's init parameters exist only while it trains
+    models = (init_model(spec, derive_seed(seed, "init", m)) for m in range(n_members))
+    seeds = [derive_seed(seed, "shuffle", m) for m in range(n_members)]
+    return _train_members(models, standardized, standardizer, config, seeds, [None] * n_members)
+
+
+def _train_members(models, standardized, standardizer, config, seeds, penalties) -> Ensemble:
+    """Every ensemble member trains here: one call of this module's global `train`,
+    where perfbench wraps it, per model in order, with its seed and penalty."""
+    jobs = zip(models, seeds, penalties, strict=True)
+    members = [train(model, standardized, config, seed, penalty).model for model, seed, penalty in jobs]
     return Ensemble(members=members, standardizer=standardizer)
 
 

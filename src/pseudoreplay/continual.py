@@ -3,7 +3,7 @@
 Task 0's class is the normal regime; task i (1-based) introduces the i-th
 class. run_strategy folds _task_step over the tasks: each step builds its
 training mix, trains, evaluates on every class seen so far, and hands the next
-a RunState of the generators, the last ensemble and ewc's anchor snapshot. The
+a RunState of the generators, the last ensemble and ewc's Fisher diagonals. The
 strategies differ only in the mix and in whether the model is fresh:
 
 - rcl: per-class generators produce pseudo data for every previous class; a
@@ -34,13 +34,13 @@ from .classifier import (
     EWCPenalty,
     NetSpec,
     TrainConfig,
+    _train_members,
     extend_output,
     fisher_diagonal,
     fit_ensemble,
     member_probabilities,
     pad_parameters,
     predict,  # unused here, but perfbench's tracer wraps continual.predict by name
-    train,
 )
 from .data import (
     SYNTHETIC_TRIAL_ID,
@@ -274,28 +274,27 @@ def _carry_forward(
     settings: RunSettings,
     seed: int,
     task_index: int,
-    snapshot: tuple[list[np.ndarray], list[np.ndarray]] | None,
+    fishers: list[np.ndarray] | None,
 ) -> Ensemble:
     """Extend each member's head by one class and continue training on mix,
-    already standardized by `standardizer`, anchored to snapshot's
-    (parameters, Fisher diagonals) when given.
+    already standardized by `standardizer`, each member anchored to its own
+    parameters, weighted by its Fisher diagonal in `fishers`, when given.
 
     An anchor at or past the heavy-ball stability limit of its stiffest
     coordinate, lam * lr * max(fisher) >= 2 * (1 + beta) with beta the
     momentum (0 for sgd), makes that coordinate oscillate with growing
-    amplitude; it is reported on stderr before the member trains.
+    amplitude; it is reported on stderr before any member trains.
     """
     cfg = settings.train
     limit = 2.0 * (1.0 + cfg.beta)
-    members = []
+    models, penalties = [], [None] * len(ens.members)
     for m_idx, member in enumerate(ens.members):
         extended = extend_output(member, 1, derive_seed(seed, "head", task_index, m_idx))
-        penalty = None
-        if snapshot is not None:
-            anchors, fishers = snapshot
-            penalty = EWCPenalty(
+        models.append(extended)
+        if fishers is not None:
+            penalty = penalties[m_idx] = EWCPenalty(
                 lam=settings.ewc_lambda,
-                theta_star=pad_parameters(member.spec, extended.spec, anchors[m_idx]),
+                theta_star=pad_parameters(member.spec, extended.spec, member.parameters),
                 fisher=pad_parameters(member.spec, extended.spec, fishers[m_idx]),
             )
             stiffness = penalty.lam * cfg.learning_rate * float(penalty.fisher.max())
@@ -306,9 +305,8 @@ def _carry_forward(
                     " limit; training may diverge",
                     file=sys.stderr,
                 )
-        shuffle_seed = derive_seed(seed, "task", task_index, "shuffle", m_idx)
-        members.append(train(extended, mix, cfg, shuffle_seed, penalty).model)
-    return Ensemble(members=members, standardizer=standardizer)
+    seeds = [derive_seed(seed, "task", task_index, "shuffle", m_idx) for m_idx in range(len(models))]
+    return _train_members(models, mix, standardizer, cfg, seeds, penalties)
 
 
 def _task_nets(settings: RunSettings, n_tasks: int) -> list[NetSpec]:
@@ -358,11 +356,11 @@ def check_carried(strategies, nets: list[NetSpec]) -> None:
 
 @dataclass(frozen=True)
 class RunState:
-    """What one task hands the next; ewc's snapshot is (parameters, Fisher diagonals)."""
+    """What one task hands the next; ewc's fishers hold one Fisher diagonal per member."""
 
     generators: dict[int, ClassGenerator]
     ensemble: Ensemble | None = None
-    snapshot: tuple[list[np.ndarray], list[np.ndarray]] | None = None
+    fishers: list[np.ndarray] | None = None
 
 
 def _task_step(
@@ -397,7 +395,7 @@ def _task_step(
     apply_standardizer(standardizer, mix, out=mix.x)
 
     if carry:
-        ens = _carry_forward(state.ensemble, mix, standardizer, settings, seed, i, state.snapshot)
+        ens = _carry_forward(state.ensemble, mix, standardizer, settings, seed, i, state.fishers)
     else:
         ens = fit_ensemble(
             replace(net, input_shape=(seq.window, seq.channels), n_classes=i + 1),
@@ -407,14 +405,11 @@ def _task_step(
             seed=derive_seed(seed, "task", i),
             n_members=settings.n_members,
         )
-    snapshot = None
+    fishers = None
     if strategy == "ewc" and i < seq.n_tasks:
-        snapshot = (
-            [m.parameters.copy() for m in ens.members],
-            [fisher_diagonal(m, mix) for m in ens.members],
-        )
+        fishers = [fisher_diagonal(m, mix) for m in ens.members]
     cm, report, spread = _evaluate(ens, seq, i)
-    return RunState(generators, ens, snapshot), TaskResult(
+    return RunState(generators, ens, fishers), TaskResult(
         task_index=i,
         class_ids=seq.class_ids[: i + 1],
         cm=cm,
@@ -430,9 +425,9 @@ def run_strategy(
 ) -> ContinualRun:
     """Run one strategy over every task of seq, a fold of _task_step.
 
-    finetune and ewc carry task 1's ensemble forward; ewc anchors it to a
-    Fisher snapshot of the task before. A lam of 0.0 still takes the snapshots
-    but adds no term to the loss, so its parameters match finetune's bit for bit.
+    finetune and ewc carry task 1's ensemble forward; ewc anchors it to itself
+    under Fisher diagonals of the task before. A lam of 0.0 still takes the
+    diagonals but adds no term to the loss, so its parameters match finetune's bit for bit.
     What check_carried or replay_problems refuses is raised before task 1.
     """
     check_strategies((strategy,))

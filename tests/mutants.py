@@ -102,8 +102,8 @@ MUTANTS = [
     ),
     Mutant(
         "S2", "src/pseudoreplay/classifier.py",
-        'derive_seed(seed, "shuffle", m)).model',
-        'derive_seed(seed, "shuffle", 0)).model',
+        'seeds = [derive_seed(seed, "shuffle", m) for m',
+        'seeds = [derive_seed(seed, "shuffle", 0) for m',
         "every fresh member shuffles with member 0's seed",
     ),
     Mutant(
@@ -153,6 +153,18 @@ MUTANTS = [
         "(length - window) // stride + 1)",
         "(length - window) // stride)",
         "a trial's window count drops its last window",
+    ),
+    Mutant(
+        "I7", "src/pseudoreplay/continual.py",
+        "fisher=pad_parameters(member.spec, extended.spec, fishers[m_idx]),",
+        "fisher=pad_parameters(member.spec, extended.spec, fishers[0]),",
+        "every carried member is weighted by member 0's Fisher diagonal",
+    ),
+    Mutant(
+        "I8", "src/pseudoreplay/continual.py",
+        "theta_star=pad_parameters(member.spec, extended.spec, member.parameters),",
+        "theta_star=pad_parameters(member.spec, extended.spec, ens.members[0].parameters),",
+        "every carried member is anchored to member 0's parameters",
     ),
 ]
 

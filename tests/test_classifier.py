@@ -701,15 +701,27 @@ def test_train_and_fisher_call_loss_and_gradient_per_batch_and_per_sample(monkey
     assert len(calls) == steps and sum(c[1] for c in calls) == n * epochs
     assert all(c[0] == "conv" and not c[2] for c in calls)
 
-    # through continual: every member's every step reaches the module attribute
+    # through continual: every member trains in one call of the module
+    # attribute classifier.train, where the tracer wraps it, and its every
+    # step reaches the module attribute classifier.loss_and_gradient
+    trains = []
+    real_train = classifier.train
+
+    def counting_train(*args, **kwargs):
+        trains.append(args[0].spec.n_classes)
+        return real_train(*args, **kwargs)
+
+    monkeypatch.setattr(classifier, "train", counting_train)
     settings = continual.RunSettings(net=model.spec, train=config, ewc_lambda=0.5, n_members=2)
     calls.clear()
     ens = continual.fit_ensemble(model.spec, *standardized_mix(samples), config, seed=5, n_members=2)
     assert len(calls) == 2 * steps and not any(c[2] for c in calls)
-    snapshot = ([m.parameters for m in ens.members], [np.ones(model.spec.param_count)] * 2)
+    assert trains == [2, 2]  # one per member
+    fishers = [np.ones(model.spec.param_count)] * 2
     calls.clear()
-    continual._carry_forward(ens, *standardized_mix(samples), settings, seed=5, task_index=2, snapshot=snapshot)
+    continual._carry_forward(ens, *standardized_mix(samples), settings, seed=5, task_index=2, fishers=fishers)
     assert len(calls) == 2 * steps and all(c[2] for c in calls)
+    assert trains == [2, 2, 3, 3]  # then one per carried member, on its grown head
 
 
 # ------------------------------------------------------------- fisher diagonal

@@ -510,8 +510,8 @@ def test_rcl_refuses_a_too_small_last_class_before_it_trains(small_stream_config
     assert [len(t) for t in seq.train] == [9, 9, 1]
     calls = []
 
-    def counting(name):
-        real = getattr(continual, name)
+    def counting(module, name):
+        real = getattr(module, name)
 
         def wrapper(*args, **kwargs):
             calls.append(name)
@@ -519,8 +519,9 @@ def test_rcl_refuses_a_too_small_last_class_before_it_trains(small_stream_config
 
         return wrapper
 
-    for name in ("fit_ensemble", "train"):
-        monkeypatch.setattr(continual, name, counting(name))
+    # every member, fresh or carried, trains through classifier.train
+    for module, name in ((continual, "fit_ensemble"), (classifier, "train")):
+        monkeypatch.setattr(module, name, counting(module, name))
     message = "class 2: rcl needs 2 training windows to fit a generator, got 1"
     with pytest.raises(DataFormatError, match=message):
         strategy_run("rcl", seq, seed=0)
@@ -529,7 +530,7 @@ def test_rcl_refuses_a_too_small_last_class_before_it_trains(small_stream_config
     comp = compare_strategies(seq, settings, strategies=("rcl", "baseline"), repetitions=1)
     assert comp.failures == {"rcl": message}
     assert list(comp.summaries) == list(comp.runs) == ["baseline"]
-    assert calls == ["fit_ensemble"] * seq.n_tasks
+    assert calls == ["fit_ensemble", "train"] * seq.n_tasks
 
 
 # ------------------------------------------------------- sequential strategies
@@ -585,14 +586,9 @@ def test_carry_forward_trains_each_member_on_its_own_head_and_shuffle_seeds(smal
     settings = RunSettings(net=small_net(), train=config, ewc_lambda=3.0, n_members=2)
     old_mix, old_standardizer = standardized_mix(Windows.concat(small_seq.train[:2]))
     ens = fit_ensemble(small_net(), old_mix, old_standardizer, config, seed=8, n_members=2)
-    snapshot = None
-    if anchored:
-        snapshot = (
-            [m.parameters.copy() for m in ens.members],
-            [fisher_diagonal(m, old_mix) for m in ens.members],
-        )
+    fishers = [fisher_diagonal(m, old_mix) for m in ens.members] if anchored else None
     mix, standardizer = standardized_mix(Windows.concat([small_seq.train[0], small_seq.train[2]]))
-    carried = continual._carry_forward(ens, mix, standardizer, settings, 7, 2, snapshot)
+    carried = continual._carry_forward(ens, mix, standardizer, settings, 7, 2, fishers)
     assert carried.standardizer is standardizer
     for m, (member, got) in enumerate(zip(ens.members, carried.members, strict=True)):
         extended = extend_output(member, 1, derive_seed(7, "head", 2, m))
@@ -600,8 +596,8 @@ def test_carry_forward_trains_each_member_on_its_own_head_and_shuffle_seeds(smal
         if anchored:
             penalty = EWCPenalty(
                 lam=3.0,
-                theta_star=pad_parameters(member.spec, extended.spec, snapshot[0][m]),
-                fisher=pad_parameters(member.spec, extended.spec, snapshot[1][m]),
+                theta_star=pad_parameters(member.spec, extended.spec, member.parameters),
+                fisher=pad_parameters(member.spec, extended.spec, fishers[m]),
             )
         want = train(extended, mix, config, derive_seed(7, "task", 2, "shuffle", m), penalty)
         assert got.parameters.tobytes() == want.model.parameters.tobytes(), f"member {m}"
@@ -679,8 +675,8 @@ def _carry_with_anchor(lam: float, config: TrainConfig):
     member = init_model(NetSpec(kind="dense", input_shape=(2, 1), n_classes=2, hidden=(6, 4)), 1)
     ens = Ensemble(members=[member], standardizer=fit_standardizer(mix))
     settings = RunSettings(net=member.spec, train=config, ewc_lambda=lam, n_members=1)
-    snapshot = ([member.parameters], [np.ones(member.spec.param_count)])
-    continual._carry_forward(ens, *standardized_mix(mix), settings, seed=3, task_index=2, snapshot=snapshot)
+    fishers = [np.ones(member.spec.param_count)]
+    continual._carry_forward(ens, *standardized_mix(mix), settings, seed=3, task_index=2, fishers=fishers)
 
 
 def test_stiff_anchor_warns_before_training(capsys):
