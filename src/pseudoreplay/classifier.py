@@ -398,6 +398,9 @@ def loss_and_gradient(
         a_prev = caches[i - 1][1]
         dz = da.reshape(a_prev.shape)
         dz *= a_prev > _ZERO
+        # let go of a_prev, and of the rows that view it, once its mask is taken
+        caches[i - 1 :] = [(caches[i - 1][0], None)]
+        del a_prev
 
     if penalty is not None and penalty.lam != 0.0:
         theta = model.parameters

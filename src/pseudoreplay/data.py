@@ -186,17 +186,30 @@ class StandardizationParams:
             raise ConfigurationError("std entries must be strictly positive")
 
 
+_STD_BLOCK = 1 << 16
+
+
 def fit_standardizer(windows: Windows) -> StandardizationParams:
     """Per-feature mean and population std over flattened windows.
 
     Features with std below 1e-12 get std 1.0 so constant channels pass
     through centered instead of dividing by ~0.
+
+    The std is numpy's x.std(axis=0), taken over blocks of whole feature
+    columns of roughly _STD_BLOCK to twice that many elements, so its centred
+    temporary is one block, not the whole mix. A block holds every row,
+    because numpy sums axis 0 one row after another and a split of the rows
+    would change the sums' bits. A block is at least two features wide,
+    because numpy sums a lone strided column pairwise instead; a one-feature
+    input stays whole.
     """
     n = len(windows)
     if not n:
         raise ConfigurationError("cannot fit standardizer on no windows")
     x = windows.x.reshape(n, -1)
-    sd = x.std(axis=0)
+    step = max(2, _STD_BLOCK // n)
+    blocks = np.array_split(x, max(1, x.shape[1] // step), axis=1)
+    sd = np.concatenate([block.std(axis=0) for block in blocks])
     return StandardizationParams(mean=x.mean(axis=0), std=np.where(sd < 1e-12, 1.0, sd))
 
 

@@ -166,6 +166,12 @@ MUTANTS = [
         "theta_star=pad_parameters(member.spec, extended.spec, ens.members[0].parameters),",
         "every carried member is anchored to member 0's parameters",
     ),
+    Mutant(
+        "I9", "src/pseudoreplay/data.py",
+        "step = max(2, _STD_BLOCK // n)",
+        "step = max(1, _STD_BLOCK // n)",
+        "a standardizer block may be one feature wide, which numpy sums pairwise",
+    ),
 ]
 
 

@@ -1,6 +1,7 @@
 import copy
 import math
 import pickle
+import tracemalloc
 import warnings
 from types import SimpleNamespace
 
@@ -378,6 +379,9 @@ _STEP_CONV = {
 }
 _STEP_CONV.update(conv_n1=_STEP_CONV["conv"], conv_n7=_STEP_CONV["conv"])
 _STEP_CONV.update({f"squares_{c}": _STEP_CONV[c] for c in ("conv", "conv_one_filter", "conv_stride2")})
+# the Fisher at benchmark scale, as a GEMM's bits may depend on its row count:
+# ewc's task-1 mix on window_flood has 2,482 rows and rcl's task-2 mix 3,723
+_SQUARES_BENCH = {f"squares_{rows}x{c}": (rows, c) for rows in (2482, 3723) for c in (2, 3)}
 
 
 def _step_case(case: str):
@@ -387,6 +391,9 @@ def _step_case(case: str):
     if case in ("bench", "bench_tail", "lam_zero", "squares_dense"):
         spec = bench_spec()
         rows = 7 if case == "bench_tail" else rows
+    elif case in _SQUARES_BENCH:
+        rows, n_classes = _SQUARES_BENCH[case]
+        spec = bench_spec(n_classes=n_classes)
     elif case in _STEP_CONV:
         spec = conv_spec(input_shape=(50, 2), hidden=(64, 32), conv=_STEP_CONV[case])
         rows = {"conv_n1": 1, "conv_n7": 7}.get(case, rows)
@@ -412,7 +419,7 @@ def _step_case(case: str):
 
 
 @pytest.mark.parametrize(
-    "case", ["bench", "bench_tail", "anchored", "lam_zero", "squares_dense", *_STEP_CONV]
+    "case", ["bench", "bench_tail", "anchored", "lam_zero", "squares_dense", *_SQUARES_BENCH, *_STEP_CONV]
 )
 def test_loss_and_gradient_match_the_frozen_reference_bytes(case):
     # the step reorganises calls, never arithmetic: every float matches the
@@ -426,6 +433,24 @@ def test_loss_and_gradient_match_the_frozen_reference_bytes(case):
     if squares:  # the Fisher diagonal is this sum over its rows
         fisher = fisher_diagonal(model, windows_of(x, y))
         assert fisher.tobytes() == (want_grad / len(y)).tobytes()
+
+
+def test_the_fisher_lets_go_of_each_activation_once_backprop_has_passed_it():
+    # ewc's task-1 mix on window_flood: 2,482 windows on the benchmark dense
+    # net. The input layer's squared rows and deltas are the peak; keeping
+    # every hidden activation until the pass ends takes it to 3.35
+    model = init_model(bench_spec(n_classes=2), 28)
+    rng = np.random.default_rng(29)
+    x = batch_of(model.spec, 2482, seed=30)
+    samples = windows_of(x, rng.integers(0, 2, size=len(x)))
+    fisher_diagonal(model, samples)  # numpy's first-call allocations stay out of the peak
+    tracemalloc.start()
+    try:
+        fisher_diagonal(model, samples)
+        peak = tracemalloc.get_traced_memory()[1] / x.nbytes
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.75, f"peak {peak:.2f} x the mix"
 
 
 @pytest.mark.parametrize("case", [c for c in _STEP_CONV if not c.startswith("squares")])

@@ -187,11 +187,17 @@ def test_standardize_round_trip():
 
 def test_fit_standardizer_is_bit_equal_to_numpy():
     rng = np.random.default_rng(12)
-    shapes = [(326, 100), (327, 100), (328, 100), (988, 100), (98_309, 1)]
+    # in the last three a block's 64k-element budget holds fewer than two
+    # whole features, so a block cut by the budget alone would be one feature
+    # wide, and numpy sums a lone strided column in another order
+    shapes = [
+        (326, 100), (327, 100), (328, 100), (988, 100), (98_309, 1),
+        (33_000, 2), (40_000, 3), (70_001, 5),
+    ]
     for n, d in shapes:
         x = rng.normal(3.0, 2.0, size=(n, d)) * rng.uniform(0.1, 10.0, size=d)
         if d > 1:
-            x[:, 7] = 0.1  # a constant feature, whose std falls back to 1.0
+            x[:, 7 % d] = 0.1  # a constant feature, whose std falls back to 1.0
         params = fit_standardizer(Windows(x.reshape(n, -1, 1), np.zeros(n), np.zeros((n, 2))))
         sd = x.std(axis=0)
         for name, got, want in (
@@ -202,6 +208,22 @@ def test_fit_standardizer_is_bit_equal_to_numpy():
                 f"[{n}, {d}]: fit_standardizer's {name} differs from numpy's x.{name}(axis=0),"
                 " so a run's floats would change"
             )
+
+
+def test_fitting_a_standardizer_holds_a_block_of_the_mix_not_a_copy():
+    # rcl's task-2 mix on window_flood: 3,723 windows of (50, 2); numpy's
+    # x.std(axis=0) over the whole mix makes a centred copy of it, a peak of 1.02
+    rng = np.random.default_rng(16)
+    n = 3723
+    samples = Windows(rng.normal(3.0, 2.0, size=(n, 50, 2)), np.zeros(n), np.zeros((n, 2)))
+    fit_standardizer(samples)  # numpy's first-call allocations stay out of the peak
+    tracemalloc.start()
+    try:
+        fit_standardizer(samples)
+        peak = tracemalloc.get_traced_memory()[1] / samples.x.nbytes
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 / 3, f"peak {peak:.2f} x the mix"
 
 
 def test_standardizing_in_place_equals_the_copy():
