@@ -273,17 +273,20 @@ def _forward_cached(model: NetModel, x: np.ndarray):
     return a, caches
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
+def _softmax(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Logits less their row max, their exponentials e, and e's row sums [B, 1]."""
+    # np.add.reduce and np.maximum.reduce are the loops behind sum, mean and
+    # max; calling them directly skips the Python wrappers, not any arithmetic
+    shifted = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    return shifted, e, np.add.reduce(e, axis=1, keepdims=True)
 
 
 def forward(model: NetModel, batch: np.ndarray) -> np.ndarray:
     """Class probabilities of a [B, W, C] batch, shape [B, n_classes]; rows sum to 1."""
     x = _as_batch(model.spec, batch)
-    logits, _ = _forward_cached(model, x)
-    return _softmax(logits)
+    _, e, norm = _softmax(_forward_cached(model, x)[0])
+    return e / norm
 
 
 def _check_labels(spec: NetSpec, labels, n_rows: int) -> np.ndarray:
@@ -362,11 +365,7 @@ def loss_and_gradient(
     # fancy update in place of two 2-D (rows, y) indexings
     pick = _row_starts(n, spec.n_classes) + y
 
-    # np.add.reduce and np.maximum.reduce are the loops behind sum, mean and
-    # max; calling them directly skips the Python wrappers, not any arithmetic
-    shifted = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
-    e = np.exp(shifted)
-    norm = np.add.reduce(e, axis=1, keepdims=True)
+    shifted, e, norm = _softmax(logits)
     loss = float(np.add.reduce(np.log(norm[:, 0]) - shifted.take(pick)) / n)
 
     dz = e / norm
@@ -460,7 +459,6 @@ def train(
     current = NetModel(spec=model.spec, parameters=model.parameters.copy())
     theta = current.parameters  # updated in place, so `current` always holds it
     velocity = np.zeros_like(theta)
-    step = np.empty_like(theta)
     beta = config.beta
 
     losses: list[float] = []
@@ -479,7 +477,8 @@ def train(
                     velocity += grad
                 else:
                     velocity = grad
-                theta -= np.multiply(config.learning_rate, velocity, out=step)
+                # velocity has taken grad in (under sgd it is grad), so the step may overwrite it
+                theta -= np.multiply(config.learning_rate, velocity, out=grad)
                 # NaN and inf survive a sum of squares, so a finite one proves every
                 # entry finite; squares overflow from about 1e154, so the exact
                 # check runs when the dot product is not finite

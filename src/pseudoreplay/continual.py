@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field, replace
-from itertools import product
+from itertools import chain, product
 
 import numpy as np
 
@@ -213,39 +213,32 @@ class ContinualRun:
     memory_footprint: int  # raw previous-class windows retained
 
 
-# elements of the widest array one forward pass builds over a block of test
+# elements of the widest array one forward pass builds over a run of test
 # windows: NetSpec.widest per window, which for a conv net is its patch matrix
 _EVAL_BLOCK = 1 << 16
 
 
 def _evaluate(ensemble: Ensemble, seq: TaskSequence, upto: int) -> tuple[ConfusionMatrix, MetricReport, float]:
-    """Walk the test windows of positions 0..upto in even blocks of about
-    _EVAL_BLOCK elements of the widest forward array at most, one
+    """Walk each test trial of positions 0..upto where it lies, in runs of
+    rows whose widest forward array holds at most _EVAL_BLOCK elements, one
     member_probabilities call each, so every member runs forward once over
-    every window and no full copy of the test set is made. The ensemble
-    prediction is the argmax of the mean member probability, as `predict`
-    computes it, and the member spread comes from the same probabilities."""
-    parts = [part for trial_parts in seq.test[: upto + 1] for part in trial_parts]
-    starts = np.cumsum([0] + [len(p) for p in parts[:-1]]).tolist()
-    y_true = np.concatenate([p.y for p in parts])
-    n = len(y_true)
-    widest = max(m.spec.widest for m in ensemble.members)
-    blocks = min(n, -(-n * widest // _EVAL_BLOCK))  # ceil, one window at least
-    y_pred = np.empty(n, dtype=np.int64)
-    member_pred = np.empty((len(ensemble.members), n), dtype=np.int64)
-    for b in range(blocks):
-        lo, hi = n * b // blocks, n * (b + 1) // blocks
-        pieces = [
-            p.select(slice(max(lo - a, 0), min(hi - a, len(p))))
-            for p, a in zip(parts, starts)
-            if a < hi and a + len(p) > lo
-        ]
-        probs = member_probabilities(ensemble, Windows.concat(pieces))
-        y_pred[lo:hi] = np.argmax(probs.mean(axis=0), axis=1)
-        member_pred[:, lo:hi] = np.argmax(probs, axis=2)
-    cm = confusion(y_true, y_pred, upto + 1)
+    every window and no test window is copied but to standardize it. The
+    ensemble prediction is the argmax of the mean member probability, as
+    `predict` computes it, and the member spread comes from the same
+    probabilities."""
+    rows = max(1, _EVAL_BLOCK // max(m.spec.widest for m in ensemble.members))
+    y_true, y_pred, member_pred = [], [], []
+    for part in chain.from_iterable(seq.test[: upto + 1]):
+        for lo in range(0, len(part), rows):
+            run = part.select(slice(lo, lo + rows))
+            probs = member_probabilities(ensemble, run)
+            y_true.append(run.y)
+            y_pred.append(np.argmax(probs.mean(axis=0), axis=1))
+            member_pred.append(np.argmax(probs, axis=2))
+    y_true = np.concatenate(y_true)
+    cm = confusion(y_true, np.concatenate(y_pred), upto + 1)
     report = metrics(cm)
-    member_f = [metrics(confusion(y_true, p, upto + 1)).macro_f for p in member_pred]
+    member_f = [metrics(confusion(y_true, p, upto + 1)).macro_f for p in np.hstack(member_pred)]
     return cm, report, float(np.std(member_f))
 
 

@@ -144,8 +144,8 @@ MUTANTS = [
     ),
     Mutant(
         "I5", "src/pseudoreplay/continual.py",
-        "y_pred[lo:hi] = np.argmax(probs.mean(axis=0), axis=1)",
-        "y_pred[lo:hi] = upto - np.argmax(probs.mean(axis=0)[:, ::-1], axis=1)",
+        "y_pred.append(np.argmax(probs.mean(axis=0), axis=1))",
+        "y_pred.append(upto - np.argmax(probs.mean(axis=0)[:, ::-1], axis=1))",
         "evaluation breaks an ensemble's argmax tie toward the higher class",
     ),
     Mutant(

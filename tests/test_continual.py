@@ -274,7 +274,7 @@ def test_single_anomaly_run_structure(small_seq, small_stream_config):
 
 
 def test_evaluation_runs_each_member_forward_once(small_seq, monkeypatch):
-    # blocks of 4 windows split the 9-window class parts unevenly
+    # runs of 4 windows split each 9-window test trial unevenly
     monkeypatch.setattr(continual, "_EVAL_BLOCK", 4 * 50 * 2)
     ens = fit_ensemble(
         small_net(3), *standardized_mix(Windows.concat(small_seq.train)), TrainConfig(epochs=2), seed=3,
@@ -306,7 +306,7 @@ def test_blocked_evaluation_equals_one_block(small_seq, monkeypatch):
         )
         monkeypatch.setattr(continual, "_EVAL_BLOCK", 1 << 30)
         cm, report, spread = continual._evaluate(ens, small_seq, 2)
-        for rows in (4, 5, 13):  # block edges fall inside the 9-window class parts
+        for rows in (4, 5, 13):  # runs of 4 and 5 split the 9-window test trials; 13 holds each whole
             monkeypatch.setattr(continual, "_EVAL_BLOCK", rows * net.widest)
             got_cm, got_report, got_spread = continual._evaluate(ens, small_seq, 2)
             np.testing.assert_array_equal(got_cm.counts, cm.counts)
@@ -314,6 +314,32 @@ def test_blocked_evaluation_equals_one_block(small_seq, monkeypatch):
                 np.testing.assert_array_equal(getattr(got_report, name), getattr(report, name))
             assert got_report.macro_f == report.macro_f
             assert got_spread == spread
+
+
+def test_evaluation_reads_each_test_trial_where_it_lies(small_seq, monkeypatch):
+    # runs of 4 windows split each 9-window test trial 4, 4, 1; every run is
+    # a view of its own trial, and no block of test windows is copied
+    monkeypatch.setattr(continual, "_EVAL_BLOCK", 4 * 50 * 2)
+    ens = Ensemble(
+        [init_model(small_net(3), s) for s in range(2)], fit_standardizer(Windows.concat(small_seq.train))
+    )
+    batches = []
+    real = continual.member_probabilities
+
+    def recording(ensemble, batch):
+        batches.append(batch)
+        return real(ensemble, batch)
+
+    def refusing(parts):
+        raise AssertionError("evaluation copied test windows with Windows.concat")
+
+    monkeypatch.setattr(continual, "member_probabilities", recording)
+    monkeypatch.setattr(Windows, "concat", staticmethod(refusing))
+    continual._evaluate(ens, small_seq, 2)
+    trials = [part for parts in small_seq.test for part in parts]
+    assert [len(b) for b in batches] == [4, 4, 1] * len(trials)
+    for batch, trial in zip(batches, (trial for trial in trials for _ in range(3))):
+        assert np.shares_memory(batch.x, trial.x)
 
 
 def test_member_spread_is_the_population_std_of_member_macro_f(small_seq):
@@ -472,6 +498,51 @@ def test_rcl_asks_every_previous_generator_for_its_task_seeded_draws(small_seq, 
         for i in range(1, small_seq.n_tasks + 1)
         for pos in range(i)
     ]
+
+
+@pytest.mark.parametrize("strategy", ["ewc", "rcl"])
+def test_each_traced_stage_is_called_through_its_continual_name(small_seq, monkeypatch, strategy):
+    # perfbench times these stages by wrapping these names of continual, so a
+    # call that bypasses one, or calls it another number of times, changes
+    # what its per-layer metrics read without failing its checks
+    log = []
+
+    def counting(name, detail=lambda *args: None):
+        real = getattr(continual, name)
+
+        def wrapper(*args, **kwargs):
+            log.append((name, detail(*args)))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(continual, name, wrapper)
+
+    counting("_task_step")  # marks where each task starts
+    counting("member_probabilities", lambda ens, batch: np.column_stack([batch.y, batch.source]))
+    counting("fisher_diagonal", lambda model, samples: id(model))
+    counting("fit_generator", lambda pos, *rest: pos)
+    counting("fit_standardizer")
+    counting("apply_standardizer")
+    run = strategy_run(strategy, small_seq, seed=5, train=TrainConfig(epochs=1), n_members=2)
+
+    tasks = []
+    for name, detail in log:
+        if name == "_task_step":
+            tasks.append([])
+        else:
+            tasks[-1].append((name, detail))
+    assert len(tasks) == small_seq.n_tasks == 2
+    generators = []
+    for i, events in enumerate(tasks, 1):
+        details = {name: [d for n, d in events if n == name] for name, _ in events}
+        test = [part for parts in small_seq.test[: i + 1] for part in parts]
+        windows = np.concatenate(details["member_probabilities"])
+        assert len(windows) == 9 * (i + 1)  # 18 windows, then 27
+        np.testing.assert_array_equal(windows, np.concatenate([np.column_stack([p.y, p.source]) for p in test]))
+        fishers = [id(m) for m in run.ensembles[0].members] if strategy == "ewc" and i == 1 else []
+        assert details.get("fisher_diagonal", []) == fishers
+        assert len(details["fit_standardizer"]) == len(details["apply_standardizer"]) == 1
+        generators += details.get("fit_generator", [])
+    assert generators == ([0, 1, 2] if strategy == "rcl" else [])
 
 
 def test_rcl_task1_tracks_baseline_on_separable_data(small_seq):
