@@ -174,9 +174,9 @@ def _load_data(cfg: ExperimentConfig) -> tuple[list[TimeSeriesTrial], str]:
 
 def _plan(
     cfg: ExperimentConfig, trials: list[TimeSeriesTrial]
-) -> tuple[TaskSequence | None, NetSpec | None, dict[str, list[NetSpec]], list]:
-    """The task sequence and net `run` trains, the per-task nets of each
-    variant, and every reason it would stop before training: the task split's
+) -> tuple[TaskSequence | None, NetSpec | None, dict[str, NetSpec], list]:
+    """The task sequence and net `run` trains, each variant's final-task net,
+    and every reason it would stop before training: the task split's
     problems, classes too small for rcl's generators, the nets' build errors,
     then carried strategies that cannot follow a variant's net."""
     seq, problems = split_trials(trials, cfg.window, cfg.stride, cfg.train_trials, cfg.classes)
@@ -193,9 +193,9 @@ def _plan(
     for i, variant in enumerate(cfg.variants):
         path = f"variants[{i}].net"
         if {"net", path} <= specs.keys():  # the variant's net replaces the final task's
-            variants[variant.name] = [specs["net"]] * (n_tasks - 1) + [specs[path]]
-            try:
-                check_carried(cfg.strategies, variants[variant.name])
+            variants[variant.name] = specs[path]
+            try:  # with one task, no model is carried into the final task's net
+                check_carried(cfg.strategies, [specs["net"]] * (n_tasks > 1) + [specs[path]])
             except ConfigurationError as exc:
                 problems.append(ConfigurationError(f"field '{path}': {exc}"))
     return seq, specs.get("net"), variants, problems
@@ -280,9 +280,8 @@ def cmd_run(
         ewc_lambda=cfg.ewc_lambda, n_members=cfg.ensemble_size,
     )
     comp = compare_strategies(seq, settings, cfg.strategies, cfg.repetitions, cfg.seed, variants)
-    texts = [manifest_json(build_manifest(cfg.to_dict(), comp, digest))]
-    if comp.runs:
-        texts += [metrics_csv(comp), render_report(comp)]
+    manifest = build_manifest(cfg.to_dict(), comp, digest)
+    texts = [manifest_json(manifest), metrics_csv(comp), render_report(comp)]
     for name, text in zip(RESULT_FILES, texts):
         try:
             atomic_write(out / name, text)

@@ -244,20 +244,24 @@ def _evaluate(ensemble: Ensemble, seq: TaskSequence, upto: int) -> tuple[Confusi
 
 @dataclass(frozen=True)
 class RunSettings:
-    """Everything a strategy run needs besides the sequence and seed."""
+    """Everything a strategy run needs besides the sequence and seed. Every
+    task trains `net`, but the last, which trains `final_net` when given."""
 
-    net: object  # NetSpec or list of NetSpec per task
+    net: NetSpec
     train: TrainConfig = TrainConfig()
     generator: GeneratorConfig = GeneratorConfig()
     ewc_lambda: float = 100.0
     n_members: int = 5
+    final_net: NetSpec | None = None
 
     def __post_init__(self):
         require_number("ewc_lambda", self.ewc_lambda, least=0)
-        nets = self.net if isinstance(self.net, (list, tuple)) else [self.net]
-        if not all(isinstance(net, NetSpec) for net in nets or [None]):
-            message = f"net must be a NetSpec or a non-empty list of them, got {self.net!r}"
-            raise ConfigurationError(message, "net")
+        require_integer("n_members", self.n_members, least=1)
+        if not isinstance(self.net, NetSpec):
+            raise ConfigurationError(f"net must be a NetSpec, got {self.net!r}", "net")
+        if not isinstance(self.final_net, (NetSpec, type(None))):
+            message = f"final_net must be a NetSpec or None, got {self.final_net!r}"
+            raise ConfigurationError(message, "final_net")
 
 
 def _carry_forward(
@@ -303,12 +307,8 @@ def _carry_forward(
 
 
 def _task_nets(settings: RunSettings, n_tasks: int) -> list[NetSpec]:
-    """settings.net once per task: the one NetSpec repeated, or the per-task list."""
-    net = settings.net
-    nets = [net] * n_tasks if isinstance(net, NetSpec) else list(net)
-    if len(nets) != n_tasks:
-        raise ConfigurationError(f"need one net spec or {n_tasks}, got {len(nets)}", "net")
-    return nets
+    """The net of each of n_tasks tasks: settings.net, but final_net, when given, last."""
+    return [settings.net] * (n_tasks - 1) + [settings.final_net or settings.net]
 
 
 def check_strategies(strategies) -> None:
@@ -483,13 +483,13 @@ def compare_strategies(
     strategies: tuple[str, ...] = STRATEGIES,
     repetitions: int = 5,
     master_seed: int = 0,
-    variants: dict[str, object] | None = None,
+    variants: dict[str, NetSpec] | None = None,
 ) -> ComparisonReport:
     """Run each strategy `repetitions` times on seeds derived per (strategy,
     repetition) and aggregate per-task metrics across repetitions.
 
-    `variants` maps a name that check_variant_name accepts to a net (a NetSpec
-    or one per task) that replaces settings.net. Each variant, in name order,
+    `variants` maps a name that check_variant_name accepts to the final
+    task's NetSpec, set as settings.final_net. Each variant, in name order,
     runs every strategy, and its methods are labelled "strategy/variant";
     without variants a method is labelled by its strategy. A method whose run
     raises PseudoreplayError is recorded in failures with the message and left
@@ -497,16 +497,15 @@ def compare_strategies(
     """
     require_integer("repetitions", repetitions, least=1)
     check_strategies(strategies)
-    for name in variants or ():
+    for name, net in (variants or {}).items():  # every variant judged before any training
         check_variant_name(name)
-    variant_settings = {}  # every variant's settings, judged before any training
-    for variant, net in sorted((variants or {"": settings.net}).items()):
-        try:
-            variant_settings[variant] = replace(settings, net=net)
-            _task_nets(variant_settings[variant], seq.n_tasks)
-        except ConfigurationError as exc:
-            prefix = f"variant {variant!r}: " if variant else ""
-            raise ConfigurationError(f"{prefix}{exc}", exc.field) from exc
+        if not isinstance(net, NetSpec):
+            message = f"variant {name!r}: final_net must be a NetSpec, got {net!r}"
+            raise ConfigurationError(message, "final_net")
+    variant_settings = (
+        {name: replace(settings, final_net=net) for name, net in sorted(variants.items())}
+        if variants else {"": settings}
+    )
 
     runs: dict[str, list[ContinualRun]] = {}
     summaries: dict[str, StrategySummary] = {}

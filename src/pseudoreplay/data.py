@@ -196,21 +196,24 @@ def fit_standardizer(windows: Windows) -> StandardizationParams:
     through centered instead of dividing by ~0.
 
     The std is numpy's x.std(axis=0), taken over blocks of whole feature
-    columns of roughly _STD_BLOCK to twice that many elements, so its centred
-    temporary is one block, not the whole mix. A block holds every row,
-    because numpy sums axis 0 one row after another and a split of the rows
-    would change the sums' bits. A block is at least two features wide,
-    because numpy sums a lone strided column pairwise instead; a one-feature
-    input stays whole.
+    columns of roughly _STD_BLOCK to twice that many elements, each with its
+    slice of x.mean(axis=0), so its centred temporary is one block, not the
+    whole mix, and no mean is taken twice. A block holds every row, because
+    numpy sums axis 0 one row after another and a split of the rows would
+    change the sums' bits. A block is at least two features wide, because
+    numpy sums a lone strided column pairwise instead; a one-feature input
+    stays whole.
     """
     n = len(windows)
     if not n:
         raise ConfigurationError("cannot fit standardizer on no windows")
     x = windows.x.reshape(n, -1)
+    mean = x.mean(axis=0)
     step = max(2, _STD_BLOCK // n)
-    blocks = np.array_split(x, max(1, x.shape[1] // step), axis=1)
-    sd = np.concatenate([block.std(axis=0) for block in blocks])
-    return StandardizationParams(mean=x.mean(axis=0), std=np.where(sd < 1e-12, 1.0, sd))
+    splits = max(1, x.shape[1] // step)
+    blocks = zip(np.array_split(x, splits, axis=1), np.array_split(mean[None], splits, axis=1))
+    sd = np.concatenate([block.std(axis=0, mean=block_mean) for block, block_mean in blocks])
+    return StandardizationParams(mean=mean, std=np.where(sd < 1e-12, 1.0, sd))
 
 
 def apply_standardizer(

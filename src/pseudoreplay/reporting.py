@@ -150,9 +150,9 @@ def spread_section(comp: ComparisonReport, variant: str) -> str:
 def render_report(comp: ComparisonReport) -> str:
     """Full markdown report; one strategy/task table per variant plus the
     final-task variant comparison when multiple classifiers were run. Storage
-    and member spread are those of the first variant with a completed method."""
+    and member spread are those of the first variant with a completed method;
+    with none, there is no table. Each failed method is listed with its message."""
     variants = list(dict.fromkeys(s.variant for s in comp.summaries.values()))
-    primary = variants[0]
     parts = ["# Continual learning benchmark", ""]
     parts.append(
         f"Classes (task order): {', '.join(str(c) for c in comp.class_ids)}. "
@@ -169,16 +169,19 @@ def render_report(comp: ComparisonReport) -> str:
             "",
             variant_table(comp),
         ]
-    parts += ["", "## Storage", "", storage_section(comp, primary)]
-    parts += ["", "## Ensemble member spread", "", spread_section(comp, primary), ""]
-    return "\n".join(parts)
+    if variants:
+        parts += ["", "## Storage", "", storage_section(comp, variants[0])]
+        parts += ["", "## Ensemble member spread", "", spread_section(comp, variants[0])]
+    if comp.failures:
+        parts += ["", "## Failed methods", ""]
+        parts += [f"- {method}: {message}" for method, message in comp.failures.items()]
+    return "\n".join(parts + [""])
 
 
 def numeric_environment() -> dict:
     """The Python, numpy and BLAS that computed the floats, and the BLAS
     thread variables that are set: the bytes of a run hold for these."""
-    config = getattr(np.__config__, "CONFIG", {})  # numpy >= 1.26
-    blas = config.get("Build Dependencies", {}).get("blas", {})
+    blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,

@@ -297,6 +297,26 @@ def test_run_strategy_failure_exits_1_with_failed_manifest(tmp_path, capsys):
     assert methods == {"baseline"}
 
 
+def test_a_run_that_fails_every_method_leaves_only_its_own_files(tmp_path, capsys, monkeypatch):
+    cfg = write_json(tmp_path / "exp.json", run_config_doc(train={"epochs": 1}))
+    out = tmp_path / "results"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+
+    def diverging(strategy, seq, settings, seed):
+        raise TrainingError(f"{strategy} diverged")
+
+    monkeypatch.setattr(continual, "run_strategy", diverging)
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 1
+    assert "FAILED rcl: rcl diverged" in capsys.readouterr().err
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert (manifest["status"], manifest["seeds"]) == ("FAILED", {})
+    assert sorted(p.name for p in out.iterdir()) == sorted(manifest["outputs"] + ["manifest.json"])
+    assert (out / "metrics.csv").read_text() == "method,task,repetition,class,precision,recall,f\n"
+    report = (out / "report.md").read_text()
+    assert "|" not in report
+    assert report.endswith("## Failed methods\n\n- baseline: baseline diverged\n- rcl: rcl diverged\n")
+
+
 @pytest.mark.parametrize("failing", cli.RESULT_FILES)
 def test_a_write_error_after_training_exits_1_naming_the_path(tmp_path, capsys, monkeypatch, failing):
     real = cli.atomic_write
@@ -353,7 +373,7 @@ def test_a_strategy_failing_under_one_variant_still_writes_the_report(
     real = continual.run_strategy
 
     def diverging_cnn(strategy, seq, settings, seed):
-        if strategy == "rcl" and settings.net[-1].kind == "conv":
+        if strategy == "rcl" and settings.final_net.kind == "conv":
             raise TrainingError("loss diverged")
         return real(strategy, seq, settings, seed)
 

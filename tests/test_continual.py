@@ -801,7 +801,7 @@ def test_non_finite_anchor_weight_rejected_before_training(lam):
 def test_sequential_strategies_refuse_architecture_switches(small_seq):
     conv = NetSpec(kind="conv", input_shape=(50, 2), n_classes=2, hidden=(8, 4), conv=((4, 5, 2), (8, 5, 2)))
     with pytest.raises(ConfigurationError, match="cannot switch"):
-        strategy_run("finetune", small_seq, seed=0, net=[small_net(), conv], n_members=1)
+        strategy_run("finetune", small_seq, seed=0, final_net=conv, n_members=1)
 
 
 # -------------------------------------------------------------------- baseline
@@ -939,13 +939,12 @@ def test_variants_run_every_strategy_per_variant_under_method_labels(small_seq, 
     conv = NetSpec(
         kind="conv", input_shape=(50, 2), n_classes=2, hidden=(8, 4), conv=((4, 5, 2), (8, 5, 2))
     )
-    variants = {"mlp": small_net(), "cnn": [small_net(), conv]}
-    # every variant replaces settings.net, so it only needs to be a valid net
+    variants = {"mlp": small_net(), "cnn": conv}
     settings = RunSettings(net=small_net(), train=replace(FAST, epochs=2), n_members=1)
     real = continual.run_strategy
 
     def diverging_conv_rcl(strategy, seq, run_settings, seed):
-        if strategy == "rcl" and not isinstance(run_settings.net, NetSpec):
+        if strategy == "rcl" and run_settings.final_net.kind == "conv":
             raise TrainingError("loss diverged")
         return real(strategy, seq, run_settings, seed)
 
@@ -956,9 +955,9 @@ def test_variants_run_every_strategy_per_variant_under_method_labels(small_seq, 
     assert [(s.strategy, s.variant) for s in comp.summaries.values()] == [
         ("baseline", "cnn"), ("rcl", "mlp"), ("baseline", "mlp"),
     ]
-    # each variant's methods are the runs of that variant's nets alone
+    # each variant's methods are the runs of that variant's final net alone
     for name, net in variants.items():
-        alone = compare_strategies(small_seq, replace(settings, net=net), ("baseline",), 1, 6)
+        alone = compare_strategies(small_seq, replace(settings, final_net=net), ("baseline",), 1, 6)
         ours, theirs = comp.runs[f"baseline/{name}"][0], alone.runs["baseline"][0]
         assert ours.seed == theirs.seed
         for a, b in zip(ours.tasks, theirs.tasks):
@@ -967,11 +966,28 @@ def test_variants_run_every_strategy_per_variant_under_method_labels(small_seq, 
     assert [(s.strategy, s.variant) for s in plain.summaries.values()] == [("baseline", "")]
 
 
-@pytest.mark.parametrize("net", [None, [], (), "dense", [small_net(), None], {"kind": "dense"}])
+NOT_NETS = [[], (), "dense", [small_net()], [small_net()] * 2, [small_net(), None], {"kind": "dense"}]
+
+
+@pytest.mark.parametrize("net", [None, *NOT_NETS])
 def test_run_settings_take_only_net_specs(net):
-    with pytest.raises(ConfigurationError, match="net must be a NetSpec") as err:
+    with pytest.raises(ConfigurationError, match="^net must be a NetSpec, got ") as err:
         RunSettings(net=net)
     assert err.value.field == "net"
+
+
+@pytest.mark.parametrize("final_net", NOT_NETS)
+def test_run_settings_take_a_net_spec_or_none_as_final_net(final_net):
+    with pytest.raises(ConfigurationError, match="^final_net must be a NetSpec or None, got ") as err:
+        RunSettings(net=small_net(), final_net=final_net)
+    assert err.value.field == "final_net"
+
+
+@pytest.mark.parametrize("n_members", [0, -1, True, 2.0])
+def test_run_settings_refuse_a_member_count_below_one_or_not_an_integer(n_members):
+    with pytest.raises(ConfigurationError, match="n_members must be") as err:
+        RunSettings(net=small_net(), n_members=n_members)
+    assert err.value.field == "n_members"
 
 
 @pytest.mark.parametrize("name", ["", "a,b", "a/b", "a|b", "tab\t", 3])
@@ -987,8 +1003,8 @@ def test_compare_strategies_refuses_a_variant_name_before_training(small_seq, mo
 
 
 @pytest.mark.parametrize("net, message", [
-    (None, "net must be a NetSpec or a non-empty list of them, got None"),
-    ([small_net()], "need one net spec or 2, got 1"),
+    (None, "final_net must be a NetSpec, got None"),
+    ([small_net()], f"final_net must be a NetSpec, got {[small_net()]!r}"),
 ])
 def test_compare_strategies_judges_every_variant_net_before_training(small_seq, monkeypatch, net, message):
     real = continual.fit_ensemble
@@ -1003,7 +1019,7 @@ def test_compare_strategies_judges_every_variant_net_before_training(small_seq, 
     with pytest.raises(ConfigurationError) as err:
         compare_strategies(small_seq, settings, ("baseline", "rcl"), 1, 0, {"a": small_net(), "b": net})
     assert str(err.value) == f"variant 'b': {message}"
-    assert err.value.field == "net"
+    assert err.value.field == "final_net"
     assert fits == []
 
 
@@ -1014,9 +1030,8 @@ def test_dense_then_conv_run_completes(small_seq):
     conv = NetSpec(
         kind="conv", input_shape=(50, 2), n_classes=2, hidden=(8, 4), conv=((4, 5, 2), (8, 5, 2))
     )
-    nets = [small_net(), conv]
     for strategy in ("rcl", "baseline"):
-        settings = RunSettings(net=nets, train=FAST, n_members=2)
+        settings = RunSettings(net=small_net(), train=FAST, n_members=2, final_net=conv)
         run = run_strategy(strategy, small_seq, settings, seed=2)
         assert run.ensembles[0].members[0].spec.kind == "dense"
         assert run.ensembles[1].members[0].spec.kind == "conv"
@@ -1024,15 +1039,34 @@ def test_dense_then_conv_run_completes(small_seq):
         assert run.tasks[1].report.macro_f > 0.5
 
 
-def step_bytes(task, ensemble) -> list[bytes]:
-    """What one task step produced, as bytes: confusion counts, per-class
-    P/R/F, member spread, training provenance and each member's parameters."""
+def task_bytes(task) -> list[bytes]:
+    """One task's result as bytes: confusion counts, per-class P/R/F, member
+    spread and training provenance."""
     r = task.report
     return [
         task.cm.counts.tobytes(), r.precision.tobytes(), r.recall.tobytes(), r.f_score.tobytes(),
         np.float64(task.member_f_std).tobytes(), task.train_provenance.tobytes(),
-        *(m.parameters.tobytes() for m in ensemble.members),
     ]
+
+
+def step_bytes(task, ensemble) -> list[bytes]:
+    """What one task step produced, as bytes: task_bytes and each member's parameters."""
+    return task_bytes(task) + [m.parameters.tobytes() for m in ensemble.members]
+
+
+def test_a_variant_changes_only_the_final_tasks_net(small_seq):
+    conv = NetSpec(
+        kind="conv", input_shape=(50, 2), n_classes=2, hidden=(8, 4), conv=((4, 5, 2), (8, 5, 2))
+    )
+    settings = RunSettings(net=small_net(), train=replace(FAST, epochs=2), n_members=2)
+    comp = compare_strategies(small_seq, settings, ("rcl", "baseline"), 2, 8, {"a": small_net(), "b": conv})
+    assert not comp.failures
+    for strategy in ("rcl", "baseline"):
+        dense, mixed = comp.runs[f"{strategy}/a"], comp.runs[f"{strategy}/b"]
+        for run_a, run_b in zip(dense, mixed, strict=True):
+            assert run_a.seed == run_b.seed
+            for task_a, task_b in zip(run_a.tasks[:-1], run_b.tasks[:-1], strict=True):
+                assert task_bytes(task_a) == task_bytes(task_b), (strategy, task_a.task_index)
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -1054,12 +1088,8 @@ def test_final_tasks_forked_from_one_state_equal_whole_runs(small_seq, strategy,
     before = pickle.dumps(state)
     for final in finals:
         fork, task = continual._task_step(strategy, small_seq, final, settings, seed, state, n)
-        run = run_strategy(strategy, small_seq, replace(settings, net=[small_net()] * (n - 1) + [final]), seed)
+        run = run_strategy(strategy, small_seq, replace(settings, final_net=final), seed)
         want = [step_bytes(t, e) for t, e in zip(run.tasks, run.ensembles, strict=True)]
         assert prefix + [step_bytes(task, fork.ensemble)] == want, final.kind
     assert pickle.dumps(state) == before
 
-
-def test_net_template_list_length_checked(small_seq):
-    with pytest.raises(ConfigurationError):
-        strategy_run("rcl", small_seq, seed=0, net=[small_net()], n_members=1)

@@ -115,7 +115,19 @@ def test_variant_table_marks_a_strategy_that_failed_under_one_variant(variant_co
     assert "failed" not in lines[2]
     assert lines[3].endswith(" | failed | failed | failed |")
     assert lines[3].count("failed") == 3
-    assert "## Final-task comparison across classifiers" in render_report(comp)
+    report = render_report(comp)
+    assert "## Final-task comparison across classifiers" in report
+    assert report.endswith("\n## Failed methods\n\n- rcl/mlp: training diverged\n")
+
+
+def test_a_report_with_no_completed_method_names_each_failure_and_draws_no_table(comparison):
+    failed = dataclasses.replace(
+        comparison, summaries={}, runs={}, failures={"rcl": "boom", "baseline": "diverged"}
+    )
+    report = render_report(failed)
+    assert "|" not in report
+    assert report.endswith("\n## Failed methods\n\n- rcl: boom\n- baseline: diverged\n")
+    assert metrics_csv(failed) == METRICS_HEADER + "\n"
 
 
 def test_manifest_json_stable_and_failures(comparison):
