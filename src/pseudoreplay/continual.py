@@ -59,7 +59,7 @@ from .errors import (
     require_number,
 )
 from .generator import ClassGenerator, fit_generator, generate
-from .metrics import ConfusionMatrix, MetricReport, aggregate, confusion, metrics
+from .metrics import ConfusionMatrix, MetricReport, confusion, metrics
 from .seeding import derive_seed
 
 STRATEGIES = ("rcl", "ewc", "finetune", "baseline")
@@ -193,8 +193,7 @@ class GeneratorConfig:
 
 @dataclass(eq=False)
 class TaskResult:
-    task_index: int  # 1-based
-    class_ids: list[int]  # original ids covered by this task's evaluation
+    task_index: int  # 1-based: the task evaluates run.class_ids[: task_index + 1]
     cm: ConfusionMatrix
     report: MetricReport
     member_f_std: float
@@ -404,7 +403,6 @@ def _task_step(
     cm, report, spread = _evaluate(ens, seq, i)
     return RunState(generators, ens, fishers), TaskResult(
         task_index=i,
-        class_ids=seq.class_ids[: i + 1],
         cm=cm,
         report=report,
         member_f_std=spread,
@@ -453,26 +451,15 @@ def run_strategy(
 
 
 @dataclass(eq=False)
-class StrategySummary:
-    strategy: str
-    variant: str  # "" without variants
-    per_task_mean: list[MetricReport]
-    per_task_std: list[MetricReport]
-    member_spread: list[float]  # mean member macro-F std per task
-    replay_counts: list[dict[int, int]]
-    memory_footprint: int
-
-
-@dataclass(eq=False)
 class ComparisonReport:
-    """Results keyed by method label: "strategy", or "strategy/variant".
+    """Each completed method's runs, keyed by its label: "strategy", or
+    "strategy/variant"; every reported figure is derived from them.
 
     Each kept run holds its seed, task results, generators and footprint but
     no ensembles; run_strategy returns a run with its models."""
 
     class_ids: list[int]
     repetitions: int
-    summaries: dict[str, StrategySummary]
     runs: dict[str, list[ContinualRun]]
     failures: dict[str, str] = field(default_factory=dict)  # method -> message
 
@@ -486,16 +473,17 @@ def compare_strategies(
     variants: dict[str, NetSpec] | None = None,
 ) -> ComparisonReport:
     """Run each strategy `repetitions` times on seeds derived per (strategy,
-    repetition) and aggregate per-task metrics across repetitions.
+    repetition) from master_seed, and keep the runs.
 
     `variants` maps a name that check_variant_name accepts to the final
     task's NetSpec, set as settings.final_net. Each variant, in name order,
     runs every strategy, and its methods are labelled "strategy/variant";
     without variants a method is labelled by its strategy. A method whose run
     raises PseudoreplayError is recorded in failures with the message and left
-    out of summaries and runs; the others still run.
+    out of runs; the others still run.
     """
     require_integer("repetitions", repetitions, least=1)
+    require_integer("master_seed", master_seed)
     check_strategies(strategies)
     for name, net in (variants or {}).items():  # every variant judged before any training
         check_variant_name(name)
@@ -508,7 +496,6 @@ def compare_strategies(
     )
 
     runs: dict[str, list[ContinualRun]] = {}
-    summaries: dict[str, StrategySummary] = {}
     failures: dict[str, str] = {}
     for (variant, run_settings), strat in product(variant_settings.items(), strategies):
         method = f"{strat}/{variant}" if variant else strat
@@ -523,26 +510,9 @@ def compare_strategies(
             failures[method] = str(exc)
             continue
         runs[method] = strat_runs
-
-        per_task_mean, per_task_std, spread = [], [], []
-        for t in range(seq.n_tasks):
-            mean, std = aggregate([run.tasks[t].report for run in strat_runs])
-            per_task_mean.append(mean)
-            per_task_std.append(std)
-            spread.append(float(np.mean([run.tasks[t].member_f_std for run in strat_runs])))
-        summaries[method] = StrategySummary(
-            strategy=strat,
-            variant=variant,
-            per_task_mean=per_task_mean,
-            per_task_std=per_task_std,
-            member_spread=spread,
-            replay_counts=[dict(strat_runs[0].tasks[t].replay_counts) for t in range(seq.n_tasks)],
-            memory_footprint=strat_runs[0].memory_footprint,
-        )
     return ComparisonReport(
         class_ids=seq.class_ids,
         repetitions=repetitions,
-        summaries=summaries,
         runs=runs,
         failures=failures,
     )
@@ -573,10 +543,12 @@ def audit_replay_purity(run: ContinualRun) -> PurityAudit:
 
 
 def audit_memory(run: ContinualRun, gen_config: GeneratorConfig) -> PurityAudit:
-    """Check the reported footprint is the exact retained count within budget."""
+    """Check an rcl run's footprint is the exact count its generators retain,
+    and each generator is within budget. Only an rcl run fits generators; the
+    other strategies' footprints count raw windows, so they are not judged."""
     violations = []
     total = sum(g.memory_size for g in run.generators.values())
-    if run.memory_footprint != total:
+    if run.strategy == "rcl" and run.memory_footprint != total:
         violations.append(
             f"footprint {run.memory_footprint} != retained total {total}"
         )

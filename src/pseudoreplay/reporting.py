@@ -15,8 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .continual import ComparisonReport, StrategySummary
-from .metrics import format_cell
+from .continual import ComparisonReport, ContinualRun
+from .metrics import aggregate, format_cell
 
 METRICS_HEADER = "method,task,repetition,class,precision,recall,f"
 BLAS_THREAD_VARS = (
@@ -50,7 +50,7 @@ def metrics_csv(comp: ComparisonReport) -> str:
         for r, run in enumerate(runs):
             for task in run.tasks:
                 rep = task.report
-                for idx, cid in enumerate(task.class_ids):
+                for idx, cid in enumerate(run.class_ids[: task.task_index + 1]):
                     lines.append(
                         f"{method},{task.task_index},{r},{cid},"
                         f"{_fmt(rep.precision[idx])},{_fmt(rep.recall[idx])},"
@@ -74,9 +74,9 @@ def _table(header: list[str], rows: list[list[str]]) -> str:
     return "\n".join(lines[:1] + ["|" + "---|" * len(header)] + lines[1:])
 
 
-def _macro_cells(summary: StrategySummary, t: int) -> list[str]:
-    """Task t's macro precision, recall and F-score as 'mean (std)' cells."""
-    mean, std = summary.per_task_mean[t], summary.per_task_std[t]
+def _macro_cells(runs: list[ContinualRun], t: int) -> list[str]:
+    """Task t's macro precision, recall and F-score as 'mean (std)' cells over runs."""
+    mean, std = aggregate([run.tasks[t].report for run in runs])
     return [
         format_cell(getattr(mean, name), getattr(std, name))
         for name in ("macro_precision", "macro_recall", "macro_f")
@@ -87,20 +87,25 @@ def _metric_header(prefixes: list[str]) -> list[str]:
     return ["Method"] + [f"{p} {m}" for p in prefixes for m in ("Precision", "Recall", "F-score")]
 
 
-def _of(comp: ComparisonReport, variant: str) -> list[StrategySummary]:
-    """The completed methods of one variant, in run order."""
-    return [s for s in comp.summaries.values() if s.variant == variant]
+def _methods(comp: ComparisonReport) -> dict[tuple[str, str], list[ContinualRun]]:
+    """Each completed method's runs by (strategy, variant), in run order; the
+    variant is "" without variants, and no variant name holds a '/'."""
+    return {tuple(method.partition("/")[::2]): runs for method, runs in comp.runs.items()}
+
+
+def _of(comp: ComparisonReport, variant: str) -> dict[str, list[ContinualRun]]:
+    """The completed methods of one variant, strategy -> runs, in run order."""
+    return {s: runs for (s, v), runs in _methods(comp).items() if v == variant}
 
 
 def comparison_table(comp: ComparisonReport, variant: str) -> str:
     """Strategies x tasks, each cell a macro 'mean (std)' over repetitions."""
-    summaries = _of(comp, variant)
-    n_tasks = len(summaries[0].per_task_mean)
+    n_tasks = len(comp.class_ids) - 1
     suffix = f" ({variant})" if variant else ""
     rows = [
-        [_strategy_label(s.strategy) + suffix]
-        + [cell for t in range(n_tasks) for cell in _macro_cells(s, t)]
-        for s in summaries
+        [_strategy_label(s) + suffix]
+        + [cell for t in range(n_tasks) for cell in _macro_cells(runs, t)]
+        for s, runs in _of(comp, variant).items()
     ]
     return _table(_metric_header([f"Task {t}" for t in range(1, n_tasks + 1)]), rows)
 
@@ -108,41 +113,43 @@ def comparison_table(comp: ComparisonReport, variant: str) -> str:
 def variant_table(comp: ComparisonReport) -> str:
     """Strategies x classifier variants on the final task, macro metrics.
     A strategy that failed under some variant reads 'failed' there."""
-    by_key = {(s.strategy, s.variant): s for s in comp.summaries.values()}
+    by_key = _methods(comp)
     variants = list(dict.fromkeys(v for _, v in by_key))
     rows = []
     for strat in dict.fromkeys(s for s, _ in by_key):
         row = [_strategy_label(strat)]
         for v in variants:
-            s = by_key.get((strat, v))
-            row += ["failed"] * 3 if s is None else _macro_cells(s, -1)
+            runs = by_key.get((strat, v))
+            row += ["failed"] * 3 if runs is None else _macro_cells(runs, -1)
         rows.append(row)
     return _table(_metric_header(variants), rows)
 
 
 def storage_section(comp: ComparisonReport, variant: str) -> str:
+    """Each method's footprint and pseudo samples per task, from its first run."""
     rows = []
-    for s in _of(comp, variant):
+    for s, (first, *_) in _of(comp, variant).items():
         replay = "; ".join(
-            f"task {t + 1}: "
+            f"task {task.task_index}: "
             + (
-                ", ".join(f"class {c}: {n}" for c, n in sorted(counts.items()))
-                if counts
+                ", ".join(f"class {c}: {n}" for c, n in sorted(task.replay_counts.items()))
+                if task.replay_counts
                 else "none"
             )
-            for t, counts in enumerate(s.replay_counts)
+            for task in first.tasks
         )
-        rows.append([_strategy_label(s.strategy), str(s.memory_footprint), replay])
+        rows.append([_strategy_label(s), str(first.memory_footprint), replay])
     return _table(["Method", "Raw windows retained", "Pseudo samples per task"], rows)
 
 
 def spread_section(comp: ComparisonReport, variant: str) -> str:
-    summaries = _of(comp, variant)
-    n_tasks = len(summaries[0].per_task_mean)
+    """Each method's member macro-F std per task, the mean over its runs."""
+    n_tasks = len(comp.class_ids) - 1
     header = ["Method"] + [f"Task {t} member F std" for t in range(1, n_tasks + 1)]
     rows = [
-        [_strategy_label(s.strategy)] + [f"{v:.3f}" for v in s.member_spread]
-        for s in summaries
+        [_strategy_label(s)]
+        + [f"{np.mean([run.tasks[t].member_f_std for run in runs]):.3f}" for t in range(n_tasks)]
+        for s, runs in _of(comp, variant).items()
     ]
     return _table(header, rows)
 
@@ -152,7 +159,7 @@ def render_report(comp: ComparisonReport) -> str:
     final-task variant comparison when multiple classifiers were run. Storage
     and member spread are those of the first variant with a completed method;
     with none, there is no table. Each failed method is listed with its message."""
-    variants = list(dict.fromkeys(s.variant for s in comp.summaries.values()))
+    variants = list(dict.fromkeys(v for _, v in _methods(comp)))
     parts = ["# Continual learning benchmark", ""]
     parts.append(
         f"Classes (task order): {', '.join(str(c) for c in comp.class_ids)}. "

@@ -10,10 +10,13 @@ from __future__ import annotations
 
 import hashlib
 
+from .errors import require_integer
+
 
 def derive_seed(master: int, *parts: object) -> int:
-    """Map (master, role parts...) to a stable unsigned 64-bit seed."""
-    h = hashlib.sha256(str(int(master)).encode("ascii"))
+    """Map (master, role parts...) to a stable unsigned 64-bit seed; a master
+    that is not an integer (a bool, a float, a string) raises ConfigurationError."""
+    h = hashlib.sha256(str(require_integer("master", master)).encode("ascii"))
     for part in parts:
         h.update(b"/")
         h.update(str(part).encode("utf-8"))

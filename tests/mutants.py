@@ -1,8 +1,10 @@
 """A standing sweep of one-line mutants of the package against tier-1.
 
-    python3 tests/mutants.py
+    python3 tests/mutants.py [NAME...]
 
-pytest does not collect this file: its name does not start with `test_`.
+With names, only those mutants run, after the unmutated copy; without, all
+of them do. pytest does not collect this file: its name does not start with
+`test_`.
 
 Each mutant is one exact text edit of one file under src/. For each mutant the
 script copies the repository (README.md included, as a test reads it) to a
@@ -20,8 +22,9 @@ the pin (the pinned digests belong to one platform), the with-pin verdicts
 are reported as unavailable rather than as kills.
 
 Exit status: 0 when every must-die mutant is killed without the pin, 1 when
-one survives or the unmutated copy fails, 2 when a mutant's old text is not
-found exactly once in its file (the source moved on; update the mutant).
+one survives or the unmutated copy fails, 2 when a name is not a mutant's or
+a mutant's old text is not found exactly once in its file (the source moved
+on; update the mutant).
 BLAS runs at 1 thread unless the environment sets it.
 """
 
@@ -172,6 +175,18 @@ MUTANTS = [
         "step = max(1, _STD_BLOCK // n)",
         "a standardizer block may be one feature wide, which numpy sums pairwise",
     ),
+    Mutant(
+        "R1", "src/pseudoreplay/reporting.py",
+        "aggregate([run.tasks[t].report for run in runs])",
+        "aggregate([run.tasks[t].report for run in runs[:1]])",
+        "a method's table cells are aggregated over its first run alone",
+    ),
+    Mutant(
+        "R2", "src/pseudoreplay/reporting.py",
+        "np.mean([run.tasks[t].member_f_std for run in runs])",
+        "np.max([run.tasks[t].member_f_std for run in runs])",
+        "a member spread cell is the largest run's spread, not the mean",
+    ),
 ]
 
 
@@ -213,8 +228,13 @@ def _stale(mutant: Mutant) -> bool:
     return (ROOT / mutant.file).read_text(encoding="utf-8").count(mutant.old) != 1
 
 
-def main() -> int:
-    stale = [m.name for m in MUTANTS if _stale(m)]
+def main(names: list[str]) -> int:
+    unknown = [name for name in names if name not in {m.name for m in MUTANTS}]
+    if unknown:
+        print(f"no mutant named {unknown}; choose from {[m.name for m in MUTANTS]}")
+        return 2
+    mutants = [m for m in MUTANTS if m.name in names] if names else MUTANTS
+    stale = [m.name for m in mutants if _stale(m)]
     if stale:
         print(f"old text not found exactly once for {stale}; update these mutants")
         return 2
@@ -229,7 +249,7 @@ def main() -> int:
         print(f"the unmutated copy fails tier-1 with the pin at {pin_failed}; "
               "with-pin verdicts are unavailable")
     survivors = []
-    for mutant in MUTANTS:
+    for mutant in mutants:
         start = time.perf_counter()
         verdicts = []
         for pinned in (True, False):
@@ -251,4 +271,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

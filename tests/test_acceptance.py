@@ -30,6 +30,7 @@ from pseudoreplay import (
     NetSpec,
     RunSettings,
     TrainConfig,
+    aggregate,
     audit_memory,
     audit_replay_purity,
     compare_strategies,
@@ -299,34 +300,33 @@ def test_gate_3_anchored_training_degeneracy_and_freezing(capsys, small_seq):
 
 def test_gate_4_forgetting_ordering_on_default_benchmark(capsys, benchmark_comparison):
     comp, elapsed = benchmark_comparison
+    # (mean, std) over the repetitions of each strategy's task reports
+    tasks = {
+        strat: [aggregate([run.tasks[t].report for run in runs]) for t in range(len(runs[0].tasks))]
+        for strat, runs in comp.runs.items()
+    }
     problems = []
     for strat in ("baseline", "finetune", "rcl"):
-        first = comp.summaries[strat].per_task_mean[0]
+        first = tasks[strat][0][0]
         floor = min(first.macro_precision, first.macro_recall, first.macro_f)
         if floor < 0.99:
             problems.append(f"{strat}: task-1 macro {floor:.4f} < 0.99")
 
-    rcl = comp.summaries["rcl"].per_task_mean[1].macro_f
-    base = comp.summaries["baseline"].per_task_mean[1].macro_f
-    ft = comp.summaries["finetune"].per_task_mean[1].macro_f
-    if not rcl >= base - 0.01:
-        problems.append(f"replay F {rcl:.4f} < baseline {base:.4f} - 0.01")
-    if not base - 0.01 > ft:
-        problems.append(f"fine-tuning F {ft:.4f} not below baseline {base:.4f} - 0.01")
-    if not ft > 1.0 / 3.0:
-        problems.append(f"fine-tuning F {ft:.4f} not above chance")
+    (rcl, rcl_std), (base, _), (ft, ft_std) = (tasks[s][1] for s in ("rcl", "baseline", "finetune"))
+    if not rcl.macro_f >= base.macro_f - 0.01:
+        problems.append(f"replay F {rcl.macro_f:.4f} < baseline {base.macro_f:.4f} - 0.01")
+    if not base.macro_f - 0.01 > ft.macro_f:
+        problems.append(f"fine-tuning F {ft.macro_f:.4f} not below baseline {base.macro_f:.4f} - 0.01")
+    if not ft.macro_f > 1.0 / 3.0:
+        problems.append(f"fine-tuning F {ft.macro_f:.4f} not above chance")
 
-    rcl_recall = comp.summaries["rcl"].per_task_mean[1].recall[1]
-    ft_recall = comp.summaries["finetune"].per_task_mean[1].recall[1]
-    if not ft_recall <= rcl_recall - 0.2:
+    if not ft.recall[1] <= rcl.recall[1] - 0.2:
         problems.append(
-            f"middle-class recall: fine-tuning {ft_recall:.3f} vs replay {rcl_recall:.3f}"
+            f"middle-class recall: fine-tuning {ft.recall[1]:.3f} vs replay {rcl.recall[1]:.3f}"
         )
 
-    rcl_std = comp.summaries["rcl"].per_task_std[1].macro_f
-    ft_std = comp.summaries["finetune"].per_task_std[1].macro_f
-    if not rcl_std <= ft_std + 0.005:
-        problems.append(f"replay F std {rcl_std:.4f} > fine-tuning {ft_std:.4f} + 0.005")
+    if not rcl_std.macro_f <= ft_std.macro_f + 0.005:
+        problems.append(f"replay F std {rcl_std.macro_f:.4f} > fine-tuning {ft_std.macro_f:.4f} + 0.005")
 
     if elapsed >= 600.0:
         problems.append(f"runtime {elapsed:.1f}s >= 600s")

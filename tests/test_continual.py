@@ -450,6 +450,19 @@ def test_memory_audit_checks_footprint_and_budgets(small_seq):
     assert not audit_memory(run, GeneratorConfig(memory_budget=4)).clean
 
 
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_memory_audit_judges_only_an_rcl_footprint_against_generator_memory(strategy):
+    # finetune and ewc retain 12 raw normal windows and baseline all 36, none
+    # of them in a generator; rcl's 36 are its generators' memory
+    seq = TaskSequence.from_trials(
+        synthesize_stream(default_synthetic_config(trial_length=600, trials_per_class=2)), window=50
+    )
+    run = strategy_run(strategy, seq, seed=0, train=TrainConfig(epochs=1), n_members=1)
+    assert run.memory_footprint == {"finetune": 12, "ewc": 12}.get(strategy, 36)
+    audit = audit_memory(run, GeneratorConfig())
+    assert audit.clean, audit.violations
+
+
 def test_pseudo_set_size_override(small_seq):
     run = strategy_run(
         "rcl", small_seq, seed=5, generator=GeneratorConfig(pseudo_per_class=4), n_members=2
@@ -600,7 +613,7 @@ def test_rcl_refuses_a_too_small_last_class_before_it_trains(small_stream_config
     settings = RunSettings(net=small_net(), train=TrainConfig(epochs=1), n_members=1)
     comp = compare_strategies(seq, settings, strategies=("rcl", "baseline"), repetitions=1)
     assert comp.failures == {"rcl": message}
-    assert list(comp.summaries) == list(comp.runs) == ["baseline"]
+    assert list(comp.runs) == ["baseline"]
     assert calls == ["fit_ensemble", "train"] * seq.n_tasks
 
 
@@ -861,6 +874,20 @@ def test_unknown_strategy_rejected(small_seq):
         compare_strategies(small_seq, settings, strategies=("baseline", "baseline"), repetitions=1)
 
 
+@pytest.mark.parametrize("master_seed", [1.5, True, "1", None])
+def test_compare_strategies_refuses_a_non_integer_master_seed_before_training(
+    small_seq, monkeypatch, master_seed
+):
+    def no_training(*args):
+        raise AssertionError("trained before judging the master seed")
+
+    monkeypatch.setattr(continual, "run_strategy", no_training)
+    settings = RunSettings(net=small_net(), train=FAST, n_members=1)
+    with pytest.raises(ConfigurationError, match="master_seed must be an integer") as err:
+        compare_strategies(small_seq, settings, ("baseline", "rcl"), 1, master_seed)
+    assert err.value.field == "master_seed"
+
+
 def test_forced_equal_seeds_zero_out_the_spread(small_seq):
     settings = RunSettings(net=small_net(), train=FAST, n_members=2)
     for strat in ("baseline", "rcl"):
@@ -878,7 +905,7 @@ def test_comparison_shapes_and_run_retention(small_seq):
     assert comp.repetitions == 2
     for strat in STRATEGIES:
         assert len(comp.runs[strat]) == 2
-        assert len(comp.summaries[strat].per_task_mean) == small_seq.n_tasks
+        assert all(len(run.tasks) == small_seq.n_tasks for run in comp.runs[strat])
         assert comp.runs[strat][0].seed != comp.runs[strat][1].seed
     # identical seeds across strategies would break independence; spot-check
     assert comp.runs["rcl"][0].seed != comp.runs["baseline"][0].seed
@@ -917,9 +944,10 @@ def test_comparison_is_reproducible(small_seq):
     settings = RunSettings(net=small_net(), train=FAST, n_members=2)
     a = compare_strategies(small_seq, settings, strategies=("rcl",), repetitions=2, master_seed=4)
     b = compare_strategies(small_seq, settings, strategies=("rcl",), repetitions=2, master_seed=4)
-    for ta, tb in zip(a.summaries["rcl"].per_task_mean, b.summaries["rcl"].per_task_mean):
-        assert ta.macro_f == tb.macro_f
-        np.testing.assert_array_equal(ta.recall, tb.recall)
+    for ra, rb in zip(a.runs["rcl"], b.runs["rcl"], strict=True):
+        for ta, tb in zip(ra.tasks, rb.tasks, strict=True):
+            assert ta.report.macro_f == tb.report.macro_f
+            np.testing.assert_array_equal(ta.report.recall, tb.report.recall)
 
 
 def test_failing_strategy_is_recorded_and_the_rest_still_run(small_stream_config):
@@ -931,8 +959,8 @@ def test_failing_strategy_is_recorded_and_the_rest_still_run(small_stream_config
     comp = compare_strategies(seq, settings, strategies=("rcl", "baseline"), repetitions=1)
     assert list(comp.failures) == ["rcl"]
     assert comp.failures["rcl"] == "class 0: rcl needs 2 training windows to fit a generator, got 1"
-    assert list(comp.summaries) == list(comp.runs) == ["baseline"]
-    assert len(comp.summaries["baseline"].per_task_mean) == seq.n_tasks
+    assert list(comp.runs) == ["baseline"]
+    assert len(comp.runs["baseline"][0].tasks) == seq.n_tasks
 
 
 def test_variants_run_every_strategy_per_variant_under_method_labels(small_seq, monkeypatch):
@@ -951,10 +979,8 @@ def test_variants_run_every_strategy_per_variant_under_method_labels(small_seq, 
     monkeypatch.setattr(continual, "run_strategy", diverging_conv_rcl)
     comp = compare_strategies(small_seq, settings, ("rcl", "baseline"), 1, 6, variants)
     assert comp.failures == {"rcl/cnn": "loss diverged"}
-    assert list(comp.runs) == list(comp.summaries) == ["baseline/cnn", "rcl/mlp", "baseline/mlp"]
-    assert [(s.strategy, s.variant) for s in comp.summaries.values()] == [
-        ("baseline", "cnn"), ("rcl", "mlp"), ("baseline", "mlp"),
-    ]
+    assert list(comp.runs) == ["baseline/cnn", "rcl/mlp", "baseline/mlp"]
+    assert [run.strategy for runs in comp.runs.values() for run in runs] == ["baseline", "rcl", "baseline"]
     # each variant's methods are the runs of that variant's final net alone
     for name, net in variants.items():
         alone = compare_strategies(small_seq, replace(settings, final_net=net), ("baseline",), 1, 6)
@@ -963,7 +989,7 @@ def test_variants_run_every_strategy_per_variant_under_method_labels(small_seq, 
         for a, b in zip(ours.tasks, theirs.tasks):
             np.testing.assert_array_equal(a.report.f_score, b.report.f_score)
     plain = compare_strategies(small_seq, replace(settings, net=small_net()), ("baseline",), 1, 6)
-    assert [(s.strategy, s.variant) for s in plain.summaries.values()] == [("baseline", "")]
+    assert list(plain.runs) == ["baseline"]
 
 
 NOT_NETS = [[], (), "dense", [small_net()], [small_net()] * 2, [small_net(), None], {"kind": "dense"}]

@@ -1,9 +1,11 @@
 import dataclasses
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from pseudoreplay import NetSpec, RunSettings, TrainConfig, compare_strategies
+from pseudoreplay import NetSpec, RunSettings, TrainConfig, compare_strategies, continual
+from pseudoreplay.errors import TrainingError
 from pseudoreplay.reporting import (
     METRICS_HEADER,
     atomic_write,
@@ -19,9 +21,12 @@ from pseudoreplay.reporting import (
 
 
 NET = NetSpec(kind="dense", input_shape=(50, 2), n_classes=2, hidden=(16, 8))
+NARROW = NetSpec(kind="dense", input_shape=(50, 2), n_classes=2, hidden=(8, 4))
 SETTINGS = RunSettings(
     net=NET, train=TrainConfig(epochs=15, batch_size=16, learning_rate=0.01), n_members=2
 )
+# one epoch leaves the repetitions apart, so a figure drawn from one run shows
+FROZEN_SETTINGS = replace(SETTINGS, train=replace(SETTINGS.train, epochs=1))
 
 
 @pytest.fixture(scope="module")
@@ -106,7 +111,6 @@ def test_variant_table_marks_a_strategy_that_failed_under_one_variant(variant_co
     kept = [m for m in variant_comparison.runs if m != "rcl/mlp"]
     comp = dataclasses.replace(
         variant_comparison,
-        summaries={m: variant_comparison.summaries[m] for m in kept},
         runs={m: variant_comparison.runs[m] for m in kept},
         failures={"rcl/mlp": "training diverged"},
     )
@@ -122,7 +126,7 @@ def test_variant_table_marks_a_strategy_that_failed_under_one_variant(variant_co
 
 def test_a_report_with_no_completed_method_names_each_failure_and_draws_no_table(comparison):
     failed = dataclasses.replace(
-        comparison, summaries={}, runs={}, failures={"rcl": "boom", "baseline": "diverged"}
+        comparison, runs={}, failures={"rcl": "boom", "baseline": "diverged"}
     )
     report = render_report(failed)
     assert "|" not in report
@@ -134,7 +138,7 @@ def test_manifest_json_stable_and_failures(comparison):
     ok = build_manifest({"seed": 1}, comparison, "a" * 64)
     assert ok["status"] == "ok"
     assert manifest_json(ok) == manifest_json(ok)
-    failed = dataclasses.replace(comparison, summaries={}, runs={}, failures={"rcl": "boom"})
+    failed = dataclasses.replace(comparison, runs={}, failures={"rcl": "boom"})
     bad = build_manifest({"seed": 1}, failed, "a" * 64)
     assert bad["status"] == "FAILED"
     assert bad["failures"] == {"rcl": "boom"}
@@ -154,3 +158,107 @@ def test_csv_floats_round_trip_exactly(comparison):
     want = run.tasks[0].report.precision[0]
     got = float(text.splitlines()[1].split(",")[4])
     assert got == want
+
+
+# report.md and metrics.csv of FROZEN_SETTINGS on small_seq: 2 repetitions,
+# variants "narrow" and "wide", rcl failed under "wide". Every figure is a
+# ratio of confusion counts or a mean or std of such ratios, so a BLAS moves
+# none of them unless it flips a prediction.
+FROZEN_REPORT = """\
+# Continual learning benchmark
+
+Classes (task order): 0, 1, 2. Repetitions per strategy: 2. Cells are macro averages over classes as 'mean (std)' across repetitions.
+
+## Strategy comparison - classifier: narrow
+
+| Method | Task 1 Precision | Task 1 Recall | Task 1 F-score | Task 2 Precision | Task 2 Recall | Task 2 F-score |
+|---|---|---|---|---|---|---|
+| Baseline (narrow) | 0.975 (0.025) | 0.972 (0.028) | 0.972 (0.028) | 0.634 (0.137) | 0.574 (0.093) | 0.539 (0.103) |
+| RCL (narrow) | 0.673 (0.173) | 0.639 (0.139) | 0.626 (0.140) | 0.807 (0.007) | 0.741 (0.000) | 0.704 (0.024) |
+
+## Strategy comparison - classifier: wide
+
+| Method | Task 1 Precision | Task 1 Recall | Task 1 F-score | Task 2 Precision | Task 2 Recall | Task 2 F-score |
+|---|---|---|---|---|---|---|
+| Baseline (wide) | 0.975 (0.025) | 0.972 (0.028) | 0.972 (0.028) | 0.829 (0.015) | 0.722 (0.019) | 0.655 (0.024) |
+
+## Final-task comparison across classifiers
+
+| Method | narrow Precision | narrow Recall | narrow F-score | wide Precision | wide Recall | wide F-score |
+|---|---|---|---|---|---|---|
+| Baseline | 0.634 (0.137) | 0.574 (0.093) | 0.539 (0.103) | 0.829 (0.015) | 0.722 (0.019) | 0.655 (0.024) |
+| RCL | 0.807 (0.007) | 0.741 (0.000) | 0.704 (0.024) | failed | failed | failed |
+
+## Storage
+
+| Method | Raw windows retained | Pseudo samples per task |
+|---|---|---|
+| Baseline | 27 | task 1: none; task 2: none |
+| RCL | 27 | task 1: class 0: 9; task 2: class 0: 9, class 1: 9 |
+
+## Ensemble member spread
+
+| Method | Task 1 member F std | Task 2 member F std |
+|---|---|---|
+| Baseline | 0.014 | 0.022 |
+| RCL | 0.021 | 0.128 |
+
+## Failed methods
+
+- rcl/wide: loss diverged
+"""
+FROZEN_CSV = """\
+method,task,repetition,class,precision,recall,f
+baseline/narrow,1,0,0,1,1,1
+baseline/narrow,1,0,1,1,1,1
+baseline/narrow,2,0,0,0.66666666666666663,0.22222222222222221,0.33333333333333331
+baseline/narrow,2,0,1,0.22222222222222221,0.22222222222222221,0.22222222222222221
+baseline/narrow,2,0,2,0.59999999999999998,1,0.74999999999999989
+baseline/narrow,1,1,0,0.90000000000000002,1,0.94736842105263164
+baseline/narrow,1,1,1,1,0.88888888888888884,0.94117647058823528
+baseline/narrow,2,1,0,0.5625,1,0.71999999999999997
+baseline/narrow,2,1,1,1,0.33333333333333331,0.5
+baseline/narrow,2,1,2,0.75,0.66666666666666663,0.70588235294117652
+rcl/narrow,1,0,0,0.5,0.33333333333333331,0.40000000000000002
+rcl/narrow,1,0,1,0.5,0.66666666666666663,0.57142857142857151
+rcl/narrow,2,0,0,0.75,1,0.8571428571428571
+rcl/narrow,2,0,1,1,0.22222222222222221,0.36363636363636359
+rcl/narrow,2,0,2,0.69230769230769229,1,0.81818181818181812
+rcl/narrow,1,1,0,0.69230769230769229,1,0.81818181818181812
+rcl/narrow,1,1,1,1,0.55555555555555558,0.7142857142857143
+rcl/narrow,2,1,0,0.81818181818181823,1,0.90000000000000002
+rcl/narrow,2,1,1,0.58333333333333337,0.77777777777777779,0.66666666666666663
+rcl/narrow,2,1,2,1,0.44444444444444442,0.61538461538461531
+baseline/wide,1,0,0,1,1,1
+baseline/wide,1,0,1,1,1,1
+baseline/wide,2,0,0,0.75,1,0.8571428571428571
+baseline/wide,2,0,1,1,0.22222222222222221,0.36363636363636359
+baseline/wide,2,0,2,0.69230769230769229,1,0.81818181818181812
+baseline/wide,1,1,0,0.90000000000000002,1,0.94736842105263164
+baseline/wide,1,1,1,1,0.88888888888888884,0.94117647058823528
+baseline/wide,2,1,0,0.52941176470588236,1,0.6923076923076924
+baseline/wide,2,1,1,1,0.1111111111111111,0.19999999999999998
+baseline/wide,2,1,2,1,1,1
+"""
+
+
+@pytest.mark.filterwarnings("ignore::pseudoreplay.metrics.MetricWarning")
+def test_a_real_comparison_renders_frozen_report_and_metrics(small_seq, monkeypatch):
+    real = continual.run_strategy
+
+    def failing_wide_rcl(strategy, seq, run_settings, seed):
+        if strategy == "rcl" and run_settings.final_net == NET:
+            raise TrainingError("loss diverged")
+        return real(strategy, seq, run_settings, seed)
+
+    monkeypatch.setattr(continual, "run_strategy", failing_wide_rcl)
+    comp = compare_strategies(
+        small_seq, FROZEN_SETTINGS, ("baseline", "rcl"), 2, 3, {"wide": NET, "narrow": NARROW}
+    )
+    # the repetitions differ in a table cell and in a member spread, so a
+    # figure drawn from one run, or the wrong reduction over runs, shows
+    first, second = (run.tasks[0] for run in comp.runs["baseline/narrow"])
+    assert first.report.macro_f != second.report.macro_f
+    assert first.member_f_std != second.member_f_std
+    assert render_report(comp) == FROZEN_REPORT
+    assert metrics_csv(comp) == FROZEN_CSV
