@@ -23,7 +23,7 @@ from .continual import (
     GeneratorConfig,
     RunSettings,
     TaskSequence,
-    check_carried,
+    carried_problems,
     check_strategies,
     check_variant_name,
     compare_strategies,
@@ -194,10 +194,8 @@ def _plan(
         path = f"variants[{i}].net"
         if {"net", path} <= specs.keys():  # the variant's net replaces the final task's
             variants[variant.name] = specs[path]
-            try:  # with one task, no model is carried into the final task's net
-                check_carried(cfg.strategies, [specs["net"]] * (n_tasks > 1) + [specs[path]])
-            except ConfigurationError as exc:
-                problems.append(ConfigurationError(f"field '{path}': {exc}"))
+            carried = carried_problems(cfg.strategies, specs["net"], specs[path], n_tasks)
+            problems += [ConfigurationError(f"field '{path}': {exc}") for exc in carried]
     return seq, specs.get("net"), variants, problems
 
 

@@ -256,8 +256,9 @@ class RunSettings:
     def __post_init__(self):
         require_number("ewc_lambda", self.ewc_lambda, least=0)
         require_integer("n_members", self.n_members, least=1)
-        if not isinstance(self.net, NetSpec):
-            raise ConfigurationError(f"net must be a NetSpec, got {self.net!r}", "net")
+        for name, kind in (("net", NetSpec), ("train", TrainConfig), ("generator", GeneratorConfig)):
+            if not isinstance(value := getattr(self, name), kind):
+                raise ConfigurationError(f"{name} must be a {kind.__name__}, got {value!r}", name)
         if not isinstance(self.final_net, (NetSpec, type(None))):
             message = f"final_net must be a NetSpec or None, got {self.final_net!r}"
             raise ConfigurationError(message, "final_net")
@@ -305,11 +306,6 @@ def _carry_forward(
     return _train_members(models, mix, standardizer, cfg, seeds, penalties)
 
 
-def _task_nets(settings: RunSettings, n_tasks: int) -> list[NetSpec]:
-    """The net of each of n_tasks tasks: settings.net, but final_net, when given, last."""
-    return [settings.net] * (n_tasks - 1) + [settings.final_net or settings.net]
-
-
 def check_strategies(strategies) -> None:
     """Refuse an empty, unknown or repeated strategy list."""
     if not strategies:
@@ -334,16 +330,18 @@ def check_variant_name(name) -> None:
         )
 
 
-def check_carried(strategies, nets: list[NetSpec]) -> None:
-    """Refuse per-task nets that differ beyond the head size when one of
-    `strategies` carries one model across tasks, as it cannot follow."""
+def carried_problems(
+    strategies, net: NetSpec, final_net: NetSpec | None, n_tasks: int
+) -> list[ConfigurationError]:
+    """With a strategy of `strategies` that carries one model across more than
+    one task, an error if final_net differs from net beyond the head size."""
     carried = [s for s in strategies if s in CARRIED]
-    first = replace(nets[0], n_classes=2)
-    if carried and any(replace(net, n_classes=2) != first for net in nets):
-        raise ConfigurationError(
-            f"{carried[0]} carries one model across tasks and cannot switch architectures;"
-            " every task's net must match the first apart from the head"
-        )
+    if not carried or n_tasks < 2 or replace(final_net or net, n_classes=2) == replace(net, n_classes=2):
+        return []
+    return [ConfigurationError(
+        f"{carried[0]} carries one model across tasks and cannot switch architectures;"
+        " every task's net must match the first apart from the head"
+    )]
 
 
 @dataclass(frozen=True)
@@ -356,7 +354,7 @@ class RunState:
 
 
 def _task_step(
-    strategy: str, seq: TaskSequence, net: NetSpec, settings: RunSettings, seed: int, state: RunState, i: int
+    strategy: str, seq: TaskSequence, settings: RunSettings, seed: int, state: RunState, i: int
 ) -> tuple[RunState, TaskResult]:
     """Task i from the state task i - 1 left, which it does not change, so two
     steps may start from one state."""
@@ -389,6 +387,7 @@ def _task_step(
     if carry:
         ens = _carry_forward(state.ensemble, mix, standardizer, settings, seed, i, state.fishers)
     else:
+        net = (settings.final_net or settings.net) if i == seq.n_tasks else settings.net
         ens = fit_ensemble(
             replace(net, input_shape=(seq.window, seq.channels), n_classes=i + 1),
             mix,
@@ -419,17 +418,16 @@ def run_strategy(
     finetune and ewc carry task 1's ensemble forward; ewc anchors it to itself
     under Fisher diagonals of the task before. A lam of 0.0 still takes the
     diagonals but adds no term to the loss, so its parameters match finetune's bit for bit.
-    What check_carried or replay_problems refuses is raised before task 1.
+    What carried_problems or replay_problems finds is raised before task 1.
     """
     check_strategies((strategy,))
-    nets = _task_nets(settings, seq.n_tasks)
-    check_carried((strategy,), nets)
-    problems = replay_problems((strategy,), seq)
+    problems = carried_problems((strategy,), settings.net, settings.final_net, seq.n_tasks)
+    problems += replay_problems((strategy,), seq)
     if problems:
         raise problems[0]
     state, tasks, ensembles = RunState({}), [], []
-    for i, net in enumerate(nets, 1):
-        state, task = _task_step(strategy, seq, net, settings, seed, state, i)
+    for i in range(1, seq.n_tasks + 1):
+        state, task = _task_step(strategy, seq, settings, seed, state, i)
         tasks.append(task)
         ensembles.append(state.ensemble)
 

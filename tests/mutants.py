@@ -187,6 +187,18 @@ MUTANTS = [
         "np.max([run.tasks[t].member_f_std for run in runs])",
         "a member spread cell is the largest run's spread, not the mean",
     ),
+    Mutant(
+        "N1", "src/pseudoreplay/continual.py",
+        "if not carried or n_tasks < 2 or replace(",
+        "if not carried or replace(",
+        "carried_problems refuses a carried strategy's final net even with one task",
+    ),
+    Mutant(
+        "N2", "src/pseudoreplay/continual.py",
+        "net = (settings.final_net or settings.net) if i == seq.n_tasks else settings.net",
+        "net = settings.final_net or settings.net",
+        "every task, not only the last, trains final_net when given",
+    ),
 ]
 
 

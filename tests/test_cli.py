@@ -529,6 +529,14 @@ def test_validate_ok_prints_counts(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "path", sorted((Path(__file__).parents[1] / "configs").glob("*.json")), ids=lambda p: p.name
+)
+def test_committed_configs_validate(tmp_path, capsys, path):
+    assert main(["validate", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert "config ok: " in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
     "override, n_trials",
     [
         ({}, 2),

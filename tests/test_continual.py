@@ -64,6 +64,10 @@ def small_net(n_classes: int = 2) -> NetSpec:
     return NetSpec(kind="dense", input_shape=(50, 2), n_classes=n_classes, hidden=(16, 8))
 
 
+def small_conv() -> NetSpec:
+    return NetSpec(kind="conv", input_shape=(50, 2), n_classes=2, hidden=(8, 4), conv=((4, 5, 2), (8, 5, 2)))
+
+
 FAST = TrainConfig(epochs=40, batch_size=16, learning_rate=0.01)
 
 
@@ -583,6 +587,19 @@ def test_generator_failure_names_task_and_class(small_stream_config):
         strategy_run("rcl", seq, seed=0, net=net, n_members=1)
 
 
+def count_training(monkeypatch) -> list[str]:
+    """The names of the continual.fit_ensemble and classifier.train calls made
+    from here on; every member, fresh or carried, trains through classifier.train."""
+    calls = []
+    for module, name in ((continual, "fit_ensemble"), (classifier, "train")):
+        def counting(*args, real=getattr(module, name), name=name, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+    return calls
+
+
 def test_rcl_refuses_a_too_small_last_class_before_it_trains(small_stream_config, monkeypatch):
     # only the last class's training trial is cut to one window, so a check
     # made when its generator is fitted would come after tasks 1 and 2 train
@@ -592,20 +609,7 @@ def test_rcl_refuses_a_too_small_last_class_before_it_trains(small_stream_config
     ]
     seq = TaskSequence.from_trials(trials, window=50)
     assert [len(t) for t in seq.train] == [9, 9, 1]
-    calls = []
-
-    def counting(module, name):
-        real = getattr(module, name)
-
-        def wrapper(*args, **kwargs):
-            calls.append(name)
-            return real(*args, **kwargs)
-
-        return wrapper
-
-    # every member, fresh or carried, trains through classifier.train
-    for module, name in ((continual, "fit_ensemble"), (classifier, "train")):
-        monkeypatch.setattr(module, name, counting(module, name))
+    calls = count_training(monkeypatch)
     message = "class 2: rcl needs 2 training windows to fit a generator, got 1"
     with pytest.raises(DataFormatError, match=message):
         strategy_run("rcl", seq, seed=0)
@@ -811,10 +815,41 @@ def test_non_finite_anchor_weight_rejected_before_training(lam):
         RunSettings(net=small_net(), train=FAST, ewc_lambda=lam)
 
 
-def test_sequential_strategies_refuse_architecture_switches(small_seq):
-    conv = NetSpec(kind="conv", input_shape=(50, 2), n_classes=2, hidden=(8, 4), conv=((4, 5, 2), (8, 5, 2)))
-    with pytest.raises(ConfigurationError, match="cannot switch"):
-        strategy_run("finetune", small_seq, seed=0, final_net=conv, n_members=1)
+@pytest.mark.parametrize("strategy", continual.CARRIED)
+def test_sequential_strategies_refuse_architecture_switches(small_seq, monkeypatch, strategy):
+    calls = count_training(monkeypatch)
+    message = f"{strategy} carries one model across tasks and cannot switch architectures;"
+    with pytest.raises(ConfigurationError, match=f"^{message}"):
+        strategy_run(strategy, small_seq, seed=0, final_net=small_conv(), n_members=1)
+    assert calls == []
+
+
+@pytest.mark.parametrize("strategy", continual.CARRIED)
+def test_a_one_task_carried_run_trains_its_final_net(small_stream_config, strategy):
+    # with one task no model is carried into the final task's net
+    seq = TaskSequence.from_trials(synthesize_stream(small_stream_config), window=50, class_order=[0, 1])
+    run = strategy_run(strategy, seq, seed=0, final_net=small_conv(), n_members=1)
+    assert [ens.members[0].spec.kind for ens in run.ensembles] == ["conv"]
+
+
+@pytest.mark.parametrize("strategies, final_net, n_tasks", [
+    (continual.CARRIED, small_conv(), 1),
+    (continual.CARRIED, small_net(5), 2),
+    (continual.CARRIED, None, 2),
+    (("rcl", "baseline"), small_conv(), 2),
+], ids=["one task", "head only", "no final net", "not carried"])
+def test_carried_problems_allow_what_a_carried_model_can_follow(strategies, final_net, n_tasks):
+    assert continual.carried_problems(strategies, small_net(), final_net, n_tasks) == []
+
+
+@pytest.mark.parametrize("final_net", [small_conv(), replace(small_net(), hidden=(16, 4))], ids=["conv", "dense"])
+def test_carried_problems_name_the_first_carried_strategy(final_net):
+    problems = continual.carried_problems(("rcl", "finetune", "ewc"), small_net(), final_net, 2)
+    assert [str(p) for p in problems] == [
+        "finetune carries one model across tasks and cannot switch architectures;"
+        " every task's net must match the first apart from the head"
+    ]
+    assert all(isinstance(p, ConfigurationError) for p in problems)
 
 
 # -------------------------------------------------------------------- baseline
@@ -964,10 +999,7 @@ def test_failing_strategy_is_recorded_and_the_rest_still_run(small_stream_config
 
 
 def test_variants_run_every_strategy_per_variant_under_method_labels(small_seq, monkeypatch):
-    conv = NetSpec(
-        kind="conv", input_shape=(50, 2), n_classes=2, hidden=(8, 4), conv=((4, 5, 2), (8, 5, 2))
-    )
-    variants = {"mlp": small_net(), "cnn": conv}
+    variants = {"mlp": small_net(), "cnn": small_conv()}
     settings = RunSettings(net=small_net(), train=replace(FAST, epochs=2), n_members=1)
     real = continual.run_strategy
 
@@ -1007,6 +1039,22 @@ def test_run_settings_take_a_net_spec_or_none_as_final_net(final_net):
     with pytest.raises(ConfigurationError, match="^final_net must be a NetSpec or None, got ") as err:
         RunSettings(net=small_net(), final_net=final_net)
     assert err.value.field == "final_net"
+
+
+@pytest.mark.parametrize("field, value, kind", [
+    ("train", {"epochs": 1}, "TrainConfig"),
+    ("train", None, "TrainConfig"),
+    ("train", GeneratorConfig(), "TrainConfig"),
+    ("generator", {"k": 3}, "GeneratorConfig"),
+    ("generator", None, "GeneratorConfig"),
+    ("generator", TrainConfig(), "GeneratorConfig"),
+], ids=["train-dict", "train-None", "train-GeneratorConfig", "generator-dict", "generator-None",
+        "generator-TrainConfig"])
+def test_run_settings_take_only_train_and_generator_configs(field, value, kind):
+    with pytest.raises(ConfigurationError) as err:
+        RunSettings(net=small_net(), **{field: value})
+    assert str(err.value) == f"{field} must be a {kind}, got {value!r}"
+    assert err.value.field == field
 
 
 @pytest.mark.parametrize("n_members", [0, -1, True, 2.0])
@@ -1053,11 +1101,8 @@ def test_compare_strategies_judges_every_variant_net_before_training(small_seq, 
 
 
 def test_dense_then_conv_run_completes(small_seq):
-    conv = NetSpec(
-        kind="conv", input_shape=(50, 2), n_classes=2, hidden=(8, 4), conv=((4, 5, 2), (8, 5, 2))
-    )
     for strategy in ("rcl", "baseline"):
-        settings = RunSettings(net=small_net(), train=FAST, n_members=2, final_net=conv)
+        settings = RunSettings(net=small_net(), train=FAST, n_members=2, final_net=small_conv())
         run = run_strategy(strategy, small_seq, settings, seed=2)
         assert run.ensembles[0].members[0].spec.kind == "dense"
         assert run.ensembles[1].members[0].spec.kind == "conv"
@@ -1081,11 +1126,9 @@ def step_bytes(task, ensemble) -> list[bytes]:
 
 
 def test_a_variant_changes_only_the_final_tasks_net(small_seq):
-    conv = NetSpec(
-        kind="conv", input_shape=(50, 2), n_classes=2, hidden=(8, 4), conv=((4, 5, 2), (8, 5, 2))
-    )
     settings = RunSettings(net=small_net(), train=replace(FAST, epochs=2), n_members=2)
-    comp = compare_strategies(small_seq, settings, ("rcl", "baseline"), 2, 8, {"a": small_net(), "b": conv})
+    variants = {"a": small_net(), "b": small_conv()}
+    comp = compare_strategies(small_seq, settings, ("rcl", "baseline"), 2, 8, variants)
     assert not comp.failures
     for strategy in ("rcl", "baseline"):
         dense, mixed = comp.runs[f"{strategy}/a"], comp.runs[f"{strategy}/b"]
@@ -1100,21 +1143,19 @@ def test_a_variant_changes_only_the_final_tasks_net(small_seq):
 def test_final_tasks_forked_from_one_state_equal_whole_runs(small_seq, strategy, seed):
     # tasks 1..n-1 folded once, then the final task once per net from that
     # state; a carried strategy cannot switch nets, so it forks one net twice
-    conv = NetSpec(
-        kind="conv", input_shape=(50, 2), n_classes=2, hidden=(8, 4), conv=((4, 5, 2), (8, 5, 2))
-    )
-    finals = [small_net(), small_net() if strategy in continual.CARRIED else conv]
+    finals = [small_net(), small_net() if strategy in continual.CARRIED else small_conv()]
     config = TrainConfig(epochs=2, batch_size=16, learning_rate=0.01)
     settings = RunSettings(net=small_net(), train=config, n_members=2)
     n = small_seq.n_tasks
     state, prefix = continual.RunState({}), []
     for i in range(1, n):
-        state, task = continual._task_step(strategy, small_seq, small_net(), settings, seed, state, i)
+        state, task = continual._task_step(strategy, small_seq, settings, seed, state, i)
         prefix.append(step_bytes(task, state.ensemble))
     before = pickle.dumps(state)
     for final in finals:
-        fork, task = continual._task_step(strategy, small_seq, final, settings, seed, state, n)
-        run = run_strategy(strategy, small_seq, replace(settings, final_net=final), seed)
+        variant = replace(settings, final_net=final)
+        fork, task = continual._task_step(strategy, small_seq, variant, seed, state, n)
+        run = run_strategy(strategy, small_seq, variant, seed)
         want = [step_bytes(t, e) for t, e in zip(run.tasks, run.ensembles, strict=True)]
         assert prefix + [step_bytes(task, fork.ensemble)] == want, final.kind
     assert pickle.dumps(state) == before
