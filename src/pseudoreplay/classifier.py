@@ -472,12 +472,9 @@ def train(
                 loss, grad = loss_and_gradient(current, x.take(sel, axis=0), y[sel], penalty)
                 if not math.isfinite(loss):
                     raise TrainingError(f"non-finite loss at epoch {epoch}, batch {batch}")
-                if beta > 0.0:
-                    velocity *= beta
-                    velocity += grad
-                else:
-                    velocity = grad
-                # velocity has taken grad in (under sgd it is grad), so the step may overwrite it
+                velocity *= beta  # heavy ball; beta is 0 under sgd, so velocity is then grad
+                velocity += grad
+                # velocity has taken grad in, so the step may overwrite it
                 theta -= np.multiply(config.learning_rate, velocity, out=grad)
                 # NaN and inf survive a sum of squares, so a finite one proves every
                 # entry finite; squares overflow from about 1e154, so the exact

@@ -47,7 +47,7 @@ from .errors import (
     require_number,
     require_string,
 )
-from .reporting import atomic_write, build_manifest, manifest_json, metrics_csv, render_report
+from .reporting import RESULT_FILES, atomic_write, build_manifest, manifest_json, metrics_csv, render_report
 
 
 @dataclass(frozen=True)
@@ -197,9 +197,6 @@ def _plan(
             carried = carried_problems(cfg.strategies, specs["net"], specs[path], n_tasks)
             problems += [ConfigurationError(f"field '{path}': {exc}") for exc in carried]
     return seq, specs.get("net"), variants, problems
-
-
-RESULT_FILES = ("manifest.json", "metrics.csv", "report.md")  # what `run` writes, in order
 
 
 def _out_dir_problems(out: Path) -> list[ConfigurationError]:

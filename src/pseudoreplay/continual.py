@@ -74,14 +74,12 @@ class TaskSequence:
     view of a class's one training trial, or a copy of the windows of its
     several training trials in trial id order. test[p] holds one such view
     per test trial in trial id order; class_ids[p] is the original id. No
-    trial is in both.
+    trial is in both. Every window has one shape, (window, channels).
     """
 
     class_ids: list[int]
     train: list[Windows]
     test: list[list[Windows]]
-    window: int
-    channels: int
 
     def __post_init__(self):
         # too few classes is reported ahead of misaligned lists
@@ -132,18 +130,20 @@ def split_trials(
 ) -> tuple[TaskSequence | None, list[PseudoreplayError]]:
     """The task sequence these arguments split into, or None with every
     reason they do not, in the order they are found: classes in class_order
-    absent from the data, a repeated class, then the cut, then the split
-    rules. The trials of each class in use are cut by window_trial in class
-    order, then trial id order. A window or stride below 1 ends the list.
-    Cutting stops at the first trial shorter than the window, so only that
-    one is listed, and no class's split is judged after it; fewer than 2
-    classes still is."""
+    absent from the data, a repeated class, trials that disagree on channel
+    count, then the cut, then the split rules. The trials of each class in
+    use are cut by window_trial in class order, then trial id order. A window
+    or stride below 1 ends the list. Cutting stops at the first trial shorter
+    than the window, so only that one is listed, and no class's split is
+    judged after it; fewer than 2 classes still is."""
     present = sorted({t.class_id for t in trials})
     order = present if class_order is None else list(class_order)
     missing = [c for c in order if c not in present]
     problems = [ConfigurationError(f"classes {missing} not present in the data")] if missing else []
     if len(set(order)) != len(order):
         problems.append(ConfigurationError("class_order contains duplicates"))
+    if len({t.n_channels for t in trials}) > 1:
+        problems.append(DataFormatError("trials disagree on channel count"))
     parts = {c: ([], []) for c in order if c in present}  # class id -> (training, test) windows
     by_id = sorted(trials, key=lambda t: t.trial_id)  # stable, so equal ids keep their order
     try:
@@ -163,7 +163,7 @@ def split_trials(
             part.y[:] = pos
     train = [p[0] if len(p) == 1 else Windows.concat(p) for p, _ in parts.values()]
     test = [test for _, test in parts.values()]
-    return TaskSequence(order, train, test, window, channels=trials[0].n_channels), []
+    return TaskSequence(order, train, test), []
 
 
 def replay_problems(strategies, seq: TaskSequence) -> list[DataFormatError]:
@@ -387,9 +387,9 @@ def _task_step(
     if carry:
         ens = _carry_forward(state.ensemble, mix, standardizer, settings, seed, i, state.fishers)
     else:
-        net = (settings.final_net or settings.net) if i == seq.n_tasks else settings.net
+        net = settings.final_net if i == seq.n_tasks else settings.net
         ens = fit_ensemble(
-            replace(net, input_shape=(seq.window, seq.channels), n_classes=i + 1),
+            replace(net, n_classes=i + 1),
             mix,
             standardizer,
             settings.train,
@@ -418,9 +418,13 @@ def run_strategy(
     finetune and ewc carry task 1's ensemble forward; ewc anchors it to itself
     under Fisher diagonals of the task before. A lam of 0.0 still takes the
     diagonals but adds no term to the loss, so its parameters match finetune's bit for bit.
-    What carried_problems or replay_problems finds is raised before task 1.
+    Before task 1, net and final_net are built at seq's window shape, and a
+    build error or what carried_problems or replay_problems finds is raised.
     """
     check_strategies((strategy,))
+    shape = seq.train[0].window_shape
+    net = replace(settings.net, input_shape=shape)
+    settings = replace(settings, net=net, final_net=replace(settings.final_net or net, input_shape=shape))
     problems = carried_problems((strategy,), settings.net, settings.final_net, seq.n_tasks)
     problems += replay_problems((strategy,), seq)
     if problems:

@@ -322,16 +322,16 @@ def _parse_rows(lines, n_chan: int) -> np.ndarray:
     dtype = np.dtype([("key", np.int64, (3,)), ("ch", np.float64, (n_chan,))])
     lines = iter(lines)
     first = next(lines, None)
-    if first is None:
+    if first is None:  # np.loadtxt would warn of no data
         return np.zeros(0, dtype=dtype)
-    if first in ("", "\n"):  # np.loadtxt would also warn of no data if every line were blank
+    lines = map(_not_blank, itertools.chain([first], lines))
+    return np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, quotechar=None, ndmin=1)
+
+
+def _not_blank(line: str) -> str:
+    if line in ("", "\n"):
         raise ValueError("blank line")
-    handed = itertools.count()  # zip takes a line, then a count, so next(handed) is the lines taken
-    lines = (line for line, _ in zip(itertools.chain([first], lines), handed))
-    table = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, quotechar=None, ndmin=1)
-    if len(table) != next(handed):
-        raise ValueError("blank line")
-    return table
+    return line
 
 
 def _parse_until_bad(rows: list[str], n_chan: int) -> tuple[np.ndarray, int | None]:

@@ -19,6 +19,7 @@ from .continual import ComparisonReport, ContinualRun
 from .metrics import aggregate, format_cell
 
 METRICS_HEADER = "method,task,repetition,class,precision,recall,f"
+RESULT_FILES = ("manifest.json", "metrics.csv", "report.md")  # what a run writes, in order
 BLAS_THREAD_VARS = (
     "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
     "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS",
@@ -204,7 +205,7 @@ def build_manifest(config_doc: dict, comp: ComparisonReport, data_digest: str) -
         "data_digest": data_digest,
         "environment": numeric_environment(),
         "seeds": {method: [run.seed for run in runs] for method, runs in comp.runs.items()},
-        "outputs": ["metrics.csv", "report.md"],
+        "outputs": list(RESULT_FILES[1:]),  # the files beside the manifest
     }
     if comp.failures:
         manifest["failures"] = comp.failures

@@ -9,17 +9,20 @@ of them do. pytest does not collect this file: its name does not start with
 Each mutant is one exact text edit of one file under src/. For each mutant the
 script copies the repository (README.md included, as a test reads it) to a
 temporary directory, applies the edit there, never in the working tree, and
-runs tier-1 with `-x -p no:cacheprovider` twice: once whole, and once without
-the environment-bound pinned-bytes test, which skips under any other Python,
-numpy or BLAS. Each run lists the test files with tests/test_acceptance.py
-last, so a mutant that a quicker test kills stops before the slow gates, and
-leaves out tests/test_mutants.py, which tier-1 runs on the unmutated tree to
-check that every old text below is still found once. It reports each mutant
-as killed, naming the first failing test (or the test file that fails to
-collect), or as surviving. An unmutated copy runs first, both ways, and must
-pass without the pin, or no kill would mean anything; if it fails only with
-the pin (the pinned digests belong to one platform), the with-pin verdicts
-are reported as unavailable rather than as kills.
+runs tier-1 with `-x -p no:cacheprovider` without the environment-bound
+pinned-bytes test, which skips under any other Python, numpy or BLAS. Only a
+mutant that survives that run is run again with the pin, to show whether the
+pinned digests alone catch it: the pinned suite holds the other, so a mutant
+killed without the pin dies with it too. Each run lists the test files with
+tests/test_acceptance.py last, so a mutant that a quicker test kills stops
+before the slow gates, and leaves out tests/test_mutants.py, which tier-1
+runs on the unmutated tree to check that every old text below is still found
+once. It reports each mutant as killed, naming the first failing test (or
+the test file that fails to collect), or as surviving. An unmutated copy
+runs first, both ways, and must pass without the pin, or no kill would mean
+anything; if it fails only with the pin (the pinned digests belong to one
+platform), the with-pin verdicts are reported as unavailable rather than as
+kills.
 
 Exit status: 0 when every must-die mutant is killed without the pin, 1 when
 one survives or the unmutated copy fails, 2 when a name is not a mutant's or
@@ -195,9 +198,33 @@ MUTANTS = [
     ),
     Mutant(
         "N2", "src/pseudoreplay/continual.py",
-        "net = (settings.final_net or settings.net) if i == seq.n_tasks else settings.net",
-        "net = settings.final_net or settings.net",
+        "net = settings.final_net if i == seq.n_tasks else settings.net",
+        "net = settings.final_net",
         "every task, not only the last, trains final_net when given",
+    ),
+    Mutant(
+        "U1", "src/pseudoreplay/classifier.py",
+        "velocity *= beta  # heavy ball",
+        "# heavy ball",
+        "a train step drops the decay of its velocity, so momentum sums every gradient",
+    ),
+    Mutant(
+        "B1", "src/pseudoreplay/data.py",
+        'if line in ("", "\\n"):',
+        'if line == "":',
+        "the blank-line filter passes a file's blank line, which np.loadtxt skips",
+    ),
+    Mutant(
+        "P1", "src/pseudoreplay/continual.py",
+        "final_net=replace(settings.final_net or net, input_shape=shape))",
+        "final_net=settings.final_net or net)",
+        "run_strategy builds final_net at its own input shape, not the sequence's, before task 1",
+    ),
+    Mutant(
+        "C1", "src/pseudoreplay/continual.py",
+        "if len({t.n_channels for t in trials}) > 1:",
+        "if False:",
+        "split_trials accepts trials that disagree on channel count",
     ),
 ]
 
@@ -263,19 +290,22 @@ def main(names: list[str]) -> int:
     survivors = []
     for mutant in mutants:
         start = time.perf_counter()
-        verdicts = []
-        for pinned in (True, False):
-            if pinned and pin_failed:
-                verdicts.append("unavailable (the unmutated copy fails with the pin)")
-                continue
-            with tempfile.TemporaryDirectory(prefix=f"mutant-{mutant.name}-") as tmp:
-                killer = _tier1(_copy(Path(tmp), mutant), pinned)
-            verdicts.append(f"killed by {killer}" if killer else "SURVIVED")
-        if verdicts[1] == "SURVIVED" and mutant.must_die:
+        with tempfile.TemporaryDirectory(prefix=f"mutant-{mutant.name}-") as tmp:
+            tree = _copy(Path(tmp), mutant)
+            killer = _tier1(tree, pinned=False)
+            if killer:
+                with_pin = "not run (killed without the pin)"
+            elif pin_failed:
+                with_pin = "unavailable (the unmutated copy fails with the pin)"
+            else:
+                pin_killer = _tier1(tree, pinned=True)
+                with_pin = f"killed by {pin_killer}" if pin_killer else "SURVIVED"
+        if not killer and mutant.must_die:
             survivors.append(mutant.name)
         mark = "must die" if mutant.must_die else "equivalent"
+        without_pin = f"killed by {killer}" if killer else "SURVIVED"
         print(f"{mutant.name}: {mutant.reason} ({mark}, {time.perf_counter() - start:.0f} s)\n"
-              f"    with the pin:    {verdicts[0]}\n    without the pin: {verdicts[1]}", flush=True)
+              f"    with the pin:    {with_pin}\n    without the pin: {without_pin}", flush=True)
     if survivors:
         print(f"must-die mutants that survive without the pin: {survivors}")
         return 1

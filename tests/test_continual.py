@@ -120,6 +120,19 @@ def test_sequence_requires_train_and_test_windows(small_stream_config):
         TaskSequence.from_trials(trials, window=50, train_trials=(1, 2))
 
 
+def test_sequence_refuses_trials_that_disagree_on_channel_count():
+    rng = np.random.default_rng(0)
+    trials = [
+        TimeSeriesTrial(class_id=c, trial_id=t, channels=rng.normal(size=(40, 3 if c == 2 else 2)))
+        for c in range(3) for t in (1, 2)
+    ]
+    seq, problems = split_trials(trials, window=8)
+    assert seq is None
+    assert [(type(p), str(p)) for p in problems] == [(DataFormatError, "trials disagree on channel count")]
+    with pytest.raises(DataFormatError, match="^trials disagree on channel count$"):
+        TaskSequence.from_trials(trials, window=8)
+
+
 def test_sequence_window_longer_than_trials_fails(small_stream_config):
     trials = synthesize_stream(small_stream_config)
     with pytest.raises(DataFormatError, match="< window"):
@@ -248,7 +261,7 @@ def ewc_peak_in_mix_bytes() -> float:
     seq = TaskSequence.from_trials(trials, window=50, stride=5)
     net = NetSpec(kind="dense", input_shape=(50, 2), n_classes=2, hidden=(4, 4))
     settings = RunSettings(net=net, train=TrainConfig(epochs=1, batch_size=256), n_members=2)
-    mix_bytes = (len(seq.train[0]) + len(seq.train[1])) * seq.window * seq.channels * 8
+    mix_bytes = (len(seq.train[0]) + len(seq.train[1])) * seq.train[0].x[0].nbytes
     tracemalloc.start()
     try:
         run_strategy("ewc", seq, settings, seed=1)
@@ -385,7 +398,7 @@ def evaluation_peak(net: NetSpec, per_class: int) -> int:
                 np.zeros((per_class, 2)))
         for p in range(3)
     ]
-    seq = TaskSequence([0, 1, 2], parts, [[p] for p in parts], window=50, channels=2)
+    seq = TaskSequence([0, 1, 2], parts, [[p] for p in parts])
     tracemalloc.start()
     try:
         continual._evaluate(ens, seq, 2)
@@ -619,6 +632,23 @@ def test_rcl_refuses_a_too_small_last_class_before_it_trains(small_stream_config
     assert comp.failures == {"rcl": message}
     assert list(comp.runs) == ["baseline"]
     assert calls == ["fit_ensemble", "train"] * seq.n_tasks
+
+
+def test_a_final_net_too_big_for_the_window_is_refused_before_training(monkeypatch):
+    # the conv net is given at window 50, where it builds; at the sequence's
+    # window of 8 its second stage has 4 steps for a kernel of 5
+    trials = synthesize_stream(default_synthetic_config(trial_length=80, trials_per_class=2))
+    seq = TaskSequence.from_trials(trials, window=8)
+    conv = NetSpec(kind="conv", input_shape=(50, 2), n_classes=2)
+    settings = RunSettings(net=small_net(), final_net=conv, train=TrainConfig(epochs=1), n_members=1)
+    calls = count_training(monkeypatch)
+    message = "kernel 5 exceeds input length 4"
+    with pytest.raises(ConfigurationError, match=f"^{message}$"):
+        run_strategy("rcl", seq, settings, seed=0)
+    assert calls == []
+    comp = compare_strategies(seq, settings, strategies=("rcl", "baseline"), repetitions=1)
+    assert comp.failures == {"rcl": message, "baseline": message}
+    assert comp.runs == {} and calls == []
 
 
 # ------------------------------------------------------- sequential strategies
