@@ -74,7 +74,9 @@ class TaskSequence:
     view of a class's one training trial, or a copy of the windows of its
     several training trials in trial id order. test[p] holds one such view
     per test trial in trial id order; class_ids[p] is the original id. No
-    trial is in both. Every window has one shape, (window, channels).
+    trial is in both. Every window has one shape, (window, channels);
+    construction refuses a sequence with a second shape or with a window in
+    train[p] or test[p] not labelled p.
     """
 
     class_ids: list[int]
@@ -89,6 +91,13 @@ class TaskSequence:
         problems = _split_rule_problems(len(self.class_ids), counts)
         if problems:
             raise problems[0]
+        shape = self.train[0].window_shape
+        for pos, (cid, train, test) in enumerate(zip(self.class_ids, self.train, self.test)):
+            for part in [train, *test]:
+                if part.window_shape != shape:
+                    raise DataFormatError(f"inconsistent window shapes: {part.window_shape} vs {shape}")
+                if np.any(part.y != pos):
+                    raise DataFormatError(f"class {cid}: a window not labelled with its position {pos}")
 
     @property
     def n_tasks(self) -> int:

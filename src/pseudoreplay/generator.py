@@ -1,18 +1,20 @@
 """Per-class interpolation generators for pseudo replay.
 
-A fitted generator keeps a memory of flattened windows of one class. New
-samples are drawn on the segments between a stored vector and one of its k
-nearest same-class neighbours (Euclidean, self excluded, distance ties broken
-by lower index): s = x_j + u * (x_l - x_j) with u uniform on [0, 1]. Every
-output therefore stays inside the per-feature envelope of the memory.
+A fitted generator keeps a memory of one class's windows, [M, W, C]. New
+samples are drawn on the segments between a stored window and one of its k
+nearest same-class neighbours (Euclidean over all W * C values, self
+excluded, distance ties broken by lower index): s = x_j + u * (x_l - x_j)
+with u uniform on [0, 1]. Every output therefore stays inside the
+per-value envelope of the memory.
 
-The neighbour table is ranked in two passes over fixed-size row blocks: a
-GEMM gives the block's pairwise distances in Gram form, and the few columns
-per row that can still be among the k nearest, within a forward-error
-margin, are re-ranked by the direct difference distance in one lexsort of
-the block's candidates: by row, then distance, then column. The table equals
-a direct ranking of all pairs. Fitting takes a `Windows` of one class, and
-`generate(gen, count, seed)` returns one whose rows are tagged as synthetic.
+The neighbour table ranks the windows as the rows of memory.reshape(M, -1),
+in two passes over fixed-size row blocks: a GEMM gives the block's pairwise
+distances in Gram form, and the few columns per row that can still be among
+the k nearest, within a forward-error margin, are re-ranked by the direct
+difference distance in one lexsort of the block's candidates: by row, then
+distance, then column. The table equals a direct ranking of all pairs.
+Fitting takes a `Windows` of one class, and `generate(gen, count, seed)`
+returns one whose rows are tagged as synthetic.
 """
 
 from __future__ import annotations
@@ -28,28 +30,21 @@ from .seeding import derive_seed
 
 @dataclass(eq=False)
 class ClassGenerator:
-    """One class's stored windows and their k-NN table; each `generate` call brings its own seed."""
+    """One class's windows, unflattened, and their k-NN table; each `generate` call brings its own seed."""
 
     class_id: int
-    memory: np.ndarray  # [M, D] flattened windows
+    memory: np.ndarray  # [M, W, C] windows
     k: int
-    feature_shape: tuple[int, int]
     neighbors: np.ndarray = field(init=False, repr=False)  # [M, k_eff]
 
     def __post_init__(self):
         self.memory = np.asarray(self.memory, dtype=float)
-        if self.memory.ndim != 2 or self.memory.shape[0] < 2:
-            raise ConfigurationError("generator memory must be [M >= 2, D]")
+        if self.memory.ndim != 3 or self.memory.shape[0] < 2:
+            raise ConfigurationError("generator memory must be [M >= 2, W, C]")
         if not np.all(np.isfinite(self.memory)):
             raise DataFormatError(f"class {self.class_id}: non-finite memory")
         require_integer("k", self.k, least=1)
-        w, c = self.feature_shape
-        if w * c != self.memory.shape[1]:
-            raise ConfigurationError(
-                f"feature_shape {self.feature_shape} does not match memory width {self.memory.shape[1]}"
-            )
-        self.feature_shape = (int(w), int(c))
-        self.neighbors = _neighbor_table(self.memory, self.k)
+        self.neighbors = _neighbor_table(self.memory.reshape(self.memory_size, -1), self.k)
 
     @property
     def memory_size(self) -> int:
@@ -133,8 +128,9 @@ def fit_generator(
 ) -> ClassGenerator:
     """Store (a uniform random subset of) one class's windows.
 
-    memory_budget None keeps everything; a budget below the sample count keeps
-    a seeded uniform subset in original index order.
+    memory_budget None keeps everything, as `samples.x` itself (a view stays a
+    view); a budget below the sample count keeps a seeded uniform subset, a
+    copy in original index order.
     """
     n = len(samples)
     if n < 2:
@@ -147,18 +143,11 @@ def fit_generator(
     if memory_budget is not None:
         require_integer("memory_budget", memory_budget, least=2)
 
-    vectors = samples.x.reshape(n, -1)
+    memory = samples.x
     if memory_budget is not None and memory_budget < n:
         rng = np.random.default_rng(derive_seed(seed, "subsample", class_id))
-        keep = np.sort(rng.choice(n, size=memory_budget, replace=False))
-        vectors = vectors[keep]
-    w, c = samples.window_shape
-    return ClassGenerator(
-        class_id=class_id,
-        memory=vectors,
-        k=k,
-        feature_shape=(int(w), int(c)),
-    )
+        memory = memory[np.sort(rng.choice(n, size=memory_budget, replace=False))]
+    return ClassGenerator(class_id=class_id, memory=memory, k=k)
 
 
 def generate(gen: ClassGenerator, count: int, seed: int) -> Windows:
@@ -191,11 +180,11 @@ def generate(gen: ClassGenerator, count: int, seed: int) -> Windows:
     # x_l - x_j, times u, plus x_j: each element rounds as x_j + u * (x_l - x_j)
     out = gen.memory[gen.neighbors[stored, np.concatenate(segments)]]
     out -= start
-    out *= np.concatenate(u)[:, None]
+    out *= np.concatenate(u)[:, None, None]
     out += start
     draws = np.arange(s_total, dtype=np.int64)
     return Windows(
-        x=out.reshape((s_total,) + gen.feature_shape),
+        x=out,
         y=np.full(s_total, gen.class_id, dtype=np.int64),
         source=np.column_stack([np.full(s_total, SYNTHETIC_TRIAL_ID, dtype=np.int64), draws]),
     )

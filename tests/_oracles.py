@@ -79,7 +79,7 @@ def generate_reference(gen, count: int, seed: int) -> tuple[np.ndarray, np.ndarr
     inside the loop (all k_eff segments, then the sorted pick, where the
     quota is at most k_eff)."""
     rng = np.random.default_rng(seed)
-    mem = gen.memory
+    mem = gen.memory.reshape(gen.memory_size, -1)
     m = gen.memory_size
     k_eff = gen.k_effective
     base, extra = divmod(count, m)
@@ -103,7 +103,7 @@ def generate_reference(gen, count: int, seed: int) -> tuple[np.ndarray, np.ndarr
         filled += quota
     synthetic = np.full(count, -1, dtype=np.int64)  # SYNTHETIC_TRIAL_ID
     source = np.column_stack([synthetic, np.arange(count, dtype=np.int64)])
-    return out.reshape((count,) + gen.feature_shape), np.full(count, gen.class_id, dtype=np.int64), source
+    return out.reshape((count,) + gen.memory.shape[1:]), np.full(count, gen.class_id, dtype=np.int64), source
 
 
 def fd_gradient(f, theta: np.ndarray, h: float = 1e-5) -> np.ndarray:

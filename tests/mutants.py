@@ -226,6 +226,30 @@ MUTANTS = [
         "if False:",
         "split_trials accepts trials that disagree on channel count",
     ),
+    Mutant(
+        "G1", "src/pseudoreplay/generator.py",
+        "_neighbor_table(self.memory.reshape(self.memory_size, -1), self.k)",
+        "_neighbor_table(self.memory[:, :1].reshape(self.memory_size, -1), self.k)",
+        "the neighbour table ranks the windows by their first step alone",
+    ),
+    Mutant(
+        "G2", "src/pseudoreplay/generator.py",
+        "out *= np.concatenate(u)[:, None, None]",
+        "out *= np.concatenate(u)[:1, None, None]",
+        "generate scales every row by the first row's u",
+    ),
+    Mutant(
+        "T1", "src/pseudoreplay/continual.py",
+        "if part.window_shape != shape:",
+        "if False:",
+        "a sequence built directly accepts windows of a second shape",
+    ),
+    Mutant(
+        "T2", "src/pseudoreplay/continual.py",
+        "if np.any(part.y != pos):",
+        "if np.any(train.y != pos):",
+        "a sequence built directly checks only its training windows' labels",
+    ),
 ]
 
 

@@ -89,7 +89,7 @@ def benchmark_comparison(benchmark_seq):
 def _off_segment_count(gen, xs: np.ndarray, tol: float) -> int:
     """Samples that fail least-squares membership on their best candidate
     segment (origin j, end = a stored k-NN of j) or leave the unit range."""
-    mem, nbr = gen.memory, gen.neighbors
+    mem, nbr = gen.memory.reshape(gen.memory_size, -1), gen.neighbors
     k_eff = nbr.shape[1]
     a = np.repeat(mem, k_eff, axis=0)
     b = mem[nbr.reshape(-1)]
@@ -133,7 +133,7 @@ def test_gate_1_generator_interpolation_sweep(capsys):
         if k_eff != min(k, m - 1):
             problems.append(f"fit {i}: k_eff {k_eff} != min({k}, {m - 1})")
         for j in range(m):
-            if list(gen.neighbors[j]) != knn_bruteforce(gen.memory, j, k_eff):
+            if list(gen.neighbors[j]) != knn_bruteforce(gen.memory.reshape(m, -1), j, k_eff):
                 problems.append(f"fit {i}: neighbour mismatch at row {j}")
                 break
 

@@ -133,6 +133,26 @@ def test_sequence_refuses_trials_that_disagree_on_channel_count():
         TaskSequence.from_trials(trials, window=8)
 
 
+def windows_at(pos: int, channels: int = 2, n: int = 6) -> Windows:
+    """n windows of shape (8, channels), each labelled pos."""
+    x = np.random.default_rng(pos).normal(size=(n, 8, channels))
+    return Windows(x, np.full(n, pos), np.zeros((n, 2), dtype=np.int64))
+
+
+def test_a_sequence_built_directly_refuses_windows_of_two_shapes():
+    parts = [windows_at(p, channels=3 if p == 2 else 2) for p in range(3)]
+    with pytest.raises(DataFormatError, match=r"^inconsistent window shapes: \(8, 3\) vs \(8, 2\)$"):
+        TaskSequence([0, 1, 2], parts, [[p] for p in parts])
+
+
+@pytest.mark.parametrize("split", ["train", "test"])
+def test_a_sequence_built_directly_refuses_a_window_not_labelled_its_position(split):
+    train, test = [windows_at(p) for p in range(3)], [[windows_at(p, n=3), windows_at(p, n=2)] for p in range(3)]
+    (train[2] if split == "train" else test[2][1]).y[1] = 5
+    with pytest.raises(DataFormatError, match="^class 7: a window not labelled with its position 2$"):
+        TaskSequence([0, 4, 7], train, test)
+
+
 def test_sequence_window_longer_than_trials_fails(small_stream_config):
     trials = synthesize_stream(small_stream_config)
     with pytest.raises(DataFormatError, match="< window"):

@@ -36,18 +36,23 @@ def flat_rows(windows) -> np.ndarray:
     return windows.x.reshape(len(windows), -1)
 
 
+def flat_memory(gen) -> np.ndarray:
+    return gen.memory.reshape(gen.memory_size, -1)
+
+
 def check_samples(gen, produced, expect_count):
     """Count, envelope and segment membership for every produced sample."""
     assert len(produced) == expect_count
     lists = [gen.neighbors[j].tolist() for j in range(gen.memory_size)]
-    lo = gen.memory.min(axis=0) - 1e-12
-    hi = gen.memory.max(axis=0) + 1e-12
+    memory = flat_memory(gen)
+    lo = memory.min(axis=0) - 1e-12
+    hi = memory.max(axis=0) + 1e-12
     assert np.all(produced.source[:, 0] == SYNTHETIC_TRIAL_ID)
     assert produced.source[:, 1].tolist() == list(range(expect_count))
     assert np.all(produced.y == gen.class_id)
     for flat in flat_rows(produced):
         assert np.all(flat >= lo) and np.all(flat <= hi)
-        assert on_some_segment(flat, gen.memory, lists, tol=1e-9)
+        assert on_some_segment(flat, memory, lists, tol=1e-9)
 
 
 # -------------------------------------------------------------------- fitting
@@ -57,7 +62,7 @@ def test_budget_not_binding_keeps_everything():
     rows = np.random.default_rng(0).normal(size=(125, 4))
     gen = fit_generator(0, make_samples(rows), k=3, memory_budget=125)
     assert gen.memory_size == 125
-    np.testing.assert_array_equal(gen.memory, rows)
+    np.testing.assert_array_equal(flat_memory(gen), rows)
 
 
 def test_budget_subsamples_reproducibly():
@@ -68,7 +73,7 @@ def test_budget_subsamples_reproducibly():
     np.testing.assert_array_equal(a.memory, b.memory)
     # retained rows are a subset, in original order
     row_set = {tuple(r) for r in rows}
-    assert all(tuple(r) in row_set for r in a.memory)
+    assert all(tuple(r) in row_set for r in flat_memory(a))
 
 
 def test_single_sample_is_an_error():
@@ -95,7 +100,7 @@ def test_bad_k_and_budget_rejected():
 
 def test_neighbors_on_a_line():
     gen = generator_from_rows([[0.0], [1.0], [3.0], [7.0]], k=2)
-    values = sorted(gen.memory[i, 0] for i in gen.neighbors[0].tolist())
+    values = sorted(gen.memory[i, 0, 0] for i in gen.neighbors[0].tolist())
     assert values == [1.0, 3.0]
 
 
@@ -158,9 +163,9 @@ def test_a_generator_on_an_overlapping_view_matches_one_on_a_copy(block_rows, mo
     if block_rows is not None:
         monkeypatch.setattr(generator, "_GRAM_BLOCK", block_rows * len(view))
     on_view, on_copy = fit_generator(0, view, k=5, seed=2), fit_generator(0, copy, k=5, seed=2)
-    assert np.shares_memory(on_view.memory, trial.channels)  # the flattening copies nothing
+    assert np.shares_memory(on_view.memory, trial.channels)  # the memory is the view itself
     np.testing.assert_array_equal(on_view.neighbors, on_copy.neighbors)
-    np.testing.assert_array_equal(on_view.neighbors, direct_neighbor_table(on_copy.memory, 5))
+    np.testing.assert_array_equal(on_view.neighbors, direct_neighbor_table(flat_memory(on_copy), 5))
     for count in (30, 400):
         drawn_view, drawn_copy = generate(on_view, count, seed=4), generate(on_copy, count, seed=4)
         assert drawn_view.x.tobytes() == drawn_copy.x.tobytes()
@@ -246,6 +251,8 @@ def reference_cases():
     six = fit_generator(0, make_samples(rng.normal(size=(6, 5))), k=3)  # k_eff 3
     trial = TimeSeriesTrial(class_id=0, trial_id=1, channels=rng.normal(size=(120, 2)))
     view = fit_generator(0, window_trial(trial, 20, stride=5), k=4)  # 21 read-only rows
+    wide = TimeSeriesTrial(class_id=0, trial_id=1, channels=np.random.default_rng(17).normal(size=(70, 3)))
+    non_square = {s: fit_generator(0, window_trial(wide, 7, stride=s), k=3) for s in (1, 7)}
     return {
         "count 1": (six, 1),
         "count < M": (six, 4),
@@ -260,6 +267,8 @@ def reference_cases():
         "k > M - 1, quota > k_eff": (fit_generator(0, make_samples(rng.normal(size=(4, 3))), k=8), 23),
         "read-only window_trial view": (view, 70),
         "read-only view, count < M": (view, 8),
+        "(7, 3) windows, stride 1": (non_square[1], 50),
+        "(7, 3) windows, stride 7": (non_square[7], 25),
     }
 
 
@@ -272,6 +281,12 @@ def test_generate_equals_the_reference_loop_byte_for_byte(case):
         assert got.x.shape == x.shape and got.x.tobytes() == x.tobytes(), f"{case}, seed {seed}: x"
         assert got.y.tobytes() == y.tobytes(), f"{case}, seed {seed}: y"
         assert got.source.tobytes() == source.tobytes(), f"{case}, seed {seed}: source"
+
+
+def test_a_memory_that_is_not_windows_is_refused():
+    for memory in (np.zeros((4, 3)), np.zeros((1, 7, 3))):
+        with pytest.raises(ConfigurationError, match=r"generator memory must be \[M >= 2, W, C\]"):
+            ClassGenerator(class_id=0, memory=memory, k=1)
 
 
 def test_different_seeds_give_different_draws():
