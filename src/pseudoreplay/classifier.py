@@ -202,8 +202,6 @@ def init_model(spec: NetSpec, seed: int) -> NetModel:
 
 def _as_batch(spec: NetSpec, batch: np.ndarray) -> np.ndarray:
     x = np.asarray(batch, dtype=float)
-    if x.ndim == 2:
-        x = x[None, :, :]
     if x.shape[1:] != spec.input_shape:
         raise ConfigurationError(
             f"batch window shape {x.shape[1:]} != spec input {spec.input_shape}"
@@ -525,32 +523,28 @@ class EWCPenalty:
         return self.lam * self.fisher
 
 
-def extend_output(model: NetModel, n_new_classes: int, seed: int) -> NetModel:
-    """Append freshly initialized output units; existing weights untouched.
+def extend_output(model: NetModel, seed: int) -> NetModel:
+    """Append one freshly initialized output unit, the head of the one class
+    each task adds; existing weights untouched.
 
     Old-class logits are unchanged at the moment of extension because every
     shared weight and every pre-existing output column keeps its value.
     """
-    require_integer("n_new_classes", n_new_classes, least=1)
     spec = model.spec
-    new_spec = replace(spec, n_classes=spec.n_classes + n_new_classes)
+    new_spec = replace(spec, n_classes=spec.n_classes + 1)
     parameters = pad_parameters(spec, new_spec, model.parameters)
     w_out = unpack_parameters(new_spec, parameters)[-1][0]
     limit = np.sqrt(6.0 / w_out.shape[0])
-    w_out[:, spec.n_classes:] = np.random.default_rng(seed).uniform(
-        -limit, limit, size=(w_out.shape[0], n_new_classes)
-    )
+    w_out[:, -1:] = np.random.default_rng(seed).uniform(-limit, limit, size=(w_out.shape[0], 1))
     return NetModel(spec=new_spec, parameters=parameters)
 
 
-def pad_parameters(
-    old_spec: NetSpec, new_spec: NetSpec, vector: np.ndarray, fill: float = 0.0
-) -> np.ndarray:
+def pad_parameters(old_spec: NetSpec, new_spec: NetSpec, vector: np.ndarray) -> np.ndarray:
     """Re-layout a flat vector of old_spec into new_spec's layout.
 
     Only n_classes may grow; every other field of the specs must be equal.
-    Coordinates that new_spec adds (appended output columns and biases) take
-    `fill`. Used to carry anchor and fisher vectors across a head extension.
+    Coordinates that new_spec adds (appended output columns and biases) are
+    0.0. Used to carry anchor and fisher vectors across a head extension.
     """
     if replace(old_spec, n_classes=new_spec.n_classes) != new_spec:
         raise ConfigurationError("specs differ beyond the output head")
@@ -559,7 +553,7 @@ def pad_parameters(
     vector = np.asarray(vector, dtype=float).reshape(-1)
     if vector.size != old_spec.param_count:
         raise ConfigurationError("vector length does not match old spec")
-    padded = np.full(new_spec.param_count, fill)
+    padded = np.zeros(new_spec.param_count)
     old_layers = unpack_parameters(old_spec, vector)
     for (w, b), (new_w, new_b) in zip(old_layers, unpack_parameters(new_spec, padded)):
         new_w[:, : w.shape[1]] = w
@@ -582,10 +576,6 @@ class Ensemble:
         for m in self.members:
             if m.spec.n_classes != n or m.spec.input_shape != shape:
                 raise ConfigurationError("ensemble members disagree on output or input shape")
-
-    @property
-    def n_classes(self) -> int:
-        return self.members[0].spec.n_classes
 
 
 def fit_ensemble(

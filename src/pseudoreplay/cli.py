@@ -264,7 +264,9 @@ def cmd_run(
     seq, net, variants, problems = _plan(cfg, trials)
     if problems:
         raise problems[0]
-    del trials  # the test windows are views of the trials, so this frees no channels
+    # frees the channels of trials whose windows were copied (a class's
+    # several training trials) or never cut; views keep the rest alive
+    del trials
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:  # e.g. no permission, as _plan has refused a file in the way

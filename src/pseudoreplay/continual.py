@@ -75,8 +75,8 @@ class TaskSequence:
     several training trials in trial id order. test[p] holds one such view
     per test trial in trial id order; class_ids[p] is the original id. No
     trial is in both. Every window has one shape, (window, channels);
-    construction refuses a sequence with a second shape or with a window in
-    train[p] or test[p] not labelled p.
+    construction refuses a repeated class id, a second shape and a window
+    in train[p] or test[p] not labelled p.
     """
 
     class_ids: list[int]
@@ -87,6 +87,8 @@ class TaskSequence:
         # too few classes is reported ahead of misaligned lists
         if len(self.class_ids) >= 2 and not (len(self.train) == len(self.test) == len(self.class_ids)):
             raise ConfigurationError("class_ids, train and test must align")
+        if repeated := sorted({c for c in self.class_ids if self.class_ids.count(c) > 1}):
+            raise ConfigurationError(f"class_ids repeat {repeated}")
         counts = zip(self.class_ids, map(len, self.train), (sum(map(len, t)) for t in self.test))
         problems = _split_rule_problems(len(self.class_ids), counts)
         if problems:
@@ -295,7 +297,7 @@ def _carry_forward(
     limit = 2.0 * (1.0 + cfg.beta)
     models, penalties = [], [None] * len(ens.members)
     for m_idx, member in enumerate(ens.members):
-        extended = extend_output(member, 1, derive_seed(seed, "head", task_index, m_idx))
+        extended = extend_output(member, derive_seed(seed, "head", task_index, m_idx))
         models.append(extended)
         if fishers is not None:
             penalty = penalties[m_idx] = EWCPenalty(

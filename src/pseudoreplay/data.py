@@ -114,7 +114,9 @@ class Windows:
         return self.x.shape[1:]
 
     def select(self, index) -> "Windows":
-        """The rows picked by an integer index array or a boolean mask."""
+        """The rows picked by an integer index array or a boolean mask (a
+        copy), or by a slice (a view, also of a view, as evaluation reads a
+        test trial's rows in runs)."""
         return Windows(self.x[index], self.y[index], self.source[index])
 
     @staticmethod
@@ -135,11 +137,9 @@ class Windows:
         )
 
 
-def window_count(length: int, window: int, stride: int | None = None) -> int:
-    """Windows of `window` steps every `stride` steps (default: window) that
-    fit in `length` steps: floor((length - window) / stride) + 1, or 0."""
-    if stride is None:
-        stride = window
+def window_count(length: int, window: int, stride: int) -> int:
+    """Windows of `window` steps every `stride` steps that fit in `length`
+    steps: floor((length - window) / stride) + 1, or 0."""
     if window < 1 or stride < 1:
         raise ConfigurationError(f"window and stride must be >= 1, got {window}, {stride}")
     return max(0, (length - window) // stride + 1)

@@ -26,10 +26,6 @@ class ConfusionMatrix:
             raise ValueError("confusion matrix counts must be non-negative")
         self.counts = self.counts.astype(np.int64)
 
-    @property
-    def n_classes(self) -> int:
-        return self.counts.shape[0]
-
 
 def confusion(y_true, y_pred, n_classes: int) -> ConfusionMatrix:
     y_true = np.asarray(y_true, dtype=np.int64).reshape(-1)
@@ -48,11 +44,8 @@ def confusion(y_true, y_pred, n_classes: int) -> ConfusionMatrix:
 
 @dataclass(eq=False)
 class MetricReport:
-    """Per-class vectors plus unweighted macro averages.
-
-    zero_division_classes lists classes where an empty denominator forced a
-    0.0 (class never present and/or never predicted).
-    """
+    """Per-class vectors plus unweighted macro averages; the MetricWarning
+    that `metrics` emits names each class that an empty denominator set to 0."""
 
     precision: np.ndarray
     recall: np.ndarray
@@ -60,7 +53,6 @@ class MetricReport:
     macro_precision: float
     macro_recall: float
     macro_f: float
-    zero_division_classes: tuple[int, ...] = ()
 
 
 def metrics(cm: ConfusionMatrix) -> MetricReport:
@@ -89,7 +81,6 @@ def metrics(cm: ConfusionMatrix) -> MetricReport:
         macro_precision=float(precision.mean()),
         macro_recall=float(recall.mean()),
         macro_f=float(f_score.mean()),
-        zero_division_classes=tuple(degenerate),
     )
 
 

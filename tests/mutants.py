@@ -146,7 +146,7 @@ MUTANTS = [
         "I4", "src/pseudoreplay/classifier.py",
         "np.random.default_rng(seed).uniform(",
         "np.random.default_rng(seed + 1).uniform(",
-        "extend_output draws the new head units from the wrong seed",
+        "extend_output draws the new head unit from the wrong seed",
     ),
     Mutant(
         "I5", "src/pseudoreplay/continual.py",
@@ -249,6 +249,18 @@ MUTANTS = [
         "if np.any(part.y != pos):",
         "if np.any(train.y != pos):",
         "a sequence built directly checks only its training windows' labels",
+    ),
+    Mutant(
+        "P2", "src/pseudoreplay/classifier.py",
+        "padded = np.zeros(new_spec.param_count)",
+        "padded = np.ones(new_spec.param_count)",
+        "pad_parameters pads the coordinates of a grown head with ones",
+    ),
+    Mutant(
+        "D1", "src/pseudoreplay/continual.py",
+        "if repeated := sorted({c for c in self.class_ids if self.class_ids.count(c) > 1}):",
+        "if False:",
+        "a sequence built directly accepts a repeated class id",
     ),
 ]
 

@@ -238,7 +238,7 @@ def _max_shared_movement(run) -> float:
     worst = 0.0
     for m1, m2 in zip(run.ensembles[0].members, run.ensembles[1].members):
         anchor = pad_parameters(m1.spec, m2.spec, m1.parameters)
-        mask = pad_parameters(m1.spec, m2.spec, np.ones(m1.parameters.size), fill=0.0) == 1.0
+        mask = pad_parameters(m1.spec, m2.spec, np.ones(m1.parameters.size)) == 1.0
         worst = max(worst, float(np.abs(m2.parameters - anchor)[mask].max()))
     return worst
 

@@ -250,6 +250,17 @@ def test_batch_shape_mismatch_rejected():
         forward(model, np.zeros((2, 5, 1)))
 
 
+def test_a_single_window_without_its_batch_axis_is_refused():
+    # a batch is [B, W, C] only: a lone [W, C] window reads as W windows of C
+    spec = dense_spec(input_shape=(50, 2))
+    model = init_model(spec, 0)
+    window = batch_of(spec, 1)[0]
+    for call in (lambda: forward(model, window), lambda: loss_and_gradient(model, window, [0])):
+        with pytest.raises(ConfigurationError) as caught:
+            call()
+        assert str(caught.value) == "batch window shape (2,) != spec input (50, 2)"
+
+
 _BAD_LABELS = {  # for 3 rows of a 3-class net: (labels, message)
     "minus_one": ([0, -1, 2], "labels outside [0, 3)"),
     "int64_min": ([0, np.iinfo(np.int64).min, 1], "labels outside [0, 3)"),
@@ -399,7 +410,7 @@ def _step_case(case: str):
         rows = {"conv_n1": 1, "conv_n7": 7}.get(case, rows)
     if case == "anchored":
         old = init_model(bench_spec(n_classes=2), 25)
-        model = extend_output(old, 1, seed=26)
+        model = extend_output(old, seed=26)
         spec = model.spec
         anchor = old.parameters + 0.01 * rng.normal(size=old.spec.param_count)
         fisher = rng.uniform(0.0, 1.0, size=old.spec.param_count)
@@ -755,7 +766,7 @@ def test_train_and_fisher_call_loss_and_gradient_per_batch_and_per_sample(monkey
 def _fisher_case(case: str) -> tuple[NetModel, Windows]:
     """(model, samples) of one batched-Fisher case, named "<kind>_<rows>"."""
     if case == "grown_head":
-        model = extend_output(init_model(dense_spec(n_classes=2), 16), 2, seed=3)
+        model = extend_output(extend_output(init_model(dense_spec(n_classes=2), 16), seed=3), seed=4)
         n, labels = 12, np.arange(12) % 4
     else:
         kind, rows = case.split("_", 1)
@@ -849,7 +860,7 @@ def test_extend_output_preserves_old_logits():
     from pseudoreplay.classifier import _forward_cached
 
     old_logits, _ = _forward_cached(model, x)
-    grown = extend_output(model, 1, seed=99)
+    grown = extend_output(model, seed=99)
     assert grown.spec.n_classes == 3
     new_logits, _ = _forward_cached(grown, x)
     np.testing.assert_array_equal(new_logits[:, :2], old_logits)
@@ -857,9 +868,9 @@ def test_extend_output_preserves_old_logits():
 
 def test_extend_output_is_deterministic_and_seed_sensitive():
     model = init_model(dense_spec(n_classes=2), 16)
-    a = extend_output(model, 2, seed=1)
-    b = extend_output(model, 2, seed=1)
-    c = extend_output(model, 2, seed=2)
+    a = extend_output(model, seed=1)
+    b = extend_output(model, seed=1)
+    c = extend_output(model, seed=2)
     np.testing.assert_array_equal(a.parameters, b.parameters)
     assert not np.array_equal(a.parameters, c.parameters)
 
@@ -867,10 +878,11 @@ def test_extend_output_is_deterministic_and_seed_sensitive():
 def test_extend_output_draws_the_new_units_from_its_seed():
     # like init_model's output layer: uniform on +-sqrt(6 / fan_in), biases zero
     model = init_model(dense_spec(n_classes=2), 16)
-    grown = extend_output(model, 2, seed=7)
+    grown = extend_output(model, seed=7)
+    assert grown.spec.n_classes == 3
     w, b = unpack_parameters(grown.spec, grown.parameters)[-1]
     limit = np.sqrt(6.0 / w.shape[0])
-    want = np.random.default_rng(7).uniform(-limit, limit, size=(w.shape[0], 2))
+    want = np.random.default_rng(7).uniform(-limit, limit, size=(w.shape[0], 1))
     np.testing.assert_array_equal(w[:, 2:], want)
     np.testing.assert_array_equal(b[2:], 0.0)
 
@@ -879,7 +891,7 @@ def test_pad_parameters_layout_and_fill():
     old = dense_spec(n_classes=2)
     new = dense_spec(n_classes=4)
     vec = np.arange(float(old.param_count))
-    padded = pad_parameters(old, new, vec, fill=-1.0)
+    padded = pad_parameters(old, new, vec)
     assert padded.size == new.param_count
     old_layers = unpack_parameters(old, vec)
     new_layers = unpack_parameters(new, padded)
@@ -890,7 +902,7 @@ def test_pad_parameters_layout_and_fill():
     wn, bn = new_layers[-1]
     np.testing.assert_array_equal(wn[:, :2], wo)
     np.testing.assert_array_equal(bn[:2], bo)
-    assert np.all(wn[:, 2:] == -1.0) and np.all(bn[2:] == -1.0)
+    assert np.all(wn[:, 2:] == 0.0) and np.all(bn[2:] == 0.0)
 
 
 def test_pad_parameters_rejects_other_shape_changes():

@@ -1,6 +1,7 @@
 import gc
 import pickle
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -83,7 +84,7 @@ def shared_movement(run) -> float:
     worst = 0.0
     for m1, m2 in zip(run.ensembles[0].members, run.ensembles[1].members):
         anchor = pad_parameters(m1.spec, m2.spec, m1.parameters)
-        mask = pad_parameters(m1.spec, m2.spec, np.ones(m1.parameters.size), fill=0.0) == 1.0
+        mask = pad_parameters(m1.spec, m2.spec, np.ones(m1.parameters.size)) == 1.0
         worst = max(worst, float(np.abs(m2.parameters - anchor)[mask].max()))
     return worst
 
@@ -151,6 +152,29 @@ def test_a_sequence_built_directly_refuses_a_window_not_labelled_its_position(sp
     (train[2] if split == "train" else test[2][1]).y[1] = 5
     with pytest.raises(DataFormatError, match="^class 7: a window not labelled with its position 2$"):
         TaskSequence([0, 4, 7], train, test)
+
+
+def test_a_sequence_built_directly_refuses_a_repeated_class_id():
+    # two positions of one id would train and report as one class
+    seq = TaskSequence.from_trials(
+        synthesize_stream(default_synthetic_config(trial_length=400, trials_per_class=2)), window=20
+    )
+    with pytest.raises(ConfigurationError, match=r"^class_ids repeat \[0\]$"):
+        TaskSequence([0, 0, 2], seq.train, seq.test)
+
+
+def test_dropping_the_trials_frees_the_channels_of_copied_windows_only():
+    # cli.cmd_run drops its trial list after the split: several training
+    # trials a class are copied into one set, so their channels go, while the
+    # test windows are views that keep their trial's channels alive
+    trials = synthesize_stream(default_synthetic_config(trial_length=400, trials_per_class=3))
+    refs = {(t.class_id, t.trial_id): weakref.ref(t.channels) for t in trials}
+    seq = TaskSequence.from_trials(trials, window=20, train_trials=(1, 2))
+    del trials
+    gc.collect()
+    assert {key: ref() is not None for key, ref in refs.items()} == {
+        (c, t): t == 3 for c in seq.class_ids for t in (1, 2, 3)
+    }
 
 
 def test_sequence_window_longer_than_trials_fails(small_stream_config):
@@ -306,7 +330,7 @@ def test_single_anomaly_run_structure(small_seq, small_stream_config):
     run = strategy_run("rcl", two_class, seed=1, n_members=2)
     assert sorted(run.generators) == [0, 1]
     assert len(run.ensembles) == 1
-    assert run.ensembles[0].n_classes == 2
+    assert run.ensembles[0].members[0].spec.n_classes == 2
     assert len(run.tasks) == 1
 
 
@@ -703,7 +727,7 @@ def test_finetune_trains_on_normal_plus_newest_only(small_seq):
     rows = [len(small_seq.train[0]), len(small_seq.train[2])]
     np.testing.assert_array_equal(ft.tasks[1].train_provenance[:, 0], np.repeat([0, 2], rows))
     assert all(p[1] != SYNTHETIC_TRIAL_ID for p in ft.tasks[1].train_provenance)
-    assert ft.ensembles[1].n_classes == 3
+    assert ft.ensembles[1].members[0].spec.n_classes == 3
 
 
 def test_zero_weight_anchor_is_bitwise_finetune(small_seq):
@@ -729,7 +753,7 @@ def test_carry_forward_trains_each_member_on_its_own_head_and_shuffle_seeds(smal
     carried = continual._carry_forward(ens, mix, standardizer, settings, 7, 2, fishers)
     assert carried.standardizer is standardizer
     for m, (member, got) in enumerate(zip(ens.members, carried.members, strict=True)):
-        extended = extend_output(member, 1, derive_seed(7, "head", 2, m))
+        extended = extend_output(member, derive_seed(7, "head", 2, m))
         penalty = None
         if anchored:
             penalty = EWCPenalty(
@@ -1022,7 +1046,7 @@ def test_a_comparison_keeps_no_model_per_repetition():
     assert (kept_3 - kept_1) / 2 < ensemble_bytes, (kept_1, kept_3, ensemble_bytes)
     assert all(not run.ensembles for runs in comp.runs.values() for run in runs)
     run = run_strategy("baseline", seq, settings, seed=comp.runs["baseline"][0].seed)
-    assert [ens.n_classes for ens in run.ensembles] == [2, 3]
+    assert [ens.members[0].spec.n_classes for ens in run.ensembles] == [2, 3]
 
 
 def test_comparison_is_reproducible(small_seq):
@@ -1156,7 +1180,7 @@ def test_dense_then_conv_run_completes(small_seq):
         run = run_strategy(strategy, small_seq, settings, seed=2)
         assert run.ensembles[0].members[0].spec.kind == "dense"
         assert run.ensembles[1].members[0].spec.kind == "conv"
-        assert run.ensembles[1].n_classes == 3
+        assert run.ensembles[1].members[0].spec.n_classes == 3
         assert run.tasks[1].report.macro_f > 0.5
 
 
