@@ -530,32 +530,27 @@ def extend_output(model: NetModel, seed: int) -> NetModel:
     Old-class logits are unchanged at the moment of extension because every
     shared weight and every pre-existing output column keeps its value.
     """
-    spec = model.spec
-    new_spec = replace(spec, n_classes=spec.n_classes + 1)
-    parameters = pad_parameters(spec, new_spec, model.parameters)
+    new_spec = replace(model.spec, n_classes=model.spec.n_classes + 1)
+    parameters = pad_parameters(model.spec, model.parameters)
     w_out = unpack_parameters(new_spec, parameters)[-1][0]
     limit = np.sqrt(6.0 / w_out.shape[0])
     w_out[:, -1:] = np.random.default_rng(seed).uniform(-limit, limit, size=(w_out.shape[0], 1))
     return NetModel(spec=new_spec, parameters=parameters)
 
 
-def pad_parameters(old_spec: NetSpec, new_spec: NetSpec, vector: np.ndarray) -> np.ndarray:
-    """Re-layout a flat vector of old_spec into new_spec's layout.
+def pad_parameters(spec: NetSpec, vector: np.ndarray) -> np.ndarray:
+    """Re-layout a flat vector of spec into the layout of spec with one more
+    output unit, the head extend_output grows.
 
-    Only n_classes may grow; every other field of the specs must be equal.
-    Coordinates that new_spec adds (appended output columns and biases) are
-    0.0. Used to carry anchor and fisher vectors across a head extension.
+    The coordinates that unit adds (an output column and a bias) are 0.0.
+    Used to carry anchor and fisher vectors across a head extension.
     """
-    if replace(old_spec, n_classes=new_spec.n_classes) != new_spec:
-        raise ConfigurationError("specs differ beyond the output head")
-    if new_spec.n_classes < old_spec.n_classes:
-        raise ConfigurationError("new spec must not shrink the output head")
     vector = np.asarray(vector, dtype=float).reshape(-1)
-    if vector.size != old_spec.param_count:
-        raise ConfigurationError("vector length does not match old spec")
+    if vector.size != spec.param_count:
+        raise ConfigurationError("vector length does not match spec")
+    new_spec = replace(spec, n_classes=spec.n_classes + 1)
     padded = np.zeros(new_spec.param_count)
-    old_layers = unpack_parameters(old_spec, vector)
-    for (w, b), (new_w, new_b) in zip(old_layers, unpack_parameters(new_spec, padded)):
+    for (w, b), (new_w, new_b) in zip(unpack_parameters(spec, vector), unpack_parameters(new_spec, padded)):
         new_w[:, : w.shape[1]] = w
         new_b[: b.size] = b
     return padded

@@ -302,8 +302,8 @@ def _carry_forward(
         if fishers is not None:
             penalty = penalties[m_idx] = EWCPenalty(
                 lam=settings.ewc_lambda,
-                theta_star=pad_parameters(member.spec, extended.spec, member.parameters),
-                fisher=pad_parameters(member.spec, extended.spec, fishers[m_idx]),
+                theta_star=pad_parameters(member.spec, member.parameters),
+                fisher=pad_parameters(member.spec, fishers[m_idx]),
             )
             stiffness = penalty.lam * cfg.learning_rate * float(penalty.fisher.max())
             if stiffness >= limit:
@@ -345,9 +345,11 @@ def carried_problems(
     strategies, net: NetSpec, final_net: NetSpec | None, n_tasks: int
 ) -> list[ConfigurationError]:
     """With a strategy of `strategies` that carries one model across more than
-    one task, an error if final_net differs from net beyond the head size."""
+    one task, an error if final_net builds other layers than net apart from
+    the head's size. A dense net's conv field builds none, so it is not compared."""
     carried = [s for s in strategies if s in CARRIED]
-    if not carried or n_tasks < 2 or replace(final_net or net, n_classes=2) == replace(net, n_classes=2):
+    body = replace(net, n_classes=2)._layers
+    if not carried or n_tasks < 2 or replace(final_net or net, n_classes=2)._layers == body:
         return []
     return [ConfigurationError(
         f"{carried[0]} carries one model across tasks and cannot switch architectures;"

@@ -48,8 +48,8 @@ def fisher_weighted_movement(run, seq: TaskSequence) -> float:
     total = 0.0
     pairs = zip(run.ensembles[0].members, run.ensembles[1].members, task1_fishers(run, seq))
     for m1, m2, fisher in pairs:
-        anchor = pad_parameters(m1.spec, m2.spec, m1.parameters)
-        weight = pad_parameters(m1.spec, m2.spec, fisher)  # appended head units weigh 0
+        anchor = pad_parameters(m1.spec, m1.parameters)
+        weight = pad_parameters(m1.spec, fisher)  # appended head units weigh 0
         total += float(np.sum(weight * (m2.parameters - anchor) ** 2))
     return total
 

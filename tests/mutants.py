@@ -22,7 +22,8 @@ the test file that fails to collect), or as surviving. An unmutated copy
 runs first, both ways, and must pass without the pin, or no kill would mean
 anything; if it fails only with the pin (the pinned digests belong to one
 platform), the with-pin verdicts are reported as unavailable rather than as
-kills.
+kills. Those two passes take minutes, so a line printed before them says
+they run; every line is flushed as it is printed.
 
 Exit status: 0 when every must-die mutant is killed without the pin, 1 when
 one survives or the unmutated copy fails, 2 when a name is not a mutant's or
@@ -162,14 +163,14 @@ MUTANTS = [
     ),
     Mutant(
         "I7", "src/pseudoreplay/continual.py",
-        "fisher=pad_parameters(member.spec, extended.spec, fishers[m_idx]),",
-        "fisher=pad_parameters(member.spec, extended.spec, fishers[0]),",
+        "fisher=pad_parameters(member.spec, fishers[m_idx]),",
+        "fisher=pad_parameters(member.spec, fishers[0]),",
         "every carried member is weighted by member 0's Fisher diagonal",
     ),
     Mutant(
         "I8", "src/pseudoreplay/continual.py",
-        "theta_star=pad_parameters(member.spec, extended.spec, member.parameters),",
-        "theta_star=pad_parameters(member.spec, extended.spec, ens.members[0].parameters),",
+        "theta_star=pad_parameters(member.spec, member.parameters),",
+        "theta_star=pad_parameters(member.spec, ens.members[0].parameters),",
         "every carried member is anchored to member 0's parameters",
     ),
     Mutant(
@@ -195,6 +196,12 @@ MUTANTS = [
         "if not carried or n_tasks < 2 or replace(",
         "if not carried or replace(",
         "carried_problems refuses a carried strategy's final net even with one task",
+    ),
+    Mutant(
+        "N3", "src/pseudoreplay/continual.py",
+        "replace(final_net or net, n_classes=2)._layers == body:",
+        "replace(final_net or net, n_classes=2) == replace(net, n_classes=2):",
+        "carried_problems compares whole specs, so a dense net's conv field refuses a variant",
     ),
     Mutant(
         "N2", "src/pseudoreplay/continual.py",
@@ -313,6 +320,7 @@ def main(names: list[str]) -> int:
     if stale:
         print(f"old text not found exactly once for {stale}; update these mutants")
         return 2
+    print("tier-1 on the unmutated copy, without and then with the pin", flush=True)
     with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
         tree = _copy(Path(tmp), None)
         failed = _tier1(tree, pinned=False)

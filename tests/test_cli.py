@@ -367,6 +367,38 @@ def test_a_carried_strategy_with_a_switching_variant_exits_2_before_training(
     assert main(["validate", "--config", two]) == 0
 
 
+def ewc_variant_doc(variant_net: dict) -> dict:
+    return run_config_doc(
+        strategies=["ewc"], net={"kind": "dense"}, variants=[{"name": "mlp", "net": variant_net}],
+        train={"epochs": 3, "batch_size": 16, "learning_rate": 0.01},
+    )
+
+
+def test_a_dense_variant_restating_conv_is_the_carried_net(tmp_path, capsys):
+    # a dense net builds nothing from conv, so ewc's carried model follows the
+    # variant and the run reads as if the key were absent
+    metrics = []
+    for name, variant_net in [
+        ("restated", {"kind": "dense", "conv": [[4, 3, 1], [4, 3, 1]]}),
+        ("absent", {"kind": "dense"}),
+    ]:
+        cfg = write_json(tmp_path / f"{name}.json", ewc_variant_doc(variant_net))
+        assert main(["validate", "--config", cfg]) == 0
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / name)]) == 0
+        metrics.append((tmp_path / name / "metrics.csv").read_bytes())
+    assert "violation" not in capsys.readouterr().out
+    assert metrics[0] == metrics[1]
+
+
+def test_a_dense_variant_with_other_hidden_sizes_is_refused(tmp_path, capsys):
+    cfg = write_json(tmp_path / "exp.json", ewc_variant_doc({"kind": "dense", "hidden": [32, 32]}))
+    assert main(["validate", "--config", cfg]) == 2
+    assert (
+        "violation: field 'variants[0].net': ewc carries one model across tasks and cannot switch"
+        " architectures; every task's net must match the first apart from the head"
+    ) in capsys.readouterr().out
+
+
 def test_a_strategy_failing_under_one_variant_still_writes_the_report(
     tmp_path, capsys, monkeypatch
 ):

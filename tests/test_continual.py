@@ -83,8 +83,8 @@ def shared_movement(run) -> float:
     task-2 ensembles of a sequential run."""
     worst = 0.0
     for m1, m2 in zip(run.ensembles[0].members, run.ensembles[1].members):
-        anchor = pad_parameters(m1.spec, m2.spec, m1.parameters)
-        mask = pad_parameters(m1.spec, m2.spec, np.ones(m1.parameters.size)) == 1.0
+        anchor = pad_parameters(m1.spec, m1.parameters)
+        mask = pad_parameters(m1.spec, np.ones(m1.parameters.size)) == 1.0
         worst = max(worst, float(np.abs(m2.parameters - anchor)[mask].max()))
     return worst
 
@@ -758,8 +758,8 @@ def test_carry_forward_trains_each_member_on_its_own_head_and_shuffle_seeds(smal
         if anchored:
             penalty = EWCPenalty(
                 lam=3.0,
-                theta_star=pad_parameters(member.spec, extended.spec, member.parameters),
-                fisher=pad_parameters(member.spec, extended.spec, fishers[m]),
+                theta_star=pad_parameters(member.spec, member.parameters),
+                fisher=pad_parameters(member.spec, fishers[m]),
             )
         want = train(extended, mix, config, derive_seed(7, "task", 2, "shuffle", m), penalty)
         assert got.parameters.tobytes() == want.model.parameters.tobytes(), f"member {m}"
@@ -911,14 +911,20 @@ def test_a_one_task_carried_run_trains_its_final_net(small_stream_config, strate
     (continual.CARRIED, small_net(5), 2),
     (continual.CARRIED, None, 2),
     (("rcl", "baseline"), small_conv(), 2),
-], ids=["one task", "head only", "no final net", "not carried"])
+    (("ewc",), replace(small_net(), conv=((4, 3, 1), (4, 3, 1))), 2),
+], ids=["one task", "head only", "no final net", "not carried", "dense net restating conv"])
 def test_carried_problems_allow_what_a_carried_model_can_follow(strategies, final_net, n_tasks):
     assert continual.carried_problems(strategies, small_net(), final_net, n_tasks) == []
 
 
-@pytest.mark.parametrize("final_net", [small_conv(), replace(small_net(), hidden=(16, 4))], ids=["conv", "dense"])
-def test_carried_problems_name_the_first_carried_strategy(final_net):
-    problems = continual.carried_problems(("rcl", "finetune", "ewc"), small_net(), final_net, 2)
+@pytest.mark.parametrize("net, final_net", [
+    (small_net(), small_conv()),
+    (small_net(), replace(small_net(), hidden=(16, 4))),
+    (small_net(), replace(small_net(), input_shape=(40, 2))),
+    (small_conv(), replace(small_conv(), conv=((4, 5, 2), (8, 3, 2)))),
+], ids=["conv", "dense", "input shape", "conv stage"])
+def test_carried_problems_name_the_first_carried_strategy(net, final_net):
+    problems = continual.carried_problems(("rcl", "finetune", "ewc"), net, final_net, 2)
     assert [str(p) for p in problems] == [
         "finetune carries one model across tasks and cannot switch architectures;"
         " every task's net must match the first apart from the head"
